@@ -1,13 +1,18 @@
 """Retrieval evaluation, semantic-shift ranking and lexicon refinement.
 
-Nearest-neighbor retrieval is an exact brute-force scan over the target
-vocabulary under cosine similarity (Euclidean available behind a flag),
-with ties broken deterministically by ascending token index.
+Nearest-neighbor retrieval is exact and brute-force over the target
+vocabulary under cosine similarity (Euclidean available behind a flag).
+Every caller goes through one kernel that maps and scores the queries one
+block at a time, with a single GEMM per block against the whole target
+matrix. Besides `index.unit` (one float64 copy of the targets), memory is
+bounded by one score block of at most `SCORE_BLOCK_BYTES`. Ties break
+deterministically toward the lower token index.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -16,18 +21,26 @@ from .align import _as_matrix
 from .io import EmbeddingSet, Lexicon
 from .mixture import Responsibilities
 
+logger = logging.getLogger(__name__)
+
+# Byte budget for one (query block x vocabulary) float64 score block.
+SCORE_BLOCK_BYTES = 2 ** 21
+
 
 @dataclass
 class NnIndex:
     """Brute-force retrieval index over one embedding set.
 
     Columns are unit-normalized; zero vectors are excluded and their
-    indices recorded.
+    indices recorded. Each column in `repeats` is identical to the column
+    at the same position in `first_copies`, the lowest such index.
     """
 
     emb: EmbeddingSet
     unit: np.ndarray
     excluded: list[int] = field(default_factory=list)
+    repeats: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
+    first_copies: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
 
 
 @dataclass
@@ -48,12 +61,117 @@ class EvalReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
+def _repeats(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns identical to a lower-index column, and the lowest such index.
+
+    Identical columns have equal sums, so only columns that share their sum
+    are compared element by element. (`np.unique` would do the grouping,
+    but it imports `numpy.ma`, which costs more resident memory than the
+    whole retrieval.)
+    """
+    sums = vectors.sum(axis=0)
+    order = np.argsort(sums, kind="stable")
+    same = sums[order[1:]] == sums[order[:-1]]
+    if not same.any():
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    cand = np.sort(order[np.r_[same, False] | np.r_[False, same]])
+    # a stable lexicographic sort puts identical columns side by side,
+    # still in ascending index order
+    cand = cand[np.lexsort(vectors[:, cand])]
+    cols = vectors[:, cand]
+    starts = np.r_[True, (cols[:, 1:] != cols[:, :-1]).any(axis=0)]
+    first = cand[np.flatnonzero(starts)[np.cumsum(starts) - 1]]
+    return cand[~starts], first[~starts]
+
+
 def build_index(emb: EmbeddingSet) -> NnIndex:
     """Precompute unit-normalized target columns for cosine retrieval."""
     norms = np.linalg.norm(emb.vectors, axis=0)
     excluded = [int(i) for i in np.flatnonzero(norms == 0)]
     safe = np.where(norms == 0, 1.0, norms)
-    return NnIndex(emb=emb, unit=emb.vectors / safe, excluded=excluded)
+    repeats, first_copies = _repeats(emb.vectors)
+    return NnIndex(emb=emb, unit=emb.vectors / safe, excluded=excluded,
+                   repeats=repeats, first_copies=first_copies)
+
+
+def _top_k(S: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k best scores of each row, best first.
+
+    Equal scores keep ascending index order, also across the k-th place.
+    """
+    if k == 1:
+        return np.argmax(S, axis=1)[:, None]  # first maximum on ties
+    rows = np.arange(len(S))[:, None]
+    part = np.argpartition(-S, k - 1, axis=1)[:, :k]
+    kth = S[rows, part].min(axis=1, keepdims=True)
+    above = S > kth
+    tied = S == kth
+    # all scores above the k-th, then the lowest-index ones equal to it
+    tied &= np.cumsum(tied, axis=1) <= k - above.sum(axis=1, keepdims=True)
+    top = np.nonzero(above | tied)[1].reshape(len(S), k)
+    order = np.argsort(-S[rows, top], axis=1, kind="stable")
+    return top[rows, order]
+
+
+def _search(index: NnIndex, Qm: np.ndarray | None, X: np.ndarray, cols,
+            k: int, metric: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact top-k targets of the mapped queries Qm @ X[:, cols].
+
+    Queries are mapped, scored and ranked one block at a time, so neither
+    all mapped queries nor all scores are ever held at once; `Qm=None`
+    leaves the queries unmapped. Cosine ranks by q.t / |q||t|; Euclidean
+    ranks by |t|^2 - 2 q.t through the same GEMM and reports -|q - t|.
+    Excluded (zero) targets are never returned, and identical targets
+    always tie, broken toward the lowest index.
+
+    Returns:
+        (top, scores, zero): (n, k) target indices, best first, -1 where
+        there is no neighbour; their scores (-inf where there is none);
+        and an (n,) mask of the queries whose mapped vector is zero. Under
+        cosine these have no neighbour; under Euclidean they are scored.
+    """
+    if metric not in ("cosine", "euclidean"):
+        raise ValueError(f"unknown metric {metric!r}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    cols = np.asarray(cols, dtype=np.intp)
+    vectors = index.emb.vectors
+    n, V = len(cols), vectors.shape[1]
+    k = min(k, V)
+    if metric == "euclidean":
+        half_sq = 0.5 * np.einsum("ij,ij->j", vectors, vectors)
+        half_sq[index.excluded] = np.inf
+    top = np.empty((n, k), dtype=np.intp)
+    scores = np.empty((n, k))
+    zero = np.zeros(n, dtype=bool)
+    step = max(1, SCORE_BLOCK_BYTES // (8 * V))
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        M = X[:, cols[block]]
+        if Qm is not None:
+            M = Qm @ M
+        if not np.isfinite(M).all():
+            raise ValueError("query vector has non-finite entries")
+        norms = np.linalg.norm(M, axis=0)
+        zero[block] = norms == 0
+        if metric == "cosine":
+            S = (M / np.where(zero[block], 1.0, norms)).T @ index.unit
+            S[:, index.excluded] = -np.inf
+        else:
+            S = M.T @ vectors
+            S -= half_sq
+        # BLAS may round the scores of identical columns differently
+        S[:, index.repeats] = S[:, index.first_copies]
+        best = _top_k(S, k)
+        got = np.take_along_axis(S, best, axis=1)
+        found = np.isfinite(got)
+        if metric == "cosine":
+            found &= ~zero[block, None]
+        else:
+            got = -np.linalg.norm(vectors[:, best] - M[:, :, None], axis=0)
+        top[block] = np.where(found, best, -1)
+        scores[block] = np.where(found, got, -np.inf)
+    return top, scores, zero
 
 
 def nearest_neighbor(index: NnIndex, q: np.ndarray, k: int,
@@ -62,25 +180,14 @@ def nearest_neighbor(index: NnIndex, q: np.ndarray, k: int,
 
     Returns (token, score) pairs: cosine similarity (descending) or, with
     metric="euclidean", negative distance. Ties break toward the lower
-    token index.
+    token index; excluded (zero) targets are never returned.
     """
     q = np.asarray(q, dtype=np.float64)
-    if not np.isfinite(q).all():
-        raise ValueError("query vector has non-finite entries")
-    if metric == "cosine":
-        qn = np.linalg.norm(q)
-        if qn == 0:
-            raise ValueError("zero query vector")
-        scores = (q / qn) @ index.unit
-        if index.excluded:
-            scores[index.excluded] = -np.inf
-    elif metric == "euclidean":
-        scores = -np.linalg.norm(index.emb.vectors - q[:, None], axis=0)
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    # stable sort on -score keeps index order among ties
-    order = np.argsort(-scores, kind="stable")[:k]
-    return [(index.emb.tokens[i], float(scores[i])) for i in order]
+    top, scores, zero = _search(index, None, q[:, None], [0], k, metric)
+    if metric == "cosine" and zero[0]:
+        raise ValueError("zero query vector")
+    return [(index.emb.tokens[i], float(s))
+            for i, s in zip(top[0], scores[0]) if i >= 0]
 
 
 def precision_at_1(Q, test_lex: Lexicon, src: EmbeddingSet, tgt: EmbeddingSet,
@@ -89,22 +196,24 @@ def precision_at_1(Q, test_lex: Lexicon, src: EmbeddingSet, tgt: EmbeddingSet,
 
     Queries are the unique source indices of the test lexicon; a query is
     correct iff its retrieved top-1 token is any of its gold targets.
+    Under cosine, a query whose mapped vector is zero has no neighbour: it
+    counts as a miss, and the number of such queries is logged.
 
     Returns:
         (p_at_1, n_queries)
     """
     if not test_lex.pairs:
         raise ValueError("empty test lexicon")
-    Qm = _as_matrix(Q)
     gold: dict[int, set[str]] = {}
     for s, t in test_lex.pairs:
         gold.setdefault(s, set()).add(tgt.tokens[t])
-    index = build_index(tgt)
-    correct = 0
-    for s, targets in gold.items():
-        pred = nearest_neighbor(index, Qm @ src.vectors[:, s], k=1, metric=metric)
-        if pred and pred[0][0] in targets:
-            correct += 1
+    top, _, zero = _search(build_index(tgt), _as_matrix(Q), src.vectors,
+                           list(gold), 1, metric)
+    if metric == "cosine" and zero.any():
+        logger.warning("%d of %d queries have a zero mapped vector; "
+                       "counted as misses", int(zero.sum()), len(gold))
+    correct = sum(t >= 0 and tgt.tokens[t] in targets
+                  for t, targets in zip(top[:, 0], gold.values()))
     return correct / len(gold), len(gold)
 
 
@@ -171,15 +280,16 @@ def refine_lexicon(Q, src: EmbeddingSet, tgt: EmbeddingSet,
     """
     if size_cap < 1:
         raise ValueError("size_cap must be >= 1")
-    Qm = _as_matrix(Q)
+    n = min(size_cap, src.n)
     index = build_index(tgt)
-    pairs = []
-    src_tokens = []
-    tgt_tokens = []
-    for i in range(min(size_cap, src.n)):
-        pred = nearest_neighbor(index, Qm @ src.vectors[:, i], k=1, metric=metric)
-        token = pred[0][0]
-        pairs.append((i, tgt.token_index[token]))
-        src_tokens.append(src.tokens[i])
-        tgt_tokens.append(token)
-    return Lexicon(pairs=pairs, src_tokens=src_tokens, tgt_tokens=tgt_tokens)
+    top, _, _ = _search(index, _as_matrix(Q), src.vectors, np.arange(n), 1, metric)
+    missing = np.flatnonzero(top[:, 0] < 0)
+    if missing.size:
+        # a row without a neighbour has a zero query under cosine, unless
+        # every target is excluded
+        reason = ("no non-zero target vector" if len(index.excluded) == tgt.n
+                  else "zero query vector")
+        raise ValueError(f"{reason} for source token {src.tokens[missing[0]]!r}")
+    tgt_idx = top[:, 0].tolist()
+    return Lexicon(pairs=list(zip(range(n), tgt_idx)), src_tokens=src.tokens[:n],
+                   tgt_tokens=[tgt.tokens[t] for t in tgt_idx])

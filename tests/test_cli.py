@@ -107,6 +107,21 @@ class TestAlign:
         assert (out2 / "model.txt").exists()  # explicit flag wins
 
 
+def test_zero_vector_test_word_is_scored_as_a_miss(bilingual, tmp_path):
+    src = tmp_path / "src_zero.txt"
+    src.write_text(bilingual["src"].read_text() + "s_zero" + " 0" * 10 + "\n")
+    test = tmp_path / "test_zero.tsv"
+    test.write_text(bilingual["test"].read_text() + "s_zero\tt0\n")
+    out = tmp_path / "out"
+    code = main(["align", "--src-emb", str(src), "--tgt-emb", str(bilingual["tgt"]),
+                 "--lexicon", str(bilingual["train"]), "--test-lexicon", str(test),
+                 "--output-dir", str(out)])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["n_queries"] == 11
+    assert report["p_at_1"] == pytest.approx(10 / 11)
+
+
 def test_clean_lexicon_emits_only_tsv(bilingual, tmp_path):
     out = tmp_path / "clean"
     code = main(["clean-lexicon",

@@ -1,6 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from noisy_align import evaluation
 from noisy_align.align import random_orthogonal
 from noisy_align.evaluation import (
     EvalReport,
@@ -25,6 +29,31 @@ def random_set(n_tokens, d, seed, prefix="w"):
                     rng.standard_normal((d, n_tokens)))
 
 
+# score gap below which rounding may swap two Euclidean neighbours
+TIE_MARGIN = 1e-9
+
+
+def oracle_scores(index, q, metric):
+    """Per-query brute-force scan: the score of every target, -inf if excluded.
+
+    Elementwise products and column sums do the same arithmetic for every
+    column, so identical targets get identical scores.
+    """
+    if metric == "cosine":
+        scores = np.sum(index.unit * (q / np.linalg.norm(q))[:, None], axis=0)
+    else:
+        scores = -np.linalg.norm(index.emb.vectors - q[:, None], axis=0)
+    scores[index.excluded] = -np.inf
+    return scores
+
+
+def oracle_top_k(index, q, k, metric="cosine"):
+    """Indices of the k best non-excluded targets; ties toward the lower index."""
+    scores = oracle_scores(index, q, metric)
+    order = np.argsort(-scores, kind="stable")[:k]
+    return [int(i) for i in order if np.isfinite(scores[i])]
+
+
 class TestNearestNeighbor:
     def test_exact_column_is_top(self):
         emb = random_set(8, 4, seed=0)
@@ -38,6 +67,10 @@ class TestNearestNeighbor:
         out = nearest_neighbor(build_index(emb), np.array([0.0, 1.0]), k=3)
         assert [t for t, _ in out] == ["a", "b", "c"]
         assert all(s == pytest.approx(0.0) for _, s in out)
+        # a tie across the k-th place also keeps the lower indices
+        for k in (1, 2):
+            out = nearest_neighbor(build_index(emb), np.array([0.0, 1.0]), k=k)
+            assert [t for t, _ in out] == ["a", "b"][:k]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_full_sort_oracle(self, seed):
@@ -60,12 +93,62 @@ class TestNearestNeighbor:
         assert index.excluded == [0]
         out = nearest_neighbor(index, np.array([1.0, 0.0]), k=2)
         assert out[0][0] == "x"
+        # also where the zero column is the nearer one in Euclidean distance
+        for metric in ("cosine", "euclidean"):
+            out = nearest_neighbor(index, np.array([0.2, 0.0]), k=2, metric=metric)
+            assert [t for t, _ in out] == ["x"]
 
     def test_euclidean_metric(self):
         emb = make_set(["near", "far"], np.array([[1.0, 10.0], [0.0, 0.0]]))
         out = nearest_neighbor(build_index(emb), np.array([2.0, 0.0]), k=1,
                                metric="euclidean")
         assert out[0][0] == "near"
+        assert out[0][1] == -1.0
+
+    def test_non_finite_query_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            nearest_neighbor(build_index(random_set(3, 2, 0)),
+                             np.array([np.nan, 1.0]), k=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6),
+       V=st.integers(1, 40), rows=st.integers(2, 5), blocks=st.integers(1, 4),
+       ragged=st.integers(1, 4), n_dup=st.integers(0, 6),
+       n_zero=st.integers(0, 3), k=st.sampled_from([1, 3]),
+       metric=st.sampled_from(["cosine", "euclidean"]))
+def test_kernel_matches_per_query_oracle(seed, d, V, rows, blocks, ragged,
+                                         n_dup, n_zero, k, metric):
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((d, V))
+    for _ in range(n_dup):
+        a, b = rng.integers(V, size=2)
+        vectors[:, b] = vectors[:, a]
+    vectors[:, rng.integers(V, size=n_zero)] = 0.0
+    index = build_index(make_set([f"t{i}" for i in range(V)], vectors))
+    X = rng.standard_normal((d, 12))
+    Q = random_orthogonal(d, seed % 1000).Q
+    # several blocks of `rows` queries and a shorter last block
+    n = rows * blocks + 1 + ragged % (rows - 1)
+    cols = rng.integers(12, size=n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "SCORE_BLOCK_BYTES", 8 * V * rows)
+        top, scores, zero = evaluation._search(index, Q, X, cols, k, metric)
+    assert not zero.any()
+    for row, c in enumerate(cols):
+        q = Q @ X[:, c]
+        want_scores = oracle_scores(index, q, metric)
+        want = oracle_top_k(index, q, k, metric)
+        got = [int(i) for i in top[row] if i >= 0]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            if g != w:
+                # identical targets always tie toward the lower index
+                assert metric == "euclidean"
+                assert not np.array_equal(vectors[:, g], vectors[:, w])
+                assert want_scores[w] - want_scores[g] < TIE_MARGIN
+        assert scores[row, :len(got)] == pytest.approx(want_scores[got], abs=1e-9)
+        assert (scores[row, len(got):] == -np.inf).all()
 
 
 class TestPrecisionAt1:
@@ -109,6 +192,16 @@ class TestPrecisionAt1:
         emb = random_set(3, 2, 0)
         with pytest.raises(ValueError, match="empty"):
             precision_at_1(np.eye(2), Lexicon(pairs=[]), emb, emb)
+
+    def test_zero_mapped_query_is_a_logged_miss(self, caplog):
+        emb = random_set(6, 3, seed=4)
+        src = make_set(emb.tokens, emb.vectors.copy())
+        src.vectors[:, 0] = 0.0  # its gold target is the first column
+        lex = build_identity_lexicon(src, emb)
+        with caplog.at_level(logging.WARNING, logger="noisy_align.evaluation"):
+            p, n = precision_at_1(np.eye(3), lex, src, emb)
+        assert n == 6 and p == pytest.approx(5 / 6)
+        assert "1 of 6 queries have a zero mapped vector" in caplog.text
 
 
 class TestRankSemanticShift:
@@ -177,6 +270,14 @@ class TestRefineLexicon:
         lex = refine_lexicon(np.eye(4), emb, emb, size_cap=10)
         assert lex.pairs == [(i, i) for i in range(10)]
 
+    def test_identical_targets_pair_with_the_first_copy(self):
+        # copies at the end of the vocabulary, where BLAS kernels handle
+        # the ragged edge of a matrix with other code
+        emb = random_set(1003, 40, seed=25)
+        emb.vectors[:, -8:] = emb.vectors[:, :8]
+        lex = refine_lexicon(np.eye(40), emb, emb, size_cap=1003)
+        assert lex.pairs == [(i, i if i < 995 else i - 995) for i in range(1003)]
+
     def test_size_cap_one(self):
         emb = random_set(5, 3, seed=15)
         lex = refine_lexicon(np.eye(3), emb, emb, size_cap=1)
@@ -198,6 +299,25 @@ class TestRefineLexicon:
         emb = random_set(3, 2, seed=19)
         with pytest.raises(ValueError):
             refine_lexicon(np.eye(2), emb, emb, size_cap=0)
+
+    def test_zero_query_rejected(self):
+        src = random_set(3, 2, seed=20)
+        src.vectors[:, 1] = 0.0
+        with pytest.raises(ValueError, match="zero query vector for source token 'w1'"):
+            refine_lexicon(np.eye(2), src, random_set(3, 2, seed=21), size_cap=3)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_scale_matches_per_query_oracle(self, metric):
+        src = random_set(2000, 50, seed=22)
+        tgt = random_set(2000, 50, seed=23, prefix="t")
+        Q = random_orthogonal(50, 24).Q
+        tgt = make_set(tgt.tokens, Q @ src.vectors + 0.8 * tgt.vectors)
+        lex = refine_lexicon(Q, src, tgt, size_cap=500, metric=metric)
+        index = build_index(tgt)
+        want = [(i, oracle_top_k(index, Q @ src.vectors[:, i], 1, metric)[0])
+                for i in range(500)]
+        assert lex.pairs == want
+        assert lex.tgt_tokens == [tgt.tokens[t] for _, t in want]
 
 
 def test_eval_report_json_keys():
