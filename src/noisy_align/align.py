@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io import DataError
+
 ORTHO_TOL = 1e-8
 
 
@@ -211,13 +213,20 @@ def save_matrix(Q, path) -> None:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def load_matrix(path) -> TranslationMatrix:
-    """Load a translation matrix saved by `save_matrix`."""
-    with open(path, encoding="utf-8") as fh:
-        d = int(fh.readline().split()[0])
-        rows = [np.array(fh.readline().split(), dtype=np.float64) for _ in range(d)]
-    Q = np.stack(rows)
-    if Q.shape != (d, d):
-        raise ValueError(f"matrix file {path} is malformed")
+def _parse_matrix(lines: list[str], path) -> TranslationMatrix:
+    """The `d` line and the d x d block below it, as written by `save_matrix`."""
+    try:
+        d = int(lines[0].split()[0])
+        Q = np.array([line.split() for line in lines[1:d + 1]], dtype=np.float64)
+    except (IndexError, ValueError) as exc:
+        raise DataError(f"matrix in {path} is malformed: {exc}") from exc
+    if d < 1 or Q.shape != (d, d) or not np.isfinite(Q).all():
+        raise DataError(f"matrix in {path} is not a finite {d} x {d} block")
     resid = np.linalg.norm(Q.T @ Q - np.eye(d))
     return TranslationMatrix(Q, orthogonal=bool(resid <= ORTHO_TOL))
+
+
+def load_matrix(path) -> TranslationMatrix:
+    """Load a matrix saved by `save_matrix`; DataError if the file is malformed."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        return _parse_matrix(fh.read().splitlines(), path)

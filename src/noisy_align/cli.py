@@ -4,8 +4,10 @@ Subcommands: align, evaluate, synthetic-2d, noise-curve, diachronic and
 clean-lexicon (align emitting only the cleaned-lexicon TSV). Exit codes:
 0 success, 1 usage error, 2 data error.
 
-A `--config FILE` of `key = value` lines (keys named like the long flags)
-supplies defaults; explicit command-line flags always win.
+A `--config FILE` of `key = value` lines (keys named like the long flags;
+switches take true or false) supplies defaults. The lines are parsed as
+flags placed before the command line's own, so argparse checks their
+types and choices and explicit command-line flags always win.
 """
 
 from __future__ import annotations
@@ -48,37 +50,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _coerce(raw: str):
-    for conv in (int, float):
-        try:
-            return conv(raw)
-        except ValueError:
-            pass
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
-    return raw
-
-
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill args from the config file for flags not given on the line."""
-    if not getattr(args, "config", None):
-        return
+def _config_tokens(args: argparse.Namespace) -> list[str]:
+    """The `--config` file's `key = value` lines as `--key=value` tokens."""
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
         raise nio.DataError(f"cannot read config file {args.config}: {exc}") from exc
+    tokens = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise nio.DataError(f"malformed config line: {line!r}")
-        key, raw = (part.strip() for part in line.split("=", 1))
+        key, value = (part.strip() for part in line.split("=", 1))
         dest = key.replace("-", "_")
         if not hasattr(args, dest):
             raise UsageError(f"unknown config key {key!r}")
-        if f"--{key}" not in argv:
-            setattr(args, dest, _coerce(raw))
+        flag = "--" + dest.replace("_", "-")
+        if not isinstance(getattr(args, dest), bool):
+            tokens.append(f"{flag}={value}")
+        elif value.lower() == "true":  # a switch such as --normalize
+            tokens.append(flag)
+        elif value.lower() != "false":
+            raise UsageError(f"config key {key!r} takes true or false, got {value!r}")
+    return tokens
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -160,9 +156,7 @@ def build_parser() -> _Parser:
 
 
 def _em_config(args) -> EmConfig:
-    mode = "soft" if args.method == "em-soft" else "hard"
-    return EmConfig(epsilon=args.epsilon, max_iters=args.max_iters,
-                    mode=mode, seed=args.seed)
+    return EmConfig(epsilon=args.epsilon, max_iters=args.max_iters)
 
 
 def _sgd_config(args) -> SgdConfig | None:
@@ -269,9 +263,7 @@ def _cmd_diachronic(args) -> int:
     stoplist = nio.load_stoplist(args.stoplist) if args.stoplist else None
     lex = nio.build_identity_lexicon(src, tgt, stoplist=stoplist)
     X, Y = nio.gather_pairs(lex, src, tgt)
-    cfg = EmConfig(epsilon=args.epsilon, max_iters=args.max_iters,
-                   mode="hard", seed=args.seed)
-    Q, model, resp, trace = fit_translation("em-hard", X, Y, em_cfg=cfg)
+    Q, model, resp, trace = fit_translation("em-hard", X, Y, em_cfg=_em_config(args))
     src_freqs = nio.load_frequency_table(args.src_freqs) if args.src_freqs else None
     tgt_freqs = nio.load_frequency_table(args.tgt_freqs) if args.tgt_freqs else None
     ranking, dropped = rank_semantic_shift(
@@ -304,7 +296,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args, argv)
+        if args.config:
+            # config tokens go first, so that every explicit flag wins
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
         if args.command == "align":
             return _cmd_align(args, emit_all=True)
         if args.command == "clean-lexicon":

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .align import (
     SgdConfig,
-    TranslationMatrix,
     alignment_error,
     procrustes,
     sgd_align,
@@ -43,10 +44,8 @@ def fit_translation(method: str, X: np.ndarray, Y: np.ndarray,
         cfg = sgd_cfg or stable_sgd_config(X)
         return sgd_align(X, Y, cfg), None, None, None
     if method in ("em-hard", "em-soft"):
-        cfg = em_cfg or EmConfig()
-        cfg = EmConfig(epsilon=cfg.epsilon, max_iters=cfg.max_iters,
-                       mode="hard" if method == "em-hard" else "soft",
-                       seed=cfg.seed)
+        cfg = dataclasses.replace(em_cfg or EmConfig(),
+                                  mode="hard" if method == "em-hard" else "soft")
         model, resp, trace = em_fit(X, Y, cfg)
         return model.Q, model, resp, trace
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

@@ -16,12 +16,12 @@ import numpy as np
 
 from .align import (
     TranslationMatrix,
+    _parse_matrix,
     alignment_error,
     procrustes,
     weighted_procrustes,
-    _as_matrix,
 )
-from .io import Lexicon
+from .io import DataError, Lexicon
 
 VAR_FLOOR = 1e-12
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -39,12 +39,14 @@ class AlignmentModel:
 
     def __post_init__(self):
         self.mu_y = np.asarray(self.mu_y, dtype=np.float64)
-        if self.sigma2 <= 0 or self.sigma_y2 <= 0:
-            raise ValueError("component variances must be positive")
+        if not (0 < self.sigma2 < np.inf and 0 < self.sigma_y2 < np.inf):
+            raise ValueError("component variances must be positive and finite")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if not self.Q.orthogonal:
             raise ValueError("Q must be orthogonal")
+        if self.mu_y.shape != (self.Q.dim,) or not np.isfinite(self.mu_y).all():
+            raise ValueError(f"mu_y must be a finite vector of length {self.Q.dim}")
 
     @property
     def dim(self) -> int:
@@ -77,7 +79,6 @@ class EmConfig:
     epsilon: float | None = None
     max_iters: int = 100
     mode: str = "hard"
-    seed: int = 0
 
     def __post_init__(self):
         if self.epsilon is not None and self.epsilon <= 0:
@@ -185,18 +186,42 @@ def _complete_data_objective(model: AlignmentModel, X, Y, h: np.ndarray) -> floa
     return obj
 
 
+def _m_step(model: AlignmentModel, X: np.ndarray, Y: np.ndarray, w: np.ndarray):
+    """Weighted Procrustes and weighted moments: the EM M-step for weights w.
+
+    Returns (model, degenerate): a component whose total weight is at
+    most VAR_FLOOR keeps its parameters from `model` and is degenerate.
+    """
+    d, n = X.shape
+    s1, s0 = float(w.sum()), float((1.0 - w).sum())
+    Q, sigma2 = model.Q, model.sigma2
+    mu_y, sigma_y2 = model.mu_y, model.sigma_y2
+    if s1 > VAR_FLOOR:
+        Q = weighted_procrustes(X, Y, w)
+        r = np.sum((Q.Q @ X - Y) ** 2, axis=0)
+        sigma2 = max(float(np.dot(w, r)) / (d * s1), VAR_FLOOR)
+    if s0 > VAR_FLOOR:
+        mu_y = (Y @ (1.0 - w)) / s0
+        r0 = np.sum((Y - mu_y[:, None]) ** 2, axis=0)
+        sigma_y2 = max(float(np.dot(1.0 - w, r0)) / (d * s0), VAR_FLOOR)
+    fitted = AlignmentModel(Q=Q, sigma2=sigma2, mu_y=mu_y,
+                            sigma_y2=sigma_y2, alpha=s1 / n)
+    return fitted, s1 <= VAR_FLOOR or s0 <= VAR_FLOOR
+
+
 def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None):
     """Fit the noise-aware mixture by EM.
 
-    Hard mode thresholds posteriors at 0.5 (ties count as noise) and
-    refits Q by Procrustes on the aligned subset; soft mode keeps the
-    posterior weights and uses weighted Procrustes and weighted moments.
+    Both modes share one weighted M-step (`_m_step`) and differ only in
+    the E-step rounding and the objective: hard mode thresholds posteriors
+    at 0.5 (ties count as noise), weights pairs 0/1 and traces the
+    complete-data objective; soft mode weights them by their posteriors
+    and traces the marginal log-likelihood.
     Iterates until |alpha_curr - alpha_prev| <= epsilon or max_iters.
 
-    When an iteration leaves a component empty (n1=0 or n1=n, or all
-    weight on one side in soft mode), that component's parameters are
-    frozen at their previous values and the iteration is recorded in
-    trace.degenerate_iters.
+    When an iteration leaves a component without weight (n1=0 or n1=n in
+    hard mode), that component's parameters are frozen at their previous
+    values and the iteration is recorded in trace.degenerate_iters.
 
     Returns:
         (AlignmentModel, Responsibilities, EmTrace)
@@ -204,7 +229,7 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None):
     cfg = cfg or EmConfig()
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    d, n = X.shape
+    n = X.shape[1]
     if n < 2:
         raise ValueError("need at least 2 pairs")
     eps = cfg.epsilon if cfg.epsilon is not None else max(1.0 / (2 * n), 1e-4)
@@ -224,40 +249,11 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None):
         n1 = int(h.sum())
         resp = Responsibilities(w=w, h=h, n1=n1)
 
-        if cfg.mode == "hard":
-            degenerate = n1 == 0 or n1 == n
-            Q, sigma2 = model.Q, model.sigma2
-            mu_y, sigma_y2 = model.mu_y, model.sigma_y2
-            if n1 > 0:
-                Q = procrustes(X[:, h], Y[:, h])
-                sigma2 = max(alignment_error(Q, X[:, h], Y[:, h]) / (d * n1), VAR_FLOOR)
-            if n1 < n:
-                mu_y = Y[:, ~h].mean(axis=1)
-                sigma_y2 = max(
-                    float(np.sum((Y[:, ~h] - mu_y[:, None]) ** 2)) / (d * (n - n1)),
-                    VAR_FLOOR,
-                )
-            alpha = n1 / n
-            model = AlignmentModel(Q=Q, sigma2=sigma2, mu_y=mu_y,
-                                   sigma_y2=sigma_y2, alpha=alpha)
-            objective = _complete_data_objective(model, X, Y, h)
-        else:
-            s1, s0 = float(w.sum()), float((1.0 - w).sum())
-            degenerate = s1 <= VAR_FLOOR or s0 <= VAR_FLOOR
-            Q, sigma2 = model.Q, model.sigma2
-            mu_y, sigma_y2 = model.mu_y, model.sigma_y2
-            if s1 > VAR_FLOOR:
-                Q = weighted_procrustes(X, Y, w)
-                r = np.sum((Q.Q @ X - Y) ** 2, axis=0)
-                sigma2 = max(float(np.dot(w, r)) / (d * s1), VAR_FLOOR)
-            if s0 > VAR_FLOOR:
-                mu_y = (Y @ (1.0 - w)) / s0
-                r0 = np.sum((Y - mu_y[:, None]) ** 2, axis=0)
-                sigma_y2 = max(float(np.dot(1.0 - w, r0)) / (d * s0), VAR_FLOOR)
-            alpha = s1 / n
-            model = AlignmentModel(Q=Q, sigma2=sigma2, mu_y=mu_y,
-                                   sigma_y2=sigma_y2, alpha=alpha)
-            objective = log_likelihood(model, X, Y)
+        # hard EM is the same M-step with the 0/1 labels as weights
+        weights = h.astype(np.float64) if cfg.mode == "hard" else w
+        model, degenerate = _m_step(model, X, Y, weights)
+        objective = (_complete_data_objective(model, X, Y, h) if cfg.mode == "hard"
+                     else log_likelihood(model, X, Y))
 
         if degenerate:
             trace.degenerate_iters.append(it)
@@ -303,23 +299,18 @@ def save_model(model: AlignmentModel, path) -> None:
 
 
 def load_model(path) -> AlignmentModel:
-    """Load a model saved by `save_model`."""
-    with open(path, encoding="utf-8") as fh:
-        d = int(fh.readline().split()[0])
-        Q = np.stack([np.array(fh.readline().split(), dtype=np.float64)
-                      for _ in range(d)])
-        fields = {}
-        for line in fh:
-            parts = line.split()
-            if parts:
-                fields[parts[0]] = np.array(parts[1:], dtype=np.float64)
-    return AlignmentModel(
-        Q=TranslationMatrix(Q, orthogonal=True),
-        sigma2=float(fields["sigma2"][0]),
-        mu_y=fields["mu_y"],
-        sigma_y2=float(fields["sigma_y2"][0]),
-        alpha=float(fields["alpha"][0]),
-    )
+    """Load a model saved by `save_model`; DataError if the file is malformed."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        lines = fh.read().splitlines()
+    Q = _parse_matrix(lines, path)
+    try:
+        fields = {parts[0]: np.array(parts[1:], dtype=np.float64)
+                  for parts in map(str.split, lines[Q.dim + 1:]) if parts}
+        return AlignmentModel(Q=Q, sigma2=float(fields["sigma2"][0]), mu_y=fields["mu_y"],
+                              sigma_y2=float(fields["sigma_y2"][0]),
+                              alpha=float(fields["alpha"][0]))
+    except (IndexError, KeyError, ValueError) as exc:
+        raise DataError(f"model file {path} is malformed: {exc}") from exc
 
 
 def write_responsibilities_tsv(resp: Responsibilities, lex: Lexicon | None, path) -> None:

@@ -13,6 +13,7 @@ from noisy_align.align import (
     sgd_objective_grad,
     weighted_procrustes,
 )
+from noisy_align.io import DataError
 
 
 def objective(Q, X, Y):
@@ -237,6 +238,15 @@ def test_matrix_save_load_round_trip(tmp_path):
     loaded = load_matrix(path)
     assert loaded.orthogonal
     assert np.array_equal(loaded.Q, Q.Q)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "2\n1 0\n", "2\n1 0\n0 x\n",
+                                  "2\n1 0\n0 nan\n", "0\n", "x\n"])
+def test_load_matrix_rejects_bad_file(tmp_path, text):
+    path = tmp_path / "matrix.txt"
+    path.write_text(text)
+    with pytest.raises(DataError):
+        load_matrix(path)
 
 
 def test_orthogonal_tag_validated():

@@ -44,6 +44,14 @@ def bilingual(tmp_path):
             "noisy": noisy, "dir": tmp_path}
 
 
+def exit_code(run):
+    """The exit code of run(), whether returned or raised by argparse."""
+    try:
+        return run()
+    except SystemExit as exc:
+        return exc.code
+
+
 def run_align(bilingual, out, extra=()):
     return main(["align",
                  "--src-emb", str(bilingual["src"]),
@@ -105,6 +113,37 @@ class TestAlign:
         assert run_align(bilingual, out2,
                          ["--config", str(cfg), "--method", "em-hard"]) == 0
         assert (out2 / "model.txt").exists()  # explicit flag wins
+        # the fit converges in 2 iterations, so a cap of 1 shows
+        cfg.write_text("method = em-hard\nmax-iters = 1\n")
+        for flags, iterations in ([], 1), (["--max-iters=7"], 2), (["--max-iters", "7"], 2):
+            out3 = tmp_path / "cfg_out3"
+            assert run_align(bilingual, out3, ["--config", str(cfg), *flags]) == 0
+            report = json.loads((out3 / "report.json").read_text())
+            assert report["iterations"] == iterations, flags
+
+    @pytest.mark.parametrize("text", ["method = bogus\n", "max-iters = x\n",
+                                      "bogus-key = 1\n", "normalize = maybe\n"])
+    def test_bad_config_value_is_usage_error(self, bilingual, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert exit_code(lambda: run_align(bilingual, tmp_path / "o",
+                                           ["--config", str(cfg)])) == 1
+
+    def test_malformed_or_missing_config_is_data_error(self, bilingual, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method em-hard\n")
+        assert run_align(bilingual, tmp_path / "o", ["--config", str(cfg)]) == 2
+        assert run_align(bilingual, tmp_path / "o",
+                         ["--config", str(tmp_path / "missing.cfg")]) == 2
+
+    def test_config_switch_matches_flag(self, bilingual, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("normalize = true\n")
+        assert run_align(bilingual, tmp_path / "a", ["--config", str(cfg)]) == 0
+        assert run_align(bilingual, tmp_path / "b", ["--normalize"]) == 0
+        assert run_align(bilingual, tmp_path / "c") == 0
+        reports = [(tmp_path / o / "report.json").read_text() for o in "abc"]
+        assert reports[0] == reports[1] != reports[2]
 
 
 def test_zero_vector_test_word_is_scored_as_a_miss(bilingual, tmp_path):
@@ -157,6 +196,20 @@ def test_evaluate_saved_matrix(bilingual, tmp_path):
     assert code == 0
     report = json.loads((ev / "report.json").read_text())
     assert report["p_at_1"] == 1.0
+
+
+def test_evaluate_empty_matrix_is_data_error(bilingual, tmp_path, capsys):
+    empty = tmp_path / "matrix.txt"
+    empty.write_text("")
+    code = main(["evaluate",
+                 "--src-emb", str(bilingual["src"]),
+                 "--tgt-emb", str(bilingual["tgt"]),
+                 "--matrix", str(empty),
+                 "--test-lexicon", str(bilingual["test"]),
+                 "--output-dir", str(tmp_path / "eval")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
 
 
 class TestSynthetic2d:

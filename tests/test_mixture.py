@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from noisy_align.align import alignment_error, random_orthogonal
-from noisy_align.io import Lexicon
+from noisy_align.experiments import fit_translation
+from noisy_align.io import DataError, Lexicon
 from noisy_align.mixture import (
     VAR_FLOOR,
     AlignmentModel,
@@ -251,6 +252,19 @@ class TestEmFit:
         assert trace.iterations <= 3
 
 
+def test_method_string_sets_mode_and_keeps_other_settings():
+    X, Y, _ = jittered_instance(44)
+    cfg = EmConfig(mode="hard", max_iters=2, epsilon=1e-300)
+    _, _, resp, trace = fit_translation("em-soft", X, Y, em_cfg=cfg)
+    _, soft_resp, soft_trace = em_fit(X, Y, EmConfig(mode="soft", max_iters=2,
+                                                     epsilon=1e-300))
+    _, _, hard_trace = em_fit(X, Y, cfg)
+    assert trace.iterations == 2 and not trace.converged
+    assert trace.steps == soft_trace.steps != hard_trace.steps
+    assert np.array_equal(resp.w, soft_resp.w)
+    assert cfg.mode == "hard"  # the caller's config is not modified
+
+
 class TestSampleGenerative:
     def test_alpha_one_near_exact(self):
         rng = np.random.default_rng(12)
@@ -296,6 +310,16 @@ def test_model_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.mu_y, model.mu_y)
     assert loaded.sigma_y2 == model.sigma_y2
     assert loaded.alpha == model.alpha
+
+
+@pytest.mark.parametrize("text", ["", "2\n1 0\n", "2\n1 0\n0 1\nsigma2 x\n",
+                                  "2\n1 0\n0 1\nsigma2 1\nmu_y 0\n"
+                                  "sigma_y2 1\nalpha 0.5\n"])
+def test_load_model_rejects_bad_file(tmp_path, text):
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    with pytest.raises(DataError):
+        load_model(path)
 
 
 def test_responsibilities_tsv(tmp_path):

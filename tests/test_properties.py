@@ -1,15 +1,31 @@
 """Randomized invariants checked with hypothesis."""
 
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from noisy_align.align import (
+    TranslationMatrix,
     alignment_error,
+    load_matrix,
     mean_alignment_error,
     procrustes,
     random_orthogonal,
 )
-from noisy_align.mixture import AlignmentModel, posterior
+from noisy_align.io import DataError
+from noisy_align.mixture import (
+    VAR_FLOOR,
+    AlignmentModel,
+    _m_step,
+    initialize,
+    load_model,
+    posterior,
+    save_model,
+)
+from test_mixture import jittered_instance
 
 
 def instance(seed, d, n):
@@ -65,3 +81,78 @@ def test_posterior_stays_in_unit_interval(seed, alpha, sigma2, sigma_y2):
         assert w == 0.0
     if alpha == 1.0:
         assert w == 1.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), frac=st.floats(0.0, 1.0))
+def test_m_step_with_01_weights_equals_subset_fit(seed, frac):
+    # hard EM relies on this: the weighted M-step with a 0/1 mask is the
+    # Procrustes fit and the moments of the masked columns
+    X, Y, _ = jittered_instance(seed)
+    d, n = X.shape
+    rng = np.random.default_rng(seed)
+    mask = rng.random(n) < frac
+    mask[rng.choice(n, 2, replace=False)] = [True, False]
+    model, degenerate = _m_step(initialize(X, Y), X, Y, mask.astype(np.float64))
+    Xa, Ya, Yn = X[:, mask], Y[:, mask], Y[:, ~mask]
+    n1 = Xa.shape[1]
+    with warnings.catch_warnings():  # subsets narrower than d are rank-deficient
+        warnings.simplefilter("ignore", RuntimeWarning)
+        Qa = procrustes(Xa, Ya)
+    mu = Yn.mean(axis=1)
+    assert not degenerate
+    # Q is unique on the span of the selected columns, not beyond it
+    assert np.abs(model.Q.Q @ Xa - Qa.Q @ Xa).max() <= 1e-10
+    sigma2 = max(alignment_error(Qa, Xa, Ya) / (d * n1), VAR_FLOOR)
+    assert abs(model.sigma2 - sigma2) <= 1e-10
+    assert np.abs(model.mu_y - mu).max() <= 1e-10
+    sigma_y2 = max(float(np.sum((Yn - mu[:, None]) ** 2)) / (d * (n - n1)), VAR_FLOOR)
+    assert abs(model.sigma_y2 - sigma_y2) <= 1e-10
+    assert model.alpha == n1 / n
+
+
+def _saved_model_lines():
+    model = AlignmentModel(Q=random_orthogonal(2, 3), sigma2=0.5,
+                           mu_y=np.array([1.0, -2.0]), sigma_y2=2.0, alpha=0.25)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.txt"
+        save_model(model, path)
+        return path.read_text().splitlines()
+
+
+SAVED_MODEL = _saved_model_lines()
+
+
+@st.composite
+def damaged_model_text(draw):
+    """A saved model file, truncated and with one token replaced."""
+    lines = SAVED_MODEL[:draw(st.integers(0, len(SAVED_MODEL)))]
+    if lines and draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        j = draw(st.integers(0, len(tokens)))
+        tokens[j:j + 1] = [draw(st.sampled_from(
+            ["", "x", "nan", "inf", "-1", "0", "3", "1e400", "0.5 0.5"]))]
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(st.text(), damaged_model_text()))
+def test_loaders_give_valid_object_or_data_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.txt"
+        path.write_text(text, encoding="utf-8")
+        try:
+            Q = load_matrix(path)
+        except DataError:
+            pass
+        else:
+            assert isinstance(Q, TranslationMatrix) and np.isfinite(Q.Q).all()
+        try:
+            model = load_model(path)
+        except DataError:
+            pass
+        else:
+            assert model.Q.orthogonal and model.mu_y.shape == (model.dim,)
+            assert np.isfinite([model.sigma2, model.sigma_y2, model.alpha]).all()
