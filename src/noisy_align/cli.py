@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Subcommands: align, evaluate, synthetic-2d, noise-curve, diachronic and
-clean-lexicon (align emitting only the cleaned-lexicon TSV). Exit codes:
+clean-lexicon (align emitting only the cleaned-lexicon TSV). Each takes
+only the flags it reads, and abbreviated flags are rejected. Exit codes:
 0 success, 1 usage error, 2 data error.
 
-A `--config FILE` of `key = value` lines (keys named like the long flags;
-switches take true or false) supplies defaults. The lines are parsed as
-flags placed before the command line's own, so argparse checks their
-types and choices and explicit command-line flags always win.
+A `--config FILE` of `key = value` lines supplies defaults: each line
+becomes the token `--key=value`, inserted right after the command name.
+argparse then checks the keys, types and choices as for any flag, required
+flags may come from the file, and explicit command-line flags always win.
+Switches such as `normalize` take `true` or `false`.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # no prefix matching: `--seed` must not pass for noise-curve's `--seeds`
+        super().__init__(allow_abbrev=False, **kwargs)
+
     # spec'd exit codes: usage errors are 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -50,12 +56,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _config_tokens(args: argparse.Namespace) -> list[str]:
+def _switch(text: str) -> bool:
+    if text.lower() in ("true", "false"):
+        return text.lower() == "true"
+    raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _config_tokens(path: str) -> list[str]:
     """The `--config` file's `key = value` lines as `--key=value` tokens."""
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise nio.DataError(f"cannot read config file {args.config}: {exc}") from exc
+        raise nio.DataError(f"cannot read config file {path}: {exc}") from exc
     tokens = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -64,42 +83,23 @@ def _config_tokens(args: argparse.Namespace) -> list[str]:
         if "=" not in line:
             raise nio.DataError(f"malformed config line: {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
-            raise UsageError(f"unknown config key {key!r}")
-        flag = "--" + dest.replace("_", "-")
-        if not isinstance(getattr(args, dest), bool):
-            tokens.append(f"{flag}={value}")
-        elif value.lower() == "true":  # a switch such as --normalize
-            tokens.append(flag)
-        elif value.lower() != "false":
-            raise UsageError(f"config key {key!r} takes true or false, got {value!r}")
+        tokens.append(f"--{key}={value}")
     return tokens
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value defaults file; flags win")
-    p.add_argument("--method", choices=METHODS, default="em-hard")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="EM convergence threshold on |alpha change|")
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--normalize", action="store_true",
-                   help="unit-normalize embedding vectors at load")
-    p.add_argument("--output-dir", default=".")
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--src-emb", required=True)
     p.add_argument("--tgt-emb", required=True)
-    p.add_argument("--limit", type=int, default=None,
+    p.add_argument("--limit", type=_positive_int, default=None,
                    help="keep only the first N vocabulary rows")
+    p.add_argument("--normalize", type=_switch, nargs="?", const=True, default=False,
+                   metavar="true|false", help="unit-normalize embedding vectors at load")
 
 
-def _add_sgd_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
+def _add_em_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="EM convergence threshold on |alpha change|")
+    p.add_argument("--max-iters", type=int, default=100)
 
 
 def build_parser() -> _Parser:
@@ -107,31 +107,41 @@ def build_parser() -> _Parser:
                      description="Noise-aware alignment of embedding spaces")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("align", help="fit a translation matrix from a lexicon")
+    def command(name, run, help, **defaults):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run, **defaults)
+        p.add_argument("--config", help="key = value defaults file; flags win")
+        p.add_argument("--output-dir", default=".")
+        return p
+
+    p = command("align", _cmd_align, "fit a translation matrix from a lexicon",
+                emit_all=True)
     _add_data_args(p)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--test-lexicon", default=None)
-    _add_sgd_args(p)
-    _add_common(p)
+    p.add_argument("--method", choices=METHODS, default="em-hard")
+    p.add_argument("--seed", type=int, default=0, help="SGD shuffling seed")
+    _add_em_args(p)
+    p.add_argument("--learning-rate", type=float, default=None)
+    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--batch-size", type=int, default=None)
 
-    p = sub.add_parser("clean-lexicon",
-                       help="align and emit only the responsibilities TSV")
+    p = command("clean-lexicon", _cmd_align,
+                "align and emit only the responsibilities TSV", emit_all=False)
     _add_data_args(p)
     p.add_argument("--lexicon", required=True)
-    p.add_argument("--test-lexicon", default=None)
-    _add_sgd_args(p)
-    _add_common(p)
+    p.add_argument("--method", choices=("em-hard", "em-soft"), default="em-hard")
+    _add_em_args(p)
 
-    p = sub.add_parser("evaluate", help="evaluate a saved translation matrix")
+    p = command("evaluate", _cmd_evaluate, "evaluate a saved translation matrix")
     _add_data_args(p)
     p.add_argument("--matrix", required=True)
     p.add_argument("--test-lexicon", required=True)
-    _add_common(p)
 
-    p = sub.add_parser("synthetic-2d", help="2D single-noisy-pair experiment")
-    _add_common(p)
+    p = command("synthetic-2d", _cmd_synthetic_2d, "2D single-noisy-pair experiment")
+    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("noise-curve", help="error-vs-noise-level experiment")
+    p = command("noise-curve", _cmd_noise_curve, "error-vs-noise-level experiment")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--d", type=int, default=50)
     p.add_argument("--test-n", type=int, default=300)
@@ -140,17 +150,16 @@ def build_parser() -> _Parser:
     p.add_argument("--seeds", type=int, default=10, help="number of seeds")
     p.add_argument("--methods", default="op,sgd,em-hard",
                    help="comma-separated subset of " + ",".join(METHODS))
-    _add_common(p)
 
-    p = sub.add_parser("diachronic",
-                       help="identity-lexicon alignment and shift ranking")
+    p = command("diachronic", _cmd_diachronic,
+                "identity-lexicon alignment and shift ranking")
     _add_data_args(p)
     p.add_argument("--stoplist", default=None)
     p.add_argument("--src-freqs", default=None)
     p.add_argument("--tgt-freqs", default=None)
     p.add_argument("--threshold", type=float, default=None,
                    help="drop tokens below this relative frequency")
-    _add_common(p)
+    _add_em_args(p)
 
     return parser
 
@@ -176,7 +185,7 @@ def _load_spaces(args):
     return src, tgt
 
 
-def _cmd_align(args, emit_all: bool) -> int:
+def _cmd_align(args) -> int:
     src, tgt = _load_spaces(args)
     lex, skipped = nio.load_lexicon(args.lexicon, src, tgt)
     X, Y = nio.gather_pairs(lex, src, tgt)
@@ -188,7 +197,7 @@ def _cmd_align(args, emit_all: bool) -> int:
 
     if resp is not None:
         write_responsibilities_tsv(resp, lex, out / "responsibilities.tsv")
-    if not emit_all:
+    if not args.emit_all:  # clean-lexicon
         print(f"wrote {out / 'responsibilities.tsv'} "
               f"({skipped} unresolvable lexicon lines skipped)")
         return 0
@@ -293,28 +302,15 @@ def _cmd_diachronic(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    config_parser = _Parser(prog="noisy-align", add_help=False)
+    config_parser.add_argument("--config")
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            # config tokens go first, so that every explicit flag wins
-            at = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
-        if args.command == "align":
-            return _cmd_align(args, emit_all=True)
-        if args.command == "clean-lexicon":
-            if args.method not in ("em-hard", "em-soft"):
-                raise UsageError("clean-lexicon requires an EM method")
-            return _cmd_align(args, emit_all=False)
-        if args.command == "evaluate":
-            return _cmd_evaluate(args)
-        if args.command == "synthetic-2d":
-            return _cmd_synthetic_2d(args)
-        if args.command == "noise-curve":
-            return _cmd_noise_curve(args)
-        if args.command == "diachronic":
-            return _cmd_diachronic(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        config = config_parser.parse_known_args(argv)[0].config
+        if config:
+            # right after the command name, so that every explicit flag wins
+            argv[1:1] = _config_tokens(config)
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except UsageError as exc:
         print(f"noisy-align: error: {exc}", file=sys.stderr)
         return 1

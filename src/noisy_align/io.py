@@ -76,6 +76,18 @@ class Lexicon:
         return iter(self.pairs)
 
 
+def _read_lines(path, what: str):
+    """Stream a UTF-8 file's lines, broken only at newlines (`str.splitlines`
+    also breaks at `\\x0c`, `\\x85`, ...); read errors raise DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} {path} is not valid UTF-8: {exc}") from exc
+
+
 def _is_header(fields: list[str]) -> bool:
     # word2vec convention: first line `n d`, exactly two integer tokens
     if len(fields) != 2:
@@ -92,7 +104,8 @@ def load_embeddings(path, limit: int | None = None, normalize: bool = False) -> 
 
     Args:
         path: file with `token v1 ... vd` lines (optional `n d` header).
-        limit: keep only the first `limit` valid rows.
+        limit: keep only the first `limit` valid rows (at least 1); the
+            rest of the file is not read.
         normalize: scale every vector to unit Euclidean norm.
 
     Returns:
@@ -102,16 +115,10 @@ def load_embeddings(path, limit: int | None = None, normalize: bool = False) -> 
     Raises:
         DataError: unreadable file, zero valid rows, or inconsistent
             dimension on more than half of the rows.
+        ValueError: ``limit`` below 1.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read embedding file {path}: {exc}") from exc
-
-    if lines and _is_header(lines[0].split()):
-        lines = lines[1:]
-
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     dim = None
     tokens: list[str] = []
     cols: list[np.ndarray] = []
@@ -119,7 +126,9 @@ def load_embeddings(path, limit: int | None = None, normalize: bool = False) -> 
     skipped = 0
     bad_dim = 0
     total = 0
-    for line in lines:
+    for lineno, line in enumerate(_read_lines(path, "embedding file")):
+        if lineno == 0 and _is_header(line.split()):
+            continue
         fields = line.rstrip().split(" ")
         if len(fields) < 2 or fields[0] == "":
             continue
@@ -193,18 +202,12 @@ def load_lexicon(path, src: EmbeddingSet, tgt: EmbeddingSet) -> tuple[Lexicon, i
     Raises:
         DataError: unreadable file or zero resolvable pairs.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read lexicon file {path}: {exc}") from exc
-
     pairs: list[tuple[int, int]] = []
     src_tokens: list[str] = []
     tgt_tokens: list[str] = []
     seen: set[tuple[int, int]] = set()
     skipped = 0
-    for line in lines:
+    for line in _read_lines(path, "lexicon file"):
         line = line.strip()
         if not line:
             continue
@@ -267,27 +270,18 @@ def gather_pairs(lex: Lexicon, src: EmbeddingSet, tgt: EmbeddingSet):
 
 def load_stoplist(path) -> set[str]:
     """Load a stop-list, one token per line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return {line.strip() for line in fh if line.strip()}
-    except OSError as exc:
-        raise DataError(f"cannot read stop-list {path}: {exc}") from exc
+    return {line.strip() for line in _read_lines(path, "stop-list") if line.strip()}
 
 
 def load_frequency_table(path) -> dict[str, float]:
     """Load a `token<TAB>relative_frequency` table.
 
     Raises:
-        DataError: unreadable file or a frequency outside [0, 1].
+        DataError: unreadable file, a malformed line or a frequency
+            outside [0, 1].
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read frequency table {path}: {exc}") from exc
-
     table: dict[str, float] = {}
-    for line in lines:
+    for line in _read_lines(path, "frequency table"):
         line = line.strip()
         if not line:
             continue
@@ -295,7 +289,10 @@ def load_frequency_table(path) -> dict[str, float]:
         if len(fields) != 2:
             raise DataError(f"malformed frequency line: {line!r}")
         token, raw = fields
-        freq = float(raw)
+        try:
+            freq = float(raw)
+        except ValueError:
+            raise DataError(f"malformed frequency for {token!r}: {raw!r}") from None
         if not 0.0 <= freq <= 1.0:
             raise DataError(f"frequency out of [0,1] for {token!r}: {freq}")
         table[token] = freq

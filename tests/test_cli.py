@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from noisy_align.align import random_orthogonal
-from noisy_align.cli import main
+from noisy_align.cli import build_parser, main
 from noisy_align.io import EmbeddingSet, save_embeddings
 
 
@@ -173,14 +174,15 @@ def test_clean_lexicon_emits_only_tsv(bilingual, tmp_path):
     assert not (out / "matrix.txt").exists()
 
 
-def test_clean_lexicon_rejects_non_em_method(bilingual, tmp_path):
-    code = main(["clean-lexicon",
-                 "--src-emb", str(bilingual["src"]),
-                 "--tgt-emb", str(bilingual["tgt"]),
-                 "--lexicon", str(bilingual["train"]),
-                 "--method", "op",
-                 "--output-dir", str(tmp_path / "z")])
+def test_clean_lexicon_rejects_non_em_method(bilingual, tmp_path, capsys):
+    code = exit_code(lambda: main(["clean-lexicon",
+                                   "--src-emb", str(bilingual["src"]),
+                                   "--tgt-emb", str(bilingual["tgt"]),
+                                   "--lexicon", str(bilingual["train"]),
+                                   "--method", "op",
+                                   "--output-dir", str(tmp_path / "z")]))
     assert code == 1
+    assert "--method" in capsys.readouterr().err
 
 
 def test_evaluate_saved_matrix(bilingual, tmp_path):
@@ -314,3 +316,94 @@ class TestDiachronic:
         assert "w0" not in ranked and "w1" not in ranked  # stop-listed
         assert "w2" not in ranked  # below frequency threshold
         assert "w3" in ranked
+
+
+class TestFlagSurface:
+    """Each subcommand takes only the flags it reads."""
+
+    REQUIRED = {
+        "align": ["--src-emb", "s", "--tgt-emb", "t", "--lexicon", "l"],
+        "clean-lexicon": ["--src-emb", "s", "--tgt-emb", "t", "--lexicon", "l"],
+        "evaluate": ["--src-emb", "s", "--tgt-emb", "t", "--matrix", "m",
+                     "--test-lexicon", "x"],
+        "synthetic-2d": [],
+        "noise-curve": [],
+        "diachronic": ["--src-emb", "s", "--tgt-emb", "t"],
+    }
+    REMOVED = [
+        *(("clean-lexicon", f) for f in ("--test-lexicon", "--seed", "--learning-rate",
+                                         "--epochs", "--batch-size")),
+        *(("evaluate", f) for f in ("--method", "--seed", "--epsilon", "--max-iters")),
+        *(("synthetic-2d", f) for f in ("--method", "--epsilon", "--max-iters",
+                                        "--normalize")),
+        *(("noise-curve", f) for f in ("--method", "--seed", "--epsilon", "--max-iters",
+                                       "--normalize")),
+        ("diachronic", "--method"),
+        ("diachronic", "--seed"),
+    ]
+
+    def test_flag_counts(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        counts = {name: sum(1 for a in p._actions if a.option_strings and a.dest != "help")
+                  for name, p in sub.choices.items()}
+        assert counts == {"align": 15, "clean-lexicon": 10, "evaluate": 8,
+                          "synthetic-2d": 3, "noise-curve": 8, "diachronic": 12}
+
+    @pytest.mark.parametrize("command,flag", REMOVED)
+    def test_removed_flag_is_usage_error(self, command, flag, tmp_path, capsys):
+        argv = [command, *self.REQUIRED[command], flag, "1", "--output-dir", str(tmp_path)]
+        assert exit_code(lambda: main(argv)) == 1
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_abbreviated_flag_is_usage_error(self, bilingual, tmp_path):
+        # --seed would otherwise match noise-curve's --seeds
+        assert exit_code(lambda: main(["noise-curve", "--seed", "3",
+                                       "--output-dir", str(tmp_path)])) == 1
+        # and a config key `max` would match --max-iters
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max = 1\n")
+        assert exit_code(lambda: run_align(bilingual, tmp_path / "o",
+                                           ["--config", str(cfg)])) == 1
+
+    def test_limit_below_one_is_usage_error(self, bilingual, tmp_path):
+        assert exit_code(lambda: run_align(bilingual, tmp_path / "o",
+                                           ["--limit", "0"])) == 1
+
+    def test_switch_and_int_config_values(self, bilingual, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max-iters = false\n")
+        assert exit_code(lambda: run_align(bilingual, tmp_path / "o",
+                                           ["--config", str(cfg)])) == 1
+        cfg.write_text("normalize = true\n")
+        assert run_align(bilingual, tmp_path / "a",
+                         ["--config", str(cfg), "--normalize=false"]) == 0
+        assert run_align(bilingual, tmp_path / "b") == 0
+        assert (tmp_path / "a" / "report.json").read_bytes() == \
+            (tmp_path / "b" / "report.json").read_bytes()
+
+
+class TestDiachronicConfig:
+    @pytest.fixture
+    def spaces(self, tmp_path):
+        rng = np.random.default_rng(5)
+        emb = make_set([f"w{i}" for i in range(40)], rng.standard_normal((6, 40)))
+        path = tmp_path / "emb.txt"
+        save_embeddings(emb, path)
+        return path
+
+    def test_required_flags_from_config(self, spaces, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"src-emb = {spaces}\ntgt-emb = {spaces}\nmax-iters = 3\n")
+        for flags in (["--config", str(cfg)], [f"--config={cfg}"]):
+            out = tmp_path / "out"
+            assert main(["diachronic", *flags, "--output-dir", str(out)]) == 0
+            assert (out / "shift_ranking.tsv").exists()
+
+    def test_unread_key_is_usage_error(self, spaces, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 1\n")
+        argv = ["diachronic", "--src-emb", str(spaces), "--tgt-emb", str(spaces),
+                "--config", str(cfg), "--output-dir", str(tmp_path / "o")]
+        assert exit_code(lambda: main(argv)) == 1
+        assert "--seed=1" in capsys.readouterr().err

@@ -71,6 +71,31 @@ class TestLoadEmbeddings:
         emb = load_embeddings(write(tmp_path, "e.txt", "a 3 4\n"), normalize=True)
         assert np.linalg.norm(emb.vector("a")) == pytest.approx(1.0)
 
+    def test_header_skipped_only_on_first_line(self, tmp_path):
+        emb = load_embeddings(write(tmp_path, "e.txt", "2 2\na 1 0\n2 2\nb 0 1\n"),
+                              limit=2)
+        assert emb.tokens == ["a", "b"]
+        assert emb.skipped == 1  # the second `2 2` is a row of the wrong width
+
+    def test_only_newlines_break_lines(self, tmp_path):
+        # str.splitlines would also break at \x0c, \x1c-\x1e, \x85, U+2028
+        text = "a\x0cb 1 2\nc\u2028d 3 4\r\ne\x85 5 6\n"
+        emb = load_embeddings(write(tmp_path, "e.txt", text))
+        assert emb.tokens == ["a\x0cb", "c\u2028d", "e\x85"]
+
+    def test_limit_below_one_rejected(self, tmp_path):
+        path = write(tmp_path, "e.txt", "a 1 0\nb 0 1\n")
+        for limit in (0, -1):
+            with pytest.raises(ValueError, match="limit"):
+                load_embeddings(path, limit=limit)
+
+    def test_limit_stops_reading(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_bytes(b"a 1 0\nb 0 1\n" + b"c 1 1\n" * 100_000 + b"\xff 1 1\n")
+        assert load_embeddings(path, limit=2).tokens == ["a", "b"]
+        with pytest.raises(DataError, match="UTF-8"):
+            load_embeddings(path)
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(7)
         emb = make_set(["x", "y", "z"], rng.standard_normal((5, 3)))
@@ -189,3 +214,27 @@ def test_frequency_table(tmp_path):
 def test_frequency_out_of_range(tmp_path):
     with pytest.raises(DataError, match="out of"):
         load_frequency_table(write(tmp_path, "f.tsv", "dog\t1.5\n"))
+
+
+SPACES = (make_set(["a\x0cb", "c"], np.eye(2)), make_set(["d", "e"], np.eye(2)))
+
+
+@pytest.mark.parametrize("load", [load_embeddings, load_stoplist, load_frequency_table,
+                                  lambda path: load_lexicon(path, *SPACES)])
+def test_invalid_utf8_is_data_error(tmp_path, load):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"a\tb 0.5\n\xff\xfe\n")
+    with pytest.raises(DataError, match="UTF-8"):
+        load(path)
+
+
+def test_lexicon_and_frequency_tokens_keep_form_feed(tmp_path):
+    lex, skipped = load_lexicon(write(tmp_path, "l.tsv", "a\x0cb\te\nc\td\n"), *SPACES)
+    assert lex.src_tokens == ["a\x0cb", "c"] and skipped == 0
+    table = load_frequency_table(write(tmp_path, "f.tsv", "a\x0cb\t0.5\n"))
+    assert table == {"a\x0cb": 0.5}
+
+
+def test_malformed_frequency_is_data_error(tmp_path):
+    with pytest.raises(DataError, match="malformed frequency"):
+        load_frequency_table(write(tmp_path, "f.tsv", "a\tzz\n"))

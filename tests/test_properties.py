@@ -15,7 +15,14 @@ from noisy_align.align import (
     procrustes,
     random_orthogonal,
 )
-from noisy_align.io import DataError
+from noisy_align.io import (
+    DataError,
+    EmbeddingSet,
+    load_embeddings,
+    load_frequency_table,
+    load_lexicon,
+    load_stoplist,
+)
 from noisy_align.mixture import (
     VAR_FLOOR,
     AlignmentModel,
@@ -156,3 +163,43 @@ def test_loaders_give_valid_object_or_data_error(text):
         else:
             assert model.Q.orthogonal and model.mu_y.shape == (model.dim,)
             assert np.isfinite([model.sigma2, model.sigma_y2, model.alpha]).all()
+
+
+# byte pieces that make headers, rows, lexicon pairs and frequency lines likely
+TEXT_PIECES = [b"a", b"b", b"\t", b" ", b"\n", b"\r", b"\x0c", b"\xff", b"\xc3",
+               b"\xc3\xa9", b"\xe2\x80\xa8", b"0.5", b"1", b"-2", b"nan", b"inf", b"2 2"]
+FUZZ_SPACE = EmbeddingSet(dim=2, tokens=["a", "b"], vectors=np.eye(2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(st.binary(), st.lists(st.sampled_from(TEXT_PIECES)).map(b"".join)))
+def test_text_loaders_give_valid_object_or_data_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.txt"
+        path.write_bytes(data)
+        try:
+            emb = load_embeddings(path, limit=3)
+        except DataError:
+            pass
+        else:
+            assert 1 <= emb.n <= 3 and emb.vectors.shape == (emb.dim, emb.n)
+            assert np.isfinite(emb.vectors).all()
+        try:
+            lex, skipped = load_lexicon(path, FUZZ_SPACE, FUZZ_SPACE)
+        except DataError:
+            pass
+        else:
+            assert len(lex) >= 1 and skipped >= 0
+            assert all(0 <= i < 2 and 0 <= j < 2 for i, j in lex)
+        try:
+            stop = load_stoplist(path)
+        except DataError:
+            pass
+        else:
+            assert all(isinstance(t, str) and t == t.strip() and t for t in stop)
+        try:
+            table = load_frequency_table(path)
+        except DataError:
+            pass
+        else:
+            assert all(0.0 <= f <= 1.0 for f in table.values())
