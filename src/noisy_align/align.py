@@ -48,19 +48,24 @@ class TranslationMatrix:
 
 @dataclass
 class SgdConfig:
-    """Hyperparameters for the stochastic gradient baseline."""
+    """Hyperparameters for the stochastic gradient baseline.
 
-    learning_rate: float = 1e-3
-    epochs: int = 50
-    batch_size: int = 32
+    learning_rate=None selects 0.4 / lambda_max(X X^T) and batch_size=None
+    selects all pairs (full-batch gradient descent); both are resolved
+    from the data in `sgd_align`.
+    """
+
+    learning_rate: float | None = None
+    epochs: int = 200
+    batch_size: int | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if self.learning_rate is not None and self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
-        if self.batch_size < 1:
+        if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be positive")
 
 
@@ -119,7 +124,9 @@ def sgd_align(X: np.ndarray, Y: np.ndarray, cfg: SgdConfig | None = None) -> Tra
     """Unconstrained least-squares map fit by minibatch gradient descent.
 
     Deterministic given cfg.seed (the seed drives the epoch shuffles).
-    The returned matrix does not carry the orthogonal tag.
+    The returned matrix does not carry the orthogonal tag. The default
+    step 0.4 / lambda_max(X X^T) is safely below the full-batch divergence
+    limit 1 / (2 lambda_max(X X^T)).
 
     Raises:
         RuntimeError: the objective became non-finite (diverged); the
@@ -130,20 +137,23 @@ def sgd_align(X: np.ndarray, Y: np.ndarray, cfg: SgdConfig | None = None) -> Tra
     Y = np.asarray(Y, dtype=np.float64)
     _check_pair_shapes(X, Y)
     d, n = X.shape
+    lr = cfg.learning_rate
+    if lr is None:
+        lr = 0.4 / max(float(np.linalg.norm(X @ X.T, ord=2)), 1e-12)
+    batch_size = cfg.batch_size or n
     rng = np.random.default_rng(cfg.seed)
     Q = np.eye(d)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         # overflow here is divergence, reported below rather than warned
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, n, cfg.batch_size):
-                batch = order[start:start + cfg.batch_size]
+            for start in range(0, n, batch_size):
+                batch = order[start:start + batch_size]
                 Xb, Yb = X[:, batch], Y[:, batch]
-                Q = Q - cfg.learning_rate * sgd_objective_grad(Q, Xb, Yb)
+                Q = Q - lr * sgd_objective_grad(Q, Xb, Yb)
         if not np.isfinite(Q).all():
             raise RuntimeError(
-                f"SGD diverged (non-finite objective) at learning_rate="
-                f"{cfg.learning_rate}; reduce it"
+                f"SGD diverged (non-finite objective) at learning_rate={lr}; reduce it"
             )
     return TranslationMatrix(Q, orthogonal=False)
 

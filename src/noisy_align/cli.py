@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -62,11 +63,29 @@ def _switch(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _checked(cast, ok, what: str):
+    """An argparse type: `cast` the text, then reject values failing `ok`."""
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    parse.__name__ = cast.__name__  # argparse's "invalid int value" message
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "at least 1")
+_non_negative_int = _checked(int, lambda v: v >= 0, "at least 0")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+
+
+def _levels(text: str) -> tuple[float, ...]:
+    """Comma-separated noise fractions, each in [0, 1)."""
+    levels = tuple(float(v) for v in text.split(",") if v)
+    for p in levels:
+        if not 0.0 <= p < 1.0:
+            raise argparse.ArgumentTypeError(f"noise level must lie in [0, 1), got {p}")
+    return levels
 
 
 def _config_tokens(path: str) -> list[str]:
@@ -97,9 +116,9 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_em_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=float, default=None,
+    p.add_argument("--epsilon", type=_positive_float, default=None,
                    help="EM convergence threshold on |alpha change|")
-    p.add_argument("--max-iters", type=int, default=100)
+    p.add_argument("--max-iters", type=_positive_int, default=100)
 
 
 def build_parser() -> _Parser:
@@ -120,11 +139,14 @@ def build_parser() -> _Parser:
     p.add_argument("--lexicon", required=True)
     p.add_argument("--test-lexicon", default=None)
     p.add_argument("--method", choices=METHODS, default="em-hard")
-    p.add_argument("--seed", type=int, default=0, help="SGD shuffling seed")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="SGD shuffling seed")
     _add_em_args(p)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--learning-rate", type=_positive_float, default=None,
+                   help="SGD step (default 0.4 / lambda_max(X X^T))")
+    p.add_argument("--epochs", type=_positive_int, default=None,
+                   help="SGD epochs (default 200)")
+    p.add_argument("--batch-size", type=_positive_int, default=None,
+                   help="SGD minibatch size (default all pairs)")
 
     p = command("clean-lexicon", _cmd_align,
                 "align and emit only the responsibilities TSV", emit_all=False)
@@ -139,15 +161,15 @@ def build_parser() -> _Parser:
     p.add_argument("--test-lexicon", required=True)
 
     p = command("synthetic-2d", _cmd_synthetic_2d, "2D single-noisy-pair experiment")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
 
     p = command("noise-curve", _cmd_noise_curve, "error-vs-noise-level experiment")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--d", type=int, default=50)
-    p.add_argument("--test-n", type=int, default=300)
-    p.add_argument("--levels", default="0,0.1,0.2,0.3,0.4,0.5",
-                   help="comma-separated noise fractions")
-    p.add_argument("--seeds", type=int, default=10, help="number of seeds")
+    p.add_argument("--n", type=_positive_int, default=1000)
+    p.add_argument("--d", type=_positive_int, default=50)
+    p.add_argument("--test-n", type=_positive_int, default=300)
+    p.add_argument("--levels", type=_levels, default="0,0.1,0.2,0.3,0.4,0.5",
+                   help="comma-separated noise fractions in [0, 1)")
+    p.add_argument("--seeds", type=_positive_int, default=10, help="number of seeds")
     p.add_argument("--methods", default="op,sgd,em-hard",
                    help="comma-separated subset of " + ",".join(METHODS))
 
@@ -169,13 +191,14 @@ def _em_config(args) -> EmConfig:
 
 
 def _sgd_config(args) -> SgdConfig | None:
+    """SGD settings for `--method sgd`: each flag given overrides only its field."""
     given = {k: getattr(args, k) for k in ("learning_rate", "epochs", "batch_size")
              if getattr(args, k, None) is not None}
-    if not given:
-        return None
     if args.method != "sgd":
-        raise UsageError(
-            f"SGD options {sorted(given)} are invalid with method {args.method!r}")
+        if given:
+            raise UsageError(
+                f"SGD options {sorted(given)} are invalid with method {args.method!r}")
+        return None
     return SgdConfig(seed=args.seed, **given)
 
 
@@ -249,12 +272,11 @@ def _cmd_synthetic_2d(args) -> int:
 
 
 def _cmd_noise_curve(args) -> int:
-    levels = [float(v) for v in args.levels.split(",") if v]
     methods = tuple(m for m in args.methods.split(",") if m)
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}")
-    rows = run_noise_curve(n=args.n, d=args.d, levels=levels,
+    rows = run_noise_curve(n=args.n, d=args.d, levels=args.levels,
                            test_n=args.test_n, seeds=range(args.seeds),
                            methods=methods)
     out = Path(args.output_dir)

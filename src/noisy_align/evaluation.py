@@ -1,12 +1,12 @@
 """Retrieval evaluation, semantic-shift ranking and lexicon refinement.
 
 Nearest-neighbor retrieval is exact and brute-force over the target
-vocabulary under cosine similarity (Euclidean available behind a flag).
-Every caller goes through one kernel that maps and scores the queries one
-block at a time, with a single GEMM per block against the whole target
-matrix. Besides `index.unit` (one float64 copy of the targets), memory is
-bounded by one score block of at most `SCORE_BLOCK_BYTES`. Ties break
-deterministically toward the lower token index.
+vocabulary under cosine similarity. Every caller goes through one kernel
+that maps and scores the queries one block at a time, with a single GEMM
+per block against the whole target matrix. Besides `index.unit` (one
+float64 copy of the targets), memory is bounded by one score block of at
+most `SCORE_BLOCK_BYTES`. Ties break deterministically toward the lower
+token index.
 """
 
 from __future__ import annotations
@@ -94,53 +94,27 @@ def build_index(emb: EmbeddingSet) -> NnIndex:
                    repeats=repeats, first_copies=first_copies)
 
 
-def _top_k(S: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of the k best scores of each row, best first.
-
-    Equal scores keep ascending index order, also across the k-th place.
-    """
-    if k == 1:
-        return np.argmax(S, axis=1)[:, None]  # first maximum on ties
-    rows = np.arange(len(S))[:, None]
-    part = np.argpartition(-S, k - 1, axis=1)[:, :k]
-    kth = S[rows, part].min(axis=1, keepdims=True)
-    above = S > kth
-    tied = S == kth
-    # all scores above the k-th, then the lowest-index ones equal to it
-    tied &= np.cumsum(tied, axis=1) <= k - above.sum(axis=1, keepdims=True)
-    top = np.nonzero(above | tied)[1].reshape(len(S), k)
-    order = np.argsort(-S[rows, top], axis=1, kind="stable")
-    return top[rows, order]
-
-
 def _search(index: NnIndex, Qm: np.ndarray | None, X: np.ndarray, cols,
-            k: int, metric: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact top-k targets of the mapped queries Qm @ X[:, cols].
+            k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact top-k cosine targets of the mapped queries Qm @ X[:, cols].
 
     Queries are mapped, scored and ranked one block at a time, so neither
     all mapped queries nor all scores are ever held at once; `Qm=None`
-    leaves the queries unmapped. Cosine ranks by q.t / |q||t|; Euclidean
-    ranks by |t|^2 - 2 q.t through the same GEMM and reports -|q - t|.
-    Excluded (zero) targets are never returned, and identical targets
-    always tie, broken toward the lowest index.
+    leaves the queries unmapped. Excluded (zero) targets are never
+    returned, and identical targets always tie. Ties break toward the
+    lowest index, also across the k-th place.
 
     Returns:
         (top, scores, zero): (n, k) target indices, best first, -1 where
-        there is no neighbour; their scores (-inf where there is none);
-        and an (n,) mask of the queries whose mapped vector is zero. Under
-        cosine these have no neighbour; under Euclidean they are scored.
+        there is no neighbour; their cosine similarities (-inf where there
+        is none); and an (n,) mask of the queries whose mapped vector is
+        zero, which have no neighbour.
     """
-    if metric not in ("cosine", "euclidean"):
-        raise ValueError(f"unknown metric {metric!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     cols = np.asarray(cols, dtype=np.intp)
-    vectors = index.emb.vectors
-    n, V = len(cols), vectors.shape[1]
+    n, V = len(cols), index.unit.shape[1]
     k = min(k, V)
-    if metric == "euclidean":
-        half_sq = 0.5 * np.einsum("ij,ij->j", vectors, vectors)
-        half_sq[index.excluded] = np.inf
     top = np.empty((n, k), dtype=np.intp)
     scores = np.empty((n, k))
     zero = np.zeros(n, dtype=bool)
@@ -154,50 +128,43 @@ def _search(index: NnIndex, Qm: np.ndarray | None, X: np.ndarray, cols,
             raise ValueError("query vector has non-finite entries")
         norms = np.linalg.norm(M, axis=0)
         zero[block] = norms == 0
-        if metric == "cosine":
-            S = (M / np.where(zero[block], 1.0, norms)).T @ index.unit
-            S[:, index.excluded] = -np.inf
-        else:
-            S = M.T @ vectors
-            S -= half_sq
+        S = (M / np.where(zero[block], 1.0, norms)).T @ index.unit
+        S[:, index.excluded] = -np.inf
         # BLAS may round the scores of identical columns differently
         S[:, index.repeats] = S[:, index.first_copies]
-        best = _top_k(S, k)
-        got = np.take_along_axis(S, best, axis=1)
-        found = np.isfinite(got)
-        if metric == "cosine":
-            found &= ~zero[block, None]
+        if k == 1:
+            best = np.argmax(S, axis=1)[:, None]  # first maximum on ties
         else:
-            got = -np.linalg.norm(vectors[:, best] - M[:, :, None], axis=0)
+            best = np.argsort(-S, axis=1, kind="stable")[:, :k]
+        got = np.take_along_axis(S, best, axis=1)
+        found = np.isfinite(got) & ~zero[block, None]
         top[block] = np.where(found, best, -1)
         scores[block] = np.where(found, got, -np.inf)
     return top, scores, zero
 
 
-def nearest_neighbor(index: NnIndex, q: np.ndarray, k: int,
-                     metric: str = "cosine") -> list[tuple[str, float]]:
+def nearest_neighbor(index: NnIndex, q: np.ndarray, k: int) -> list[tuple[str, float]]:
     """Top-k target tokens for a query vector, exact brute-force.
 
-    Returns (token, score) pairs: cosine similarity (descending) or, with
-    metric="euclidean", negative distance. Ties break toward the lower
-    token index; excluded (zero) targets are never returned.
+    Returns (token, cosine similarity) pairs, descending. Ties break toward
+    the lower token index; excluded (zero) targets are never returned.
     """
     q = np.asarray(q, dtype=np.float64)
-    top, scores, zero = _search(index, None, q[:, None], [0], k, metric)
-    if metric == "cosine" and zero[0]:
+    top, scores, zero = _search(index, None, q[:, None], [0], k)
+    if zero[0]:
         raise ValueError("zero query vector")
     return [(index.emb.tokens[i], float(s))
             for i, s in zip(top[0], scores[0]) if i >= 0]
 
 
-def precision_at_1(Q, test_lex: Lexicon, src: EmbeddingSet, tgt: EmbeddingSet,
-                   metric: str = "cosine") -> tuple[float, int]:
+def precision_at_1(Q, test_lex: Lexicon, src: EmbeddingSet,
+                   tgt: EmbeddingSet) -> tuple[float, int]:
     """Precision@1 of mapped source words against their gold translations.
 
     Queries are the unique source indices of the test lexicon; a query is
     correct iff its retrieved top-1 token is any of its gold targets.
-    Under cosine, a query whose mapped vector is zero has no neighbour: it
-    counts as a miss, and the number of such queries is logged.
+    A query whose mapped vector is zero has no neighbour: it counts as a
+    miss, and the number of such queries is logged.
 
     Returns:
         (p_at_1, n_queries)
@@ -208,8 +175,8 @@ def precision_at_1(Q, test_lex: Lexicon, src: EmbeddingSet, tgt: EmbeddingSet,
     for s, t in test_lex.pairs:
         gold.setdefault(s, set()).add(tgt.tokens[t])
     top, _, zero = _search(build_index(tgt), _as_matrix(Q), src.vectors,
-                           list(gold), 1, metric)
-    if metric == "cosine" and zero.any():
+                           list(gold), 1)
+    if zero.any():
         logger.warning("%d of %d queries have a zero mapped vector; "
                        "counted as misses", int(zero.sum()), len(gold))
     correct = sum(t >= 0 and tgt.tokens[t] in targets
@@ -272,7 +239,7 @@ def write_shift_ranking_tsv(ranking, path) -> None:
 
 
 def refine_lexicon(Q, src: EmbeddingSet, tgt: EmbeddingSet,
-                   size_cap: int, metric: str = "cosine") -> Lexicon:
+                   size_cap: int) -> Lexicon:
     """Induce a lexicon by nearest-neighbor translation of frequent words.
 
     Pairs each of the first size_cap source tokens (vocabulary order as a
@@ -282,11 +249,11 @@ def refine_lexicon(Q, src: EmbeddingSet, tgt: EmbeddingSet,
         raise ValueError("size_cap must be >= 1")
     n = min(size_cap, src.n)
     index = build_index(tgt)
-    top, _, _ = _search(index, _as_matrix(Q), src.vectors, np.arange(n), 1, metric)
+    top, _, _ = _search(index, _as_matrix(Q), src.vectors, np.arange(n), 1)
     missing = np.flatnonzero(top[:, 0] < 0)
     if missing.size:
-        # a row without a neighbour has a zero query under cosine, unless
-        # every target is excluded
+        # a row without a neighbour has a zero query, unless every target
+        # is excluded
         reason = ("no non-zero target vector" if len(index.excluded) == tgt.n
                   else "zero query vector")
         raise ValueError(f"{reason} for source token {src.tokens[missing[0]]!r}")

@@ -17,16 +17,8 @@ from .synthetic import make_noisy_problem
 
 METHODS = ("op", "sgd", "em-hard", "em-soft")
 
-
-def stable_sgd_config(X: np.ndarray, epochs: int = 200, seed: int = 0) -> SgdConfig:
-    """Full-batch config with a step size safely below the divergence limit.
-
-    Gradient descent on ||QX - Y||_F^2 contracts iff the step is below
-    1 / (2 * lambda_max(X X^T)); 0.4 / lambda_max leaves a wide margin.
-    """
-    lam = float(np.linalg.norm(X @ X.T, ord=2))
-    lr = 0.4 / max(lam, 1e-12)
-    return SgdConfig(learning_rate=lr, epochs=epochs, batch_size=X.shape[1], seed=seed)
+# full-batch epochs of the 2D experiment's SGD fits (10 pairs each)
+SYNTHETIC_2D_SGD_EPOCHS = 3000
 
 
 def fit_translation(method: str, X: np.ndarray, Y: np.ndarray,
@@ -41,8 +33,7 @@ def fit_translation(method: str, X: np.ndarray, Y: np.ndarray,
     if method == "op":
         return procrustes(X, Y), None, None, None
     if method == "sgd":
-        cfg = sgd_cfg or stable_sgd_config(X)
-        return sgd_align(X, Y, cfg), None, None, None
+        return sgd_align(X, Y, sgd_cfg), None, None, None
     if method in ("em-hard", "em-soft"):
         cfg = dataclasses.replace(em_cfg or EmConfig(),
                                   mode="hard" if method == "em-hard" else "soft")
@@ -51,7 +42,7 @@ def fit_translation(method: str, X: np.ndarray, Y: np.ndarray,
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def run_synthetic_2d(seed: int = 0, sgd_epochs: int = 3000) -> dict:
+def run_synthetic_2d(seed: int = 0) -> dict:
     """The 2D experiment: n=10 points, noise-free vs a single noisy pair.
 
     Fits op, sgd and em-hard on both variants and reports the alignment
@@ -64,8 +55,8 @@ def run_synthetic_2d(seed: int = 0, sgd_epochs: int = 3000) -> dict:
         entry: dict = {"clean_error": {}, "noisy_index": [
             int(i) for i in np.flatnonzero(~prob.clean_mask)]}
         preds = {}
+        sgd_cfg = SgdConfig(epochs=SYNTHETIC_2D_SGD_EPOCHS, seed=seed)
         for method in ("op", "sgd", "em-hard"):
-            sgd_cfg = stable_sgd_config(prob.X, epochs=sgd_epochs, seed=seed)
             Q, _, resp, _ = fit_translation(method, prob.X, prob.Y, sgd_cfg=sgd_cfg)
             entry["clean_error"][method] = alignment_error(
                 Q, prob.X, prob.Y, mask=prob.clean_mask)

@@ -123,17 +123,24 @@ def _component_logdensities(model: AlignmentModel, X: np.ndarray, Y: np.ndarray)
     return la, ln
 
 
-def _posterior_weights(model: AlignmentModel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Posterior aligned probabilities w_t for every column pair."""
-    n = X.shape[1]
+def _e_step(model: AlignmentModel, la: np.ndarray, ln: np.ndarray):
+    """Posterior aligned probabilities and the marginal log-likelihood.
+
+    `la` and `ln` are the per-column component log densities of `model`.
+    """
     if model.alpha == 0.0:
-        return np.zeros(n)
+        return np.zeros(la.size), float(np.sum(ln))
     if model.alpha == 1.0:
-        return np.ones(n)
-    la, ln = _component_logdensities(model, X, Y)
+        return np.ones(la.size), float(np.sum(la))
     la = la + np.log(model.alpha)
     ln = ln + np.log1p(-model.alpha)
-    return np.exp(la - np.logaddexp(la, ln))
+    total = np.logaddexp(la, ln)
+    return np.exp(la - total), float(np.sum(total))
+
+
+def _posterior_weights(model: AlignmentModel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Posterior aligned probabilities w_t for every column pair."""
+    return _e_step(model, *_component_logdensities(model, X, Y))[0]
 
 
 def posterior(model: AlignmentModel, x: np.ndarray, y: np.ndarray) -> float:
@@ -145,13 +152,7 @@ def posterior(model: AlignmentModel, x: np.ndarray, y: np.ndarray) -> float:
 
 def log_likelihood(model: AlignmentModel, X: np.ndarray, Y: np.ndarray) -> float:
     """Marginal log-likelihood sum_t log f(y_t | x_t) of the mixture."""
-    la, ln = _component_logdensities(model, X, Y)
-    if model.alpha == 0.0:
-        return float(np.sum(ln))
-    if model.alpha == 1.0:
-        return float(np.sum(la))
-    return float(np.sum(np.logaddexp(la + np.log(model.alpha),
-                                     ln + np.log1p(-model.alpha))))
+    return _e_step(model, *_component_logdensities(model, X, Y))[1]
 
 
 def initialize(X: np.ndarray, Y: np.ndarray) -> AlignmentModel:
@@ -173,9 +174,12 @@ def initialize(X: np.ndarray, Y: np.ndarray) -> AlignmentModel:
     return AlignmentModel(Q=Q, sigma2=sigma2, mu_y=mu_y, sigma_y2=sigma_y2, alpha=0.5)
 
 
-def _complete_data_objective(model: AlignmentModel, X, Y, h: np.ndarray) -> float:
-    """Joint log-likelihood of data and hard assignments h."""
-    la, ln = _component_logdensities(model, X, Y)
+def _complete_data_objective(model: AlignmentModel, la: np.ndarray, ln: np.ndarray,
+                             h: np.ndarray) -> float:
+    """Joint log-likelihood of data and hard assignments h.
+
+    `la` and `ln` are the per-column component log densities of `model`.
+    """
     n1 = int(h.sum())
     n0 = h.size - n1
     obj = float(la[h].sum() + ln[~h].sum())
@@ -224,7 +228,8 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None):
     values and the iteration is recorded in trace.degenerate_iters.
 
     Returns:
-        (AlignmentModel, Responsibilities, EmTrace)
+        (AlignmentModel, Responsibilities, EmTrace); the responsibilities
+        are the E-step of the returned model.
     """
     cfg = cfg or EmConfig()
     X = np.asarray(X, dtype=np.float64)
@@ -235,8 +240,8 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None):
     eps = cfg.epsilon if cfg.epsilon is not None else max(1.0 / (2 * n), 1e-4)
 
     model = initialize(X, Y)
+    w = _posterior_weights(model, X, Y)
     trace = EmTrace()
-    resp = Responsibilities(w=np.ones(n), h=np.ones(n, dtype=bool), n1=n)
     alpha_prev = np.inf
     for it in range(cfg.max_iters):
         if abs(model.alpha - alpha_prev) <= eps:
@@ -244,24 +249,24 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None):
             break
         alpha_prev = model.alpha
 
-        w = _posterior_weights(model, X, Y)
         h = w > 0.5
-        n1 = int(h.sum())
-        resp = Responsibilities(w=w, h=h, n1=n1)
-
         # hard EM is the same M-step with the 0/1 labels as weights
         weights = h.astype(np.float64) if cfg.mode == "hard" else w
         model, degenerate = _m_step(model, X, Y, weights)
-        objective = (_complete_data_objective(model, X, Y, h) if cfg.mode == "hard"
-                     else log_likelihood(model, X, Y))
+        # one pass over the data scores the new model and runs the next E-step
+        la, ln = _component_logdensities(model, X, Y)
+        w, loglik = _e_step(model, la, ln)
+        objective = (_complete_data_objective(model, la, ln, h) if cfg.mode == "hard"
+                     else loglik)
 
         if degenerate:
             trace.degenerate_iters.append(it)
-        trace.steps.append((model.alpha, objective, n1))
+        trace.steps.append((model.alpha, objective, int(h.sum())))
     else:
         trace.converged = abs(model.alpha - alpha_prev) <= eps
 
-    return model, resp, trace
+    h = w > 0.5
+    return model, Responsibilities(w=w, h=h, n1=int(h.sum())), trace
 
 
 def sample_generative(model: AlignmentModel, X: np.ndarray, seed: int):

@@ -99,6 +99,21 @@ class TestAlign:
         assert code == 1
         assert "invalid with method" in capsys.readouterr().err
 
+    def test_sgd_flag_overrides_only_its_own_field(self, bilingual, tmp_path):
+        # 200 is the default, so giving it must not switch the step or batch
+        assert run_align(bilingual, tmp_path / "a", ["--method", "sgd"]) == 0
+        assert run_align(bilingual, tmp_path / "b", ["--method", "sgd",
+                                                     "--epochs", "200"]) == 0
+        assert (tmp_path / "a" / "matrix.txt").read_bytes() == \
+            (tmp_path / "b" / "matrix.txt").read_bytes()
+
+    def test_sgd_seed_drives_minibatch_shuffles(self, bilingual, tmp_path):
+        for seed in "12":
+            flags = ["--method", "sgd", "--batch-size", "32", "--seed", seed]
+            assert run_align(bilingual, tmp_path / seed, flags) == 0
+        assert (tmp_path / "1" / "matrix.txt").read_bytes() != \
+            (tmp_path / "2" / "matrix.txt").read_bytes()
+
     def test_missing_required_flag_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["align", "--src-emb", "a.txt"])
@@ -355,6 +370,27 @@ class TestFlagSurface:
         argv = [command, *self.REQUIRED[command], flag, "1", "--output-dir", str(tmp_path)]
         assert exit_code(lambda: main(argv)) == 1
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    BAD_VALUES = [
+        *(("align", f, v) for f, v in (("--max-iters", "0"), ("--epsilon", "-1"),
+                                       ("--epsilon", "nan"), ("--epochs", "0"),
+                                       ("--batch-size", "0"), ("--learning-rate", "-1"),
+                                       ("--learning-rate", "inf"), ("--seed", "-1"))),
+        ("clean-lexicon", "--epsilon", "0"),
+        ("diachronic", "--max-iters", "0"),
+        *(("noise-curve", f, v) for f, v in (("--d", "0"), ("--n", "0"), ("--test-n", "0"),
+                                             ("--seeds", "0"), ("--levels", "1.5"),
+                                             ("--levels", "0,-0.1"), ("--levels", "x"))),
+        ("synthetic-2d", "--seed", "-1"),
+    ]
+
+    @pytest.mark.parametrize("command,flag,value", BAD_VALUES)
+    def test_bad_numeric_value_is_usage_error(self, command, flag, value, tmp_path,
+                                              capsys):
+        argv = [command, *self.REQUIRED[command], flag, value,
+                "--output-dir", str(tmp_path)]
+        assert exit_code(lambda: main(argv)) == 1
+        assert f"argument {flag}:" in capsys.readouterr().err
 
     def test_abbreviated_flag_is_usage_error(self, bilingual, tmp_path):
         # --seed would otherwise match noise-curve's --seeds

@@ -29,27 +29,20 @@ def random_set(n_tokens, d, seed, prefix="w"):
                     rng.standard_normal((d, n_tokens)))
 
 
-# score gap below which rounding may swap two Euclidean neighbours
-TIE_MARGIN = 1e-9
-
-
-def oracle_scores(index, q, metric):
-    """Per-query brute-force scan: the score of every target, -inf if excluded.
+def oracle_scores(index, q):
+    """Per-query brute-force scan: the cosine of every target, -inf if excluded.
 
     Elementwise products and column sums do the same arithmetic for every
     column, so identical targets get identical scores.
     """
-    if metric == "cosine":
-        scores = np.sum(index.unit * (q / np.linalg.norm(q))[:, None], axis=0)
-    else:
-        scores = -np.linalg.norm(index.emb.vectors - q[:, None], axis=0)
+    scores = np.sum(index.unit * (q / np.linalg.norm(q))[:, None], axis=0)
     scores[index.excluded] = -np.inf
     return scores
 
 
-def oracle_top_k(index, q, k, metric="cosine"):
+def oracle_top_k(index, q, k):
     """Indices of the k best non-excluded targets; ties toward the lower index."""
-    scores = oracle_scores(index, q, metric)
+    scores = oracle_scores(index, q)
     order = np.argsort(-scores, kind="stable")[:k]
     return [int(i) for i in order if np.isfinite(scores[i])]
 
@@ -92,18 +85,7 @@ class TestNearestNeighbor:
         index = build_index(emb)
         assert index.excluded == [0]
         out = nearest_neighbor(index, np.array([1.0, 0.0]), k=2)
-        assert out[0][0] == "x"
-        # also where the zero column is the nearer one in Euclidean distance
-        for metric in ("cosine", "euclidean"):
-            out = nearest_neighbor(index, np.array([0.2, 0.0]), k=2, metric=metric)
-            assert [t for t, _ in out] == ["x"]
-
-    def test_euclidean_metric(self):
-        emb = make_set(["near", "far"], np.array([[1.0, 10.0], [0.0, 0.0]]))
-        out = nearest_neighbor(build_index(emb), np.array([2.0, 0.0]), k=1,
-                               metric="euclidean")
-        assert out[0][0] == "near"
-        assert out[0][1] == -1.0
+        assert [t for t, _ in out] == ["x"]  # k exceeds the usable vocabulary
 
     def test_non_finite_query_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -115,10 +97,9 @@ class TestNearestNeighbor:
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6),
        V=st.integers(1, 40), rows=st.integers(2, 5), blocks=st.integers(1, 4),
        ragged=st.integers(1, 4), n_dup=st.integers(0, 6),
-       n_zero=st.integers(0, 3), k=st.sampled_from([1, 3]),
-       metric=st.sampled_from(["cosine", "euclidean"]))
+       n_zero=st.integers(0, 3), k=st.sampled_from([1, 3]))
 def test_kernel_matches_per_query_oracle(seed, d, V, rows, blocks, ragged,
-                                         n_dup, n_zero, k, metric):
+                                         n_dup, n_zero, k):
     rng = np.random.default_rng(seed)
     vectors = rng.standard_normal((d, V))
     for _ in range(n_dup):
@@ -133,20 +114,14 @@ def test_kernel_matches_per_query_oracle(seed, d, V, rows, blocks, ragged,
     cols = rng.integers(12, size=n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluation, "SCORE_BLOCK_BYTES", 8 * V * rows)
-        top, scores, zero = evaluation._search(index, Q, X, cols, k, metric)
+        top, scores, zero = evaluation._search(index, Q, X, cols, k)
     assert not zero.any()
     for row, c in enumerate(cols):
         q = Q @ X[:, c]
-        want_scores = oracle_scores(index, q, metric)
-        want = oracle_top_k(index, q, k, metric)
+        want_scores = oracle_scores(index, q)
         got = [int(i) for i in top[row] if i >= 0]
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            if g != w:
-                # identical targets always tie toward the lower index
-                assert metric == "euclidean"
-                assert not np.array_equal(vectors[:, g], vectors[:, w])
-                assert want_scores[w] - want_scores[g] < TIE_MARGIN
+        # identical targets always tie toward the lower index
+        assert got == oracle_top_k(index, q, k)
         assert scores[row, :len(got)] == pytest.approx(want_scores[got], abs=1e-9)
         assert (scores[row, len(got):] == -np.inf).all()
 
@@ -306,15 +281,14 @@ class TestRefineLexicon:
         with pytest.raises(ValueError, match="zero query vector for source token 'w1'"):
             refine_lexicon(np.eye(2), src, random_set(3, 2, seed=21), size_cap=3)
 
-    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-    def test_scale_matches_per_query_oracle(self, metric):
+    def test_scale_matches_per_query_oracle(self):
         src = random_set(2000, 50, seed=22)
         tgt = random_set(2000, 50, seed=23, prefix="t")
         Q = random_orthogonal(50, 24).Q
         tgt = make_set(tgt.tokens, Q @ src.vectors + 0.8 * tgt.vectors)
-        lex = refine_lexicon(Q, src, tgt, size_cap=500, metric=metric)
+        lex = refine_lexicon(Q, src, tgt, size_cap=500)
         index = build_index(tgt)
-        want = [(i, oracle_top_k(index, Q @ src.vectors[:, i], 1, metric)[0])
+        want = [(i, oracle_top_k(index, Q @ src.vectors[:, i], 1)[0])
                 for i in range(500)]
         assert lex.pairs == want
         assert lex.tgt_tokens == [tgt.tokens[t] for _, t in want]

@@ -12,6 +12,7 @@ from noisy_align.mixture import (
     AlignmentModel,
     EmConfig,
     Responsibilities,
+    _posterior_weights,
     em_fit,
     initialize,
     load_model,
@@ -238,6 +239,14 @@ class TestEmFit:
         _, resp, _ = em_fit(X, Y, EmConfig(mode="soft"))
         assert np.all((resp.w >= 0) & (resp.w <= 1))
         assert resp.n1 == int(resp.h.sum())
+        assert np.array_equal(resp.h, resp.w > 0.5)
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    @pytest.mark.parametrize("max_iters", [1, 2, 100])
+    def test_responsibilities_are_the_returned_models_e_step(self, mode, max_iters):
+        prob = make_noisy_problem(n=500, d=20, p=0.3, seed=1)
+        model, resp, _ = em_fit(prob.X, prob.Y, EmConfig(max_iters=max_iters, mode=mode))
+        assert np.array_equal(resp.w, _posterior_weights(model, prob.X, prob.Y))
         assert np.array_equal(resp.h, resp.w > 0.5)
 
     def test_degenerate_all_aligned_is_frozen_not_fatal(self):
