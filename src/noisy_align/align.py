@@ -3,8 +3,8 @@
 All solvers estimate a d x d matrix Q mapping source columns to target
 columns, y ~ Q x. `procrustes` solves the orthogonality-constrained
 problem in closed form via the SVD of Y X^T; `sgd_align` minimizes the
-unconstrained Frobenius objective ||QX - Y||_F^2 by minibatch gradient
-descent.
+unconstrained Frobenius objective ||QX - Y||_F^2 by gradient descent,
+full-batch or minibatch.
 """
 
 from __future__ import annotations
@@ -82,14 +82,17 @@ def procrustes(X: np.ndarray, Y: np.ndarray) -> TranslationMatrix:
     """Orthogonal matrix minimizing ||QX - Y||_F^2 (closed form).
 
     Computes U V^T where U S V^T is the SVD of Y X^T. Reflections are
-    allowed (no determinant correction). A warning is issued for
-    numerically rank-deficient X.
+    allowed (no determinant correction). A warning is issued when X has
+    rank below d: fewer than d columns, or numerically rank-deficient.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     _check_pair_shapes(X, Y)
-    sv = np.linalg.svd(X, compute_uv=False)
-    if sv[0] > 0 and sv[-1] < 1e-12 * sv[0]:
+    d, n = X.shape
+    # X^T = QR gives R the singular values of X; the QR is a cheaper
+    # O(d^2 n) pass than svd(X) and leaves only an O(d^3) SVD
+    sv = np.linalg.svd(np.linalg.qr(X.T, mode="r"), compute_uv=False)
+    if n < d or (sv[0] > 0 and sv[-1] < 1e-12 * sv[0]):
         warnings.warn("X is numerically rank-deficient; Procrustes solution "
                       "is not unique", RuntimeWarning, stacklevel=2)
     U, _, Vt = np.linalg.svd(Y @ X.T)
@@ -121,15 +124,20 @@ def sgd_objective_grad(Q: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarra
 
 
 def sgd_align(X: np.ndarray, Y: np.ndarray, cfg: SgdConfig | None = None) -> TranslationMatrix:
-    """Unconstrained least-squares map fit by minibatch gradient descent.
+    """Unconstrained least-squares map fit by gradient descent.
 
-    Deterministic given cfg.seed (the seed drives the epoch shuffles).
-    The returned matrix does not carry the orthogonal tag. The default
-    step 0.4 / lambda_max(X X^T) is safely below the full-batch divergence
+    With one batch per epoch (cfg.batch_size None or >= n) every epoch
+    takes the same full-batch step, written in Gram form:
+    2 (QX - Y) X^T = 2 (Q C - B) with C = X X^T and B = Y X^T. C and B
+    cost O(d^2 n) once, then each epoch costs O(d^3), and the result does
+    not depend on cfg.seed. With smaller batches the seed drives the
+    epoch shuffles and each step costs O(d^2 batch_size). The returned
+    matrix does not carry the orthogonal tag. The default step
+    0.4 / lambda_max(X X^T) is safely below the full-batch divergence
     limit 1 / (2 lambda_max(X X^T)).
 
     Raises:
-        RuntimeError: the objective became non-finite (diverged); the
+        DataError: the objective became non-finite (diverged); the
             message names the offending learning rate.
     """
     cfg = cfg or SgdConfig()
@@ -137,24 +145,30 @@ def sgd_align(X: np.ndarray, Y: np.ndarray, cfg: SgdConfig | None = None) -> Tra
     Y = np.asarray(Y, dtype=np.float64)
     _check_pair_shapes(X, Y)
     d, n = X.shape
+    C = X @ X.T
     lr = cfg.learning_rate
     if lr is None:
-        lr = 0.4 / max(float(np.linalg.norm(X @ X.T, ord=2)), 1e-12)
+        lr = 0.4 / max(float(np.linalg.norm(C, ord=2)), 1e-12)
     batch_size = cfg.batch_size or n
+    full_batch = batch_size >= n
+    if full_batch:
+        B = Y @ X.T
     rng = np.random.default_rng(cfg.seed)
     Q = np.eye(d)
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        # overflow here is divergence, reported below rather than warned
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, n, batch_size):
-                batch = order[start:start + batch_size]
-                Xb, Yb = X[:, batch], Y[:, batch]
-                Q = Q - lr * sgd_objective_grad(Q, Xb, Yb)
-        if not np.isfinite(Q).all():
-            raise RuntimeError(
-                f"SGD diverged (non-finite objective) at learning_rate={lr}; reduce it"
-            )
+    # overflow is divergence, reported below rather than warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            if full_batch:
+                Q = Q - lr * (2.0 * (Q @ C - B))
+            else:
+                order = rng.permutation(n)
+                for start in range(0, n, batch_size):
+                    batch = order[start:start + batch_size]
+                    Q = Q - lr * sgd_objective_grad(Q, X[:, batch], Y[:, batch])
+            if not np.isfinite(Q).all():
+                raise DataError(
+                    f"SGD diverged (non-finite objective) at learning_rate={lr}; reduce it"
+                )
     return TranslationMatrix(Q, orthogonal=False)
 
 

@@ -139,7 +139,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lexicon", required=True)
     p.add_argument("--test-lexicon", default=None)
     p.add_argument("--method", choices=METHODS, default="em-hard")
-    p.add_argument("--seed", type=_non_negative_int, default=0, help="SGD shuffling seed")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="SGD minibatch shuffling seed")
     _add_em_args(p)
     p.add_argument("--learning-rate", type=_positive_float, default=None,
                    help="SGD step (default 0.4 / lambda_max(X X^T))")

@@ -55,7 +55,7 @@ def run_synthetic_2d(seed: int = 0) -> dict:
         entry: dict = {"clean_error": {}, "noisy_index": [
             int(i) for i in np.flatnonzero(~prob.clean_mask)]}
         preds = {}
-        sgd_cfg = SgdConfig(epochs=SYNTHETIC_2D_SGD_EPOCHS, seed=seed)
+        sgd_cfg = SgdConfig(epochs=SYNTHETIC_2D_SGD_EPOCHS)
         for method in ("op", "sgd", "em-hard"):
             Q, _, resp, _ = fit_translation(method, prob.X, prob.Y, sgd_cfg=sgd_cfg)
             entry["clean_error"][method] = alignment_error(

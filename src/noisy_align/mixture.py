@@ -113,10 +113,20 @@ def log_gaussian_iso(y: np.ndarray, mean: np.ndarray, var: float) -> float:
     return -0.5 * d * (LOG_2PI + float(np.log(var))) - sq / (2.0 * var)
 
 
-def _component_logdensities(model: AlignmentModel, X: np.ndarray, Y: np.ndarray):
-    """Per-column log densities of both components, vectorized."""
+def _aligned_residuals(Q: TranslationMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Per-column squared residuals ||Q x_t - y_t||^2."""
+    return np.sum((Q.Q @ X - Y) ** 2, axis=0)
+
+
+def _component_logdensities(model: AlignmentModel, X: np.ndarray, Y: np.ndarray,
+                            r_aligned: np.ndarray | None = None):
+    """Per-column log densities of both components, vectorized.
+
+    `r_aligned`, when given, is `_aligned_residuals(model.Q, X, Y)`.
+    """
     d = X.shape[0]
-    r_aligned = np.sum((model.Q.Q @ X - Y) ** 2, axis=0)
+    if r_aligned is None:
+        r_aligned = _aligned_residuals(model.Q, X, Y)
     r_noise = np.sum((Y - model.mu_y[:, None]) ** 2, axis=0)
     la = -0.5 * d * (LOG_2PI + np.log(model.sigma2)) - r_aligned / (2.0 * model.sigma2)
     ln = -0.5 * d * (LOG_2PI + np.log(model.sigma_y2)) - r_noise / (2.0 * model.sigma_y2)
@@ -193,16 +203,17 @@ def _complete_data_objective(model: AlignmentModel, la: np.ndarray, ln: np.ndarr
 def _m_step(model: AlignmentModel, X: np.ndarray, Y: np.ndarray, w: np.ndarray):
     """Weighted Procrustes and weighted moments: the EM M-step for weights w.
 
-    Returns (model, degenerate): a component whose total weight is at
-    most VAR_FLOOR keeps its parameters from `model` and is degenerate.
+    Returns (model, degenerate, r): a component whose total weight is at
+    most VAR_FLOOR keeps its parameters from `model` and is degenerate;
+    r is `_aligned_residuals` of the new Q, or None when Q was kept.
     """
     d, n = X.shape
     s1, s0 = float(w.sum()), float((1.0 - w).sum())
-    Q, sigma2 = model.Q, model.sigma2
+    Q, sigma2, r = model.Q, model.sigma2, None
     mu_y, sigma_y2 = model.mu_y, model.sigma_y2
     if s1 > VAR_FLOOR:
         Q = weighted_procrustes(X, Y, w)
-        r = np.sum((Q.Q @ X - Y) ** 2, axis=0)
+        r = _aligned_residuals(Q, X, Y)
         sigma2 = max(float(np.dot(w, r)) / (d * s1), VAR_FLOOR)
     if s0 > VAR_FLOOR:
         mu_y = (Y @ (1.0 - w)) / s0
@@ -210,7 +221,7 @@ def _m_step(model: AlignmentModel, X: np.ndarray, Y: np.ndarray, w: np.ndarray):
         sigma_y2 = max(float(np.dot(1.0 - w, r0)) / (d * s0), VAR_FLOOR)
     fitted = AlignmentModel(Q=Q, sigma2=sigma2, mu_y=mu_y,
                             sigma_y2=sigma_y2, alpha=s1 / n)
-    return fitted, s1 <= VAR_FLOOR or s0 <= VAR_FLOOR
+    return fitted, s1 <= VAR_FLOOR or s0 <= VAR_FLOOR, r
 
 
 def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None):
@@ -252,9 +263,9 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None):
         h = w > 0.5
         # hard EM is the same M-step with the 0/1 labels as weights
         weights = h.astype(np.float64) if cfg.mode == "hard" else w
-        model, degenerate = _m_step(model, X, Y, weights)
+        model, degenerate, r_aligned = _m_step(model, X, Y, weights)
         # one pass over the data scores the new model and runs the next E-step
-        la, ln = _component_logdensities(model, X, Y)
+        la, ln = _component_logdensities(model, X, Y, r_aligned)
         w, loglik = _e_step(model, la, ln)
         objective = (_complete_data_objective(model, la, ln, h) if cfg.mode == "hard"
                      else loglik)

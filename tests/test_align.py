@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,19 @@ from noisy_align.io import DataError
 
 def objective(Q, X, Y):
     return np.sum((Q @ X - Y) ** 2)
+
+
+def sgd_oracle(X, Y, lr, epochs, batch_size, seed):
+    """Reference loop: one `sgd_objective_grad` step per shuffled batch."""
+    d, n = X.shape
+    rng = np.random.default_rng(seed)
+    Q = np.eye(d)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            batch = order[start:start + batch_size]
+            Q = Q - lr * sgd_objective_grad(Q, X[:, batch], Y[:, batch])
+    return Q
 
 
 def grid_search_2d(X, Y, step=1e-4):
@@ -72,6 +87,20 @@ class TestProcrustes:
         X[0] = np.arange(5)
         with pytest.warns(RuntimeWarning, match="rank-deficient"):
             procrustes(X, X)
+
+    @pytest.mark.parametrize("d,n,rank,warns", [
+        (3, 5, 3, False), (3, 3, 3, False), (1, 1, 1, False),
+        (3, 10, 2, True), (4, 40, 1, True),  # rank-deficient, n >= d
+        (5, 3, 3, True), (5, 1, 1, True),  # fewer pairs than dimensions
+    ])
+    def test_warns_exactly_when_rank_below_d(self, d, n, rank, warns):
+        rng = np.random.default_rng(d + n)
+        X = rng.standard_normal((d, rank)) @ rng.standard_normal((rank, n))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            Q = procrustes(X, X)
+        assert any("rank-deficient" in str(w.message) for w in caught) == warns
+        assert Q.orthogonal
 
     @pytest.mark.parametrize("d,n", [(2, 5), (5, 40), (50, 500), (300, 2000)])
     def test_orthogonality_residual(self, d, n):
@@ -150,7 +179,7 @@ class TestSgdAlign:
         X = rng.standard_normal((3, 50))
         Y = rng.standard_normal((3, 50))
         cfg = SgdConfig(learning_rate=10.0, epochs=200, batch_size=50, seed=0)
-        with pytest.raises(RuntimeError, match="10.0"):
+        with pytest.raises(DataError, match="10.0"):
             sgd_align(X, Y, cfg)
 
     def test_deterministic_per_seed(self):
@@ -158,6 +187,25 @@ class TestSgdAlign:
         X, Y = rng.standard_normal((3, 40)), rng.standard_normal((3, 40))
         cfg = SgdConfig(learning_rate=1e-3, epochs=10, batch_size=8, seed=3)
         assert np.array_equal(sgd_align(X, Y, cfg).Q, sgd_align(X, Y, cfg).Q)
+
+    @pytest.mark.parametrize("d,n,batch_size,seed", [
+        (3, 40, 8, 3), (5, 37, 10, 0), (4, 12, 1, 1), (8, 30, 29, 2),
+    ])
+    def test_minibatch_matches_oracle_bitwise(self, d, n, batch_size, seed):
+        rng = np.random.default_rng(seed)
+        X, Y = rng.standard_normal((d, n)), rng.standard_normal((d, n))
+        lr = 0.4 / np.linalg.norm(X @ X.T, ord=2)
+        cfg = SgdConfig(epochs=7, batch_size=batch_size, seed=seed)
+        assert np.array_equal(sgd_align(X, Y, cfg).Q,
+                              sgd_oracle(X, Y, lr, 7, batch_size, seed))
+
+    @pytest.mark.parametrize("batch_size", [None, 40, 100])
+    def test_full_batch_ignores_seed(self, batch_size):
+        rng = np.random.default_rng(8)
+        X, Y = rng.standard_normal((3, 40)), rng.standard_normal((3, 40))
+        fits = [sgd_align(X, Y, SgdConfig(epochs=20, batch_size=batch_size, seed=seed)).Q
+                for seed in (0, 1, 2)]
+        assert all(np.array_equal(fits[0], Q) for Q in fits[1:])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_matches_finite_differences(self, seed):

@@ -114,6 +114,14 @@ class TestAlign:
         assert (tmp_path / "1" / "matrix.txt").read_bytes() != \
             (tmp_path / "2" / "matrix.txt").read_bytes()
 
+    def test_sgd_divergence_is_one_line_data_error(self, bilingual, tmp_path, capsys):
+        code = run_align(bilingual, tmp_path / "z", ["--method", "sgd",
+                                                     "--learning-rate", "10"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "learning_rate=10.0" in err
+
     def test_missing_required_flag_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["align", "--src-emb", "a.txt"])

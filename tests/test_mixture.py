@@ -255,6 +255,17 @@ class TestEmFit:
         assert trace.degenerate_iters  # noise component went empty
         assert model.alpha == 1.0
 
+    def test_degenerate_all_noise_keeps_q(self):
+        # Y far from every mapped x: the first hard E-step labels all pairs
+        # noise, so the M-step keeps Q and passes no residual on
+        rng = np.random.default_rng(10)
+        X = rng.standard_normal((5, 50))
+        Y = 100.0 + 0.1 * rng.standard_normal((5, 50))
+        model, resp, trace = em_fit(X, Y)
+        assert trace.degenerate_iters == [0, 1] and trace.converged
+        assert model.alpha == 0.0 and resp.n1 == 0
+        assert np.array_equal(model.Q.Q, initialize(X, Y).Q.Q)
+
     def test_max_iters_respected(self):
         X, Y, _ = jittered_instance(44)
         _, _, trace = em_fit(X, Y, EmConfig(epsilon=1e-300, max_iters=3))

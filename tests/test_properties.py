@@ -5,15 +5,17 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from noisy_align.align import (
+    SgdConfig,
     TranslationMatrix,
     alignment_error,
     load_matrix,
     mean_alignment_error,
     procrustes,
     random_orthogonal,
+    sgd_align,
 )
 from noisy_align.io import (
     DataError,
@@ -26,12 +28,14 @@ from noisy_align.io import (
 from noisy_align.mixture import (
     VAR_FLOOR,
     AlignmentModel,
+    _aligned_residuals,
     _m_step,
     initialize,
     load_model,
     posterior,
     save_model,
 )
+from test_align import sgd_oracle
 from test_mixture import jittered_instance
 
 
@@ -46,6 +50,20 @@ def test_procrustes_is_orthogonal(seed, d, n):
     X, Y = instance(seed, d, n)
     Q = procrustes(X, Y)
     assert np.linalg.norm(Q.Q.T @ Q.Q - np.eye(d)) <= 1e-8
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), d=st.integers(2, 12), n=st.integers(1, 40),
+       epochs=st.integers(1, 50))
+@example(seed=0, d=12, n=1, epochs=50)
+def test_full_batch_sgd_matches_per_epoch_oracle(seed, d, n, epochs):
+    # the Gram-form step 2 (Q XX^T - YX^T) against 2 (QX - Y) X^T per epoch;
+    # the sums run in another order, so they agree to roundoff, not bitwise
+    X, Y = instance(seed, d, n)
+    lr = 0.4 / max(float(np.linalg.norm(X @ X.T, ord=2)), 1e-12)
+    Q = sgd_align(X, Y, SgdConfig(epochs=epochs, seed=seed)).Q
+    Q_ref = sgd_oracle(X, Y, lr, epochs, n, seed)
+    assert np.linalg.norm(Q - Q_ref) <= 1e-10 * np.linalg.norm(Q_ref)
 
 
 @settings(max_examples=30, deadline=None)
@@ -100,7 +118,7 @@ def test_m_step_with_01_weights_equals_subset_fit(seed, frac):
     rng = np.random.default_rng(seed)
     mask = rng.random(n) < frac
     mask[rng.choice(n, 2, replace=False)] = [True, False]
-    model, degenerate = _m_step(initialize(X, Y), X, Y, mask.astype(np.float64))
+    model, degenerate, r = _m_step(initialize(X, Y), X, Y, mask.astype(np.float64))
     Xa, Ya, Yn = X[:, mask], Y[:, mask], Y[:, ~mask]
     n1 = Xa.shape[1]
     with warnings.catch_warnings():  # subsets narrower than d are rank-deficient
@@ -108,6 +126,7 @@ def test_m_step_with_01_weights_equals_subset_fit(seed, frac):
         Qa = procrustes(Xa, Ya)
     mu = Yn.mean(axis=1)
     assert not degenerate
+    assert np.array_equal(r, _aligned_residuals(model.Q, X, Y))
     # Q is unique on the span of the selected columns, not beyond it
     assert np.abs(model.Q.Q @ Xa - Qa.Q @ Xa).max() <= 1e-10
     sigma2 = max(alignment_error(Qa, Xa, Ya) / (d * n1), VAR_FLOOR)
