@@ -52,7 +52,6 @@ from .evaluation import (
     nearest_neighbor,
     precision_at_1,
     rank_semantic_shift,
-    refine_lexicon,
 )
 from .synthetic import SyntheticProblem, make_noisy_problem
 
@@ -95,7 +94,6 @@ __all__ = [
     "nearest_neighbor",
     "precision_at_1",
     "rank_semantic_shift",
-    "refine_lexicon",
     "SyntheticProblem",
     "make_noisy_problem",
 ]

@@ -227,14 +227,16 @@ def mean_alignment_error(Q, X: np.ndarray, Y: np.ndarray,
     return alignment_error(Q, X, Y, mask) / count
 
 
+def _write_matrix(fh, Qm: np.ndarray) -> None:
+    """The `d` line and the d x d block below it, as `_parse_matrix` reads them."""
+    fh.write(f"{Qm.shape[0]}\n")
+    np.savetxt(fh, Qm, fmt="%.17g")
+
+
 def save_matrix(Q, path) -> None:
     """Persist a translation matrix: first line `d`, then d rows of d floats."""
-    Qm = _as_matrix(Q)
-    d = Qm.shape[0]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{d}\n")
-        for row in Qm:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        _write_matrix(fh, _as_matrix(Q))
 
 
 def _parse_matrix(lines: list[str], path) -> TranslationMatrix:

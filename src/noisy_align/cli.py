@@ -77,15 +77,29 @@ def _checked(cast, ok, what: str):
 _positive_int = _checked(int, lambda v: v >= 1, "at least 1")
 _non_negative_int = _checked(int, lambda v: v >= 0, "at least 0")
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+_frequency = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 
 
-def _levels(text: str) -> tuple[float, ...]:
-    """Comma-separated noise fractions, each in [0, 1)."""
-    levels = tuple(float(v) for v in text.split(",") if v)
-    for p in levels:
-        if not 0.0 <= p < 1.0:
-            raise argparse.ArgumentTypeError(f"noise level must lie in [0, 1), got {p}")
-    return levels
+def _list_of(cast, ok, what: str):
+    """An argparse type: comma-separated entries, each `cast` and passing
+    `ok`; an empty list, an empty entry or a repeated one is rejected."""
+    def parse(text: str) -> tuple:
+        entries = text.split(",")
+        if "" in entries:
+            raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
+        values = tuple(map(cast, entries))
+        for v in values:
+            if not ok(v):
+                raise argparse.ArgumentTypeError(f"each entry must be {what}, got {v!r}")
+        if len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(f"repeated entry in {text!r}")
+        return values
+    parse.__name__ = cast.__name__  # argparse's "invalid float value" message
+    return parse
+
+
+_levels = _list_of(float, lambda p: 0.0 <= p < 1.0, "a noise fraction in [0, 1)")
+_methods = _list_of(str, lambda m: m in METHODS, "one of " + ",".join(METHODS))
 
 
 def _config_tokens(path: str) -> list[str]:
@@ -170,7 +184,7 @@ def build_parser() -> _Parser:
     p.add_argument("--levels", type=_levels, default="0,0.1,0.2,0.3,0.4,0.5",
                    help="comma-separated noise fractions in [0, 1)")
     p.add_argument("--seeds", type=_positive_int, default=10, help="number of seeds")
-    p.add_argument("--methods", default="op,sgd,em-hard",
+    p.add_argument("--methods", type=_methods, default="op,sgd,em-hard",
                    help="comma-separated subset of " + ",".join(METHODS))
 
     p = command("diachronic", _cmd_diachronic,
@@ -179,7 +193,7 @@ def build_parser() -> _Parser:
     p.add_argument("--stoplist", default=None)
     p.add_argument("--src-freqs", default=None)
     p.add_argument("--tgt-freqs", default=None)
-    p.add_argument("--threshold", type=float, default=None,
+    p.add_argument("--threshold", type=_frequency, default=None,
                    help="drop tokens below this relative frequency")
     _add_em_args(p)
 
@@ -272,13 +286,9 @@ def _cmd_synthetic_2d(args) -> int:
 
 
 def _cmd_noise_curve(args) -> int:
-    methods = tuple(m for m in args.methods.split(",") if m)
-    for m in methods:
-        if m not in METHODS:
-            raise UsageError(f"unknown method {m!r}")
     rows = run_noise_curve(n=args.n, d=args.d, levels=args.levels,
                            test_n=args.test_n, seeds=range(args.seeds),
-                           methods=methods)
+                           methods=args.methods)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "noise_curve.csv"

@@ -1,4 +1,4 @@
-"""Retrieval evaluation, semantic-shift ranking and lexicon refinement.
+"""Retrieval evaluation and semantic-shift ranking.
 
 Nearest-neighbor retrieval is exact and brute-force over the target
 vocabulary under cosine similarity. Every caller goes through one kernel
@@ -192,39 +192,38 @@ def rank_semantic_shift(Q, identity_lex: Lexicon, src: EmbeddingSet,
                         responsibilities: Responsibilities | None = None):
     """Rank shared-vocabulary tokens by post-alignment cosine distance.
 
-    distance(token) = 1 - cos(Q x_token, y_token), sorted descending.
-    With a frequency threshold, tokens below it in either table (or
-    missing from one) are dropped after ranking.
+    distance(token) = 1 - cos(Q x_token, y_token), sorted descending; the
+    distance is 1 where either vector is zero. With a frequency threshold,
+    tokens below it in either table (or missing from one) are dropped
+    before scoring. All kept pairs are mapped by one GEMM.
 
     Returns:
         (ranking, n_dropped) where ranking is a list of
         (token, distance, label) and label comes from the hard EM
         decisions when responsibilities are given, else "".
     """
-    Qm = _as_matrix(Q)
-    rows = []
-    dropped = 0
-    for t, (i, j) in enumerate(identity_lex.pairs):
-        token = identity_lex.src_tokens[t] if identity_lex.src_tokens else src.tokens[i]
-        if threshold is not None:
-            fs = (src_freqs or {}).get(token)
-            ft = (tgt_freqs or {}).get(token)
-            if fs is None or ft is None or fs < threshold or ft < threshold:
-                dropped += 1
-                continue
-        x = Qm @ src.vectors[:, i]
-        y = tgt.vectors[:, j]
-        nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-        if nx == 0 or ny == 0:
-            dist = 1.0
-        else:
-            dist = 1.0 - float(np.dot(x, y) / (nx * ny))
-        label = ""
-        if responsibilities is not None:
-            label = "Aligned" if responsibilities.h[t] else "Noise"
-        rows.append((token, dist, label))
+    tokens = identity_lex.src_tokens or [src.tokens[i] for i, _ in identity_lex.pairs]
+    kept = range(len(identity_lex.pairs))
+    if threshold is not None:
+        src_freqs, tgt_freqs = src_freqs or {}, tgt_freqs or {}
+
+        def frequent(token):
+            fs, ft = src_freqs.get(token), tgt_freqs.get(token)
+            return fs is not None and ft is not None and fs >= threshold and ft >= threshold
+
+        kept = [t for t in kept if frequent(tokens[t])]
+    pairs = np.array(identity_lex.pairs, dtype=np.intp).reshape(-1, 2)[kept]
+    x = _as_matrix(Q) @ src.vectors[:, pairs[:, 0]]
+    y = tgt.vectors[:, pairs[:, 1]]
+    nx, ny = np.linalg.norm(x, axis=0), np.linalg.norm(y, axis=0)
+    zero = (nx == 0) | (ny == 0)
+    cos = np.einsum("ij,ij->j", x, y) / np.where(zero, 1.0, nx * ny)
+    dists = np.where(zero, 1.0, 1.0 - cos).tolist()
+    h = None if responsibilities is None else responsibilities.h
+    rows = [(tokens[t], dist, "" if h is None else "Aligned" if h[t] else "Noise")
+            for t, dist in zip(kept, dists)]
     rows.sort(key=lambda r: (-r[1], r[0]))
-    return rows, dropped
+    return rows, len(identity_lex.pairs) - len(kept)
 
 
 def shift_ranking_to_json(ranking) -> str:
@@ -236,27 +235,3 @@ def write_shift_ranking_tsv(ranking, path) -> None:
         fh.write("token\tcosine_distance\tlabel\n")
         for token, dist, label in ranking:
             fh.write(f"{token}\t{dist:.6g}\t{label}\n")
-
-
-def refine_lexicon(Q, src: EmbeddingSet, tgt: EmbeddingSet,
-                   size_cap: int) -> Lexicon:
-    """Induce a lexicon by nearest-neighbor translation of frequent words.
-
-    Pairs each of the first size_cap source tokens (vocabulary order as a
-    frequency proxy) with its nearest target under Q. Deterministic.
-    """
-    if size_cap < 1:
-        raise ValueError("size_cap must be >= 1")
-    n = min(size_cap, src.n)
-    index = build_index(tgt)
-    top, _, _ = _search(index, _as_matrix(Q), src.vectors, np.arange(n), 1)
-    missing = np.flatnonzero(top[:, 0] < 0)
-    if missing.size:
-        # a row without a neighbour has a zero query, unless every target
-        # is excluded
-        reason = ("no non-zero target vector" if len(index.excluded) == tgt.n
-                  else "zero query vector")
-        raise ValueError(f"{reason} for source token {src.tokens[missing[0]]!r}")
-    tgt_idx = top[:, 0].tolist()
-    return Lexicon(pairs=list(zip(range(n), tgt_idx)), src_tokens=src.tokens[:n],
-                   tgt_tokens=[tgt.tokens[t] for t in tgt_idx])

@@ -17,7 +17,7 @@ import numpy as np
 from .align import (
     TranslationMatrix,
     _parse_matrix,
-    alignment_error,
+    _write_matrix,
     procrustes,
     weighted_procrustes,
 )
@@ -165,6 +165,24 @@ def log_likelihood(model: AlignmentModel, X: np.ndarray, Y: np.ndarray) -> float
     return _e_step(model, *_component_logdensities(model, X, Y))[1]
 
 
+def _initialize(X: np.ndarray, Y: np.ndarray):
+    """`initialize`, plus `_aligned_residuals` of its Q for the first E-step."""
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    d, n = X.shape
+    if n < 2:
+        raise ValueError("need at least 2 pairs to initialize the mixture")
+    Q = procrustes(X, Y)
+    mu_y = Y.mean(axis=1)
+    sigma_y2 = max(float(np.sum((Y - mu_y[:, None]) ** 2)) / (n * d), VAR_FLOOR)
+    sq = (Q.Q @ X - Y) ** 2
+    # the flat sum, as in `alignment_error`; the column sums, as in
+    # `_aligned_residuals`
+    sigma2 = max(float(np.sum(sq)) / (n * d), VAR_FLOOR)
+    model = AlignmentModel(Q=Q, sigma2=sigma2, mu_y=mu_y, sigma_y2=sigma_y2, alpha=0.5)
+    return model, np.sum(sq, axis=0)
+
+
 def initialize(X: np.ndarray, Y: np.ndarray) -> AlignmentModel:
     """Initial model: Procrustes on the full lexicon, dataset moments, alpha=0.5.
 
@@ -172,16 +190,7 @@ def initialize(X: np.ndarray, Y: np.ndarray) -> AlignmentModel:
     the noise component takes the mean and (isotropic) variance of Y.
     Variances are floored at VAR_FLOOR so perfect-fit data stays defined.
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    d, n = X.shape
-    if n < 2:
-        raise ValueError("need at least 2 pairs to initialize the mixture")
-    Q = procrustes(X, Y)
-    sigma2 = max(alignment_error(Q, X, Y) / (n * d), VAR_FLOOR)
-    mu_y = Y.mean(axis=1)
-    sigma_y2 = max(float(np.sum((Y - mu_y[:, None]) ** 2)) / (n * d), VAR_FLOOR)
-    return AlignmentModel(Q=Q, sigma2=sigma2, mu_y=mu_y, sigma_y2=sigma_y2, alpha=0.5)
+    return _initialize(X, Y)[0]
 
 
 def _complete_data_objective(model: AlignmentModel, la: np.ndarray, ln: np.ndarray,
@@ -250,8 +259,8 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None):
         raise ValueError("need at least 2 pairs")
     eps = cfg.epsilon if cfg.epsilon is not None else max(1.0 / (2 * n), 1e-4)
 
-    model = initialize(X, Y)
-    w = _posterior_weights(model, X, Y)
+    model, r_aligned = _initialize(X, Y)
+    w = _e_step(model, *_component_logdensities(model, X, Y, r_aligned))[0]
     trace = EmTrace()
     alpha_prev = np.inf
     for it in range(cfg.max_iters):
@@ -303,11 +312,8 @@ def sample_generative(model: AlignmentModel, X: np.ndarray, seed: int):
 
 def save_model(model: AlignmentModel, path) -> None:
     """Persist a fitted model as text (Q block, then scalar/vector lines)."""
-    d = model.dim
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{d}\n")
-        for row in model.Q.Q:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        _write_matrix(fh, model.Q.Q)
         fh.write(f"sigma2 {model.sigma2:.17g}\n")
         fh.write("mu_y " + " ".join(f"{v:.17g}" for v in model.mu_y) + "\n")
         fh.write(f"sigma_y2 {model.sigma_y2:.17g}\n")

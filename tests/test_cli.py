@@ -267,9 +267,10 @@ class TestNoiseCurve:
         assert (a / "noise_curve.csv").read_bytes() == \
             (b / "noise_curve.csv").read_bytes()
 
-    def test_unknown_method_is_usage_error(self, tmp_path):
-        assert main(["noise-curve", "--methods", "op,bogus",
-                     "--output-dir", str(tmp_path)]) == 1
+    def test_unknown_method_is_usage_error(self, tmp_path, capsys):
+        assert exit_code(lambda: main(["noise-curve", "--methods", "op,bogus",
+                                       "--output-dir", str(tmp_path)])) == 1
+        assert "usage: noisy-align noise-curve" in capsys.readouterr().err
 
 
 class TestDiachronic:
@@ -386,9 +387,13 @@ class TestFlagSurface:
                                        ("--learning-rate", "inf"), ("--seed", "-1"))),
         ("clean-lexicon", "--epsilon", "0"),
         ("diachronic", "--max-iters", "0"),
+        *(("diachronic", "--threshold", v) for v in ("nan", "-1", "5", "inf")),
         *(("noise-curve", f, v) for f, v in (("--d", "0"), ("--n", "0"), ("--test-n", "0"),
                                              ("--seeds", "0"), ("--levels", "1.5"),
-                                             ("--levels", "0,-0.1"), ("--levels", "x"))),
+                                             ("--levels", "0,-0.1"), ("--levels", "x"),
+                                             ("--levels", ","), ("--levels", "0.1,0.1"),
+                                             ("--levels", "0,,0.1"), ("--methods", ","),
+                                             ("--methods", "op,op"), ("--methods", "op,bogus"))),
         ("synthetic-2d", "--seed", "-1"),
     ]
 

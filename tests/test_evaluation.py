@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from noisy_align.evaluation import (
     nearest_neighbor,
     precision_at_1,
     rank_semantic_shift,
-    refine_lexicon,
 )
 from noisy_align.io import EmbeddingSet, Lexicon, build_identity_lexicon
 from noisy_align.mixture import Responsibilities
@@ -124,6 +124,30 @@ def test_kernel_matches_per_query_oracle(seed, d, V, rows, blocks, ragged,
         assert got == oracle_top_k(index, q, k)
         assert scores[row, :len(got)] == pytest.approx(want_scores[got], abs=1e-9)
         assert (scores[row, len(got):] == -np.inf).all()
+
+
+class TestSearchKernel:
+    def test_identical_targets_resolve_to_the_first_copy(self):
+        # copies at the end of the vocabulary, where BLAS kernels handle
+        # the ragged edge of a matrix with other code
+        emb = random_set(1003, 40, seed=25)
+        emb.vectors[:, -8:] = emb.vectors[:, :8]
+        top, _, zero = evaluation._search(build_index(emb), np.eye(40), emb.vectors,
+                                          np.arange(1003), 1)
+        assert not zero.any()
+        assert top[:, 0].tolist() == [i if i < 995 else i - 995 for i in range(1003)]
+
+    def test_scale_matches_per_query_oracle(self):
+        # 500 queries over 2000 targets span four score blocks, the last ragged
+        src = random_set(2000, 50, seed=22)
+        tgt = random_set(2000, 50, seed=23, prefix="t")
+        Q = random_orthogonal(50, 24).Q
+        tgt = make_set(tgt.tokens, Q @ src.vectors + 0.8 * tgt.vectors)
+        index = build_index(tgt)
+        assert evaluation.SCORE_BLOCK_BYTES // (8 * 2000) < 500 // 2
+        top, _, _ = evaluation._search(index, Q, src.vectors, np.arange(500), 1)
+        assert top[:, 0].tolist() == [oracle_top_k(index, Q @ src.vectors[:, i], 1)[0]
+                                      for i in range(500)]
 
 
 class TestPrecisionAt1:
@@ -239,59 +263,68 @@ class TestRankSemanticShift:
             assert d1 == pytest.approx(d2, abs=1e-9)
 
 
-class TestRefineLexicon:
-    def test_identity_spaces_give_identity_pairs(self):
-        emb = random_set(10, 4, seed=14)
-        lex = refine_lexicon(np.eye(4), emb, emb, size_cap=10)
-        assert lex.pairs == [(i, i) for i in range(10)]
+def oracle_shift_ranking(Q, lex, src, tgt, src_freqs, tgt_freqs, threshold, resp):
+    """The per-token loop: filter, one GEMV and one cosine per token, then sort."""
+    rows, dropped = [], 0
+    for t, (i, j) in enumerate(lex.pairs):
+        token = lex.src_tokens[t] if lex.src_tokens else src.tokens[i]
+        if threshold is not None:
+            fs = (src_freqs or {}).get(token)
+            ft = (tgt_freqs or {}).get(token)
+            if fs is None or ft is None or fs < threshold or ft < threshold:
+                dropped += 1
+                continue
+        x, y = Q @ src.vectors[:, i], tgt.vectors[:, j]
+        nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+        dist = 1.0 if nx == 0 or ny == 0 else 1.0 - float(np.dot(x, y) / (nx * ny))
+        label = "" if resp is None else ("Aligned" if resp.h[t] else "Noise")
+        rows.append((token, dist, label))
+    rows.sort(key=lambda r: (-r[1], r[0]))
+    return rows, dropped
 
-    def test_identical_targets_pair_with_the_first_copy(self):
-        # copies at the end of the vocabulary, where BLAS kernels handle
-        # the ragged edge of a matrix with other code
-        emb = random_set(1003, 40, seed=25)
-        emb.vectors[:, -8:] = emb.vectors[:, :8]
-        lex = refine_lexicon(np.eye(40), emb, emb, size_cap=1003)
-        assert lex.pairs == [(i, i if i < 995 else i - 995) for i in range(1003)]
 
-    def test_size_cap_one(self):
-        emb = random_set(5, 3, seed=15)
-        lex = refine_lexicon(np.eye(3), emb, emb, size_cap=1)
-        assert lex.pairs == [(0, 0)]
-
-    def test_brute_force_table(self):
-        rng = np.random.default_rng(16)
-        src = random_set(20, 4, seed=16)
-        tgt = random_set(25, 4, seed=17, prefix="t")
-        Q = random_orthogonal(4, 18).Q
-        lex = refine_lexicon(Q, src, tgt, size_cap=20)
-        unit = tgt.vectors / np.linalg.norm(tgt.vectors, axis=0)
-        for i, (s, t) in enumerate(lex.pairs):
-            q = Q @ src.vectors[:, i]
-            sims = (q / np.linalg.norm(q)) @ unit
-            assert t == int(np.argmax(sims))
-
-    def test_invalid_cap(self):
-        emb = random_set(3, 2, seed=19)
-        with pytest.raises(ValueError):
-            refine_lexicon(np.eye(2), emb, emb, size_cap=0)
-
-    def test_zero_query_rejected(self):
-        src = random_set(3, 2, seed=20)
-        src.vectors[:, 1] = 0.0
-        with pytest.raises(ValueError, match="zero query vector for source token 'w1'"):
-            refine_lexicon(np.eye(2), src, random_set(3, 2, seed=21), size_cap=3)
-
-    def test_scale_matches_per_query_oracle(self):
-        src = random_set(2000, 50, seed=22)
-        tgt = random_set(2000, 50, seed=23, prefix="t")
-        Q = random_orthogonal(50, 24).Q
-        tgt = make_set(tgt.tokens, Q @ src.vectors + 0.8 * tgt.vectors)
-        lex = refine_lexicon(Q, src, tgt, size_cap=500)
-        index = build_index(tgt)
-        want = [(i, oracle_top_k(index, Q @ src.vectors[:, i], 1)[0])
-                for i in range(500)]
-        assert lex.pairs == want
-        assert lex.tgt_tokens == [tgt.tokens[t] for _, t in want]
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), n=st.integers(0, 30),
+       n_zero_src=st.integers(0, 3), n_zero_tgt=st.integers(0, 3),
+       threshold=st.sampled_from([None, 0.0, 0.3, 1.0]), named=st.booleans(),
+       labelled=st.booleans())
+def test_shift_ranking_matches_per_token_oracle(seed, d, n, n_zero_src, n_zero_tgt,
+                                                threshold, named, labelled):
+    rng = np.random.default_rng(seed)
+    V = n + 3
+    src = random_set(V, d, seed=rng.integers(2**32))
+    tgt = random_set(V, d, seed=rng.integers(2**32))
+    src.vectors[:, rng.integers(V, size=n_zero_src)] = 0.0
+    tgt.vectors[:, rng.integers(V, size=n_zero_tgt)] = 0.0
+    # distinct source indices, so every ranked token is distinct
+    pairs = [(int(i), int(j)) for i, j in zip(rng.permutation(V)[:n],
+                                              rng.integers(V, size=n))]
+    lex = Lexicon(pairs=pairs,
+                  src_tokens=[f"p{t}" for t in range(n)] if named else None)
+    tokens = lex.src_tokens or [src.tokens[i] for i, _ in pairs]
+    # a frequency table misses a token (nan) or holds it at, below or above 0.3
+    freqs = rng.choice([np.nan, 0.0, 0.2, 0.3, 0.5, 1.0], size=(2, n))
+    src_freqs, tgt_freqs = ({t: f for t, f in zip(tokens, row) if not np.isnan(f)}
+                            for row in freqs)
+    resp = None
+    if labelled:
+        h = rng.random(n) < 0.5
+        resp = Responsibilities(w=h.astype(float), h=h, n1=int(h.sum()))
+    Q = rng.standard_normal((d, d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a zero vector is no division by zero
+        got, got_dropped = rank_semantic_shift(Q, lex, src, tgt, src_freqs, tgt_freqs,
+                                               threshold, resp)
+    want, want_dropped = oracle_shift_ranking(Q, lex, src, tgt, src_freqs, tgt_freqs,
+                                              threshold, resp)
+    assert got_dropped == want_dropped
+    want_rows = {t: (dist, label) for t, dist, label in want}
+    assert {t: label for t, _, label in got} == {t: l for t, (_, l) in want_rows.items()}
+    for token, dist, _ in got:
+        assert dist == pytest.approx(want_rows[token][0], abs=1e-12)
+    # the order is the oracle's up to near-ties
+    for (t, _, _), (u, dist, _) in zip(got, want):
+        assert t == u or abs(want_rows[t][0] - dist) <= 1e-12
 
 
 def test_eval_report_json_keys():

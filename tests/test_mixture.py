@@ -4,7 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from noisy_align.align import alignment_error, random_orthogonal
+from noisy_align import mixture
+from noisy_align.align import alignment_error, random_orthogonal, save_matrix
 from noisy_align.experiments import fit_translation
 from noisy_align.io import DataError, Lexicon
 from noisy_align.mixture import (
@@ -12,6 +13,8 @@ from noisy_align.mixture import (
     AlignmentModel,
     EmConfig,
     Responsibilities,
+    _aligned_residuals,
+    _initialize,
     _posterior_weights,
     em_fit,
     initialize,
@@ -179,6 +182,31 @@ class TestInitialize:
         with pytest.raises(ValueError):
             initialize(np.ones((3, 1)), np.ones((3, 1)))
 
+    def test_residuals_for_the_first_e_step_are_bit_identical(self):
+        rng = np.random.default_rng(9)
+        X, Y = rng.standard_normal((6, 40)), rng.standard_normal((6, 40))
+        model, r = _initialize(X, Y)
+        assert np.array_equal(r, _aligned_residuals(model.Q, X, Y))
+        public = initialize(X, Y)
+        assert np.array_equal(public.Q.Q, model.Q.Q) and public.sigma2 == model.sigma2
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_em_fit_computes_each_residual_once(self, mode, monkeypatch):
+        # the initial model's residual reaches the first E-step, and each
+        # M-step's residual the next one: no E-step recomputes Q @ X
+        handed = []
+        densities = mixture._component_logdensities
+
+        def spy(model, X, Y, r_aligned=None):
+            handed.append(r_aligned is not None)
+            return densities(model, X, Y, r_aligned)
+
+        monkeypatch.setattr(mixture, "_component_logdensities", spy)
+        X, Y, _ = jittered_instance(12)
+        _, _, trace = em_fit(X, Y, EmConfig(mode=mode))
+        assert trace.iterations >= 2 and not trace.degenerate_iters
+        assert handed == [True] * (trace.iterations + 1)
+
 
 def jittered_instance(seed, d=None, n=None, p=None, jitter=0.05):
     rng = np.random.default_rng(seed)
@@ -330,6 +358,16 @@ def test_model_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.mu_y, model.mu_y)
     assert loaded.sigma_y2 == model.sigma_y2
     assert loaded.alpha == model.alpha
+
+
+def test_model_q_block_is_the_matrix_file(tmp_path):
+    X, Y, _ = jittered_instance(56)
+    model, _, _ = em_fit(X, Y)
+    save_model(model, tmp_path / "model.txt")
+    save_matrix(model.Q, tmp_path / "matrix.txt")
+    matrix = (tmp_path / "matrix.txt").read_text()
+    assert (tmp_path / "model.txt").read_text().startswith(matrix)
+    assert len(matrix.splitlines()) == model.dim + 1
 
 
 @pytest.mark.parametrize("text", ["", "2\n1 0\n", "2\n1 0\n0 1\nsigma2 x\n",
