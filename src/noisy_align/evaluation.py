@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .align import _as_matrix
-from .io import EmbeddingSet, Lexicon
+from .io import EmbeddingSet, Lexicon, _column_norms
 from .mixture import Responsibilities
 
 logger = logging.getLogger(__name__)
@@ -86,11 +86,11 @@ def _repeats(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def build_index(emb: EmbeddingSet) -> NnIndex:
     """Precompute unit-normalized target columns for cosine retrieval."""
-    norms = np.linalg.norm(emb.vectors, axis=0)
+    vectors, norms = _column_norms(emb.vectors)
     excluded = [int(i) for i in np.flatnonzero(norms == 0)]
     safe = np.where(norms == 0, 1.0, norms)
     repeats, first_copies = _repeats(emb.vectors)
-    return NnIndex(emb=emb, unit=emb.vectors / safe, excluded=excluded,
+    return NnIndex(emb=emb, unit=vectors / safe, excluded=excluded,
                    repeats=repeats, first_copies=first_copies)
 
 
@@ -126,7 +126,7 @@ def _search(index: NnIndex, Qm: np.ndarray | None, X: np.ndarray, cols,
             M = Qm @ M
         if not np.isfinite(M).all():
             raise ValueError("query vector has non-finite entries")
-        norms = np.linalg.norm(M, axis=0)
+        M, norms = _column_norms(M)
         zero[block] = norms == 0
         S = (M / np.where(zero[block], 1.0, norms)).T @ index.unit
         S[:, index.excluded] = -np.inf
@@ -213,9 +213,8 @@ def rank_semantic_shift(Q, identity_lex: Lexicon, src: EmbeddingSet,
 
         kept = [t for t in kept if frequent(tokens[t])]
     pairs = np.array(identity_lex.pairs, dtype=np.intp).reshape(-1, 2)[kept]
-    x = _as_matrix(Q) @ src.vectors[:, pairs[:, 0]]
-    y = tgt.vectors[:, pairs[:, 1]]
-    nx, ny = np.linalg.norm(x, axis=0), np.linalg.norm(y, axis=0)
+    x, nx = _column_norms(_as_matrix(Q) @ src.vectors[:, pairs[:, 0]])
+    y, ny = _column_norms(tgt.vectors[:, pairs[:, 1]])
     zero = (nx == 0) | (ny == 0)
     cos = np.einsum("ij,ij->j", x, y) / np.where(zero, 1.0, nx * ny)
     dists = np.where(zero, 1.0, 1.0 - cos).tolist()

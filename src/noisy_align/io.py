@@ -1,7 +1,11 @@
 """Plain-text I/O for embedding sets, lexicons, stop-lists and frequency tables.
 
 Embedding files are `token v1 v2 ... vd`, one per line, with an optional
-word2vec-style `n d` header line that is auto-detected. Lexicons are
+word2vec-style `n d` header line that is auto-detected. Values are parsed
+in chunks of `PARSE_CHUNK_ROWS` rows, one C-level conversion per chunk,
+and the accepted number syntax is exactly Python `float()`'s. A row is
+skipped, and counted, when it has the wrong number of values, a value
+that is not a number or not finite, or a token already kept. Lexicons are
 `source<TAB>target` (single space accepted as fallback). Stop-lists are one
 token per line; frequency tables are `token<TAB>float`.
 """
@@ -14,6 +18,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 logger = logging.getLogger(__name__)
+
+# Embedding rows whose values one `np.loadtxt` call converts.
+PARSE_CHUNK_ROWS = 1024
+
+# Column norm below which squares that fall under the normal float64 range
+# can cost `np.linalg.norm` precision.
+_NORM_FLOOR = np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps
+
+# Characters `np.loadtxt` strips from around a number but `float()` refuses
+# (it also breaks lines at `\n` and `\r`, which a line never holds); a
+# chunk holding one is parsed row by row.
+_LOADTXT_ONLY = "\x1c\x1d\x1e\x1f"
 
 
 class DataError(Exception):
@@ -99,18 +115,97 @@ def _is_header(fields: list[str]) -> bool:
     return True
 
 
+def _column_norms(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean norms of the columns of M, without underflow or overflow.
+
+    `np.linalg.norm` squares before the square root: below `_NORM_FLOOR`
+    squares can fall into the subnormal range, so the norm loses precision
+    (a non-zero column below about 1e-162 gets norm 0), and above about
+    1e154 it overflows to inf. Such non-zero columns are divided by their
+    largest magnitude, in a copy of M; every other column keeps its exact
+    bits.
+
+    Returns:
+        (M, norms): M itself when no column was rescaled, and the norms
+        of the returned columns. An all-zero column has norm 0.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(M, axis=0)
+    odd = np.flatnonzero((norms < _NORM_FLOOR) | np.isinf(norms))
+    peak = np.abs(M[:, odd]).max(axis=0, initial=0.0)
+    odd, peak = odd[peak > 0], peak[peak > 0]
+    if odd.size:
+        M = M.copy()
+        M[:, odd] /= peak
+        norms[odd] = np.linalg.norm(M[:, odd], axis=0)
+    return M, norms
+
+
+def _parse_values(tails: list[str], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Convert rows of `dim` space-separated values to a (rows, dim) matrix.
+
+    One `np.loadtxt` call converts the whole chunk. Its number syntax is a
+    strict subset of `float()`'s once `_LOADTXT_ONLY` is excluded, so when
+    it refuses the chunk, each row is converted on its own by `float()`'s
+    rules. Returns (values, valid): valid marks the rows that are numbers
+    and finite.
+    """
+    values = None
+    text = "".join(tails)
+    if not any(c in text for c in _LOADTXT_ONLY):
+        try:
+            values = np.loadtxt(tails, dtype=np.float64, delimiter=" ",
+                                comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if values is None:
+        values = np.zeros((len(tails), dim))
+        for i, tail in enumerate(tails):
+            try:
+                values[i] = np.array(tail.split(" "), dtype=np.float64)
+            except ValueError:
+                values[i, 0] = np.nan  # not a number: invalid like a NaN
+    return values, np.isfinite(values).all(axis=1)
+
+
+def _keep_new_rows(chunk_tokens: list[str], chunk_tails: list[str], dim: int,
+                   tokens: list[str], index: dict[str, int],
+                   blocks: list[np.ndarray]) -> int:
+    """Append the chunk's valid rows with a new token, in row order.
+
+    A token keeps its first valid row, common GloVe practice. Returns the
+    number of rows skipped.
+    """
+    values, valid = _parse_values(chunk_tails, dim)
+    kept = []
+    for row, (token, ok) in enumerate(zip(chunk_tokens, valid.tolist())):
+        if ok and token not in index:
+            index[token] = len(tokens)
+            tokens.append(token)
+            kept.append(row)
+    blocks.append(values if len(kept) == len(chunk_tokens) else values[kept])
+    return len(chunk_tokens) - len(kept)
+
+
 def load_embeddings(path, limit: int | None = None, normalize: bool = False) -> EmbeddingSet:
     """Load an embedding set from a text file.
+
+    Values are parsed in chunks of `PARSE_CHUNK_ROWS` rows, one C-level
+    conversion per chunk; the accepted number syntax is exactly Python
+    `float()`'s.
 
     Args:
         path: file with `token v1 ... vd` lines (optional `n d` header).
         limit: keep only the first `limit` valid rows (at least 1); the
             rest of the file is not read.
-        normalize: scale every vector to unit Euclidean norm.
+        normalize: scale every non-zero vector to unit Euclidean norm.
 
     Returns:
-        EmbeddingSet; rows with the wrong width, non-finite values or a
-        duplicate token are skipped and counted in ``skipped``.
+        EmbeddingSet; a row is skipped and counted in ``skipped`` when its
+        number of values differs from the first row's, a value is not a
+        number or not finite, or its token was kept before. A line that,
+        without its trailing whitespace, holds no space or starts with
+        one is ignored.
 
     Raises:
         DataError: unreadable file, zero valid rows, or inconsistent
@@ -121,42 +216,41 @@ def load_embeddings(path, limit: int | None = None, normalize: bool = False) -> 
         raise ValueError(f"limit must be at least 1, got {limit}")
     dim = None
     tokens: list[str] = []
-    cols: list[np.ndarray] = []
     index: dict[str, int] = {}
+    blocks: list[np.ndarray] = []
+    chunk_tokens: list[str] = []
+    chunk_tails: list[str] = []
+    # with a limit, a chunk holds at most the rows still needed, so reading
+    # stops right after the row that reaches the limit
+    want = PARSE_CHUNK_ROWS if limit is None else min(PARSE_CHUNK_ROWS, limit)
     skipped = 0
     bad_dim = 0
     total = 0
     for lineno, line in enumerate(_read_lines(path, "embedding file")):
         if lineno == 0 and _is_header(line.split()):
             continue
-        fields = line.rstrip().split(" ")
-        if len(fields) < 2 or fields[0] == "":
+        token, sep, tail = line.rstrip().partition(" ")
+        if not sep or not token:
             continue
         total += 1
-        token, values = fields[0], fields[1:]
+        width = tail.count(" ") + 1
         if dim is None:
-            dim = len(values)
-        if len(values) != dim:
+            dim = width
+        if width != dim:
             skipped += 1
             bad_dim += 1
             continue
-        try:
-            vec = np.array(values, dtype=np.float64)
-        except ValueError:
-            skipped += 1
-            continue
-        if not np.isfinite(vec).all():
-            skipped += 1
-            continue
-        if token in index:
-            # keep first occurrence, common GloVe practice
-            skipped += 1
-            continue
-        index[token] = len(tokens)
-        tokens.append(token)
-        cols.append(vec)
-        if limit is not None and len(tokens) >= limit:
-            break
+        chunk_tokens.append(token)
+        chunk_tails.append(tail)
+        if len(chunk_tails) == want:
+            skipped += _keep_new_rows(chunk_tokens, chunk_tails, dim, tokens, index, blocks)
+            chunk_tokens, chunk_tails = [], []
+            if limit is not None:
+                if len(tokens) == limit:
+                    break
+                want = min(PARSE_CHUNK_ROWS, limit - len(tokens))
+    if chunk_tails:
+        skipped += _keep_new_rows(chunk_tokens, chunk_tails, dim, tokens, index, blocks)
 
     if not tokens:
         raise DataError(f"no valid embedding rows in {path}")
@@ -167,9 +261,13 @@ def load_embeddings(path, limit: int | None = None, normalize: bool = False) -> 
     if skipped:
         logger.warning("skipped %d malformed/duplicate rows in %s", skipped, path)
 
-    vectors = np.stack(cols, axis=1)
+    vectors = np.empty((dim, len(tokens)))
+    start = 0
+    for block in blocks:
+        vectors[:, start:start + len(block)] = block.T
+        start += len(block)
     if normalize:
-        norms = np.linalg.norm(vectors, axis=0)
+        vectors, norms = _column_norms(vectors)
         norms[norms == 0] = 1.0
         vectors = vectors / norms
     return EmbeddingSet(dim=dim, tokens=tokens, vectors=vectors,
@@ -263,9 +361,11 @@ def gather_pairs(lex: Lexicon, src: EmbeddingSet, tgt: EmbeddingSet):
         raise DataError(
             f"embedding dimension mismatch: src d={src.dim}, tgt d={tgt.dim}"
         )
-    src_idx = [i for i, _ in lex.pairs]
-    tgt_idx = [j for _, j in lex.pairs]
-    return src.vectors[:, src_idx].copy(), tgt.vectors[:, tgt_idx].copy()
+    idx = np.array(lex.pairs, dtype=np.intp)
+    # `take` gives each C-order result in one allocation; `vectors[:, idx]`
+    # is F-order and takes a second copy to become C-order
+    return (np.take(src.vectors, idx[:, 0], axis=1),
+            np.take(tgt.vectors, idx[:, 1], axis=1))
 
 
 def load_stoplist(path) -> set[str]:

@@ -118,16 +118,24 @@ def _aligned_residuals(Q: TranslationMatrix, X: np.ndarray, Y: np.ndarray) -> np
     return np.sum((Q.Q @ X - Y) ** 2, axis=0)
 
 
+def _noise_residuals(mu_y: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Per-column squared residuals ||y_t - mu_y||^2."""
+    return np.sum((Y - mu_y[:, None]) ** 2, axis=0)
+
+
 def _component_logdensities(model: AlignmentModel, X: np.ndarray, Y: np.ndarray,
-                            r_aligned: np.ndarray | None = None):
+                            r_aligned: np.ndarray | None = None,
+                            r_noise: np.ndarray | None = None):
     """Per-column log densities of both components, vectorized.
 
-    `r_aligned`, when given, is `_aligned_residuals(model.Q, X, Y)`.
+    `r_aligned` and `r_noise`, when given, are `_aligned_residuals(model.Q,
+    X, Y)` and `_noise_residuals(model.mu_y, Y)`.
     """
     d = X.shape[0]
     if r_aligned is None:
         r_aligned = _aligned_residuals(model.Q, X, Y)
-    r_noise = np.sum((Y - model.mu_y[:, None]) ** 2, axis=0)
+    if r_noise is None:
+        r_noise = _noise_residuals(model.mu_y, Y)
     la = -0.5 * d * (LOG_2PI + np.log(model.sigma2)) - r_aligned / (2.0 * model.sigma2)
     ln = -0.5 * d * (LOG_2PI + np.log(model.sigma_y2)) - r_noise / (2.0 * model.sigma_y2)
     return la, ln
@@ -166,7 +174,8 @@ def log_likelihood(model: AlignmentModel, X: np.ndarray, Y: np.ndarray) -> float
 
 
 def _initialize(X: np.ndarray, Y: np.ndarray):
-    """`initialize`, plus `_aligned_residuals` of its Q for the first E-step."""
+    """`initialize`, plus the `_aligned_residuals` and `_noise_residuals` of
+    its model for the first E-step."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     d, n = X.shape
@@ -174,13 +183,22 @@ def _initialize(X: np.ndarray, Y: np.ndarray):
         raise ValueError("need at least 2 pairs to initialize the mixture")
     Q = procrustes(X, Y)
     mu_y = Y.mean(axis=1)
-    sigma_y2 = max(float(np.sum((Y - mu_y[:, None]) ** 2)) / (n * d), VAR_FLOOR)
-    sq = (Q.Q @ X - Y) ** 2
-    # the flat sum, as in `alignment_error`; the column sums, as in
-    # `_aligned_residuals`
-    sigma2 = max(float(np.sum(sq)) / (n * d), VAR_FLOOR)
+    noise_sum, r_noise = _sums_of_squares((Y - mu_y[:, None]) ** 2)
+    sigma_y2 = max(noise_sum / (n * d), VAR_FLOOR)
+    aligned_sum, r_aligned = _sums_of_squares((Q.Q @ X - Y) ** 2)
+    sigma2 = max(aligned_sum / (n * d), VAR_FLOOR)
     model = AlignmentModel(Q=Q, sigma2=sigma2, mu_y=mu_y, sigma_y2=sigma_y2, alpha=0.5)
-    return model, np.sum(sq, axis=0)
+    return model, r_aligned, r_noise
+
+
+def _sums_of_squares(sq: np.ndarray) -> tuple[float, np.ndarray]:
+    """The flat sum of `sq`, as in `alignment_error`, and its column sums,
+    as in `_aligned_residuals` and `_noise_residuals`.
+
+    Taking `sq` as an argument frees it on return, so `_initialize` holds
+    one d x n array of squares at a time.
+    """
+    return float(np.sum(sq)), np.sum(sq, axis=0)
 
 
 def initialize(X: np.ndarray, Y: np.ndarray) -> AlignmentModel:
@@ -212,25 +230,26 @@ def _complete_data_objective(model: AlignmentModel, la: np.ndarray, ln: np.ndarr
 def _m_step(model: AlignmentModel, X: np.ndarray, Y: np.ndarray, w: np.ndarray):
     """Weighted Procrustes and weighted moments: the EM M-step for weights w.
 
-    Returns (model, degenerate, r): a component whose total weight is at
-    most VAR_FLOOR keeps its parameters from `model` and is degenerate;
-    r is `_aligned_residuals` of the new Q, or None when Q was kept.
+    Returns (model, degenerate, r, r0): a component whose total weight is
+    at most VAR_FLOOR keeps its parameters from `model` and is degenerate;
+    r and r0 are `_aligned_residuals` of the new Q and `_noise_residuals`
+    of the new mu_y, each None when its component was kept.
     """
     d, n = X.shape
     s1, s0 = float(w.sum()), float((1.0 - w).sum())
     Q, sigma2, r = model.Q, model.sigma2, None
-    mu_y, sigma_y2 = model.mu_y, model.sigma_y2
+    mu_y, sigma_y2, r0 = model.mu_y, model.sigma_y2, None
     if s1 > VAR_FLOOR:
         Q = weighted_procrustes(X, Y, w)
         r = _aligned_residuals(Q, X, Y)
         sigma2 = max(float(np.dot(w, r)) / (d * s1), VAR_FLOOR)
     if s0 > VAR_FLOOR:
         mu_y = (Y @ (1.0 - w)) / s0
-        r0 = np.sum((Y - mu_y[:, None]) ** 2, axis=0)
+        r0 = _noise_residuals(mu_y, Y)
         sigma_y2 = max(float(np.dot(1.0 - w, r0)) / (d * s0), VAR_FLOOR)
     fitted = AlignmentModel(Q=Q, sigma2=sigma2, mu_y=mu_y,
                             sigma_y2=sigma_y2, alpha=s1 / n)
-    return fitted, s1 <= VAR_FLOOR or s0 <= VAR_FLOOR, r
+    return fitted, s1 <= VAR_FLOOR or s0 <= VAR_FLOOR, r, r0
 
 
 def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None):
@@ -259,8 +278,8 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None):
         raise ValueError("need at least 2 pairs")
     eps = cfg.epsilon if cfg.epsilon is not None else max(1.0 / (2 * n), 1e-4)
 
-    model, r_aligned = _initialize(X, Y)
-    w = _e_step(model, *_component_logdensities(model, X, Y, r_aligned))[0]
+    model, r_aligned, r_noise = _initialize(X, Y)
+    w = _e_step(model, *_component_logdensities(model, X, Y, r_aligned, r_noise))[0]
     trace = EmTrace()
     alpha_prev = np.inf
     for it in range(cfg.max_iters):
@@ -272,9 +291,9 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None):
         h = w > 0.5
         # hard EM is the same M-step with the 0/1 labels as weights
         weights = h.astype(np.float64) if cfg.mode == "hard" else w
-        model, degenerate, r_aligned = _m_step(model, X, Y, weights)
+        model, degenerate, r_aligned, r_noise = _m_step(model, X, Y, weights)
         # one pass over the data scores the new model and runs the next E-step
-        la, ln = _component_logdensities(model, X, Y, r_aligned)
+        la, ln = _component_logdensities(model, X, Y, r_aligned, r_noise)
         w, loglik = _e_step(model, la, ln)
         objective = (_complete_data_objective(model, la, ln, h) if cfg.mode == "hard"
                      else loglik)

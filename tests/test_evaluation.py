@@ -1,6 +1,7 @@
 import logging
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +87,16 @@ class TestNearestNeighbor:
         assert index.excluded == [0]
         out = nearest_neighbor(index, np.array([1.0, 0.0]), k=2)
         assert [t for t, _ in out] == ["x"]  # k exceeds the usable vocabulary
+
+    def test_tiny_and_huge_columns_are_retrievable(self):
+        # squared, their entries under- and overflow
+        emb = make_set(["tiny", "x", "huge"],
+                       np.array([[1e-170, 1.0, 0.0], [0.0, 1.0, 1e200]]))
+        index = build_index(emb)
+        assert index.excluded == []
+        assert nearest_neighbor(index, np.array([1.0, 0.0]), k=1) == [("tiny", 1.0)]
+        # a tiny query is no zero query
+        assert nearest_neighbor(index, np.array([0.0, 1e-170]), k=1) == [("huge", 1.0)]
 
     def test_non_finite_query_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -227,6 +238,32 @@ class TestRankSemanticShift:
         ranking, _ = rank_semantic_shift(Q, build_identity_lexicon(src, tgt),
                                          src, tgt)
         assert ranking[0][0] == f"w{planted}"
+
+    def test_identical_tiny_vectors_have_zero_distance(self):
+        emb = make_set(["t"], [[1e-170], [0.0]])
+        ranking, _ = rank_semantic_shift(np.eye(2), build_identity_lexicon(emb, emb),
+                                         emb, emb)
+        assert ranking == [("t", 0.0, "")]
+
+    @pytest.mark.parametrize("scale", [1e-170, 3e-162, 1e-150, 1.0, 1e200])
+    def test_distances_match_mpmath_at_any_scale(self, scale):
+        # np.linalg.norm squares first: below about 1e-154 squares leave
+        # the normal range, above about 1e154 they overflow
+        rng = np.random.default_rng(14)
+        xs, ys = rng.standard_normal((3, 5)), rng.standard_normal((3, 5))
+        ys[:, 0] = xs[:, 0]
+        src, tgt = make_set("abcde", scale * xs), make_set("abcde", scale * ys)
+        Q = random_orthogonal(3, 15)
+        ranking, _ = rank_semantic_shift(Q, build_identity_lexicon(src, tgt), src, tgt)
+        assert len(ranking) == 5
+        with mpmath.workdps(50):
+            q = mpmath.matrix(Q.Q.tolist())
+            for token, dist, _ in ranking:
+                x = q * mpmath.matrix(src.vector(token).tolist())
+                y = mpmath.matrix(tgt.vector(token).tolist())
+                cos = mpmath.fsum(a * b for a, b in zip(x, y)) / (
+                    mpmath.norm(x) * mpmath.norm(y))
+                assert abs(dist - float(1 - cos)) <= 1e-15
 
     def test_frequency_filter_drops_missing_and_rare(self):
         emb = random_set(4, 3, seed=8)

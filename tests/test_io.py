@@ -1,6 +1,13 @@
+import logging
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from noisy_align import io as nio
 from noisy_align.io import (
     DataError,
     EmbeddingSet,
@@ -23,6 +30,84 @@ def write(tmp_path, name, text):
 def make_set(tokens, vectors):
     vectors = np.asarray(vectors, dtype=float)
     return EmbeddingSet(dim=vectors.shape[0], tokens=list(tokens), vectors=vectors)
+
+
+def row_loop_load(path, limit=None):
+    """The loader as one `np.array` per row: the oracle for the bulk parser."""
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
+    dim = None
+    tokens, cols, index = [], [], {}
+    skipped = bad_dim = total = 0
+    for lineno, line in enumerate(nio._read_lines(path, "embedding file")):
+        if lineno == 0 and nio._is_header(line.split()):
+            continue
+        fields = line.rstrip().split(" ")
+        if len(fields) < 2 or fields[0] == "":
+            continue
+        total += 1
+        token, values = fields[0], fields[1:]
+        if dim is None:
+            dim = len(values)
+        if len(values) != dim:
+            skipped += 1
+            bad_dim += 1
+            continue
+        try:
+            vec = np.array(values, dtype=np.float64)
+        except ValueError:
+            skipped += 1
+            continue
+        if not np.isfinite(vec).all() or token in index:
+            skipped += 1
+            continue
+        index[token] = len(tokens)
+        tokens.append(token)
+        cols.append(vec)
+        if limit is not None and len(tokens) >= limit:
+            break
+    if not tokens:
+        raise DataError(f"no valid embedding rows in {path}")
+    if total and bad_dim > total / 2:
+        raise DataError(f"inconsistent dimension on {bad_dim}/{total} rows of {path}")
+    if skipped:
+        nio.logger.warning("skipped %d malformed/duplicate rows in %s", skipped, path)
+    return EmbeddingSet(dim=dim, tokens=tokens, vectors=np.stack(cols, axis=1),
+                        token_index=index, skipped=skipped)
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def load_outcome(load, path, limit=None):
+    """Everything a loader shows: its result or error, its warnings and
+    the number of lines it read."""
+    read = nio._read_lines
+    lines = []
+
+    def counted(*args):
+        for line in read(*args):
+            lines.append(line)
+            yield line
+
+    records = _Records()
+    nio.logger.addHandler(records)
+    try:
+        with mock.patch.object(nio, "_read_lines", counted):
+            emb = load(path, limit=limit)
+        shown = (emb.dim, emb.tokens, emb.token_index, emb.skipped,
+                 emb.vectors.shape, emb.vectors.tobytes())
+    except (DataError, ValueError) as exc:
+        shown = (type(exc), str(exc))
+    finally:
+        nio.logger.removeHandler(records)
+    return shown, records.messages, len(lines)
 
 
 class TestLoadEmbeddings:
@@ -104,6 +189,72 @@ class TestLoadEmbeddings:
         loaded = load_embeddings(path)
         assert loaded.tokens == emb.tokens
         assert np.array_equal(loaded.vectors, emb.vectors)
+
+
+    def test_limit_reads_no_further_than_the_row_loop(self, tmp_path):
+        # the invalid second row leaves a chunk one row short of the limit
+        path = write(tmp_path, "e.txt", "a 1 0\nbad x 0\nb 0 1\nc 1 1\nd 0 0\n")
+        bulk = load_outcome(load_embeddings, path, limit=2)
+        assert bulk == load_outcome(row_loop_load, path, limit=2)
+        assert bulk[0][1] == ["a", "b"] and bulk[2] == 3
+
+    def test_duplicate_of_an_invalid_row_is_kept(self, tmp_path):
+        emb = load_embeddings(write(tmp_path, "e.txt", "a nan 0\na 1 0\nb 0 1\n"))
+        assert emb.tokens == ["a", "b"] and emb.skipped == 1
+        assert np.array_equal(emb.vector("a"), [1, 0])
+
+    def test_number_syntax_is_float_syntax(self, tmp_path):
+        # float() takes underscores and non-ASCII digits, which np.loadtxt
+        # refuses; np.loadtxt strips \x1c-\x1f, which float() refuses
+        text = "a 1_0 \u0661\nb 1\x1c 2\nc \x1f3 4\nd 5 6\x85\n"
+        emb = load_embeddings(write(tmp_path, "e.txt", text))
+        assert emb.tokens == ["a", "d"] and emb.skipped == 2
+        assert np.array_equal(emb.vectors, [[10.0, 5.0], [1.0, 6.0]])
+
+    def test_normalize_tiny_and_huge_vectors(self, tmp_path):
+        text = "a 1e-170 0\nb 3e-320 4e-320\nc 1e300 -1e300\nd 0 0\n"
+        emb = load_embeddings(write(tmp_path, "e.txt", text), normalize=True)
+        assert np.array_equal(emb.vectors[:, :2], [[1.0, 0.6], [0.0, 0.8]])
+        assert np.linalg.norm(emb.vector("c")) == pytest.approx(1.0, abs=1e-15)
+        assert np.array_equal(emb.vector("d"), [0, 0])
+
+
+# fields float() reads (also some np.loadtxt refuses or reads differently),
+# fields neither reads, and an empty field from a double space
+FIELDS = ["0", "1", "-2.5", "3e-2", ".5", "1e-320", "nan", "-inf", "1e400", "1_0",
+          "\u0661", "\u0663.\u0665", "1\x85", "\t1", "1\x1c", "\x1f2", "1\x0c",
+          "\u20281", "", "x", "0x1", "1\x00", "1e", "1,5", '"1"', "#1"]
+TOKENS = ["a", "b", "c", "d", "e\u0301", "a\x0cb", "7"]
+
+
+@st.composite
+def embedding_text(draw):
+    dim = draw(st.integers(1, 3))
+    field = st.one_of(st.sampled_from(FIELDS), st.floats().map(repr))
+    right = st.lists(field, min_size=dim, max_size=dim)
+    width = st.lists(field, max_size=4)
+    row = st.builds(lambda tok, vals, end: " ".join([tok, *vals]) + end,
+                    st.sampled_from(TOKENS), st.one_of(right, right, width),
+                    st.sampled_from(["", " ", "\t", "\x85", "\x1c"]))
+    ignored = st.sampled_from(["", "alone", " a 1 2", "\x0c", "  "])
+    lines = draw(st.lists(st.one_of(row, row, row, ignored), max_size=14))
+    header = draw(st.sampled_from([[], [f"5 {dim}"], ["2 2"], ["x 1"]]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(header + lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=embedding_text(), limit=st.one_of(st.none(), st.integers(1, 5)),
+       chunk=st.sampled_from([1, 2, 3, nio.PARSE_CHUNK_ROWS]))
+@example(text="a nan 0\na 1 0\nb 0 1\n", limit=1, chunk=2)
+@example(text="a 1\nb 1 2\nc 1 2\nd 1 2\n", limit=None, chunk=2)
+def test_bulk_loader_matches_row_loop(text, limit, chunk):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "e.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(nio, "PARSE_CHUNK_ROWS", chunk):
+            bulk = load_outcome(load_embeddings, path, limit)
+        assert bulk == load_outcome(row_loop_load, path, limit)
 
 
 class TestLexicon:

@@ -15,6 +15,7 @@ from noisy_align.mixture import (
     Responsibilities,
     _aligned_residuals,
     _initialize,
+    _noise_residuals,
     _posterior_weights,
     em_fit,
     initialize,
@@ -185,21 +186,23 @@ class TestInitialize:
     def test_residuals_for_the_first_e_step_are_bit_identical(self):
         rng = np.random.default_rng(9)
         X, Y = rng.standard_normal((6, 40)), rng.standard_normal((6, 40))
-        model, r = _initialize(X, Y)
+        model, r, r0 = _initialize(X, Y)
         assert np.array_equal(r, _aligned_residuals(model.Q, X, Y))
+        assert np.array_equal(r0, _noise_residuals(model.mu_y, Y))
         public = initialize(X, Y)
         assert np.array_equal(public.Q.Q, model.Q.Q) and public.sigma2 == model.sigma2
 
     @pytest.mark.parametrize("mode", ["hard", "soft"])
     def test_em_fit_computes_each_residual_once(self, mode, monkeypatch):
-        # the initial model's residual reaches the first E-step, and each
-        # M-step's residual the next one: no E-step recomputes Q @ X
+        # the initial model's residuals reach the first E-step, and each
+        # M-step's residuals the next one: no E-step recomputes Q @ X or
+        # the noise residual
         handed = []
         densities = mixture._component_logdensities
 
-        def spy(model, X, Y, r_aligned=None):
-            handed.append(r_aligned is not None)
-            return densities(model, X, Y, r_aligned)
+        def spy(model, X, Y, r_aligned=None, r_noise=None):
+            handed.append(r_aligned is not None and r_noise is not None)
+            return densities(model, X, Y, r_aligned, r_noise)
 
         monkeypatch.setattr(mixture, "_component_logdensities", spy)
         X, Y, _ = jittered_instance(12)

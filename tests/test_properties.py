@@ -30,6 +30,7 @@ from noisy_align.mixture import (
     AlignmentModel,
     _aligned_residuals,
     _m_step,
+    _noise_residuals,
     initialize,
     load_model,
     posterior,
@@ -118,7 +119,7 @@ def test_m_step_with_01_weights_equals_subset_fit(seed, frac):
     rng = np.random.default_rng(seed)
     mask = rng.random(n) < frac
     mask[rng.choice(n, 2, replace=False)] = [True, False]
-    model, degenerate, r = _m_step(initialize(X, Y), X, Y, mask.astype(np.float64))
+    model, degenerate, r, r0 = _m_step(initialize(X, Y), X, Y, mask.astype(np.float64))
     Xa, Ya, Yn = X[:, mask], Y[:, mask], Y[:, ~mask]
     n1 = Xa.shape[1]
     with warnings.catch_warnings():  # subsets narrower than d are rank-deficient
@@ -127,6 +128,7 @@ def test_m_step_with_01_weights_equals_subset_fit(seed, frac):
     mu = Yn.mean(axis=1)
     assert not degenerate
     assert np.array_equal(r, _aligned_residuals(model.Q, X, Y))
+    assert np.array_equal(r0, _noise_residuals(model.mu_y, Y))
     # Q is unique on the span of the selected columns, not beyond it
     assert np.abs(model.Q.Q @ Xa - Qa.Q @ Xa).max() <= 1e-10
     sigma2 = max(alignment_error(Qa, Xa, Ya) / (d * n1), VAR_FLOOR)
