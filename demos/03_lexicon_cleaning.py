@@ -18,7 +18,7 @@ from noisy_align.io import gather_pairs
 
 rng = np.random.default_rng(7)
 d, vocab = 20, 200
-Q_gold = random_orthogonal(d, seed=1).Q
+Q_gold = random_orthogonal(d, seed=1)
 src_vec = rng.standard_normal((d, vocab))
 
 src = EmbeddingSet(dim=d, tokens=[f"en_{i}" for i in range(vocab)], vectors=src_vec)

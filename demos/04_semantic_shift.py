@@ -19,7 +19,7 @@ d, vocab, n_shifted = 16, 500, 12
 
 tokens = [f"word{i:03d}" for i in range(vocab)]
 old_vec = rng.standard_normal((d, vocab))
-drift = random_orthogonal(d, seed=3).Q   # global drift between periods
+drift = random_orthogonal(d, seed=3)   # global drift between periods
 new_vec = drift @ old_vec
 shifted = sorted(rng.choice(vocab, size=n_shifted, replace=False).tolist())
 new_vec[:, shifted] = rng.standard_normal((d, n_shifted))  # meaning changed

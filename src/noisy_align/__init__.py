@@ -20,7 +20,6 @@ from .io import (
     load_frequency_table,
 )
 from .align import (
-    TranslationMatrix,
     SgdConfig,
     procrustes,
     weighted_procrustes,
@@ -66,7 +65,6 @@ __all__ = [
     "gather_pairs",
     "load_stoplist",
     "load_frequency_table",
-    "TranslationMatrix",
     "SgdConfig",
     "procrustes",
     "weighted_procrustes",

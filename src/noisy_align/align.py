@@ -1,10 +1,10 @@
 """Baseline linear-map estimators between two d-dimensional spaces.
 
-All solvers estimate a d x d matrix Q mapping source columns to target
-columns, y ~ Q x. `procrustes` solves the orthogonality-constrained
-problem in closed form via the SVD of Y X^T; `sgd_align` minimizes the
-unconstrained Frobenius objective ||QX - Y||_F^2 by gradient descent,
-full-batch or minibatch.
+All solvers return the map as a plain float64 d x d array Q taking
+source columns to target columns, y ~ Q x. `procrustes` solves the
+orthogonality-constrained problem in closed form via the SVD of Y X^T;
+`sgd_align` minimizes the unconstrained Frobenius objective
+||QX - Y||_F^2 by gradient descent, full-batch or minibatch.
 """
 
 from __future__ import annotations
@@ -15,35 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .io import DataError
-
-ORTHO_TOL = 1e-8
-
-
-@dataclass
-class TranslationMatrix:
-    """A d x d real translation matrix, tagged if orthogonal."""
-
-    Q: np.ndarray
-    orthogonal: bool = False
-
-    def __post_init__(self):
-        self.Q = np.asarray(self.Q, dtype=np.float64)
-        if self.Q.ndim != 2 or self.Q.shape[0] != self.Q.shape[1]:
-            raise ValueError(f"Q must be square, got shape {self.Q.shape}")
-        if self.orthogonal:
-            d = self.Q.shape[0]
-            resid = np.linalg.norm(self.Q.T @ self.Q - np.eye(d))
-            if resid > ORTHO_TOL:
-                raise ValueError(
-                    f"matrix tagged orthogonal but ||Q^T Q - I||_F = {resid:.3g}"
-                )
-
-    @property
-    def dim(self) -> int:
-        return self.Q.shape[0]
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return self.Q @ X
 
 
 @dataclass
@@ -78,7 +49,7 @@ def _check_pair_shapes(X: np.ndarray, Y: np.ndarray) -> None:
         raise ValueError("non-finite entries in input matrices")
 
 
-def procrustes(X: np.ndarray, Y: np.ndarray) -> TranslationMatrix:
+def procrustes(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Orthogonal matrix minimizing ||QX - Y||_F^2 (closed form).
 
     Computes U V^T where U S V^T is the SVD of Y X^T. Reflections are
@@ -96,10 +67,10 @@ def procrustes(X: np.ndarray, Y: np.ndarray) -> TranslationMatrix:
         warnings.warn("X is numerically rank-deficient; Procrustes solution "
                       "is not unique", RuntimeWarning, stacklevel=2)
     U, _, Vt = np.linalg.svd(Y @ X.T)
-    return TranslationMatrix(U @ Vt, orthogonal=True)
+    return U @ Vt
 
 
-def weighted_procrustes(X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> TranslationMatrix:
+def weighted_procrustes(X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Orthogonal Q minimizing the weighted objective sum_t w_t ||Qx_t - y_t||^2.
 
     Solved as U V^T from the SVD of Y diag(w) X^T.
@@ -115,7 +86,7 @@ def weighted_procrustes(X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> Translat
     if w.sum() <= 0:
         raise ValueError("weights sum to zero")
     U, _, Vt = np.linalg.svd((Y * w) @ X.T)
-    return TranslationMatrix(U @ Vt, orthogonal=True)
+    return U @ Vt
 
 
 def sgd_objective_grad(Q: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -123,7 +94,7 @@ def sgd_objective_grad(Q: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarra
     return 2.0 * (Q @ X - Y) @ X.T
 
 
-def sgd_align(X: np.ndarray, Y: np.ndarray, cfg: SgdConfig | None = None) -> TranslationMatrix:
+def sgd_align(X: np.ndarray, Y: np.ndarray, cfg: SgdConfig | None = None) -> np.ndarray:
     """Unconstrained least-squares map fit by gradient descent.
 
     With one batch per epoch (cfg.batch_size None or >= n) every epoch
@@ -132,7 +103,7 @@ def sgd_align(X: np.ndarray, Y: np.ndarray, cfg: SgdConfig | None = None) -> Tra
     cost O(d^2 n) once, then each epoch costs O(d^3), and the result does
     not depend on cfg.seed. With smaller batches the seed drives the
     epoch shuffles and each step costs O(d^2 batch_size). The returned
-    matrix does not carry the orthogonal tag. The default step
+    matrix is not constrained to be orthogonal. The default step
     0.4 / lambda_max(X X^T) is safely below the full-batch divergence
     limit 1 / (2 lambda_max(X X^T)).
 
@@ -169,10 +140,10 @@ def sgd_align(X: np.ndarray, Y: np.ndarray, cfg: SgdConfig | None = None) -> Tra
                 raise DataError(
                     f"SGD diverged (non-finite objective) at learning_rate={lr}; reduce it"
                 )
-    return TranslationMatrix(Q, orthogonal=False)
+    return Q
 
 
-def random_orthogonal(d: int, seed: int) -> TranslationMatrix:
+def random_orthogonal(d: int, seed: int) -> np.ndarray:
     """Sample a uniformly distributed d x d orthogonal matrix.
 
     QR of a standard normal matrix with the R-diagonal sign correction,
@@ -186,27 +157,20 @@ def random_orthogonal(d: int, seed: int) -> TranslationMatrix:
     Q, R = np.linalg.qr(A)
     signs = np.sign(np.diag(R))
     signs[signs == 0] = 1.0
-    return TranslationMatrix(Q * signs, orthogonal=True)
+    return Q * signs
 
 
-def _as_matrix(Q) -> np.ndarray:
-    if isinstance(Q, TranslationMatrix):
-        return Q.Q
-    return np.asarray(Q, dtype=np.float64)
-
-
-def alignment_error(Q, X: np.ndarray, Y: np.ndarray,
+def alignment_error(Q: np.ndarray, X: np.ndarray, Y: np.ndarray,
                     mask: np.ndarray | None = None) -> float:
     """Squared Frobenius alignment error sum_t ||Q x_t - y_t||^2.
 
     With `mask` (boolean per column or index list), restricted to the
     selected columns.
     """
-    Qm = _as_matrix(Q)
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     _check_pair_shapes(X, Y)
-    resid = Qm @ X - Y
+    resid = Q @ X - Y
     if mask is not None:
         mask = np.asarray(mask)
         resid = resid[:, mask]
@@ -215,32 +179,25 @@ def alignment_error(Q, X: np.ndarray, Y: np.ndarray,
     return float(np.sum(resid * resid))
 
 
-def mean_alignment_error(Q, X: np.ndarray, Y: np.ndarray,
-                         mask: np.ndarray | None = None) -> float:
-    """Per-pair mean of the squared alignment error over the selected columns."""
-    X = np.asarray(X, dtype=np.float64)
-    if mask is None:
-        count = X.shape[1]
-    else:
-        mask = np.asarray(mask)
-        count = int(mask.sum()) if mask.dtype == bool else mask.size
-    return alignment_error(Q, X, Y, mask) / count
-
-
-def _write_matrix(fh, Qm: np.ndarray) -> None:
+def _write_matrix(fh, Q: np.ndarray) -> None:
     """The `d` line and the d x d block below it, as `_parse_matrix` reads them."""
-    fh.write(f"{Qm.shape[0]}\n")
-    np.savetxt(fh, Qm, fmt="%.17g")
+    fh.write(f"{Q.shape[0]}\n")
+    np.savetxt(fh, Q, fmt="%.17g")
 
 
-def save_matrix(Q, path) -> None:
+def save_matrix(Q: np.ndarray, path) -> None:
     """Persist a translation matrix: first line `d`, then d rows of d floats."""
     with open(path, "w", encoding="utf-8") as fh:
-        _write_matrix(fh, _as_matrix(Q))
+        _write_matrix(fh, Q)
 
 
-def _parse_matrix(lines: list[str], path) -> TranslationMatrix:
-    """The `d` line and the d x d block below it, as written by `save_matrix`."""
+def _parse_matrix(lines: list[str], path) -> np.ndarray:
+    """The `d` line and the d x d block below it, as written by `save_matrix`.
+
+    The file is outside input, so the block must be square and finite;
+    whether it is orthogonal is checked only where that is required
+    (`mixture.AlignmentModel`).
+    """
     try:
         d = int(lines[0].split()[0])
         Q = np.array([line.split() for line in lines[1:d + 1]], dtype=np.float64)
@@ -248,11 +205,10 @@ def _parse_matrix(lines: list[str], path) -> TranslationMatrix:
         raise DataError(f"matrix in {path} is malformed: {exc}") from exc
     if d < 1 or Q.shape != (d, d) or not np.isfinite(Q).all():
         raise DataError(f"matrix in {path} is not a finite {d} x {d} block")
-    resid = np.linalg.norm(Q.T @ Q - np.eye(d))
-    return TranslationMatrix(Q, orthogonal=bool(resid <= ORTHO_TOL))
+    return Q
 
 
-def load_matrix(path) -> TranslationMatrix:
+def load_matrix(path) -> np.ndarray:
     """Load a matrix saved by `save_matrix`; DataError if the file is malformed."""
     with open(path, encoding="utf-8", errors="replace") as fh:
         return _parse_matrix(fh.read().splitlines(), path)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .align import _as_matrix
 from .io import EmbeddingSet, Lexicon, _column_norms
 from .mixture import Responsibilities
 
@@ -94,15 +93,33 @@ def build_index(emb: EmbeddingSet) -> NnIndex:
                    repeats=repeats, first_copies=first_copies)
 
 
+def _mapped(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Q @ X for cosine scoring, with every column finite.
+
+    A finite column x whose product overflows is mapped again as
+    Q @ (x / max|x|), which has the same cosines; every other column keeps
+    its exact bits. A column that is still not finite is returned as zero,
+    which the callers treat as a zero mapped vector.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = Q @ X
+        bad = np.flatnonzero(~np.isfinite(M).all(axis=0))
+        if bad.size:
+            cols = X[:, bad]
+            cols = Q @ (cols / np.abs(cols).max(axis=0))
+            M[:, bad] = np.where(np.isfinite(cols).all(axis=0), cols, 0.0)
+    return M
+
+
 def _search(index: NnIndex, Qm: np.ndarray | None, X: np.ndarray, cols,
             k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact top-k cosine targets of the mapped queries Qm @ X[:, cols].
 
-    Queries are mapped, scored and ranked one block at a time, so neither
-    all mapped queries nor all scores are ever held at once; `Qm=None`
-    leaves the queries unmapped. Excluded (zero) targets are never
-    returned, and identical targets always tie. Ties break toward the
-    lowest index, also across the k-th place.
+    Queries are mapped by `_mapped`, scored and ranked one block at a time,
+    so neither all mapped queries nor all scores are ever held at once;
+    `Qm=None` leaves the (finite) queries unmapped. Excluded (zero)
+    targets are never returned, and identical targets always tie. Ties
+    break toward the lowest index, also across the k-th place.
 
     Returns:
         (top, scores, zero): (n, k) target indices, best first, -1 where
@@ -123,9 +140,7 @@ def _search(index: NnIndex, Qm: np.ndarray | None, X: np.ndarray, cols,
         block = slice(start, start + step)
         M = X[:, cols[block]]
         if Qm is not None:
-            M = Qm @ M
-        if not np.isfinite(M).all():
-            raise ValueError("query vector has non-finite entries")
+            M = _mapped(Qm, M)
         M, norms = _column_norms(M)
         zero[block] = norms == 0
         S = (M / np.where(zero[block], 1.0, norms)).T @ index.unit
@@ -150,6 +165,8 @@ def nearest_neighbor(index: NnIndex, q: np.ndarray, k: int) -> list[tuple[str, f
     the lower token index; excluded (zero) targets are never returned.
     """
     q = np.asarray(q, dtype=np.float64)
+    if not np.isfinite(q).all():
+        raise ValueError("query vector has non-finite entries")
     top, scores, zero = _search(index, None, q[:, None], [0], k)
     if zero[0]:
         raise ValueError("zero query vector")
@@ -157,14 +174,14 @@ def nearest_neighbor(index: NnIndex, q: np.ndarray, k: int) -> list[tuple[str, f
             for i, s in zip(top[0], scores[0]) if i >= 0]
 
 
-def precision_at_1(Q, test_lex: Lexicon, src: EmbeddingSet,
+def precision_at_1(Q: np.ndarray, test_lex: Lexicon, src: EmbeddingSet,
                    tgt: EmbeddingSet) -> tuple[float, int]:
     """Precision@1 of mapped source words against their gold translations.
 
     Queries are the unique source indices of the test lexicon; a query is
     correct iff its retrieved top-1 token is any of its gold targets.
-    A query whose mapped vector is zero has no neighbour: it counts as a
-    miss, and the number of such queries is logged.
+    A query whose mapped vector is zero (see `_mapped`) has no neighbour:
+    it counts as a miss, and the number of such queries is logged.
 
     Returns:
         (p_at_1, n_queries)
@@ -174,8 +191,7 @@ def precision_at_1(Q, test_lex: Lexicon, src: EmbeddingSet,
     gold: dict[int, set[str]] = {}
     for s, t in test_lex.pairs:
         gold.setdefault(s, set()).add(tgt.tokens[t])
-    top, _, zero = _search(build_index(tgt), _as_matrix(Q), src.vectors,
-                           list(gold), 1)
+    top, _, zero = _search(build_index(tgt), Q, src.vectors, list(gold), 1)
     if zero.any():
         logger.warning("%d of %d queries have a zero mapped vector; "
                        "counted as misses", int(zero.sum()), len(gold))
@@ -184,7 +200,7 @@ def precision_at_1(Q, test_lex: Lexicon, src: EmbeddingSet,
     return correct / len(gold), len(gold)
 
 
-def rank_semantic_shift(Q, identity_lex: Lexicon, src: EmbeddingSet,
+def rank_semantic_shift(Q: np.ndarray, identity_lex: Lexicon, src: EmbeddingSet,
                         tgt: EmbeddingSet,
                         src_freqs: dict[str, float] | None = None,
                         tgt_freqs: dict[str, float] | None = None,
@@ -195,7 +211,7 @@ def rank_semantic_shift(Q, identity_lex: Lexicon, src: EmbeddingSet,
     distance(token) = 1 - cos(Q x_token, y_token), sorted descending; the
     distance is 1 where either vector is zero. With a frequency threshold,
     tokens below it in either table (or missing from one) are dropped
-    before scoring. All kept pairs are mapped by one GEMM.
+    before scoring. All kept pairs are mapped by one GEMM (`_mapped`).
 
     Returns:
         (ranking, n_dropped) where ranking is a list of
@@ -213,7 +229,7 @@ def rank_semantic_shift(Q, identity_lex: Lexicon, src: EmbeddingSet,
 
         kept = [t for t in kept if frequent(tokens[t])]
     pairs = np.array(identity_lex.pairs, dtype=np.intp).reshape(-1, 2)[kept]
-    x, nx = _column_norms(_as_matrix(Q) @ src.vectors[:, pairs[:, 0]])
+    x, nx = _column_norms(_mapped(Q, src.vectors[:, pairs[:, 0]]))
     y, ny = _column_norms(tgt.vectors[:, pairs[:, 1]])
     zero = (nx == 0) | (ny == 0)
     cos = np.einsum("ij,ij->j", x, y) / np.where(zero, 1.0, nx * ny)

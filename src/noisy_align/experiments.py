@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .align import (
@@ -27,17 +25,15 @@ def fit_translation(method: str, X: np.ndarray, Y: np.ndarray,
     """Fit one of the four methods.
 
     Returns:
-        (TranslationMatrix, model, resp, trace); the last three are None
-        for the non-EM methods.
+        (Q, model, resp, trace): Q is the fitted d x d map, and the last
+        three are None for the non-EM methods.
     """
     if method == "op":
         return procrustes(X, Y), None, None, None
     if method == "sgd":
         return sgd_align(X, Y, sgd_cfg), None, None, None
     if method in ("em-hard", "em-soft"):
-        cfg = dataclasses.replace(em_cfg or EmConfig(),
-                                  mode="hard" if method == "em-hard" else "soft")
-        model, resp, trace = em_fit(X, Y, cfg)
+        model, resp, trace = em_fit(X, Y, em_cfg, soft=method == "em-soft")
         return model.Q, model, resp, trace
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
@@ -60,7 +56,7 @@ def run_synthetic_2d(seed: int = 0) -> dict:
             Q, _, resp, _ = fit_translation(method, prob.X, prob.Y, sgd_cfg=sgd_cfg)
             entry["clean_error"][method] = alignment_error(
                 Q, prob.X, prob.Y, mask=prob.clean_mask)
-            preds[method] = (Q.Q @ prob.X).tolist()
+            preds[method] = (Q @ prob.X).tolist()
             if method == "em-hard" and resp is not None:
                 entry["em_labels"] = [bool(b) for b in resp.h]
         entry["points"] = {"true": prob.Y.tolist(), "predicted": preds}
@@ -90,7 +86,7 @@ def run_noise_curve(n: int = 1000, d: int = 50,
             prob = make_noisy_problem(n=n, d=d, p=p, seed=seed)
             test_rng = np.random.default_rng([seed, 9173])
             X_test = test_rng.standard_normal((d, test_n))
-            Y_test = prob.Q_gold.Q @ X_test
+            Y_test = prob.Q_gold @ X_test
             for method in methods:
                 Q, _, _, _ = fit_translation(method, prob.X, prob.Y)
                 train_err = alignment_error(Q, prob.X, prob.Y, mask=prob.clean_mask)

@@ -14,43 +14,47 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .align import (
-    TranslationMatrix,
-    _parse_matrix,
-    _write_matrix,
-    procrustes,
-    weighted_procrustes,
-)
+from .align import _parse_matrix, _write_matrix, procrustes, weighted_procrustes
 from .io import DataError, Lexicon
 
 VAR_FLOOR = 1e-12
+# largest ||Q^T Q - I||_F an AlignmentModel accepts
+ORTHO_TOL = 1e-8
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass
 class AlignmentModel:
-    """Fitted mixture: orthogonal map Q plus component parameters."""
+    """Fitted mixture: orthogonal map Q plus component parameters.
 
-    Q: TranslationMatrix
+    Q is a plain float64 d x d array. Building a model is where its
+    orthogonality is checked: ||Q^T Q - I||_F must be at most ORTHO_TOL.
+    """
+
+    Q: np.ndarray
     sigma2: float
     mu_y: np.ndarray
     sigma_y2: float
     alpha: float
 
     def __post_init__(self):
+        self.Q = np.asarray(self.Q, dtype=np.float64)
         self.mu_y = np.asarray(self.mu_y, dtype=np.float64)
         if not (0 < self.sigma2 < np.inf and 0 < self.sigma_y2 < np.inf):
             raise ValueError("component variances must be positive and finite")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if not self.Q.orthogonal:
-            raise ValueError("Q must be orthogonal")
-        if self.mu_y.shape != (self.Q.dim,) or not np.isfinite(self.mu_y).all():
-            raise ValueError(f"mu_y must be a finite vector of length {self.Q.dim}")
+        if self.Q.ndim != 2 or self.Q.shape[0] != self.Q.shape[1]:
+            raise ValueError(f"Q must be square, got shape {self.Q.shape}")
+        resid = np.linalg.norm(self.Q.T @ self.Q - np.eye(self.dim))
+        if not resid <= ORTHO_TOL:  # also rejects NaN
+            raise ValueError(f"Q must be orthogonal, but ||Q^T Q - I||_F = {resid:.3g}")
+        if self.mu_y.shape != (self.dim,) or not np.isfinite(self.mu_y).all():
+            raise ValueError(f"mu_y must be a finite vector of length {self.dim}")
 
     @property
     def dim(self) -> int:
-        return self.Q.dim
+        return self.Q.shape[0]
 
 
 @dataclass
@@ -78,15 +82,12 @@ class EmConfig:
 
     epsilon: float | None = None
     max_iters: int = 100
-    mode: str = "hard"
 
     def __post_init__(self):
         if self.epsilon is not None and self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.mode not in ("hard", "soft"):
-            raise ValueError(f"mode must be 'hard' or 'soft', got {self.mode!r}")
 
 
 @dataclass
@@ -113,9 +114,9 @@ def log_gaussian_iso(y: np.ndarray, mean: np.ndarray, var: float) -> float:
     return -0.5 * d * (LOG_2PI + float(np.log(var))) - sq / (2.0 * var)
 
 
-def _aligned_residuals(Q: TranslationMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _aligned_residuals(Q: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Per-column squared residuals ||Q x_t - y_t||^2."""
-    return np.sum((Q.Q @ X - Y) ** 2, axis=0)
+    return np.sum((Q @ X - Y) ** 2, axis=0)
 
 
 def _noise_residuals(mu_y: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -123,19 +124,14 @@ def _noise_residuals(mu_y: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.sum((Y - mu_y[:, None]) ** 2, axis=0)
 
 
-def _component_logdensities(model: AlignmentModel, X: np.ndarray, Y: np.ndarray,
-                            r_aligned: np.ndarray | None = None,
-                            r_noise: np.ndarray | None = None):
+def _component_logdensities(model: AlignmentModel, r_aligned: np.ndarray,
+                            r_noise: np.ndarray):
     """Per-column log densities of both components, vectorized.
 
-    `r_aligned` and `r_noise`, when given, are `_aligned_residuals(model.Q,
-    X, Y)` and `_noise_residuals(model.mu_y, Y)`.
+    `r_aligned` and `r_noise` are `_aligned_residuals(model.Q, X, Y)` and
+    `_noise_residuals(model.mu_y, Y)`.
     """
-    d = X.shape[0]
-    if r_aligned is None:
-        r_aligned = _aligned_residuals(model.Q, X, Y)
-    if r_noise is None:
-        r_noise = _noise_residuals(model.mu_y, Y)
+    d = model.dim
     la = -0.5 * d * (LOG_2PI + np.log(model.sigma2)) - r_aligned / (2.0 * model.sigma2)
     ln = -0.5 * d * (LOG_2PI + np.log(model.sigma_y2)) - r_noise / (2.0 * model.sigma_y2)
     return la, ln
@@ -156,21 +152,20 @@ def _e_step(model: AlignmentModel, la: np.ndarray, ln: np.ndarray):
     return np.exp(la - total), float(np.sum(total))
 
 
-def _posterior_weights(model: AlignmentModel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Posterior aligned probabilities w_t for every column pair."""
-    return _e_step(model, *_component_logdensities(model, X, Y))[0]
-
-
 def posterior(model: AlignmentModel, x: np.ndarray, y: np.ndarray) -> float:
     """Posterior probability that the pair (x, y) is aligned."""
     x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
     y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    return float(_posterior_weights(model, x, y)[0])
+    la, ln = _component_logdensities(model, _aligned_residuals(model.Q, x, y),
+                                     _noise_residuals(model.mu_y, y))
+    return float(_e_step(model, la, ln)[0][0])
 
 
 def log_likelihood(model: AlignmentModel, X: np.ndarray, Y: np.ndarray) -> float:
     """Marginal log-likelihood sum_t log f(y_t | x_t) of the mixture."""
-    return _e_step(model, *_component_logdensities(model, X, Y))[1]
+    la, ln = _component_logdensities(model, _aligned_residuals(model.Q, X, Y),
+                                     _noise_residuals(model.mu_y, Y))
+    return _e_step(model, la, ln)[1]
 
 
 def _initialize(X: np.ndarray, Y: np.ndarray):
@@ -185,7 +180,7 @@ def _initialize(X: np.ndarray, Y: np.ndarray):
     mu_y = Y.mean(axis=1)
     noise_sum, r_noise = _sums_of_squares((Y - mu_y[:, None]) ** 2)
     sigma_y2 = max(noise_sum / (n * d), VAR_FLOOR)
-    aligned_sum, r_aligned = _sums_of_squares((Q.Q @ X - Y) ** 2)
+    aligned_sum, r_aligned = _sums_of_squares((Q @ X - Y) ** 2)
     sigma2 = max(aligned_sum / (n * d), VAR_FLOOR)
     model = AlignmentModel(Q=Q, sigma2=sigma2, mu_y=mu_y, sigma_y2=sigma_y2, alpha=0.5)
     return model, r_aligned, r_noise
@@ -227,18 +222,23 @@ def _complete_data_objective(model: AlignmentModel, la: np.ndarray, ln: np.ndarr
     return obj
 
 
-def _m_step(model: AlignmentModel, X: np.ndarray, Y: np.ndarray, w: np.ndarray):
+def _m_step(model: AlignmentModel, X: np.ndarray, Y: np.ndarray, w: np.ndarray,
+            r_aligned: np.ndarray, r_noise: np.ndarray):
     """Weighted Procrustes and weighted moments: the EM M-step for weights w.
+
+    `r_aligned` and `r_noise` are the `_aligned_residuals` and
+    `_noise_residuals` of `model`.
 
     Returns (model, degenerate, r, r0): a component whose total weight is
     at most VAR_FLOOR keeps its parameters from `model` and is degenerate;
-    r and r0 are `_aligned_residuals` of the new Q and `_noise_residuals`
-    of the new mu_y, each None when its component was kept.
+    r and r0 are `_aligned_residuals` of the returned Q and
+    `_noise_residuals` of the returned mu_y (a kept component's are the
+    ones given).
     """
     d, n = X.shape
     s1, s0 = float(w.sum()), float((1.0 - w).sum())
-    Q, sigma2, r = model.Q, model.sigma2, None
-    mu_y, sigma_y2, r0 = model.mu_y, model.sigma_y2, None
+    Q, sigma2, r = model.Q, model.sigma2, r_aligned
+    mu_y, sigma_y2, r0 = model.mu_y, model.sigma_y2, r_noise
     if s1 > VAR_FLOOR:
         Q = weighted_procrustes(X, Y, w)
         r = _aligned_residuals(Q, X, Y)
@@ -252,18 +252,20 @@ def _m_step(model: AlignmentModel, X: np.ndarray, Y: np.ndarray, w: np.ndarray):
     return fitted, s1 <= VAR_FLOOR or s0 <= VAR_FLOOR, r, r0
 
 
-def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None):
+def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
+           soft: bool = False):
     """Fit the noise-aware mixture by EM.
 
-    Both modes share one weighted M-step (`_m_step`) and differ only in
-    the E-step rounding and the objective: hard mode thresholds posteriors
-    at 0.5 (ties count as noise), weights pairs 0/1 and traces the
-    complete-data objective; soft mode weights them by their posteriors
-    and traces the marginal log-likelihood.
+    Hard EM (the default) and soft EM (`soft=True`) share one weighted
+    M-step (`_m_step`) and differ only in the E-step rounding and the
+    objective: hard EM thresholds posteriors at 0.5 (ties count as noise),
+    weights pairs 0/1 and traces the complete-data objective; soft EM
+    weights them by their posteriors and traces the marginal
+    log-likelihood.
     Iterates until |alpha_curr - alpha_prev| <= epsilon or max_iters.
 
     When an iteration leaves a component without weight (n1=0 or n1=n in
-    hard mode), that component's parameters are frozen at their previous
+    hard EM), that component's parameters are frozen at their previous
     values and the iteration is recorded in trace.degenerate_iters.
 
     Returns:
@@ -279,7 +281,7 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None):
     eps = cfg.epsilon if cfg.epsilon is not None else max(1.0 / (2 * n), 1e-4)
 
     model, r_aligned, r_noise = _initialize(X, Y)
-    w = _e_step(model, *_component_logdensities(model, X, Y, r_aligned, r_noise))[0]
+    w = _e_step(model, *_component_logdensities(model, r_aligned, r_noise))[0]
     trace = EmTrace()
     alpha_prev = np.inf
     for it in range(cfg.max_iters):
@@ -290,13 +292,13 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None):
 
         h = w > 0.5
         # hard EM is the same M-step with the 0/1 labels as weights
-        weights = h.astype(np.float64) if cfg.mode == "hard" else w
-        model, degenerate, r_aligned, r_noise = _m_step(model, X, Y, weights)
+        weights = w if soft else h.astype(np.float64)
+        model, degenerate, r_aligned, r_noise = _m_step(model, X, Y, weights,
+                                                        r_aligned, r_noise)
         # one pass over the data scores the new model and runs the next E-step
-        la, ln = _component_logdensities(model, X, Y, r_aligned, r_noise)
+        la, ln = _component_logdensities(model, r_aligned, r_noise)
         w, loglik = _e_step(model, la, ln)
-        objective = (_complete_data_objective(model, la, ln, h) if cfg.mode == "hard"
-                     else loglik)
+        objective = loglik if soft else _complete_data_objective(model, la, ln, h)
 
         if degenerate:
             trace.degenerate_iters.append(it)
@@ -320,7 +322,7 @@ def sample_generative(model: AlignmentModel, X: np.ndarray, seed: int):
     rng = np.random.default_rng(seed)
     z = rng.random(n) < model.alpha
     Y = np.empty((d, n))
-    mapped = model.Q.Q @ X
+    mapped = model.Q @ X
     noise = rng.standard_normal((d, n))
     sig_a = float(np.sqrt(model.sigma2))
     sig_n = float(np.sqrt(model.sigma_y2))
@@ -332,7 +334,7 @@ def sample_generative(model: AlignmentModel, X: np.ndarray, seed: int):
 def save_model(model: AlignmentModel, path) -> None:
     """Persist a fitted model as text (Q block, then scalar/vector lines)."""
     with open(path, "w", encoding="utf-8") as fh:
-        _write_matrix(fh, model.Q.Q)
+        _write_matrix(fh, model.Q)
         fh.write(f"sigma2 {model.sigma2:.17g}\n")
         fh.write("mu_y " + " ".join(f"{v:.17g}" for v in model.mu_y) + "\n")
         fh.write(f"sigma_y2 {model.sigma_y2:.17g}\n")
@@ -346,7 +348,7 @@ def load_model(path) -> AlignmentModel:
     Q = _parse_matrix(lines, path)
     try:
         fields = {parts[0]: np.array(parts[1:], dtype=np.float64)
-                  for parts in map(str.split, lines[Q.dim + 1:]) if parts}
+                  for parts in map(str.split, lines[len(Q) + 1:]) if parts}
         return AlignmentModel(Q=Q, sigma2=float(fields["sigma2"][0]), mu_y=fields["mu_y"],
                               sigma_y2=float(fields["sigma_y2"][0]),
                               alpha=float(fields["alpha"][0]))

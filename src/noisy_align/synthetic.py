@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .align import TranslationMatrix, random_orthogonal
+from .align import random_orthogonal
 
 
 @dataclass
@@ -15,7 +15,7 @@ class SyntheticProblem:
 
     X: np.ndarray
     Y: np.ndarray
-    Q_gold: TranslationMatrix
+    Q_gold: np.ndarray
     clean_mask: np.ndarray
     p: float
     seed: int
@@ -35,7 +35,7 @@ def make_noisy_problem(n: int, d: int, p: float, seed: int) -> SyntheticProblem:
     rng = np.random.default_rng(seed)
     Q_gold = random_orthogonal(d, seed)
     X = rng.standard_normal((d, n))
-    Y = Q_gold.Q @ X
+    Y = Q_gold @ X
     n_noisy = int(round(p * n))
     clean_mask = np.ones(n, dtype=bool)
     if n_noisy:

@@ -5,7 +5,6 @@ import pytest
 
 from noisy_align.align import (
     SgdConfig,
-    TranslationMatrix,
     alignment_error,
     load_matrix,
     procrustes,
@@ -20,6 +19,10 @@ from noisy_align.io import DataError
 
 def objective(Q, X, Y):
     return np.sum((Q @ X - Y) ** 2)
+
+
+def ortho_residual(Q):
+    return np.linalg.norm(Q.T @ Q - np.eye(Q.shape[0]))
 
 
 def sgd_oracle(X, Y, lr, epochs, batch_size, seed):
@@ -54,23 +57,23 @@ class TestProcrustes:
     def test_identity_case(self):
         X = np.random.default_rng(0).standard_normal((3, 10))
         Q = procrustes(X, X)
-        assert Q.orthogonal
-        assert np.allclose(Q.Q, np.eye(3), atol=1e-10)
+        assert ortho_residual(Q) <= 1e-8
+        assert np.allclose(Q, np.eye(3), atol=1e-10)
 
     def test_planted_recovery(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((2, 10))
         R = random_orthogonal(2, seed=5)
-        Q = procrustes(X, R.Q @ X)
-        assert np.linalg.norm(Q.Q - R.Q) < 1e-10
+        Q = procrustes(X, R @ X)
+        assert np.linalg.norm(Q - R) < 1e-10
 
     @pytest.mark.parametrize("seed", range(5))
     def test_2d_grid_search_oracle(self, seed):
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((2, 12))
-        Y = random_orthogonal(2, seed).Q @ X + 0.3 * rng.standard_normal((2, 12))
+        Y = random_orthogonal(2, seed) @ X + 0.3 * rng.standard_normal((2, 12))
         Q = procrustes(X, Y)
-        assert objective(Q.Q, X, Y) <= grid_search_2d(X, Y) + 1e-6
+        assert objective(Q, X, Y) <= grid_search_2d(X, Y) + 1e-6
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -100,22 +103,22 @@ class TestProcrustes:
             warnings.simplefilter("always")
             Q = procrustes(X, X)
         assert any("rank-deficient" in str(w.message) for w in caught) == warns
-        assert Q.orthogonal
+        assert ortho_residual(Q) <= 1e-8
 
     @pytest.mark.parametrize("d,n", [(2, 5), (5, 40), (50, 500), (300, 2000)])
     def test_orthogonality_residual(self, d, n):
         rng = np.random.default_rng(d)
         Q = procrustes(rng.standard_normal((d, n)), rng.standard_normal((d, n)))
-        assert np.linalg.norm(Q.Q.T @ Q.Q - np.eye(d)) <= 1e-8
+        assert ortho_residual(Q) <= 1e-8
 
     @pytest.mark.parametrize("seed", range(10))
     def test_left_rotation_equivariance(self, seed):
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((4, 30))
         Y = rng.standard_normal((4, 30))
-        R = random_orthogonal(4, seed + 100).Q
-        Q1 = procrustes(X, R @ Y).Q
-        Q2 = R @ procrustes(X, Y).Q
+        R = random_orthogonal(4, seed + 100)
+        Q1 = procrustes(X, R @ Y)
+        Q2 = R @ procrustes(X, Y)
         assert np.linalg.norm(Q1 - Q2) < 1e-8
 
 
@@ -124,7 +127,7 @@ class TestWeightedProcrustes:
         rng = np.random.default_rng(2)
         X, Y = rng.standard_normal((3, 20)), rng.standard_normal((3, 20))
         Qw = weighted_procrustes(X, Y, np.ones(20))
-        assert np.allclose(Qw.Q, procrustes(X, Y).Q, atol=1e-12)
+        assert np.allclose(Qw, procrustes(X, Y), atol=1e-12)
 
     def test_indicator_reduces_to_subset(self):
         rng = np.random.default_rng(3)
@@ -133,16 +136,16 @@ class TestWeightedProcrustes:
         w[:8] = 1.0
         Qw = weighted_procrustes(X, Y, w)
         Qs = procrustes(X[:, :8], Y[:, :8])
-        assert np.allclose(Qw.Q, Qs.Q, atol=1e-12)
+        assert np.allclose(Qw, Qs, atol=1e-12)
 
     def test_beats_random_orthogonal_probes(self):
         rng = np.random.default_rng(4)
         X, Y = rng.standard_normal((3, 20)), rng.standard_normal((3, 20))
         w = rng.random(20)
-        Q = weighted_procrustes(X, Y, w).Q
+        Q = weighted_procrustes(X, Y, w)
         best = np.sum(w * np.sum((Q @ X - Y) ** 2, axis=0))
         for seed in range(1000):
-            R = random_orthogonal(3, seed).Q
+            R = random_orthogonal(3, seed)
             assert best <= np.sum(w * np.sum((R @ X - Y) ** 2, axis=0)) + 1e-9
 
     def test_all_zero_weights(self):
@@ -159,10 +162,10 @@ class TestSgdAlign:
     def test_planted_recovery(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((3, 30))
-        R = random_orthogonal(3, 9).Q
+        R = random_orthogonal(3, 9)
         Q = sgd_align(X, R @ X, self.stable_cfg(X))
-        assert not Q.orthogonal
-        assert np.linalg.norm(Q.Q - R) < 1e-3
+        assert Q.dtype == np.float64 and Q.shape == (3, 3)
+        assert np.linalg.norm(Q - R) < 1e-3
 
     @pytest.mark.parametrize("seed", range(5))
     def test_normal_equations_oracle(self, seed):
@@ -170,7 +173,7 @@ class TestSgdAlign:
         d = int(rng.integers(2, 11))
         X = rng.standard_normal((d, d + 20))
         Y = rng.standard_normal((d, d + 20))
-        Q = sgd_align(X, Y, self.stable_cfg(X, epochs=5000)).Q
+        Q = sgd_align(X, Y, self.stable_cfg(X, epochs=5000))
         Q_star = Y @ X.T @ np.linalg.inv(X @ X.T)
         assert np.linalg.norm(Q - Q_star) < 1e-3
 
@@ -186,7 +189,7 @@ class TestSgdAlign:
         rng = np.random.default_rng(7)
         X, Y = rng.standard_normal((3, 40)), rng.standard_normal((3, 40))
         cfg = SgdConfig(learning_rate=1e-3, epochs=10, batch_size=8, seed=3)
-        assert np.array_equal(sgd_align(X, Y, cfg).Q, sgd_align(X, Y, cfg).Q)
+        assert np.array_equal(sgd_align(X, Y, cfg), sgd_align(X, Y, cfg))
 
     @pytest.mark.parametrize("d,n,batch_size,seed", [
         (3, 40, 8, 3), (5, 37, 10, 0), (4, 12, 1, 1), (8, 30, 29, 2),
@@ -196,14 +199,14 @@ class TestSgdAlign:
         X, Y = rng.standard_normal((d, n)), rng.standard_normal((d, n))
         lr = 0.4 / np.linalg.norm(X @ X.T, ord=2)
         cfg = SgdConfig(epochs=7, batch_size=batch_size, seed=seed)
-        assert np.array_equal(sgd_align(X, Y, cfg).Q,
+        assert np.array_equal(sgd_align(X, Y, cfg),
                               sgd_oracle(X, Y, lr, 7, batch_size, seed))
 
     @pytest.mark.parametrize("batch_size", [None, 40, 100])
     def test_full_batch_ignores_seed(self, batch_size):
         rng = np.random.default_rng(8)
         X, Y = rng.standard_normal((3, 40)), rng.standard_normal((3, 40))
-        fits = [sgd_align(X, Y, SgdConfig(epochs=20, batch_size=batch_size, seed=seed)).Q
+        fits = [sgd_align(X, Y, SgdConfig(epochs=20, batch_size=batch_size, seed=seed))
                 for seed in (0, 1, 2)]
         assert all(np.array_equal(fits[0], Q) for Q in fits[1:])
 
@@ -227,20 +230,21 @@ class TestRandomOrthogonal:
     @pytest.mark.parametrize("d,seed", [(1, 0), (2, 1), (5, 2), (50, 3), (300, 4)])
     def test_orthogonality(self, d, seed):
         Q = random_orthogonal(d, seed)
-        assert np.linalg.norm(Q.Q.T @ Q.Q - np.eye(d)) < 1e-10
+        assert Q.dtype == np.float64 and Q.shape == (d, d)
+        assert ortho_residual(Q) < 1e-10
 
     def test_d1_is_sign(self):
-        values = {float(random_orthogonal(1, s).Q[0, 0]) for s in range(20)}
+        values = {float(random_orthogonal(1, s)[0, 0]) for s in range(20)}
         assert values <= {1.0, -1.0}
         assert len(values) == 2
 
     def test_monte_carlo_symmetry(self):
         # distribution invariance implies E[Q[0,0]] = 0
-        mean = np.mean([random_orthogonal(3, s).Q[0, 0] for s in range(10_000)])
+        mean = np.mean([random_orthogonal(3, s)[0, 0] for s in range(10_000)])
         assert abs(mean) < 0.05
 
     def test_deterministic(self):
-        assert np.array_equal(random_orthogonal(4, 11).Q, random_orthogonal(4, 11).Q)
+        assert np.array_equal(random_orthogonal(4, 11), random_orthogonal(4, 11))
 
 
 class TestAlignmentError:
@@ -248,7 +252,7 @@ class TestAlignmentError:
         rng = np.random.default_rng(8)
         X = rng.standard_normal((3, 10))
         R = random_orthogonal(3, 0)
-        assert alignment_error(R, X, R.Q @ X) == 0.0
+        assert alignment_error(R, X, R @ X) == 0.0
 
     def test_hand_computed(self):
         X = np.array([[1.0], [0.0]])
@@ -284,8 +288,15 @@ def test_matrix_save_load_round_trip(tmp_path):
     path = tmp_path / "matrix.txt"
     save_matrix(Q, path)
     loaded = load_matrix(path)
-    assert loaded.orthogonal
-    assert np.array_equal(loaded.Q, Q.Q)
+    assert loaded.dtype == np.float64
+    assert np.array_equal(loaded, Q)
+
+
+def test_load_matrix_keeps_a_non_orthogonal_map(tmp_path):
+    # an SGD map is not orthogonal; only an AlignmentModel requires it
+    Q = np.array([[2.0, 0.5], [0.0, 1.0]])
+    save_matrix(Q, tmp_path / "matrix.txt")
+    assert np.array_equal(load_matrix(tmp_path / "matrix.txt"), Q)
 
 
 @pytest.mark.parametrize("text", ["", "\n", "2\n1 0\n", "2\n1 0\n0 x\n",
@@ -296,7 +307,3 @@ def test_load_matrix_rejects_bad_file(tmp_path, text):
     with pytest.raises(DataError):
         load_matrix(path)
 
-
-def test_orthogonal_tag_validated():
-    with pytest.raises(ValueError, match="orthogonal"):
-        TranslationMatrix(np.array([[2.0, 0.0], [0.0, 1.0]]), orthogonal=True)

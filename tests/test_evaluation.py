@@ -24,6 +24,11 @@ def make_set(tokens, vectors):
     return EmbeddingSet(dim=vectors.shape[0], tokens=list(tokens), vectors=vectors)
 
 
+# a 45-degree rotation maps [a, a] to [0, sqrt(2) a], which overflows for a = 1.5e308
+ROT45 = np.sqrt(0.5) * np.array([[1.0, -1.0], [1.0, 1.0]])
+HUGE = 1.5e308
+
+
 def random_set(n_tokens, d, seed, prefix="w"):
     rng = np.random.default_rng(seed)
     return make_set([f"{prefix}{i}" for i in range(n_tokens)],
@@ -119,7 +124,7 @@ def test_kernel_matches_per_query_oracle(seed, d, V, rows, blocks, ragged,
     vectors[:, rng.integers(V, size=n_zero)] = 0.0
     index = build_index(make_set([f"t{i}" for i in range(V)], vectors))
     X = rng.standard_normal((d, 12))
-    Q = random_orthogonal(d, seed % 1000).Q
+    Q = random_orthogonal(d, seed % 1000)
     # several blocks of `rows` queries and a shorter last block
     n = rows * blocks + 1 + ragged % (rows - 1)
     cols = rng.integers(12, size=n)
@@ -152,13 +157,25 @@ class TestSearchKernel:
         # 500 queries over 2000 targets span four score blocks, the last ragged
         src = random_set(2000, 50, seed=22)
         tgt = random_set(2000, 50, seed=23, prefix="t")
-        Q = random_orthogonal(50, 24).Q
+        Q = random_orthogonal(50, 24)
         tgt = make_set(tgt.tokens, Q @ src.vectors + 0.8 * tgt.vectors)
         index = build_index(tgt)
         assert evaluation.SCORE_BLOCK_BYTES // (8 * 2000) < 500 // 2
         top, _, _ = evaluation._search(index, Q, src.vectors, np.arange(500), 1)
         assert top[:, 0].tolist() == [oracle_top_k(index, Q @ src.vectors[:, i], 1)[0]
                                       for i in range(500)]
+
+
+def test_mapped_keeps_the_bits_of_finite_products():
+    rng = np.random.default_rng(16)
+    Q, X = rng.standard_normal((4, 4)), rng.standard_normal((4, 30))
+    X[:, 7] = HUGE
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = Q @ X
+    M = evaluation._mapped(Q, X)
+    keep = np.arange(30) != 7
+    assert not np.isfinite(plain[:, 7]).all() and np.isfinite(M).all()
+    assert np.array_equal(M[:, keep], plain[:, keep])
 
 
 class TestPrecisionAt1:
@@ -191,7 +208,7 @@ class TestPrecisionAt1:
         rng = np.random.default_rng(2)
         src = random_set(8, 3, seed=2)
         tgt = random_set(8, 3, seed=3, prefix="t")
-        Q = random_orthogonal(3, 4).Q
+        Q = random_orthogonal(3, 4)
         pairs = [(i, (i * 3) % 8) for i in range(8)]
         base, _ = precision_at_1(Q, Lexicon(pairs=pairs), src, tgt)
         scaled = make_set(tgt.tokens, tgt.vectors * rng.uniform(0.1, 5.0, 8))
@@ -213,12 +230,32 @@ class TestPrecisionAt1:
         assert n == 6 and p == pytest.approx(5 / 6)
         assert "1 of 6 queries have a zero mapped vector" in caplog.text
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_mapped_query_is_retrieved(self, caplog):
+        src = make_set(["huge", "one"], [[HUGE, 1.0], [HUGE, 1.0]])
+        tgt = make_set(["east", "north", "west"], [[1.0, 0.0, -1.0], [0.0, 1.0, 0.2]])
+        top, _, zero = evaluation._search(build_index(tgt), ROT45, src.vectors, [0, 1], 1)
+        assert top[:, 0].tolist() == [1, 1] and not zero.any()
+        lex = Lexicon(pairs=[(0, 1), (1, 1)])
+        with caplog.at_level(logging.WARNING, logger="noisy_align.evaluation"):
+            assert precision_at_1(ROT45, lex, src, tgt) == (1.0, 2)
+        assert caplog.text == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_map_overflowing_every_scale_is_a_logged_miss(self, caplog):
+        emb = make_set(["a", "b"], np.eye(2))
+        with caplog.at_level(logging.WARNING, logger="noisy_align.evaluation"):
+            p, n = precision_at_1(np.full((2, 2), 1e308), Lexicon(pairs=[(0, 1)]),
+                                  make_set(["a", "b"], np.ones((2, 2))), emb)
+        assert (p, n) == (0.0, 1)
+        assert "1 of 1 queries have a zero mapped vector" in caplog.text
+
 
 class TestRankSemanticShift:
     def test_exact_token_ranks_last_with_zero_distance(self):
         emb = random_set(6, 4, seed=5)
         Q = random_orthogonal(4, 6)
-        tgt = make_set(emb.tokens, Q.Q @ emb.vectors)
+        tgt = make_set(emb.tokens, Q @ emb.vectors)
         tgt.vectors[:, 2] = np.random.default_rng(7).standard_normal(4)
         lex = build_identity_lexicon(emb, tgt)
         ranking, dropped = rank_semantic_shift(Q, lex, emb, tgt)
@@ -231,7 +268,7 @@ class TestRankSemanticShift:
         rng = np.random.default_rng(seed)
         src = random_set(1000, 10, seed=seed)
         Q = random_orthogonal(10, seed)
-        vectors = Q.Q @ src.vectors
+        vectors = Q @ src.vectors
         planted = int(rng.integers(1000))
         vectors[:, planted] = rng.standard_normal(10)
         tgt = make_set(src.tokens, vectors)
@@ -245,6 +282,16 @@ class TestRankSemanticShift:
                                          emb, emb)
         assert ranking == [("t", 0.0, "")]
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_mapped_vector_keeps_its_distance(self):
+        src = make_set(["huge", "one"], [[HUGE, 1.0], [HUGE, 1.0]])
+        tgt = make_set(["huge", "one"], [[0.3, 0.3], [1.0, 1.0]])
+        ranking, _ = rank_semantic_shift(ROT45, build_identity_lexicon(src, tgt),
+                                         src, tgt)
+        dist = {token: d for token, d, _ in ranking}
+        assert 0.0 < dist["one"] < 1.0
+        assert abs(dist["huge"] - dist["one"]) <= 1e-15
+
     @pytest.mark.parametrize("scale", [1e-170, 3e-162, 1e-150, 1.0, 1e200])
     def test_distances_match_mpmath_at_any_scale(self, scale):
         # np.linalg.norm squares first: below about 1e-154 squares leave
@@ -257,7 +304,7 @@ class TestRankSemanticShift:
         ranking, _ = rank_semantic_shift(Q, build_identity_lexicon(src, tgt), src, tgt)
         assert len(ranking) == 5
         with mpmath.workdps(50):
-            q = mpmath.matrix(Q.Q.tolist())
+            q = mpmath.matrix(Q.tolist())
             for token, dist, _ in ranking:
                 x = q * mpmath.matrix(src.vector(token).tolist())
                 y = mpmath.matrix(tgt.vector(token).tolist())
@@ -289,12 +336,12 @@ class TestRankSemanticShift:
         src = random_set(20, 5, seed=10)
         tgt = random_set(20, 5, seed=11, prefix="w")
         Q = random_orthogonal(5, 12)
-        R = random_orthogonal(5, 13).Q
+        R = random_orthogonal(5, 13)
         lex = build_identity_lexicon(src, tgt)
         base, _ = rank_semantic_shift(Q, lex, src, tgt)
         rot_src = make_set(src.tokens, src.vectors)
         rot_tgt = make_set(tgt.tokens, R @ tgt.vectors)
-        rotated, _ = rank_semantic_shift(R @ Q.Q, lex, rot_src, rot_tgt)
+        rotated, _ = rank_semantic_shift(R @ Q, lex, rot_src, rot_tgt)
         for (t1, d1, _), (t2, d2, _) in zip(base, rotated):
             assert t1 == t2
             assert d1 == pytest.approx(d2, abs=1e-9)

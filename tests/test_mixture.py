@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -14,9 +16,10 @@ from noisy_align.mixture import (
     EmConfig,
     Responsibilities,
     _aligned_residuals,
+    _component_logdensities,
+    _e_step,
     _initialize,
     _noise_residuals,
-    _posterior_weights,
     em_fit,
     initialize,
     load_model,
@@ -44,6 +47,29 @@ def mp_log_gaussian(y, mean, var):
 def toy_model(d=2, alpha=0.5, sigma2=1.0, sigma_y2=1.0, seed=0):
     return AlignmentModel(Q=random_orthogonal(d, seed), sigma2=sigma2,
                           mu_y=np.zeros(d), sigma_y2=sigma_y2, alpha=alpha)
+
+
+class TestAlignmentModel:
+    @pytest.mark.parametrize("Q", [
+        pytest.param(np.diag([2.0, 1.0]), id="scaled"),
+        pytest.param((1 + 1e-7) * np.eye(2), id="barely-scaled"),
+        pytest.param(np.eye(2)[:, :1], id="non-square"),
+        pytest.param(np.ones(2), id="1-D"),
+        pytest.param(np.array([[np.nan, 0.0], [0.0, 1.0]]), id="nan"),
+    ])
+    def test_rejects_a_q_that_is_not_square_orthogonal(self, Q):
+        with pytest.raises(ValueError, match="Q must be"):
+            AlignmentModel(Q=Q, sigma2=1.0, mu_y=np.zeros(2), sigma_y2=1.0, alpha=0.5)
+
+    def test_q_is_a_float64_array(self):
+        model = AlignmentModel(Q=[[0, 1], [1, 0]], sigma2=1.0, mu_y=np.zeros(2),
+                               sigma_y2=1.0, alpha=0.5)
+        assert model.Q.dtype == np.float64 and model.dim == 2
+
+
+def test_em_config_has_no_mode():
+    # the EM variant is em_fit's `soft` flag, named nowhere else
+    assert [f.name for f in dataclasses.fields(EmConfig)] == ["epsilon", "max_iters"]
 
 
 class TestLogGaussianIso:
@@ -92,7 +118,7 @@ class TestPosterior:
         model = AlignmentModel(
             Q=random_orthogonal(1, 0), sigma2=1.0, mu_y=np.zeros(1),
             sigma_y2=1.0, alpha=0.5)
-        sign = model.Q.Q[0, 0]
+        sign = model.Q[0, 0]
         # ||Qx-y||^2/2 - ||y-mu||^2/2 = -2  =>  logN1 - logN0 = 2
         y = np.array([2.0])
         x = np.array([(y[0] - 0.0) * sign])  # aligned residual 0
@@ -105,7 +131,7 @@ class TestPosterior:
         rng = np.random.default_rng(seed)
         model = toy_model(d=3, alpha=0.5, sigma2=0.7, sigma_y2=1.3, seed=seed)
         x, y = rng.standard_normal(3), rng.standard_normal(3)
-        la = log_gaussian_iso(y, model.Q.Q @ x, model.sigma2)
+        la = log_gaussian_iso(y, model.Q @ x, model.sigma2)
         ln = log_gaussian_iso(y, model.mu_y, model.sigma_y2)
         assert (posterior(model, x, y) > 0.5) == (la > ln)
 
@@ -114,8 +140,8 @@ class TestLogLikelihood:
     def test_equal_components_single_pair(self):
         model = toy_model(d=2, alpha=0.5, seed=1)
         x = np.zeros(2)
-        y = (model.Q.Q @ x + model.mu_y) / 2 + np.array([0.0, 1.5])
-        p = log_gaussian_iso(y, model.Q.Q @ x, 1.0)
+        y = (model.Q @ x + model.mu_y) / 2 + np.array([0.0, 1.5])
+        p = log_gaussian_iso(y, model.Q @ x, 1.0)
         assert log_likelihood(model, x[:, None], y[:, None]) == pytest.approx(p)
 
     def test_alpha_one_exact_fit(self):
@@ -125,7 +151,7 @@ class TestLogLikelihood:
         model = AlignmentModel(Q=Q, sigma2=0.3, mu_y=np.zeros(d),
                                sigma_y2=1.0, alpha=1.0)
         want = n * (-0.5 * d * math.log(2 * math.pi * 0.3))
-        assert log_likelihood(model, X, Q.Q @ X) == pytest.approx(want)
+        assert log_likelihood(model, X, Q @ X) == pytest.approx(want)
 
     def test_extended_precision_oracle(self):
         rng = np.random.default_rng(4)
@@ -135,7 +161,7 @@ class TestLogLikelihood:
         with mpmath.workdps(60):
             total = mpmath.mpf(0)
             for t in range(n):
-                la = mp_log_gaussian(Y[:, t], model.Q.Q @ X[:, t], 0.5)
+                la = mp_log_gaussian(Y[:, t], model.Q @ X[:, t], 0.5)
                 ln = mp_log_gaussian(Y[:, t], model.mu_y, 2.0)
                 f = mpmath.mpf("0.3") * mpmath.exp(la) + mpmath.mpf("0.7") * mpmath.exp(ln)
                 total += mpmath.log(f)
@@ -148,7 +174,7 @@ class TestInitialize:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((3, 10))
         Q = random_orthogonal(3, 5)
-        model = initialize(X, Q.Q @ X)
+        model = initialize(X, Q @ X)
         assert model.sigma2 == VAR_FLOOR
 
     def test_constant_targets_floor_noise_variance(self):
@@ -166,7 +192,7 @@ class TestInitialize:
         model = initialize(X, Y)
         assert model.alpha == 0.5
         assert np.allclose(model.mu_y, Y.mean(axis=1), atol=1e-12)
-        sigma2 = sum(np.sum((model.Q.Q @ X[:, t] - Y[:, t]) ** 2)
+        sigma2 = sum(np.sum((model.Q @ X[:, t] - Y[:, t]) ** 2)
                      for t in range(n)) / (n * d)
         sigma_y2 = sum(np.sum((Y[:, t] - Y.mean(axis=1)) ** 2)
                        for t in range(n)) / (n * d)
@@ -190,25 +216,46 @@ class TestInitialize:
         assert np.array_equal(r, _aligned_residuals(model.Q, X, Y))
         assert np.array_equal(r0, _noise_residuals(model.mu_y, Y))
         public = initialize(X, Y)
-        assert np.array_equal(public.Q.Q, model.Q.Q) and public.sigma2 == model.sigma2
+        assert np.array_equal(public.Q, model.Q) and public.sigma2 == model.sigma2
 
     @pytest.mark.parametrize("mode", ["hard", "soft"])
     def test_em_fit_computes_each_residual_once(self, mode, monkeypatch):
         # the initial model's residuals reach the first E-step, and each
         # M-step's residuals the next one: no E-step recomputes Q @ X or
         # the noise residual
-        handed = []
-        densities = mixture._component_logdensities
-
-        def spy(model, X, Y, r_aligned=None, r_noise=None):
-            handed.append(r_aligned is not None and r_noise is not None)
-            return densities(model, X, Y, r_aligned, r_noise)
-
-        monkeypatch.setattr(mixture, "_component_logdensities", spy)
+        calls = count_residual_calls(monkeypatch)
         X, Y, _ = jittered_instance(12)
-        _, _, trace = em_fit(X, Y, EmConfig(mode=mode))
+        _, _, trace = em_fit(X, Y, soft=mode == "soft")
         assert trace.iterations >= 2 and not trace.degenerate_iters
-        assert handed == [True] * (trace.iterations + 1)
+        assert calls == {"_aligned_residuals": trace.iterations,
+                         "_noise_residuals": trace.iterations}
+
+    def test_kept_component_passes_its_residual_on(self, monkeypatch):
+        # an all-noise fit keeps Q in every iteration, so no Q @ X is redone
+        calls = count_residual_calls(monkeypatch)
+        X, Y = all_noise_instance()
+        _, _, trace = em_fit(X, Y)
+        assert trace.degenerate_iters == [0, 1]
+        assert calls == {"_noise_residuals": 2}
+
+
+def count_residual_calls(monkeypatch) -> Counter:
+    """Count the calls of the two residual helpers inside `mixture`."""
+    calls = Counter()
+    for name in ("_aligned_residuals", "_noise_residuals"):
+        def spy(*args, _name=name, _fn=getattr(mixture, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(mixture, name, spy)
+    return calls
+
+
+def all_noise_instance():
+    """Y far from every mapped x: the first hard E-step labels all pairs noise."""
+    rng = np.random.default_rng(10)
+    X = rng.standard_normal((5, 50))
+    Y = 100.0 + 0.1 * rng.standard_normal((5, 50))
+    return X, Y
 
 
 def jittered_instance(seed, d=None, n=None, p=None, jitter=0.05):
@@ -227,7 +274,7 @@ class TestEmFit:
         model, resp, trace = em_fit(prob.X, prob.Y)
         assert model.alpha == 1.0
         assert resp.h.all()
-        assert np.linalg.norm(model.Q.Q - prob.Q_gold.Q) < 1e-6
+        assert np.linalg.norm(model.Q - prob.Q_gold) < 1e-6
 
     def test_single_noisy_pair_2d(self):
         prob = make_noisy_problem(n=10, d=2, p=0.1, seed=3)
@@ -244,30 +291,30 @@ class TestEmFit:
 
     def test_deterministic_bit_for_bit(self):
         X, Y, _ = jittered_instance(11)
-        out1 = em_fit(X, Y, EmConfig(mode="soft"))
-        out2 = em_fit(X, Y, EmConfig(mode="soft"))
+        out1 = em_fit(X, Y, soft=True)
+        out2 = em_fit(X, Y, soft=True)
         assert out1[2].steps == out2[2].steps
-        assert np.array_equal(out1[0].Q.Q, out2[0].Q.Q)
+        assert np.array_equal(out1[0].Q, out2[0].Q)
         assert np.array_equal(out1[1].w, out2[1].w)
 
     @pytest.mark.parametrize("mode", ["hard", "soft"])
     def test_objective_monotone(self, mode):
         for seed in range(10):
             X, Y, _ = jittered_instance(seed + 50)
-            _, _, trace = em_fit(X, Y, EmConfig(mode=mode))
+            _, _, trace = em_fit(X, Y, soft=mode == "soft")
             objs = [obj for _, obj, _ in trace.steps]
             assert all(b >= a - 1e-9 for a, b in zip(objs, objs[1:]))
 
     def test_hard_trace_alpha_equals_n1_over_n(self):
         X, Y, prob = jittered_instance(21)
         n = X.shape[1]
-        _, _, trace = em_fit(X, Y, EmConfig(mode="hard"))
+        _, _, trace = em_fit(X, Y)
         for alpha, _, n1 in trace.steps:
             assert alpha == n1 / n
 
     def test_responsibility_invariants(self):
         X, Y, _ = jittered_instance(33)
-        _, resp, _ = em_fit(X, Y, EmConfig(mode="soft"))
+        _, resp, _ = em_fit(X, Y, soft=True)
         assert np.all((resp.w >= 0) & (resp.w <= 1))
         assert resp.n1 == int(resp.h.sum())
         assert np.array_equal(resp.h, resp.w > 0.5)
@@ -276,8 +323,11 @@ class TestEmFit:
     @pytest.mark.parametrize("max_iters", [1, 2, 100])
     def test_responsibilities_are_the_returned_models_e_step(self, mode, max_iters):
         prob = make_noisy_problem(n=500, d=20, p=0.3, seed=1)
-        model, resp, _ = em_fit(prob.X, prob.Y, EmConfig(max_iters=max_iters, mode=mode))
-        assert np.array_equal(resp.w, _posterior_weights(model, prob.X, prob.Y))
+        model, resp, _ = em_fit(prob.X, prob.Y, EmConfig(max_iters=max_iters),
+                                soft=mode == "soft")
+        la, ln = _component_logdensities(model, _aligned_residuals(model.Q, prob.X, prob.Y),
+                                         _noise_residuals(model.mu_y, prob.Y))
+        assert np.array_equal(resp.w, _e_step(model, la, ln)[0])
         assert np.array_equal(resp.h, resp.w > 0.5)
 
     def test_degenerate_all_aligned_is_frozen_not_fatal(self):
@@ -287,15 +337,12 @@ class TestEmFit:
         assert model.alpha == 1.0
 
     def test_degenerate_all_noise_keeps_q(self):
-        # Y far from every mapped x: the first hard E-step labels all pairs
-        # noise, so the M-step keeps Q and passes no residual on
-        rng = np.random.default_rng(10)
-        X = rng.standard_normal((5, 50))
-        Y = 100.0 + 0.1 * rng.standard_normal((5, 50))
+        # every M-step keeps the aligned component, Q included
+        X, Y = all_noise_instance()
         model, resp, trace = em_fit(X, Y)
         assert trace.degenerate_iters == [0, 1] and trace.converged
         assert model.alpha == 0.0 and resp.n1 == 0
-        assert np.array_equal(model.Q.Q, initialize(X, Y).Q.Q)
+        assert np.array_equal(model.Q, initialize(X, Y).Q)
 
     def test_max_iters_respected(self):
         X, Y, _ = jittered_instance(44)
@@ -303,17 +350,16 @@ class TestEmFit:
         assert trace.iterations <= 3
 
 
-def test_method_string_sets_mode_and_keeps_other_settings():
+def test_method_string_selects_soft_and_keeps_other_settings():
     X, Y, _ = jittered_instance(44)
-    cfg = EmConfig(mode="hard", max_iters=2, epsilon=1e-300)
+    cfg = EmConfig(max_iters=2, epsilon=1e-300)
     _, _, resp, trace = fit_translation("em-soft", X, Y, em_cfg=cfg)
-    _, soft_resp, soft_trace = em_fit(X, Y, EmConfig(mode="soft", max_iters=2,
-                                                     epsilon=1e-300))
-    _, _, hard_trace = em_fit(X, Y, cfg)
+    _, soft_resp, soft_trace = em_fit(X, Y, cfg, soft=True)
+    _, _, hard_resp, hard_trace = fit_translation("em-hard", X, Y, em_cfg=cfg)
     assert trace.iterations == 2 and not trace.converged
     assert trace.steps == soft_trace.steps != hard_trace.steps
     assert np.array_equal(resp.w, soft_resp.w)
-    assert cfg.mode == "hard"  # the caller's config is not modified
+    assert hard_trace.steps == em_fit(X, Y, cfg)[2].steps
 
 
 class TestSampleGenerative:
@@ -324,7 +370,7 @@ class TestSampleGenerative:
                                mu_y=np.zeros(3), sigma_y2=1.0, alpha=1.0)
         Y, z = sample_generative(model, X, seed=0)
         assert z.all()
-        assert np.allclose(Y, model.Q.Q @ X, atol=1e-4)
+        assert np.allclose(Y, model.Q @ X, atol=1e-4)
 
     def test_alpha_zero_centers_on_noise_mean(self):
         rng = np.random.default_rng(13)
@@ -356,7 +402,7 @@ def test_model_save_load_round_trip(tmp_path):
     path = tmp_path / "model.txt"
     save_model(model, path)
     loaded = load_model(path)
-    assert np.array_equal(loaded.Q.Q, model.Q.Q)
+    assert np.array_equal(loaded.Q, model.Q)
     assert loaded.sigma2 == model.sigma2
     assert np.array_equal(loaded.mu_y, model.mu_y)
     assert loaded.sigma_y2 == model.sigma_y2
@@ -380,6 +426,16 @@ def test_load_model_rejects_bad_file(tmp_path, text):
     path = tmp_path / "model.txt"
     path.write_text(text)
     with pytest.raises(DataError):
+        load_model(path)
+
+
+def test_load_model_rejects_a_non_orthogonal_q(tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(toy_model(), path)
+    lines = path.read_text().splitlines()
+    lines[1] = " ".join(str(2.0 * float(v)) for v in lines[1].split())
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="orthogonal"):
         load_model(path)
 
 

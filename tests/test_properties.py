@@ -9,10 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from noisy_align.align import (
     SgdConfig,
-    TranslationMatrix,
     alignment_error,
     load_matrix,
-    mean_alignment_error,
     procrustes,
     random_orthogonal,
     sgd_align,
@@ -26,6 +24,7 @@ from noisy_align.io import (
     load_stoplist,
 )
 from noisy_align.mixture import (
+    ORTHO_TOL,
     VAR_FLOOR,
     AlignmentModel,
     _aligned_residuals,
@@ -49,8 +48,12 @@ def instance(seed, d, n):
 @given(seed=st.integers(0, 2**31 - 1), d=st.integers(1, 8), n=st.integers(1, 40))
 def test_procrustes_is_orthogonal(seed, d, n):
     X, Y = instance(seed, d, n)
-    Q = procrustes(X, Y)
-    assert np.linalg.norm(Q.Q.T @ Q.Q - np.eye(d)) <= 1e-8
+    # Gaussian columns have full rank, so the rank falls below d exactly when n < d
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        Q = procrustes(X, Y)
+    assert any("rank-deficient" in str(w.message) for w in caught) == (n < d)
+    assert np.linalg.norm(Q.T @ Q - np.eye(d)) <= 1e-8
 
 
 @settings(max_examples=50, deadline=None)
@@ -62,7 +65,7 @@ def test_full_batch_sgd_matches_per_epoch_oracle(seed, d, n, epochs):
     # the sums run in another order, so they agree to roundoff, not bitwise
     X, Y = instance(seed, d, n)
     lr = 0.4 / max(float(np.linalg.norm(X @ X.T, ord=2)), 1e-12)
-    Q = sgd_align(X, Y, SgdConfig(epochs=epochs, seed=seed)).Q
+    Q = sgd_align(X, Y, SgdConfig(epochs=epochs, seed=seed))
     Q_ref = sgd_oracle(X, Y, lr, epochs, n, seed)
     assert np.linalg.norm(Q - Q_ref) <= 1e-10 * np.linalg.norm(Q_ref)
 
@@ -72,22 +75,13 @@ def test_full_batch_sgd_matches_per_epoch_oracle(seed, d, n, epochs):
        split=st.integers(1, 29))
 def test_alignment_error_additive_over_disjoint_masks(seed, d, n, split):
     X, Y = instance(seed, d, n)
-    Q = random_orthogonal(d, seed % 1000).Q
+    Q = random_orthogonal(d, seed % 1000)
     mask = np.zeros(n, dtype=bool)
     mask[: max(1, split % n)] = True
     if (~mask).sum() == 0:
         return
     total = alignment_error(Q, X, Y, mask) + alignment_error(Q, X, Y, ~mask)
     assert np.isclose(total, alignment_error(Q, X, Y), rtol=1e-12)
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1), d=st.integers(1, 6), n=st.integers(1, 30))
-def test_mean_error_is_sum_over_count(seed, d, n):
-    X, Y = instance(seed, d, n)
-    Q = random_orthogonal(d, seed % 1000).Q
-    assert np.isclose(mean_alignment_error(Q, X, Y),
-                      alignment_error(Q, X, Y) / n, rtol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -119,7 +113,10 @@ def test_m_step_with_01_weights_equals_subset_fit(seed, frac):
     rng = np.random.default_rng(seed)
     mask = rng.random(n) < frac
     mask[rng.choice(n, 2, replace=False)] = [True, False]
-    model, degenerate, r, r0 = _m_step(initialize(X, Y), X, Y, mask.astype(np.float64))
+    start = initialize(X, Y)
+    model, degenerate, r, r0 = _m_step(start, X, Y, mask.astype(np.float64),
+                                       _aligned_residuals(start.Q, X, Y),
+                                       _noise_residuals(start.mu_y, Y))
     Xa, Ya, Yn = X[:, mask], Y[:, mask], Y[:, ~mask]
     n1 = Xa.shape[1]
     with warnings.catch_warnings():  # subsets narrower than d are rank-deficient
@@ -130,7 +127,7 @@ def test_m_step_with_01_weights_equals_subset_fit(seed, frac):
     assert np.array_equal(r, _aligned_residuals(model.Q, X, Y))
     assert np.array_equal(r0, _noise_residuals(model.mu_y, Y))
     # Q is unique on the span of the selected columns, not beyond it
-    assert np.abs(model.Q.Q @ Xa - Qa.Q @ Xa).max() <= 1e-10
+    assert np.abs(model.Q @ Xa - Qa @ Xa).max() <= 1e-10
     sigma2 = max(alignment_error(Qa, Xa, Ya) / (d * n1), VAR_FLOOR)
     assert abs(model.sigma2 - sigma2) <= 1e-10
     assert np.abs(model.mu_y - mu).max() <= 1e-10
@@ -176,13 +173,15 @@ def test_loaders_give_valid_object_or_data_error(text):
         except DataError:
             pass
         else:
-            assert isinstance(Q, TranslationMatrix) and np.isfinite(Q.Q).all()
+            assert isinstance(Q, np.ndarray) and Q.dtype == np.float64
+            assert Q.ndim == 2 and Q.shape[0] == Q.shape[1] and np.isfinite(Q).all()
         try:
             model = load_model(path)
         except DataError:
             pass
         else:
-            assert model.Q.orthogonal and model.mu_y.shape == (model.dim,)
+            assert np.linalg.norm(model.Q.T @ model.Q - np.eye(model.dim)) <= ORTHO_TOL
+            assert model.mu_y.shape == (model.dim,)
             assert np.isfinite([model.sigma2, model.sigma_y2, model.alpha]).all()
 
 

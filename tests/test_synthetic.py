@@ -7,7 +7,7 @@ from noisy_align.synthetic import make_noisy_problem
 def test_noise_free_is_exact():
     prob = make_noisy_problem(n=100, d=5, p=0.0, seed=0)
     assert prob.clean_mask.all()
-    assert np.array_equal(prob.Y, prob.Q_gold.Q @ prob.X)
+    assert np.array_equal(prob.Y, prob.Q_gold @ prob.X)
 
 
 def test_single_noisy_pair_at_ten_percent():
@@ -20,7 +20,7 @@ def test_exact_noisy_count(n, p):
     prob = make_noisy_problem(n=n, d=3, p=p, seed=2)
     assert (~prob.clean_mask).sum() == int(round(p * n))
     clean = prob.clean_mask
-    assert np.allclose(prob.Y[:, clean], prob.Q_gold.Q @ prob.X[:, clean])
+    assert np.allclose(prob.Y[:, clean], prob.Q_gold @ prob.X[:, clean])
 
 
 def test_deterministic_per_seed():
