@@ -21,8 +21,8 @@ d, vocab = 20, 200
 Q_gold = random_orthogonal(d, seed=1)
 src_vec = rng.standard_normal((d, vocab))
 
-src = EmbeddingSet(dim=d, tokens=[f"en_{i}" for i in range(vocab)], vectors=src_vec)
-tgt = EmbeddingSet(dim=d, tokens=[f"it_{i}" for i in range(vocab)],
+src = EmbeddingSet(tokens=[f"en_{i}" for i in range(vocab)], vectors=src_vec)
+tgt = EmbeddingSet(tokens=[f"it_{i}" for i in range(vocab)],
                    vectors=Q_gold @ src_vec)
 
 n_train = 150

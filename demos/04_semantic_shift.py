@@ -24,8 +24,8 @@ new_vec = drift @ old_vec
 shifted = sorted(rng.choice(vocab, size=n_shifted, replace=False).tolist())
 new_vec[:, shifted] = rng.standard_normal((d, n_shifted))  # meaning changed
 
-old = EmbeddingSet(dim=d, tokens=tokens, vectors=old_vec)
-new = EmbeddingSet(dim=d, tokens=tokens, vectors=new_vec)
+old = EmbeddingSet(tokens=tokens, vectors=old_vec)
+new = EmbeddingSet(tokens=tokens, vectors=new_vec)
 
 lex = build_identity_lexicon(old, new)
 X, Y = gather_pairs(lex, old, new)

@@ -166,17 +166,28 @@ def alignment_error(Q: np.ndarray, X: np.ndarray, Y: np.ndarray,
 
     With `mask` (boolean per column or index list), restricted to the
     selected columns.
+
+    Raises:
+        DataError: the error does not fit in a float64 (for example a
+            map with huge entries makes Q @ X or the sum of squares
+            overflow).
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     _check_pair_shapes(X, Y)
-    resid = Q @ X - Y
-    if mask is not None:
-        mask = np.asarray(mask)
-        resid = resid[:, mask]
-        if resid.shape[1] == 0:
-            raise ValueError("empty column mask")
-    return float(np.sum(resid * resid))
+    # overflow is reported below rather than warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = Q @ X - Y
+        if mask is not None:
+            mask = np.asarray(mask)
+            resid = resid[:, mask]
+            if resid.shape[1] == 0:
+                raise ValueError("empty column mask")
+        err = float(np.sum(resid * resid))
+    if not np.isfinite(err):
+        raise DataError("alignment error overflows float64: the map or the "
+                        "vectors are too large")
+    return err
 
 
 def _write_matrix(fh, Q: np.ndarray) -> None:

@@ -3,7 +3,8 @@
 Subcommands: align, evaluate, synthetic-2d, noise-curve, diachronic and
 clean-lexicon (align emitting only the cleaned-lexicon TSV). Each takes
 only the flags it reads, and abbreviated flags are rejected. Exit codes:
-0 success, 1 usage error, 2 data error.
+0 success, 1 usage error (printed after the subcommand's usage line),
+2 data error.
 
 A `--config FILE` of `key = value` lines supplies defaults: each line
 becomes the token `--key=value`, inserted right after the command name.
@@ -41,14 +42,21 @@ from .experiments import (
 from .mixture import EmConfig, save_model, write_responsibilities_tsv
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, **kwargs):
+    """`check(args)` returns the usage error of flags that are invalid
+    together, or None; it runs once this parser has parsed its flags."""
+
+    def __init__(self, check=None, **kwargs):
         # no prefix matching: `--seed` must not pass for noise-curve's `--seeds`
         super().__init__(allow_abbrev=False, **kwargs)
+        self.check = check
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        problem = self.check and self.check(namespace)
+        if problem:
+            self.error(problem)
+        return namespace, extras
 
     # spec'd exit codes: usage errors are 1, not argparse's default 2
     def error(self, message):
@@ -130,9 +138,36 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_em_args(p: argparse.ArgumentParser) -> None:
+    # None: not given, so EmConfig's default applies
     p.add_argument("--epsilon", type=_positive_float, default=None,
                    help="EM convergence threshold on |alpha change|")
-    p.add_argument("--max-iters", type=_positive_int, default=100)
+    p.add_argument("--max-iters", type=_positive_int, default=None)
+
+
+_EM_FLAGS = ("epsilon", "max_iters")
+_SGD_FLAGS = ("learning_rate", "epochs", "batch_size")
+
+
+def _given(args, names) -> dict:
+    """The flags among `names` given on the command line or in the config."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
+def _check_align(args) -> str | None:
+    """Method-specific flags are valid only with their method."""
+    for names, kind, ok in ((_EM_FLAGS, "EM", args.method in ("em-hard", "em-soft")),
+                            (_SGD_FLAGS, "SGD", args.method == "sgd")):
+        given = _given(args, names)
+        if given and not ok:
+            return (f"{kind} options {sorted(given)} are invalid with "
+                    f"method {args.method!r}")
+    return None
+
+
+def _check_diachronic(args) -> str | None:
+    if args.threshold is not None and (args.src_freqs is None or args.tgt_freqs is None):
+        return "--threshold requires --src-freqs and --tgt-freqs"
+    return None
 
 
 def build_parser() -> _Parser:
@@ -140,15 +175,15 @@ def build_parser() -> _Parser:
                      description="Noise-aware alignment of embedding spaces")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def command(name, run, help, **defaults):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run, **defaults)
+    def command(name, run, help, check=None):
+        p = sub.add_parser(name, help=help, check=check)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="key = value defaults file; flags win")
         p.add_argument("--output-dir", default=".")
         return p
 
     p = command("align", _cmd_align, "fit a translation matrix from a lexicon",
-                emit_all=True)
+                check=_check_align)
     _add_data_args(p)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--test-lexicon", default=None)
@@ -163,7 +198,7 @@ def build_parser() -> _Parser:
                    help="SGD minibatch size (default all pairs)")
 
     p = command("clean-lexicon", _cmd_align,
-                "align and emit only the responsibilities TSV", emit_all=False)
+                "align and emit only the responsibilities TSV")
     _add_data_args(p)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--method", choices=("em-hard", "em-soft"), default="em-hard")
@@ -188,7 +223,7 @@ def build_parser() -> _Parser:
                    help="comma-separated subset of " + ",".join(METHODS))
 
     p = command("diachronic", _cmd_diachronic,
-                "identity-lexicon alignment and shift ranking")
+                "identity-lexicon alignment and shift ranking", check=_check_diachronic)
     _add_data_args(p)
     p.add_argument("--stoplist", default=None)
     p.add_argument("--src-freqs", default=None)
@@ -201,25 +236,36 @@ def build_parser() -> _Parser:
 
 
 def _em_config(args) -> EmConfig:
-    return EmConfig(epsilon=args.epsilon, max_iters=args.max_iters)
+    """EM settings: each flag given overrides only its field."""
+    return EmConfig(**_given(args, _EM_FLAGS))
 
 
 def _sgd_config(args) -> SgdConfig | None:
     """SGD settings for `--method sgd`: each flag given overrides only its field."""
-    given = {k: getattr(args, k) for k in ("learning_rate", "epochs", "batch_size")
-             if getattr(args, k, None) is not None}
     if args.method != "sgd":
-        if given:
-            raise UsageError(
-                f"SGD options {sorted(given)} are invalid with method {args.method!r}")
         return None
-    return SgdConfig(seed=args.seed, **given)
+    return SgdConfig(seed=args.seed, **_given(args, _SGD_FLAGS))
 
 
 def _load_spaces(args):
     src = nio.load_embeddings(args.src_emb, limit=args.limit, normalize=args.normalize)
     tgt = nio.load_embeddings(args.tgt_emb, limit=args.limit, normalize=args.normalize)
     return src, tgt
+
+
+def _test_metrics(Q, test_lexicon: str, src, tgt) -> dict:
+    """EvalReport's p_at_1, n_queries and test_error of Q on a test lexicon.
+
+    The sizes of Q and of both embedding sets are checked before retrieval.
+    """
+    test_lex, _ = nio.load_lexicon(test_lexicon, src, tgt)
+    if Q.shape[0] != src.dim:
+        raise nio.DataError(
+            f"matrix dimension mismatch: matrix d={Q.shape[0]}, embedding d={src.dim}")
+    # gather_pairs compares the two embedding sets
+    test_error = alignment_error(Q, *nio.gather_pairs(test_lex, src, tgt))
+    p_at_1, n_queries = precision_at_1(Q, test_lex, src, tgt)
+    return {"p_at_1": p_at_1, "n_queries": n_queries, "test_error": test_error}
 
 
 def _cmd_align(args) -> int:
@@ -234,22 +280,18 @@ def _cmd_align(args) -> int:
 
     if resp is not None:
         write_responsibilities_tsv(resp, lex, out / "responsibilities.tsv")
-    if not args.emit_all:  # clean-lexicon
+    if args.command == "clean-lexicon":
         print(f"wrote {out / 'responsibilities.tsv'} "
               f"({skipped} unresolvable lexicon lines skipped)")
         return 0
 
     save_matrix(Q, out / "matrix.txt")
-    report = EvalReport()
+    fit = {}
     if model is not None:
         save_model(model, out / "model.txt")
-        report.noise_rate = 1.0 - model.alpha
-        report.iterations = trace.iterations
-    if args.test_lexicon:
-        test_lex, _ = nio.load_lexicon(args.test_lexicon, src, tgt)
-        report.p_at_1, report.n_queries = precision_at_1(Q, test_lex, src, tgt)
-        Xt, Yt = nio.gather_pairs(test_lex, src, tgt)
-        report.test_error = alignment_error(Q, Xt, Yt)
+        fit = {"noise_rate": 1.0 - model.alpha, "iterations": trace.iterations}
+    test = _test_metrics(Q, args.test_lexicon, src, tgt) if args.test_lexicon else {}
+    report = EvalReport(**test, **fit)
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     print(f"method={args.method} pairs={len(lex)} skipped_lines={skipped} "
           f"discarded_fraction={report.noise_rate:.4f}")
@@ -260,11 +302,7 @@ def _cmd_align(args) -> int:
 def _cmd_evaluate(args) -> int:
     src, tgt = _load_spaces(args)
     Q = load_matrix(args.matrix)
-    test_lex, _ = nio.load_lexicon(args.test_lexicon, src, tgt)
-    report = EvalReport()
-    report.p_at_1, report.n_queries = precision_at_1(Q, test_lex, src, tgt)
-    Xt, Yt = nio.gather_pairs(test_lex, src, tgt)
-    report.test_error = alignment_error(Q, Xt, Yt)
+    report = EvalReport(**_test_metrics(Q, args.test_lexicon, src, tgt))
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
@@ -298,8 +336,6 @@ def _cmd_noise_curve(args) -> int:
 
 
 def _cmd_diachronic(args) -> int:
-    if args.threshold is not None and (args.src_freqs is None or args.tgt_freqs is None):
-        raise UsageError("--threshold requires --src-freqs and --tgt-freqs")
     src, tgt = _load_spaces(args)
     stoplist = nio.load_stoplist(args.stoplist) if args.stoplist else None
     lex = nio.build_identity_lexicon(src, tgt, stoplist=stoplist)
@@ -343,9 +379,6 @@ def main(argv: list[str] | None = None) -> int:
             argv[1:1] = _config_tokens(config)
         args = build_parser().parse_args(argv)
         return args.run(args)
-    except UsageError as exc:
-        print(f"noisy-align: error: {exc}", file=sys.stderr)
-        return 1
     except (nio.DataError, OSError, ValueError) as exc:
         print(f"noisy-align: data error: {exc}", file=sys.stderr)
         return 2

@@ -57,7 +57,7 @@ class EvalReport:
             raise ValueError("p_at_1 must lie in [0, 1]")
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _repeats(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

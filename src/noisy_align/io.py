@@ -38,29 +38,29 @@ class DataError(Exception):
 
 @dataclass
 class EmbeddingSet:
-    """A vocabulary plus a d x n matrix whose column i embeds tokens[i]."""
+    """A vocabulary plus a d x n matrix whose column i embeds tokens[i];
+    `dim` and `token_index` are derived from them."""
 
-    dim: int
     tokens: list[str]
     vectors: np.ndarray
-    token_index: dict[str, int] = field(default_factory=dict)
     skipped: int = 0
+    token_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
-        if self.vectors.shape != (self.dim, len(self.tokens)):
-            raise ValueError(
-                f"vectors shape {self.vectors.shape} does not match "
-                f"(dim={self.dim}, n={len(self.tokens)})"
-            )
+        n = len(self.tokens)
+        if self.vectors.ndim != 2 or self.dim < 1 or self.vectors.shape[1] != n:
+            raise ValueError(f"vectors must be a d x {n} matrix with d >= 1, "
+                             f"one column per token, got shape {self.vectors.shape}")
         if not np.isfinite(self.vectors).all():
             raise ValueError("embedding matrix contains non-finite values")
-        if not self.token_index:
-            self.token_index = {t: i for i, t in enumerate(self.tokens)}
+        self.token_index = {t: i for i, t in enumerate(self.tokens)}
         if len(self.token_index) != len(self.tokens):
             raise ValueError("tokens are not unique")
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[0]
 
     @property
     def n(self) -> int:
@@ -270,8 +270,7 @@ def load_embeddings(path, limit: int | None = None, normalize: bool = False) -> 
         vectors, norms = _column_norms(vectors)
         norms[norms == 0] = 1.0
         vectors = vectors / norms
-    return EmbeddingSet(dim=dim, tokens=tokens, vectors=vectors,
-                        token_index=index, skipped=skipped)
+    return EmbeddingSet(tokens=tokens, vectors=vectors, skipped=skipped)
 
 
 def save_embeddings(emb: EmbeddingSet, path) -> None:

@@ -10,12 +10,15 @@ Gaussian underflows.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .align import _parse_matrix, _write_matrix, procrustes, weighted_procrustes
 from .io import DataError, Lexicon
+
+logger = logging.getLogger(__name__)
 
 VAR_FLOOR = 1e-12
 # largest ||Q^T Q - I||_F an AlignmentModel accepts
@@ -59,21 +62,20 @@ class AlignmentModel:
 
 @dataclass
 class Responsibilities:
-    """Per-pair posterior weights, hard labels and aligned count."""
+    """Per-pair posterior weights w, and the hard labels h and aligned count
+    n1 derived from them: a pair is aligned iff its weight exceeds 0.5
+    (ties count as noise)."""
 
     w: np.ndarray
-    h: np.ndarray
-    n1: int
+    h: np.ndarray = field(init=False)
+    n1: int = field(init=False)
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=np.float64)
-        self.h = np.asarray(self.h, dtype=bool)
-        if self.w.shape != self.h.shape:
-            raise ValueError("w and h must have the same length")
         if np.any(self.w < 0) or np.any(self.w > 1):
             raise ValueError("responsibilities must lie in [0, 1]")
-        if self.n1 != int(self.h.sum()):
-            raise ValueError("n1 must equal the number of true hard labels")
+        self.h = self.w > 0.5
+        self.n1 = int(self.h.sum())
 
 
 @dataclass
@@ -258,15 +260,16 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
 
     Hard EM (the default) and soft EM (`soft=True`) share one weighted
     M-step (`_m_step`) and differ only in the E-step rounding and the
-    objective: hard EM thresholds posteriors at 0.5 (ties count as noise),
-    weights pairs 0/1 and traces the complete-data objective; soft EM
+    objective: hard EM weights pairs by their 0/1 `Responsibilities`
+    labels and traces the complete-data objective; soft EM
     weights them by their posteriors and traces the marginal
     log-likelihood.
     Iterates until |alpha_curr - alpha_prev| <= epsilon or max_iters.
 
     When an iteration leaves a component without weight (n1=0 or n1=n in
     hard EM), that component's parameters are frozen at their previous
-    values and the iteration is recorded in trace.degenerate_iters.
+    values and the iteration is recorded in trace.degenerate_iters. A fit
+    that stops at max_iters without converging logs a warning.
 
     Returns:
         (AlignmentModel, Responsibilities, EmTrace); the responsibilities
@@ -275,13 +278,12 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
     cfg = cfg or EmConfig()
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
+    model, r_aligned, r_noise = _initialize(X, Y)
     n = X.shape[1]
-    if n < 2:
-        raise ValueError("need at least 2 pairs")
     eps = cfg.epsilon if cfg.epsilon is not None else max(1.0 / (2 * n), 1e-4)
 
-    model, r_aligned, r_noise = _initialize(X, Y)
-    w = _e_step(model, *_component_logdensities(model, r_aligned, r_noise))[0]
+    la, ln = _component_logdensities(model, r_aligned, r_noise)
+    resp = Responsibilities(_e_step(model, la, ln)[0])
     trace = EmTrace()
     alpha_prev = np.inf
     for it in range(cfg.max_iters):
@@ -290,24 +292,27 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
             break
         alpha_prev = model.alpha
 
-        h = w > 0.5
         # hard EM is the same M-step with the 0/1 labels as weights
-        weights = w if soft else h.astype(np.float64)
+        weights = resp.w if soft else resp.h.astype(np.float64)
         model, degenerate, r_aligned, r_noise = _m_step(model, X, Y, weights,
                                                         r_aligned, r_noise)
         # one pass over the data scores the new model and runs the next E-step
         la, ln = _component_logdensities(model, r_aligned, r_noise)
         w, loglik = _e_step(model, la, ln)
-        objective = loglik if soft else _complete_data_objective(model, la, ln, h)
+        objective = loglik if soft else _complete_data_objective(model, la, ln, resp.h)
 
         if degenerate:
             trace.degenerate_iters.append(it)
-        trace.steps.append((model.alpha, objective, int(h.sum())))
+        trace.steps.append((model.alpha, objective, resp.n1))
+        resp = Responsibilities(w)
     else:
         trace.converged = abs(model.alpha - alpha_prev) <= eps
+        if not trace.converged:
+            logger.warning("EM stopped at max_iters=%d without converging: "
+                           "|alpha change| %.3g > epsilon %.3g",
+                           cfg.max_iters, abs(model.alpha - alpha_prev), eps)
 
-    h = w > 0.5
-    return model, Responsibilities(w=w, h=h, n1=int(h.sum())), trace
+    return model, resp, trace
 
 
 def sample_generative(model: AlignmentModel, X: np.ndarray, seed: int):

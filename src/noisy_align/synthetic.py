@@ -17,8 +17,6 @@ class SyntheticProblem:
     Y: np.ndarray
     Q_gold: np.ndarray
     clean_mask: np.ndarray
-    p: float
-    seed: int
 
 
 def make_noisy_problem(n: int, d: int, p: float, seed: int) -> SyntheticProblem:
@@ -43,5 +41,4 @@ def make_noisy_problem(n: int, d: int, p: float, seed: int) -> SyntheticProblem:
         clean_mask[noisy] = False
         X[:, noisy] = rng.standard_normal((d, n_noisy))
         Y[:, noisy] = rng.standard_normal((d, n_noisy))
-    return SyntheticProblem(X=X, Y=Y, Q_gold=Q_gold, clean_mask=clean_mask,
-                            p=p, seed=seed)
+    return SyntheticProblem(X=X, Y=Y, Q_gold=Q_gold, clean_mask=clean_mask)

@@ -168,9 +168,9 @@ def test_criterion_7_p_at_1_oracle_equivalence():
     for seed in range(50):
         rng = np.random.default_rng(seed)
         d = int(rng.integers(2, 6))
-        src = EmbeddingSet(dim=d, tokens=[f"s{i}" for i in range(10)],
+        src = EmbeddingSet(tokens=[f"s{i}" for i in range(10)],
                            vectors=rng.standard_normal((d, 10)))
-        tgt = EmbeddingSet(dim=d, tokens=[f"t{i}" for i in range(10)],
+        tgt = EmbeddingSet(tokens=[f"t{i}" for i in range(10)],
                            vectors=rng.standard_normal((d, 10)))
         pairs = sorted({(int(rng.integers(10)), int(rng.integers(10)))
                         for _ in range(12)})
@@ -205,8 +205,8 @@ def test_criterion_8_external_dataset_reporting_surfaces(tmp_path):
     Q = random_orthogonal(d, 5)
     vec = rng.standard_normal((d, n))
     tokens = [f"w{i}" for i in range(n)]
-    src = EmbeddingSet(dim=d, tokens=tokens, vectors=vec)
-    tgt = EmbeddingSet(dim=d, tokens=tokens, vectors=Q @ vec)
+    src = EmbeddingSet(tokens=tokens, vectors=vec)
+    tgt = EmbeddingSet(tokens=tokens, vectors=Q @ vec)
     src_p, tgt_p = tmp_path / "src.txt", tmp_path / "tgt.txt"
     save_embeddings(src, src_p)
     save_embeddings(tgt, tgt_p)

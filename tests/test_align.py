@@ -282,6 +282,17 @@ class TestAlignmentError:
             alignment_error(np.eye(2), np.ones((2, 3)), np.ones((2, 3)),
                             mask=np.zeros(3, dtype=bool))
 
+    # the sum of squares overflows; Q @ X overflows; Q @ X is inf - inf
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("Q", [1e306 * np.eye(2),
+                                   np.array([[1e308, 1e308], [0.0, 1.0]]),
+                                   np.array([[1e308, -1e308], [0.0, 1.0]])],
+                             ids=["sum", "product", "nan"])
+    def test_overflow_is_a_data_error_without_warning(self, Q):
+        X = np.array([[1e10, 1.0], [1e10, 2.0]])
+        with pytest.raises(DataError, match="overflows"):
+            alignment_error(Q, X, np.ones((2, 2)))
+
 
 def test_matrix_save_load_round_trip(tmp_path):
     Q = random_orthogonal(5, 42)

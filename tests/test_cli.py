@@ -1,17 +1,19 @@
 import argparse
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from noisy_align.align import random_orthogonal
+from noisy_align import cli
+from noisy_align.align import random_orthogonal, save_matrix
 from noisy_align.cli import build_parser, main
 from noisy_align.io import EmbeddingSet, save_embeddings
 
 
 def make_set(tokens, vectors):
     vectors = np.asarray(vectors, dtype=float)
-    return EmbeddingSet(dim=vectors.shape[0], tokens=list(tokens), vectors=vectors)
+    return EmbeddingSet(tokens=list(tokens), vectors=vectors)
 
 
 @pytest.fixture
@@ -94,10 +96,12 @@ class TestAlign:
         assert "zero resolvable pairs" in capsys.readouterr().err
 
     def test_sgd_flags_with_em_method_is_usage_error(self, bilingual, tmp_path, capsys):
-        code = run_align(bilingual, tmp_path / "y",
-                         ["--method", "em-hard", "--learning-rate", "0.01"])
+        code = exit_code(lambda: run_align(bilingual, tmp_path / "y",
+                                           ["--method", "em-hard", "--learning-rate", "0.01"]))
         assert code == 1
-        assert "invalid with method" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: noisy-align align")
+        assert "invalid with method" in err
 
     def test_sgd_flag_overrides_only_its_own_field(self, bilingual, tmp_path):
         # 200 is the default, so giving it must not switch the step or batch
@@ -122,6 +126,25 @@ class TestAlign:
         assert "Traceback" not in err
         assert err.count("\n") == 1 and "learning_rate=10.0" in err
 
+    def test_stopping_at_max_iters_logs_a_warning(self, bilingual, tmp_path, caplog):
+        # the fit converges in 2 iterations, so a cap of 1 stops it early
+        with caplog.at_level(logging.WARNING, logger="noisy_align.mixture"):
+            assert run_align(bilingual, tmp_path / "o", ["--max-iters", "1"]) == 0
+        messages = [r.getMessage() for r in caplog.records if r.name == "noisy_align.mixture"]
+        assert len(messages) == 1 and "max_iters=1 without converging" in messages[0]
+
+    def test_converged_fit_logs_no_warning(self, bilingual, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="noisy_align.mixture"):
+            assert run_align(bilingual, tmp_path / "o") == 0
+        assert not [r for r in caplog.records if r.name == "noisy_align.mixture"]
+
+    def test_computed_values_pass_the_report_range_check(self, bilingual, tmp_path,
+                                                          monkeypatch, capsys):
+        monkeypatch.setattr(cli, "precision_at_1", lambda *args: (1.5, 4))
+        assert run_align(bilingual, tmp_path / "o") == 2
+        assert "p_at_1 must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_missing_required_flag_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["align", "--src-emb", "a.txt"])
@@ -129,10 +152,13 @@ class TestAlign:
 
     def test_config_file_defaults_and_flag_override(self, bilingual, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("method = op\nmax-iters = 7\n")
+        cfg.write_text("method = op\n")
         out = tmp_path / "cfg_out"
         assert run_align(bilingual, out, ["--config", str(cfg)]) == 0
         assert not (out / "model.txt").exists()  # config picked op
+        # an EM key is a usage error with op, as the flag is
+        cfg.write_text("method = op\nmax-iters = 7\n")
+        assert exit_code(lambda: run_align(bilingual, out, ["--config", str(cfg)])) == 1
         out2 = tmp_path / "cfg_out2"
         assert run_align(bilingual, out2,
                          ["--config", str(cfg), "--method", "em-hard"]) == 0
@@ -237,6 +263,44 @@ def test_evaluate_empty_matrix_is_data_error(bilingual, tmp_path, capsys):
     assert "data error" in err and "Traceback" not in err
 
 
+def run_evaluate(bilingual, matrix, out, tgt=None):
+    return main(["evaluate",
+                 "--src-emb", str(bilingual["src"]),
+                 "--tgt-emb", str(tgt or bilingual["tgt"]),
+                 "--matrix", str(matrix),
+                 "--test-lexicon", str(bilingual["test"]),
+                 "--output-dir", str(out)])
+
+
+def test_evaluate_matrix_of_another_size_is_one_line_data_error(bilingual, tmp_path, capsys):
+    save_matrix(np.eye(3), tmp_path / "m3.txt")
+    assert run_evaluate(bilingual, tmp_path / "m3.txt", tmp_path / "eval") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "matrix dimension mismatch: matrix d=3, embedding d=10" in err
+
+
+def test_evaluate_target_set_of_another_size_is_one_line_data_error(bilingual, tmp_path,
+                                                                    capsys):
+    tgt = tmp_path / "tgt4.txt"
+    save_embeddings(make_set([f"t{i}" for i in range(60)], np.ones((4, 60))), tgt)
+    save_matrix(np.eye(10), tmp_path / "m.txt")
+    assert run_evaluate(bilingual, tmp_path / "m.txt", tmp_path / "eval", tgt=tgt) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "embedding dimension mismatch: src d=10, tgt d=4" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_evaluate_overflowing_test_error_is_one_line_data_error(bilingual, tmp_path, capsys):
+    # a finite map whose squared residuals overflow float64
+    save_matrix(1e306 * np.eye(10), tmp_path / "huge.txt")
+    assert run_evaluate(bilingual, tmp_path / "huge.txt", tmp_path / "eval") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "overflows" in err
+    assert not (tmp_path / "eval" / "report.json").exists()
+
+
 class TestSynthetic2d:
     def test_report_contents(self, tmp_path):
         out = tmp_path / "s2d"
@@ -314,9 +378,12 @@ class TestDiachronic:
         emb = make_set(["a", "b"], rng.standard_normal((3, 2)))
         path = tmp_path / "e.txt"
         save_embeddings(emb, path)
-        code = main(self.base_args(path, path, tmp_path / "o") + ["--threshold", "1e-5"])
+        code = exit_code(lambda: main(self.base_args(path, path, tmp_path / "o")
+                                      + ["--threshold", "1e-5"]))
         assert code == 1
-        assert "requires" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: noisy-align diachronic")
+        assert "requires" in err
 
     def test_stoplist_and_frequency_filter(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -404,6 +471,25 @@ class TestFlagSurface:
                 "--output-dir", str(tmp_path)]
         assert exit_code(lambda: main(argv)) == 1
         assert f"argument {flag}:" in capsys.readouterr().err
+
+    METHOD_FLAGS = [
+        *((method, f, v) for method in ("op", "sgd")
+          for f, v in (("--epsilon", "0.1"), ("--max-iters", "3"))),
+        ("op", "--learning-rate", "0.1"),
+        ("em-soft", "--epochs", "5"),
+        ("em-hard", "--batch-size", "8"),
+    ]
+
+    @pytest.mark.parametrize("method,flag,value", METHOD_FLAGS)
+    def test_flag_of_another_method_is_usage_error(self, method, flag, value, tmp_path,
+                                                   capsys):
+        # the files named in REQUIRED do not exist: the flags are checked first
+        argv = ["align", *self.REQUIRED["align"], "--method", method, flag, value,
+                "--output-dir", str(tmp_path)]
+        assert exit_code(lambda: main(argv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: noisy-align align")
+        assert f"invalid with method {method!r}" in err
 
     def test_abbreviated_flag_is_usage_error(self, bilingual, tmp_path):
         # --seed would otherwise match noise-curve's --seeds

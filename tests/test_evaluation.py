@@ -21,7 +21,7 @@ from noisy_align.mixture import Responsibilities
 
 def make_set(tokens, vectors):
     vectors = np.asarray(vectors, dtype=float)
-    return EmbeddingSet(dim=vectors.shape[0], tokens=list(tokens), vectors=vectors)
+    return EmbeddingSet(tokens=list(tokens), vectors=vectors)
 
 
 # a 45-degree rotation maps [a, a] to [0, sqrt(2) a], which overflows for a = 1.5e308
@@ -325,8 +325,7 @@ class TestRankSemanticShift:
     def test_noise_labels_attached(self):
         emb = random_set(3, 2, seed=9)
         lex = build_identity_lexicon(emb, emb)
-        resp = Responsibilities(w=np.array([0.9, 0.1, 0.8]),
-                                h=np.array([True, False, True]), n1=2)
+        resp = Responsibilities(w=np.array([0.9, 0.1, 0.8]))
         ranking, _ = rank_semantic_shift(np.eye(2), lex, emb, emb,
                                          responsibilities=resp)
         labels = {t: l for t, _, l in ranking}
@@ -393,7 +392,7 @@ def test_shift_ranking_matches_per_token_oracle(seed, d, n, n_zero_src, n_zero_t
     resp = None
     if labelled:
         h = rng.random(n) < 0.5
-        resp = Responsibilities(w=h.astype(float), h=h, n1=int(h.sum()))
+        resp = Responsibilities(w=h.astype(float))
     Q = rng.standard_normal((d, d))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a zero vector is no division by zero
@@ -423,3 +422,9 @@ def test_eval_report_json_keys():
 def test_eval_report_validates_range():
     with pytest.raises(ValueError):
         EvalReport(p_at_1=1.5)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_eval_report_json_is_strict(value):
+    with pytest.raises(ValueError):
+        EvalReport(test_error=value).to_json()

@@ -29,7 +29,7 @@ def write(tmp_path, name, text):
 
 def make_set(tokens, vectors):
     vectors = np.asarray(vectors, dtype=float)
-    return EmbeddingSet(dim=vectors.shape[0], tokens=list(tokens), vectors=vectors)
+    return EmbeddingSet(tokens=list(tokens), vectors=vectors)
 
 
 def row_loop_load(path, limit=None):
@@ -72,8 +72,7 @@ def row_loop_load(path, limit=None):
         raise DataError(f"inconsistent dimension on {bad_dim}/{total} rows of {path}")
     if skipped:
         nio.logger.warning("skipped %d malformed/duplicate rows in %s", skipped, path)
-    return EmbeddingSet(dim=dim, tokens=tokens, vectors=np.stack(cols, axis=1),
-                        token_index=index, skipped=skipped)
+    return EmbeddingSet(tokens=tokens, vectors=np.stack(cols, axis=1), skipped=skipped)
 
 
 class _Records(logging.Handler):
@@ -108,6 +107,33 @@ def load_outcome(load, path, limit=None):
     finally:
         nio.logger.removeHandler(records)
     return shown, records.messages, len(lines)
+
+
+class TestEmbeddingSet:
+    def test_dim_and_index_are_derived(self):
+        emb = make_set(["a", "b", "c"], np.arange(6.0).reshape(2, 3))
+        assert emb.dim == emb.vectors.shape[0] == 2
+        assert emb.token_index == {"a": 0, "b": 1, "c": 2}
+        assert emb.vector("b").tolist() == [1.0, 4.0]
+
+    @pytest.mark.parametrize("name,value", [("dim", 2), ("token_index", {"a": 1, "b": 0})])
+    def test_derived_fields_cannot_be_passed(self, name, value):
+        with pytest.raises(TypeError):
+            EmbeddingSet(tokens=["a", "b"], vectors=np.eye(2), **{name: value})
+
+    @pytest.mark.parametrize("vectors", [np.zeros(2), np.zeros((0, 2)), np.zeros((2, 3))],
+                             ids=["1-D", "d=0", "n-mismatch"])
+    def test_vectors_must_be_d_by_n(self, vectors):
+        with pytest.raises(ValueError, match="d x 2 matrix"):
+            EmbeddingSet(tokens=["a", "b"], vectors=vectors)
+
+    def test_tokens_must_be_unique(self):
+        with pytest.raises(ValueError, match="unique"):
+            EmbeddingSet(tokens=["a", "a"], vectors=np.eye(2))
+
+    def test_values_must_be_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            EmbeddingSet(tokens=["a"], vectors=np.array([[np.nan]]))
 
 
 class TestLoadEmbeddings:

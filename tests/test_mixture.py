@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 from collections import Counter
 
@@ -65,6 +66,24 @@ class TestAlignmentModel:
         model = AlignmentModel(Q=[[0, 1], [1, 0]], sigma2=1.0, mu_y=np.zeros(2),
                                sigma_y2=1.0, alpha=0.5)
         assert model.Q.dtype == np.float64 and model.dim == 2
+
+
+class TestResponsibilities:
+    def test_labels_and_count_are_derived_from_the_weights(self):
+        resp = Responsibilities(np.array([0.9, 0.5, 0.1, 0.51, 1.0, 0.0]))
+        # a weight of exactly 0.5 is noise
+        assert resp.h.tolist() == [True, False, False, True, True, False]
+        assert resp.n1 == 3
+
+    @pytest.mark.parametrize("name,value", [("h", np.array([False, True])), ("n1", 1)])
+    def test_derived_fields_cannot_be_passed(self, name, value):
+        with pytest.raises(TypeError):
+            Responsibilities(w=np.array([0.9, 0.1]), **{name: value})
+
+    @pytest.mark.parametrize("w", [[-0.1, 0.5], [0.5, 1.5]])
+    def test_weights_outside_the_unit_interval_are_rejected(self, w):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            Responsibilities(np.array(w))
 
 
 def test_em_config_has_no_mode():
@@ -349,6 +368,24 @@ class TestEmFit:
         _, _, trace = em_fit(X, Y, EmConfig(epsilon=1e-300, max_iters=3))
         assert trace.iterations <= 3
 
+    def test_too_few_pairs(self):
+        with pytest.raises(ValueError, match="at least 2 pairs"):
+            em_fit(np.ones((3, 1)), np.ones((3, 1)))
+
+    def test_stopping_at_max_iters_logs_a_warning(self, caplog):
+        X, Y, _ = jittered_instance(44)
+        with caplog.at_level(logging.WARNING, logger="noisy_align.mixture"):
+            _, _, trace = em_fit(X, Y, EmConfig(epsilon=1e-300, max_iters=2), soft=True)
+        assert not trace.converged
+        assert [r.name for r in caplog.records] == ["noisy_align.mixture"]
+        assert "max_iters=2 without converging" in caplog.records[0].getMessage()
+
+    def test_converged_fit_logs_no_warning(self, caplog):
+        X, Y, _ = jittered_instance(44)
+        with caplog.at_level(logging.WARNING, logger="noisy_align.mixture"):
+            _, _, trace = em_fit(X, Y, soft=True)
+        assert trace.converged and not caplog.records
+
 
 def test_method_string_selects_soft_and_keeps_other_settings():
     X, Y, _ = jittered_instance(44)
@@ -440,7 +477,7 @@ def test_load_model_rejects_a_non_orthogonal_q(tmp_path):
 
 
 def test_responsibilities_tsv(tmp_path):
-    resp = Responsibilities(w=np.array([0.9, 0.2]), h=np.array([True, False]), n1=1)
+    resp = Responsibilities(w=np.array([0.9, 0.2]))
     lex = Lexicon(pairs=[(0, 0), (0, 1)], src_tokens=["dog", "dog"],
                   tgt_tokens=["cane", "dog"])
     path = tmp_path / "resp.tsv"

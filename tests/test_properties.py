@@ -188,7 +188,7 @@ def test_loaders_give_valid_object_or_data_error(text):
 # byte pieces that make headers, rows, lexicon pairs and frequency lines likely
 TEXT_PIECES = [b"a", b"b", b"\t", b" ", b"\n", b"\r", b"\x0c", b"\xff", b"\xc3",
                b"\xc3\xa9", b"\xe2\x80\xa8", b"0.5", b"1", b"-2", b"nan", b"inf", b"2 2"]
-FUZZ_SPACE = EmbeddingSet(dim=2, tokens=["a", "b"], vectors=np.eye(2))
+FUZZ_SPACE = EmbeddingSet(tokens=["a", "b"], vectors=np.eye(2))
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,7 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from noisy_align.synthetic import make_noisy_problem
+from noisy_align.synthetic import SyntheticProblem, make_noisy_problem
+
+
+def test_problem_holds_only_arrays():
+    assert [f.name for f in dataclasses.fields(SyntheticProblem)] == \
+        ["X", "Y", "Q_gold", "clean_mask"]
 
 
 def test_noise_free_is_exact():
