@@ -27,13 +27,8 @@ tgt = EmbeddingSet(tokens=[f"it_{i}" for i in range(vocab)],
 
 n_train = 150
 noisy = set(rng.choice(n_train, size=22, replace=False).tolist())
-pairs, s_toks, t_toks = [], [], []
-for i in range(n_train):
-    j = int(rng.integers(vocab)) if i in noisy else i
-    pairs.append((i, j))
-    s_toks.append(src.tokens[i])
-    t_toks.append(tgt.tokens[j])
-train = Lexicon(pairs=pairs, src_tokens=s_toks, tgt_tokens=t_toks)
+train = Lexicon(pairs=[(i, int(rng.integers(vocab)) if i in noisy else i)
+                       for i in range(n_train)])
 test = Lexicon(pairs=[(i, i) for i in range(n_train, vocab)])
 
 X, Y = gather_pairs(train, src, tgt)
@@ -49,6 +44,7 @@ print(f"precision@1 on {n_q} held-out words: {p1:.3f}")
 
 print("\nsample decisions:")
 for t in sorted(set(list(noisy)[:3] + [0, 1, 2])):
+    i, j = train.pairs[t]
     label = "Aligned" if resp.h[t] else "Noise"
-    print(f"  {train.src_tokens[t]} -> {train.tgt_tokens[t]:<8} "
+    print(f"  {src.tokens[i]} -> {tgt.tokens[j]:<8} "
           f"w={resp.w[t]:.3f}  {label}")

@@ -34,12 +34,9 @@ from .mixture import (
     Responsibilities,
     EmConfig,
     EmTrace,
-    log_gaussian_iso,
-    posterior,
     log_likelihood,
     initialize,
     em_fit,
-    sample_generative,
     save_model,
     load_model,
     write_responsibilities_tsv,
@@ -77,12 +74,9 @@ __all__ = [
     "Responsibilities",
     "EmConfig",
     "EmTrace",
-    "log_gaussian_iso",
-    "posterior",
     "log_likelihood",
     "initialize",
     "em_fit",
-    "sample_generative",
     "save_model",
     "load_model",
     "write_responsibilities_tsv",

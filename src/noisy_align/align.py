@@ -49,12 +49,28 @@ def _check_pair_shapes(X: np.ndarray, Y: np.ndarray) -> None:
         raise ValueError("non-finite entries in input matrices")
 
 
+def _svd(M: np.ndarray, what: str, **kwargs):
+    """`np.linalg.svd(M)` of a d x d product of the input vectors.
+
+    Huge but finite vectors make such a product overflow, and LAPACK's
+    SVD of a matrix holding inf may never return, so a non-finite M is a
+    DataError naming it as `what`.
+    """
+    if not np.isfinite(M).all():
+        raise DataError(f"{what} overflows float64: the vectors are too large")
+    return np.linalg.svd(M, **kwargs)
+
+
 def procrustes(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Orthogonal matrix minimizing ||QX - Y||_F^2 (closed form).
 
     Computes U V^T where U S V^T is the SVD of Y X^T. Reflections are
     allowed (no determinant correction). A warning is issued when X has
     rank below d: fewer than d columns, or numerically rank-deficient.
+
+    Raises:
+        DataError: the vectors are so large that X's R factor or Y X^T
+            overflows.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -62,11 +78,13 @@ def procrustes(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     d, n = X.shape
     # X^T = QR gives R the singular values of X; the QR is a cheaper
     # O(d^2 n) pass than svd(X) and leaves only an O(d^3) SVD
-    sv = np.linalg.svd(np.linalg.qr(X.T, mode="r"), compute_uv=False)
+    sv = _svd(np.linalg.qr(X.T, mode="r"), "the R factor of X^T", compute_uv=False)
     if n < d or (sv[0] > 0 and sv[-1] < 1e-12 * sv[0]):
         warnings.warn("X is numerically rank-deficient; Procrustes solution "
                       "is not unique", RuntimeWarning, stacklevel=2)
-    U, _, Vt = np.linalg.svd(Y @ X.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _svd
+        M = Y @ X.T
+    U, _, Vt = _svd(M, "Y X^T")
     return U @ Vt
 
 
@@ -74,6 +92,9 @@ def weighted_procrustes(X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> np.ndarr
     """Orthogonal Q minimizing the weighted objective sum_t w_t ||Qx_t - y_t||^2.
 
     Solved as U V^T from the SVD of Y diag(w) X^T.
+
+    Raises:
+        DataError: the vectors are so large that Y diag(w) X^T overflows.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -85,7 +106,9 @@ def weighted_procrustes(X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> np.ndarr
         raise ValueError("weights must lie in [0, 1]")
     if w.sum() <= 0:
         raise ValueError("weights sum to zero")
-    U, _, Vt = np.linalg.svd((Y * w) @ X.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _svd
+        M = (Y * w) @ X.T
+    U, _, Vt = _svd(M, "Y diag(w) X^T")
     return U @ Vt
 
 

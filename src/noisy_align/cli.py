@@ -145,12 +145,13 @@ def _add_em_args(p: argparse.ArgumentParser) -> None:
 
 
 _EM_FLAGS = ("epsilon", "max_iters")
-_SGD_FLAGS = ("learning_rate", "epochs", "batch_size")
+_SGD_FLAGS = ("seed", "learning_rate", "epochs", "batch_size")
 
 
 def _given(args, names) -> dict:
-    """The flags among `names` given on the command line or in the config."""
-    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    """The flags among `names` given on the command line or in the config;
+    a flag the subcommand does not take counts as not given."""
+    return {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
 
 
 def _check_align(args) -> str | None:
@@ -188,7 +189,8 @@ def build_parser() -> _Parser:
     p.add_argument("--lexicon", required=True)
     p.add_argument("--test-lexicon", default=None)
     p.add_argument("--method", choices=METHODS, default="em-hard")
-    p.add_argument("--seed", type=_non_negative_int, default=0, help="SGD minibatch shuffling seed")
+    p.add_argument("--seed", type=_non_negative_int, default=None,
+                   help="SGD minibatch shuffling seed (default 0)")
     _add_em_args(p)
     p.add_argument("--learning-rate", type=_positive_float, default=None,
                    help="SGD step (default 0.4 / lambda_max(X X^T))")
@@ -240,11 +242,9 @@ def _em_config(args) -> EmConfig:
     return EmConfig(**_given(args, _EM_FLAGS))
 
 
-def _sgd_config(args) -> SgdConfig | None:
-    """SGD settings for `--method sgd`: each flag given overrides only its field."""
-    if args.method != "sgd":
-        return None
-    return SgdConfig(seed=args.seed, **_given(args, _SGD_FLAGS))
+def _sgd_config(args) -> SgdConfig:
+    """SGD settings: each flag given overrides only its field."""
+    return SgdConfig(**_given(args, _SGD_FLAGS))
 
 
 def _load_spaces(args):
@@ -272,14 +272,13 @@ def _cmd_align(args) -> int:
     src, tgt = _load_spaces(args)
     lex, skipped = nio.load_lexicon(args.lexicon, src, tgt)
     X, Y = nio.gather_pairs(lex, src, tgt)
-    sgd_cfg = _sgd_config(args)
-    Q, model, resp, trace = fit_translation(args.method, X, Y,
-                                            sgd_cfg=sgd_cfg, em_cfg=_em_config(args))
+    Q, model, resp, trace = fit_translation(args.method, X, Y, sgd_cfg=_sgd_config(args),
+                                            em_cfg=_em_config(args))
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     if resp is not None:
-        write_responsibilities_tsv(resp, lex, out / "responsibilities.tsv")
+        write_responsibilities_tsv(resp, lex, out / "responsibilities.tsv", src, tgt)
     if args.command == "clean-lexicon":
         print(f"wrote {out / 'responsibilities.tsv'} "
               f"({skipped} unresolvable lexicon lines skipped)")
@@ -362,7 +361,7 @@ def _cmd_diachronic(args) -> int:
     }
     (out / "diachronic_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    write_responsibilities_tsv(resp, lex, out / "responsibilities.tsv")
+    write_responsibilities_tsv(resp, lex, out / "responsibilities.tsv", src, tgt)
     save_model(model, out / "model.txt")
     print(json.dumps(summary, sort_keys=True))
     return 0

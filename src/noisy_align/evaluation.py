@@ -218,7 +218,7 @@ def rank_semantic_shift(Q: np.ndarray, identity_lex: Lexicon, src: EmbeddingSet,
         (token, distance, label) and label comes from the hard EM
         decisions when responsibilities are given, else "".
     """
-    tokens = identity_lex.src_tokens or [src.tokens[i] for i, _ in identity_lex.pairs]
+    tokens = [src.tokens[i] for i, _ in identity_lex.pairs]
     kept = range(len(identity_lex.pairs))
     if threshold is not None:
         src_freqs, tgt_freqs = src_freqs or {}, tgt_freqs or {}

@@ -66,30 +66,21 @@ class EmbeddingSet:
     def n(self) -> int:
         return len(self.tokens)
 
-    def vector(self, token: str) -> np.ndarray:
-        return self.vectors[:, self.token_index[token]]
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_index
-
 
 @dataclass
 class Lexicon:
     """Ordered (src_idx, tgt_idx) pairs defining the supervision set.
 
-    A source index may repeat with different targets (multi-translation);
-    exact duplicate pairs are rejected at load time.
+    The indices name columns of the source and target embedding sets, whose
+    `tokens` name the pairs. A source index may repeat with different
+    targets (multi-translation); exact duplicate pairs are rejected at load
+    time.
     """
 
     pairs: list[tuple[int, int]]
-    src_tokens: list[str] | None = None
-    tgt_tokens: list[str] | None = None
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
 
 
 def _read_lines(path, what: str):
@@ -300,8 +291,6 @@ def load_lexicon(path, src: EmbeddingSet, tgt: EmbeddingSet) -> tuple[Lexicon, i
         DataError: unreadable file or zero resolvable pairs.
     """
     pairs: list[tuple[int, int]] = []
-    src_tokens: list[str] = []
-    tgt_tokens: list[str] = []
     seen: set[tuple[int, int]] = set()
     skipped = 0
     for line in _read_lines(path, "lexicon file"):
@@ -322,12 +311,10 @@ def load_lexicon(path, src: EmbeddingSet, tgt: EmbeddingSet) -> tuple[Lexicon, i
             continue
         seen.add(pair)
         pairs.append(pair)
-        src_tokens.append(s)
-        tgt_tokens.append(t)
 
     if not pairs:
         raise DataError(f"zero resolvable pairs in {path}")
-    return Lexicon(pairs=pairs, src_tokens=src_tokens, tgt_tokens=tgt_tokens), skipped
+    return Lexicon(pairs=pairs), skipped
 
 
 def build_identity_lexicon(src: EmbeddingSet, tgt: EmbeddingSet,
@@ -340,16 +327,11 @@ def build_identity_lexicon(src: EmbeddingSet, tgt: EmbeddingSet,
         DataError: the (filtered) vocabulary intersection is empty.
     """
     stoplist = stoplist or set()
-    pairs = []
-    toks = []
-    for i, token in enumerate(src.tokens):
-        if token in stoplist or token not in tgt.token_index:
-            continue
-        pairs.append((i, tgt.token_index[token]))
-        toks.append(token)
+    pairs = [(i, tgt.token_index[token]) for i, token in enumerate(src.tokens)
+             if token not in stoplist and token in tgt.token_index]
     if not pairs:
         raise DataError("empty vocabulary intersection for identity lexicon")
-    return Lexicon(pairs=pairs, src_tokens=toks, tgt_tokens=list(toks))
+    return Lexicon(pairs=pairs)
 
 
 def gather_pairs(lex: Lexicon, src: EmbeddingSet, tgt: EmbeddingSet):

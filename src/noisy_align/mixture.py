@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .align import _parse_matrix, _write_matrix, procrustes, weighted_procrustes
-from .io import DataError, Lexicon
+from .io import DataError, EmbeddingSet, Lexicon
 
 logger = logging.getLogger(__name__)
 
@@ -105,17 +105,6 @@ class EmTrace:
         return len(self.steps)
 
 
-def log_gaussian_iso(y: np.ndarray, mean: np.ndarray, var: float) -> float:
-    """Log density of an isotropic Gaussian N(mean, var*I) at y."""
-    if var <= 0:
-        raise ValueError("variance must be positive")
-    y = np.asarray(y, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
-    d = y.shape[0]
-    sq = float(np.sum((y - mean) ** 2))
-    return -0.5 * d * (LOG_2PI + float(np.log(var))) - sq / (2.0 * var)
-
-
 def _aligned_residuals(Q: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Per-column squared residuals ||Q x_t - y_t||^2."""
     return np.sum((Q @ X - Y) ** 2, axis=0)
@@ -154,15 +143,6 @@ def _e_step(model: AlignmentModel, la: np.ndarray, ln: np.ndarray):
     return np.exp(la - total), float(np.sum(total))
 
 
-def posterior(model: AlignmentModel, x: np.ndarray, y: np.ndarray) -> float:
-    """Posterior probability that the pair (x, y) is aligned."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    la, ln = _component_logdensities(model, _aligned_residuals(model.Q, x, y),
-                                     _noise_residuals(model.mu_y, y))
-    return float(_e_step(model, la, ln)[0][0])
-
-
 def log_likelihood(model: AlignmentModel, X: np.ndarray, Y: np.ndarray) -> float:
     """Marginal log-likelihood sum_t log f(y_t | x_t) of the mixture."""
     la, ln = _component_logdensities(model, _aligned_residuals(model.Q, X, Y),
@@ -170,9 +150,27 @@ def log_likelihood(model: AlignmentModel, X: np.ndarray, Y: np.ndarray) -> float
     return _e_step(model, la, ln)[1]
 
 
-def _initialize(X: np.ndarray, Y: np.ndarray):
-    """`initialize`, plus the `_aligned_residuals` and `_noise_residuals` of
-    its model for the first E-step."""
+def _sums_of_squares(sq: np.ndarray) -> tuple[float, np.ndarray]:
+    """The flat sum of `sq`, as in `alignment_error`, and its column sums,
+    as in `_aligned_residuals` and `_noise_residuals`.
+
+    Taking `sq` as an argument frees it on return, so `initialize` holds
+    one d x n array of squares at a time.
+    """
+    return float(np.sum(sq)), np.sum(sq, axis=0)
+
+
+def initialize(X: np.ndarray, Y: np.ndarray):
+    """Initial model: Procrustes on the full lexicon, dataset moments, alpha=0.5.
+
+    sigma2 is the mean squared residual per coordinate of the initial Q;
+    the noise component takes the mean and (isotropic) variance of Y.
+    Variances are floored at VAR_FLOOR so perfect-fit data stays defined.
+
+    Returns:
+        (model, r_aligned, r_noise): the model, and its
+        `_aligned_residuals` and `_noise_residuals` for the first E-step.
+    """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     d, n = X.shape
@@ -186,26 +184,6 @@ def _initialize(X: np.ndarray, Y: np.ndarray):
     sigma2 = max(aligned_sum / (n * d), VAR_FLOOR)
     model = AlignmentModel(Q=Q, sigma2=sigma2, mu_y=mu_y, sigma_y2=sigma_y2, alpha=0.5)
     return model, r_aligned, r_noise
-
-
-def _sums_of_squares(sq: np.ndarray) -> tuple[float, np.ndarray]:
-    """The flat sum of `sq`, as in `alignment_error`, and its column sums,
-    as in `_aligned_residuals` and `_noise_residuals`.
-
-    Taking `sq` as an argument frees it on return, so `_initialize` holds
-    one d x n array of squares at a time.
-    """
-    return float(np.sum(sq)), np.sum(sq, axis=0)
-
-
-def initialize(X: np.ndarray, Y: np.ndarray) -> AlignmentModel:
-    """Initial model: Procrustes on the full lexicon, dataset moments, alpha=0.5.
-
-    sigma2 is the mean squared residual per coordinate of the initial Q;
-    the noise component takes the mean and (isotropic) variance of Y.
-    Variances are floored at VAR_FLOOR so perfect-fit data stays defined.
-    """
-    return _initialize(X, Y)[0]
 
 
 def _complete_data_objective(model: AlignmentModel, la: np.ndarray, ln: np.ndarray,
@@ -278,7 +256,7 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
     cfg = cfg or EmConfig()
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    model, r_aligned, r_noise = _initialize(X, Y)
+    model, r_aligned, r_noise = initialize(X, Y)
     n = X.shape[1]
     eps = cfg.epsilon if cfg.epsilon is not None else max(1.0 / (2 * n), 1e-4)
 
@@ -315,27 +293,6 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
     return model, resp, trace
 
 
-def sample_generative(model: AlignmentModel, X: np.ndarray, seed: int):
-    """Sample Y columns from the generative mixture given source columns X.
-
-    Returns:
-        (Y, z) where z[t] is True when column t came from the aligned
-        component. Deterministic per seed.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    d, n = X.shape
-    rng = np.random.default_rng(seed)
-    z = rng.random(n) < model.alpha
-    Y = np.empty((d, n))
-    mapped = model.Q @ X
-    noise = rng.standard_normal((d, n))
-    sig_a = float(np.sqrt(model.sigma2))
-    sig_n = float(np.sqrt(model.sigma_y2))
-    Y[:, z] = mapped[:, z] + sig_a * noise[:, z]
-    Y[:, ~z] = model.mu_y[:, None] + sig_n * noise[:, ~z]
-    return Y, z
-
-
 def save_model(model: AlignmentModel, path) -> None:
     """Persist a fitted model as text (Q block, then scalar/vector lines)."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -361,16 +318,18 @@ def load_model(path) -> AlignmentModel:
         raise DataError(f"model file {path} is malformed: {exc}") from exc
 
 
-def write_responsibilities_tsv(resp: Responsibilities, lex: Lexicon | None, path) -> None:
-    """Export per-pair decisions as TSV: index, tokens, weight, Aligned/Noise."""
+def write_responsibilities_tsv(resp: Responsibilities, lex: Lexicon, path,
+                               src: EmbeddingSet, tgt: EmbeddingSet) -> None:
+    """Export per-pair decisions as TSV: index, tokens, weight, Aligned/Noise.
+
+    Pair t of `lex` is named by its tokens in the two vocabularies,
+    `src.tokens[s]` and `tgt.tokens[g]`.
+    """
+    if len(lex) != resp.w.size:
+        raise ValueError(f"{resp.w.size} responsibilities for {len(lex)} lexicon pairs")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("pair_index\tsrc_token\ttgt_token\tw\tlabel\n")
-        for t in range(resp.w.size):
-            if lex is not None and lex.src_tokens and lex.tgt_tokens:
-                s, g = lex.src_tokens[t], lex.tgt_tokens[t]
-            elif lex is not None:
-                s, g = str(lex.pairs[t][0]), str(lex.pairs[t][1])
-            else:
-                s, g = str(t), str(t)
-            label = "Aligned" if resp.h[t] else "Noise"
-            fh.write(f"{t}\t{s}\t{g}\t{resp.w[t]:.6g}\t{label}\n")
+        for t, ((s, g), w, aligned) in enumerate(zip(lex.pairs, resp.w.tolist(),
+                                                     resp.h.tolist())):
+            label = "Aligned" if aligned else "Noise"
+            fh.write(f"{t}\t{src.tokens[s]}\t{tgt.tokens[g]}\t{w:.6g}\t{label}\n")

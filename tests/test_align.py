@@ -121,6 +121,15 @@ class TestProcrustes:
         Q2 = R @ procrustes(X, Y)
         assert np.linalg.norm(Q1 - Q2) < 1e-8
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale,what", [(1e200, "Y X\\^T"),
+                                            (1e308, "R factor of X\\^T")])
+    def test_overflowing_product_is_a_data_error(self, scale, what):
+        # the SVD of a matrix holding inf may never return
+        X = scale * np.sign(np.random.default_rng(5).standard_normal((3, 8)))
+        with pytest.raises(DataError, match=what + " overflows float64"):
+            procrustes(X, X)
+
 
 class TestWeightedProcrustes:
     def test_all_ones_reduces_to_plain(self):
@@ -151,6 +160,12 @@ class TestWeightedProcrustes:
     def test_all_zero_weights(self):
         with pytest.raises(ValueError, match="zero"):
             weighted_procrustes(np.ones((2, 3)), np.ones((2, 3)), np.zeros(3))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_product_is_a_data_error(self):
+        X = 1e200 * np.random.default_rng(6).standard_normal((3, 8))
+        with pytest.raises(DataError, match="Y diag\\(w\\) X\\^T overflows float64"):
+            weighted_procrustes(X, X, np.full(8, 0.5))
 
 
 class TestSgdAlign:

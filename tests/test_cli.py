@@ -1,10 +1,15 @@
 import argparse
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import noisy_align
 from noisy_align import cli
 from noisy_align.align import random_orthogonal, save_matrix
 from noisy_align.cli import build_parser, main
@@ -117,6 +122,28 @@ class TestAlign:
             assert run_align(bilingual, tmp_path / seed, flags) == 0
         assert (tmp_path / "1" / "matrix.txt").read_bytes() != \
             (tmp_path / "2" / "matrix.txt").read_bytes()
+
+    @pytest.mark.parametrize("method,value", [("em-hard", "1e200"), ("op", "1e200"),
+                                              ("em-hard", "1.5e308")])
+    def test_huge_vectors_are_a_data_error_not_a_hang(self, method, value, tmp_path):
+        # their d x d products overflow, and the SVD of a matrix holding inf
+        # may never return: a separate process is stopped if it hangs
+        emb = tmp_path / "huge.txt"
+        emb.write_text(f"a {value} 0 3\nb 0 1e200 1\nc {value} {value} 2\n"
+                       f"d 5 -1e200 1\n")
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("a\ta\nb\tb\nc\tc\nd\td\n")
+        src = str(Path(noisy_align.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "noisy_align.cli", "align", "--src-emb", str(emb),
+             "--tgt-emb", str(emb), "--lexicon", str(lex), "--method", method,
+             "--output-dir", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert "overflows float64: the vectors are too large" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_sgd_divergence_is_one_line_data_error(self, bilingual, tmp_path, capsys):
         code = run_align(bilingual, tmp_path / "z", ["--method", "sgd",
@@ -478,6 +505,7 @@ class TestFlagSurface:
         ("op", "--learning-rate", "0.1"),
         ("em-soft", "--epochs", "5"),
         ("em-hard", "--batch-size", "8"),
+        ("em-hard", "--seed", "5"),
     ]
 
     @pytest.mark.parametrize("method,flag,value", METHOD_FLAGS)

@@ -306,8 +306,8 @@ class TestRankSemanticShift:
         with mpmath.workdps(50):
             q = mpmath.matrix(Q.tolist())
             for token, dist, _ in ranking:
-                x = q * mpmath.matrix(src.vector(token).tolist())
-                y = mpmath.matrix(tgt.vector(token).tolist())
+                x = q * mpmath.matrix(src.vectors[:, src.token_index[token]].tolist())
+                y = mpmath.matrix(tgt.vectors[:, tgt.token_index[token]].tolist())
                 cos = mpmath.fsum(a * b for a, b in zip(x, y)) / (
                     mpmath.norm(x) * mpmath.norm(y))
                 assert abs(dist - float(1 - cos)) <= 1e-15
@@ -350,7 +350,7 @@ def oracle_shift_ranking(Q, lex, src, tgt, src_freqs, tgt_freqs, threshold, resp
     """The per-token loop: filter, one GEMV and one cosine per token, then sort."""
     rows, dropped = [], 0
     for t, (i, j) in enumerate(lex.pairs):
-        token = lex.src_tokens[t] if lex.src_tokens else src.tokens[i]
+        token = src.tokens[i]
         if threshold is not None:
             fs = (src_freqs or {}).get(token)
             ft = (tgt_freqs or {}).get(token)
@@ -369,10 +369,9 @@ def oracle_shift_ranking(Q, lex, src, tgt, src_freqs, tgt_freqs, threshold, resp
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), n=st.integers(0, 30),
        n_zero_src=st.integers(0, 3), n_zero_tgt=st.integers(0, 3),
-       threshold=st.sampled_from([None, 0.0, 0.3, 1.0]), named=st.booleans(),
-       labelled=st.booleans())
+       threshold=st.sampled_from([None, 0.0, 0.3, 1.0]), labelled=st.booleans())
 def test_shift_ranking_matches_per_token_oracle(seed, d, n, n_zero_src, n_zero_tgt,
-                                                threshold, named, labelled):
+                                                threshold, labelled):
     rng = np.random.default_rng(seed)
     V = n + 3
     src = random_set(V, d, seed=rng.integers(2**32))
@@ -382,9 +381,8 @@ def test_shift_ranking_matches_per_token_oracle(seed, d, n, n_zero_src, n_zero_t
     # distinct source indices, so every ranked token is distinct
     pairs = [(int(i), int(j)) for i, j in zip(rng.permutation(V)[:n],
                                               rng.integers(V, size=n))]
-    lex = Lexicon(pairs=pairs,
-                  src_tokens=[f"p{t}" for t in range(n)] if named else None)
-    tokens = lex.src_tokens or [src.tokens[i] for i, _ in pairs]
+    lex = Lexicon(pairs=pairs)
+    tokens = [src.tokens[i] for i, _ in pairs]
     # a frequency table misses a token (nan) or holds it at, below or above 0.3
     freqs = rng.choice([np.nan, 0.0, 0.2, 0.3, 0.5, 1.0], size=(2, n))
     src_freqs, tgt_freqs = ({t: f for t, f in zip(tokens, row) if not np.isnan(f)}

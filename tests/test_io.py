@@ -11,6 +11,7 @@ from noisy_align import io as nio
 from noisy_align.io import (
     DataError,
     EmbeddingSet,
+    Lexicon,
     build_identity_lexicon,
     gather_pairs,
     load_embeddings,
@@ -114,7 +115,7 @@ class TestEmbeddingSet:
         emb = make_set(["a", "b", "c"], np.arange(6.0).reshape(2, 3))
         assert emb.dim == emb.vectors.shape[0] == 2
         assert emb.token_index == {"a": 0, "b": 1, "c": 2}
-        assert emb.vector("b").tolist() == [1.0, 4.0]
+        assert emb.vectors[:, emb.token_index["b"]].tolist() == [1.0, 4.0]
 
     @pytest.mark.parametrize("name,value", [("dim", 2), ("token_index", {"a": 1, "b": 0})])
     def test_derived_fields_cannot_be_passed(self, name, value):
@@ -162,7 +163,7 @@ class TestLoadEmbeddings:
     def test_duplicate_token_keeps_first(self, tmp_path):
         emb = load_embeddings(write(tmp_path, "e.txt", "a 1 0\na 5 5\nb 0 1\n"))
         assert emb.tokens == ["a", "b"]
-        assert np.array_equal(emb.vector("a"), [1, 0])
+        assert np.array_equal(emb.vectors[:, emb.token_index["a"]], [1, 0])
         assert emb.skipped == 1
 
     def test_zero_valid_rows(self, tmp_path):
@@ -180,7 +181,7 @@ class TestLoadEmbeddings:
 
     def test_normalize_flag(self, tmp_path):
         emb = load_embeddings(write(tmp_path, "e.txt", "a 3 4\n"), normalize=True)
-        assert np.linalg.norm(emb.vector("a")) == pytest.approx(1.0)
+        assert np.linalg.norm(emb.vectors[:, emb.token_index["a"]]) == pytest.approx(1.0)
 
     def test_header_skipped_only_on_first_line(self, tmp_path):
         emb = load_embeddings(write(tmp_path, "e.txt", "2 2\na 1 0\n2 2\nb 0 1\n"),
@@ -227,7 +228,7 @@ class TestLoadEmbeddings:
     def test_duplicate_of_an_invalid_row_is_kept(self, tmp_path):
         emb = load_embeddings(write(tmp_path, "e.txt", "a nan 0\na 1 0\nb 0 1\n"))
         assert emb.tokens == ["a", "b"] and emb.skipped == 1
-        assert np.array_equal(emb.vector("a"), [1, 0])
+        assert np.array_equal(emb.vectors[:, emb.token_index["a"]], [1, 0])
 
     def test_number_syntax_is_float_syntax(self, tmp_path):
         # float() takes underscores and non-ASCII digits, which np.loadtxt
@@ -241,8 +242,8 @@ class TestLoadEmbeddings:
         text = "a 1e-170 0\nb 3e-320 4e-320\nc 1e300 -1e300\nd 0 0\n"
         emb = load_embeddings(write(tmp_path, "e.txt", text), normalize=True)
         assert np.array_equal(emb.vectors[:, :2], [[1.0, 0.6], [0.0, 0.8]])
-        assert np.linalg.norm(emb.vector("c")) == pytest.approx(1.0, abs=1e-15)
-        assert np.array_equal(emb.vector("d"), [0, 0])
+        assert np.linalg.norm(emb.vectors[:, emb.token_index["c"]]) == pytest.approx(1.0, abs=1e-15)
+        assert np.array_equal(emb.vectors[:, emb.token_index["d"]], [0, 0])
 
 
 # fields float() reads (also some np.loadtxt refuses or reads differently),
@@ -290,6 +291,12 @@ class TestLexicon:
         tgt = make_set(["cane", "cani", "buon"], np.eye(3))
         return src, tgt
 
+    @pytest.mark.parametrize("name", ["src_tokens", "tgt_tokens"])
+    def test_holds_only_pairs(self, name):
+        # the embedding sets' tokens name the pairs
+        with pytest.raises(TypeError):
+            Lexicon(pairs=[(0, 0)], **{name: ["dog"]})
+
     def test_multi_translation(self, tmp_path, spaces):
         src, tgt = spaces
         lex, skipped = load_lexicon(
@@ -323,7 +330,7 @@ class TestLexicon:
         src, tgt = spaces
         text = "new\tbuon\ndog\tcane\ngood\tcani\n"
         lex, _ = load_lexicon(write(tmp_path, "l.tsv", text), src, tgt)
-        assert lex.src_tokens == ["new", "dog", "good"]
+        assert [src.tokens[i] for i, _ in lex.pairs] == ["new", "dog", "good"]
 
 
 class TestIdentityLexicon:
@@ -342,7 +349,7 @@ class TestIdentityLexicon:
         src = make_set(["u", "v", "w"], np.eye(3))
         tgt = make_set(["w", "u"], np.array([[1, 0], [0, 1], [0, 0]], float))
         lex = build_identity_lexicon(src, tgt, stoplist={"w"})
-        assert lex.src_tokens == ["u"]
+        assert [src.tokens[i] for i, _ in lex.pairs] == ["u"]
         assert lex.pairs == [(0, 1)]
 
 
@@ -407,7 +414,7 @@ def test_invalid_utf8_is_data_error(tmp_path, load):
 
 def test_lexicon_and_frequency_tokens_keep_form_feed(tmp_path):
     lex, skipped = load_lexicon(write(tmp_path, "l.tsv", "a\x0cb\te\nc\td\n"), *SPACES)
-    assert lex.src_tokens == ["a\x0cb", "c"] and skipped == 0
+    assert [SPACES[0].tokens[i] for i, _ in lex.pairs] == ["a\x0cb", "c"] and skipped == 0
     table = load_frequency_table(write(tmp_path, "f.tsv", "a\x0cb\t0.5\n"))
     assert table == {"a\x0cb": 0.5}
 

@@ -10,7 +10,7 @@ import pytest
 from noisy_align import mixture
 from noisy_align.align import alignment_error, random_orthogonal, save_matrix
 from noisy_align.experiments import fit_translation
-from noisy_align.io import DataError, Lexicon
+from noisy_align.io import DataError, EmbeddingSet, Lexicon
 from noisy_align.mixture import (
     VAR_FLOOR,
     AlignmentModel,
@@ -19,19 +19,16 @@ from noisy_align.mixture import (
     _aligned_residuals,
     _component_logdensities,
     _e_step,
-    _initialize,
     _noise_residuals,
     em_fit,
     initialize,
     load_model,
-    log_gaussian_iso,
     log_likelihood,
-    posterior,
-    sample_generative,
     save_model,
     write_responsibilities_tsv,
 )
 from noisy_align.synthetic import make_noisy_problem
+from oracles import log_gaussian_iso, sample_generative
 
 
 def mp_log_gaussian(y, mean, var):
@@ -48,6 +45,15 @@ def mp_log_gaussian(y, mean, var):
 def toy_model(d=2, alpha=0.5, sigma2=1.0, sigma_y2=1.0, seed=0):
     return AlignmentModel(Q=random_orthogonal(d, seed), sigma2=sigma2,
                           mu_y=np.zeros(d), sigma_y2=sigma_y2, alpha=alpha)
+
+
+def pair_weight(model, x, y):
+    """The E-step's posterior that the one pair (x, y) is aligned, through
+    the density and E-step kernels that em_fit runs."""
+    X, Y = np.reshape(x, (-1, 1)), np.reshape(y, (-1, 1))
+    la, ln = _component_logdensities(model, _aligned_residuals(model.Q, X, Y),
+                                     _noise_residuals(model.mu_y, Y))
+    return float(_e_step(model, la, ln)[0][0])
 
 
 class TestAlignmentModel:
@@ -121,15 +127,15 @@ class TestPosterior:
         model = toy_model(d=2, alpha=0.5, seed=3)
         x = np.zeros(2)
         y = np.array([0.3, -1.2])
-        assert posterior(model, x, y) == pytest.approx(0.5, abs=1e-12)
+        assert pair_weight(model, x, y) == pytest.approx(0.5, abs=1e-12)
 
     def test_alpha_one(self):
         model = toy_model(alpha=1.0)
-        assert posterior(model, np.zeros(2), 1e6 * np.ones(2)) == 1.0
+        assert pair_weight(model, np.zeros(2), 1e6 * np.ones(2)) == 1.0
 
     def test_alpha_zero(self):
         model = toy_model(alpha=0.0)
-        assert posterior(model, np.zeros(2), np.zeros(2)) == 0.0
+        assert pair_weight(model, np.zeros(2), np.zeros(2)) == 0.0
 
     def test_logistic_of_log_density_gap(self):
         # gap of 2 nats between components at alpha=0.5
@@ -142,7 +148,7 @@ class TestPosterior:
         y = np.array([2.0])
         x = np.array([(y[0] - 0.0) * sign])  # aligned residual 0
         # noise residual: ||y||^2/2 = 2 nats
-        assert posterior(model, x, y) == pytest.approx(1 / (1 + math.exp(-2)),
+        assert pair_weight(model, x, y) == pytest.approx(1 / (1 + math.exp(-2)),
                                                        abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -152,7 +158,7 @@ class TestPosterior:
         x, y = rng.standard_normal(3), rng.standard_normal(3)
         la = log_gaussian_iso(y, model.Q @ x, model.sigma2)
         ln = log_gaussian_iso(y, model.mu_y, model.sigma_y2)
-        assert (posterior(model, x, y) > 0.5) == (la > ln)
+        assert (pair_weight(model, x, y) > 0.5) == (la > ln)
 
 
 class TestLogLikelihood:
@@ -193,14 +199,14 @@ class TestInitialize:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((3, 10))
         Q = random_orthogonal(3, 5)
-        model = initialize(X, Q @ X)
+        model = initialize(X, Q @ X)[0]
         assert model.sigma2 == VAR_FLOOR
 
     def test_constant_targets_floor_noise_variance(self):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((3, 10))
         Y = np.ones((3, 10))
-        model = initialize(X, Y)
+        model = initialize(X, Y)[0]
         assert model.sigma_y2 == VAR_FLOOR
 
     def test_formula_recompute_oracle(self):
@@ -208,7 +214,7 @@ class TestInitialize:
         d, n = 50, 1000
         X = rng.standard_normal((d, n))
         Y = rng.standard_normal((d, n))
-        model = initialize(X, Y)
+        model = initialize(X, Y)[0]
         assert model.alpha == 0.5
         assert np.allclose(model.mu_y, Y.mean(axis=1), atol=1e-12)
         sigma2 = sum(np.sum((model.Q @ X[:, t] - Y[:, t]) ** 2)
@@ -221,7 +227,7 @@ class TestInitialize:
     def test_sigma2_shares_alignment_error_path(self):
         rng = np.random.default_rng(8)
         X, Y = rng.standard_normal((4, 30)), rng.standard_normal((4, 30))
-        model = initialize(X, Y)
+        model = initialize(X, Y)[0]
         assert model.sigma2 == alignment_error(model.Q, X, Y) / (30 * 4)
 
     def test_too_few_pairs(self):
@@ -231,11 +237,22 @@ class TestInitialize:
     def test_residuals_for_the_first_e_step_are_bit_identical(self):
         rng = np.random.default_rng(9)
         X, Y = rng.standard_normal((6, 40)), rng.standard_normal((6, 40))
-        model, r, r0 = _initialize(X, Y)
+        model, r, r0 = initialize(X, Y)
         assert np.array_equal(r, _aligned_residuals(model.Q, X, Y))
         assert np.array_equal(r0, _noise_residuals(model.mu_y, Y))
-        public = initialize(X, Y)
-        assert np.array_equal(public.Q, model.Q) and public.sigma2 == model.sigma2
+
+    def test_em_fit_calls_initialize_by_its_module_name(self, monkeypatch):
+        # a wrapper bound to `mixture.initialize` (as the benchmark's tracer
+        # binds one) sees em_fit's one initialization
+        calls = []
+
+        def spy(X, Y, _fn=mixture.initialize):
+            calls.append(X.shape)
+            return _fn(X, Y)
+        monkeypatch.setattr(mixture, "initialize", spy)
+        X, Y, _ = jittered_instance(13)
+        em_fit(X, Y)
+        assert calls == [X.shape]
 
     @pytest.mark.parametrize("mode", ["hard", "soft"])
     def test_em_fit_computes_each_residual_once(self, mode, monkeypatch):
@@ -361,7 +378,7 @@ class TestEmFit:
         model, resp, trace = em_fit(X, Y)
         assert trace.degenerate_iters == [0, 1] and trace.converged
         assert model.alpha == 0.0 and resp.n1 == 0
-        assert np.array_equal(model.Q, initialize(X, Y).Q)
+        assert np.array_equal(model.Q, initialize(X, Y)[0].Q)
 
     def test_max_iters_respected(self):
         X, Y, _ = jittered_instance(44)
@@ -477,12 +494,21 @@ def test_load_model_rejects_a_non_orthogonal_q(tmp_path):
 
 
 def test_responsibilities_tsv(tmp_path):
+    # pairs are named from the two vocabularies
     resp = Responsibilities(w=np.array([0.9, 0.2]))
-    lex = Lexicon(pairs=[(0, 0), (0, 1)], src_tokens=["dog", "dog"],
-                  tgt_tokens=["cane", "dog"])
+    src = EmbeddingSet(tokens=["dog"], vectors=np.ones((2, 1)))
+    tgt = EmbeddingSet(tokens=["cane", "dog"], vectors=np.eye(2))
+    lex = Lexicon(pairs=[(0, 0), (0, 1)])
     path = tmp_path / "resp.tsv"
-    write_responsibilities_tsv(resp, lex, path)
+    write_responsibilities_tsv(resp, lex, path, src, tgt)
     lines = path.read_text().splitlines()
-    assert lines[0] == "pair_index\tsrc_token\ttgt_token\tw\tlabel"
-    assert lines[1].endswith("Aligned") and "dog\tcane" in lines[1]
-    assert lines[2].endswith("Noise")
+    assert lines == ["pair_index\tsrc_token\ttgt_token\tw\tlabel",
+                     "0\tdog\tcane\t0.9\tAligned", "1\tdog\tdog\t0.2\tNoise"]
+
+
+def test_responsibilities_tsv_needs_one_weight_per_pair(tmp_path):
+    emb = EmbeddingSet(tokens=["a", "b"], vectors=np.eye(2))
+    lex = Lexicon(pairs=[(0, 0), (1, 1)])
+    with pytest.raises(ValueError, match="1 responsibilities for 2 lexicon pairs"):
+        write_responsibilities_tsv(Responsibilities(w=np.array([0.9])), lex,
+                                   tmp_path / "resp.tsv", emb, emb)

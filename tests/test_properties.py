@@ -32,11 +32,10 @@ from noisy_align.mixture import (
     _noise_residuals,
     initialize,
     load_model,
-    posterior,
     save_model,
 )
 from test_align import sgd_oracle
-from test_mixture import jittered_instance
+from test_mixture import jittered_instance, pair_weight
 
 
 def instance(seed, d, n):
@@ -95,7 +94,7 @@ def test_posterior_stays_in_unit_interval(seed, alpha, sigma2, sigma_y2):
     model = AlignmentModel(Q=random_orthogonal(d, seed % 1000), sigma2=sigma2,
                            mu_y=rng.standard_normal(d), sigma_y2=sigma_y2,
                            alpha=alpha)
-    w = posterior(model, rng.standard_normal(d), 10.0 * rng.standard_normal(d))
+    w = pair_weight(model, rng.standard_normal(d), 10.0 * rng.standard_normal(d))
     assert 0.0 <= w <= 1.0
     if alpha == 0.0:
         assert w == 0.0
@@ -113,7 +112,7 @@ def test_m_step_with_01_weights_equals_subset_fit(seed, frac):
     rng = np.random.default_rng(seed)
     mask = rng.random(n) < frac
     mask[rng.choice(n, 2, replace=False)] = [True, False]
-    start = initialize(X, Y)
+    start = initialize(X, Y)[0]
     model, degenerate, r, r0 = _m_step(start, X, Y, mask.astype(np.float64),
                                        _aligned_residuals(start.Q, X, Y),
                                        _noise_residuals(start.mu_y, Y))
