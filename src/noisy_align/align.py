@@ -49,15 +49,20 @@ def _check_pair_shapes(X: np.ndarray, Y: np.ndarray) -> None:
         raise ValueError("non-finite entries in input matrices")
 
 
+def _check_product(M: np.ndarray | None, what: str) -> None:
+    """DataError naming M as `what` when this product of the input vectors
+    overflowed; huge but finite vectors make it do so."""
+    if M is not None and not np.isfinite(M).all():
+        raise DataError(f"{what} overflows float64: the vectors are too large")
+
+
 def _svd(M: np.ndarray, what: str, **kwargs):
     """`np.linalg.svd(M)` of a d x d product of the input vectors.
 
-    Huge but finite vectors make such a product overflow, and LAPACK's
-    SVD of a matrix holding inf may never return, so a non-finite M is a
-    DataError naming it as `what`.
+    LAPACK's SVD of a matrix holding inf may never return, so a
+    non-finite M is a DataError naming it as `what`.
     """
-    if not np.isfinite(M).all():
-        raise DataError(f"{what} overflows float64: the vectors are too large")
+    _check_product(M, what)
     return np.linalg.svd(M, **kwargs)
 
 
@@ -131,22 +136,27 @@ def sgd_align(X: np.ndarray, Y: np.ndarray, cfg: SgdConfig | None = None) -> np.
     limit 1 / (2 lambda_max(X X^T)).
 
     Raises:
-        DataError: the objective became non-finite (diverged); the
-            message names the offending learning rate.
+        DataError: the vectors are so large that X X^T (or, full-batch,
+            Y X^T) overflows; or the objective became non-finite
+            (diverged), and the message names the offending learning rate.
     """
     cfg = cfg or SgdConfig()
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     _check_pair_shapes(X, Y)
     d, n = X.shape
-    C = X @ X.T
+    batch_size = cfg.batch_size or n
+    full_batch = batch_size >= n
+    # an inf in C would reach the SVD behind the default step's norm
+    # (see `_svd`), and one in B would pass for divergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = X @ X.T
+        B = Y @ X.T if full_batch else None
+    _check_product(C, "X X^T")
+    _check_product(B, "Y X^T")
     lr = cfg.learning_rate
     if lr is None:
         lr = 0.4 / max(float(np.linalg.norm(C, ord=2)), 1e-12)
-    batch_size = cfg.batch_size or n
-    full_batch = batch_size >= n
-    if full_batch:
-        B = Y @ X.T
     rng = np.random.default_rng(cfg.seed)
     Q = np.eye(d)
     # overflow is divergence, reported below rather than warned

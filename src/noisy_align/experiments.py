@@ -1,9 +1,20 @@
-"""End-to-end experiment drivers shared by the CLI and the demo scripts."""
+"""End-to-end experiment drivers shared by the CLI and the demo scripts.
+
+`fit_translation` and the whole `run_noise_curve` loop run on one BLAS
+thread when the fit's M-step GEMM (2 d^2 n flops) is below
+`_blas.THREADED_MIN_FLOPS` (1e8). A fit that small is made of many short
+SVDs, QRs and GEMMs; a second OpenBLAS thread makes it no faster, and its
+idle spin after each call doubles the CPU time. Larger fits keep the
+thread count they have, which OPENBLAS_NUM_THREADS still caps. The count
+is process-global, so these functions are not meant to run in concurrent
+Python threads.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._blas import threads_for
 from .align import (
     SgdConfig,
     alignment_error,
@@ -19,23 +30,33 @@ METHODS = ("op", "sgd", "em-hard", "em-soft")
 SYNTHETIC_2D_SGD_EPOCHS = 3000
 
 
+def _m_step_flops(d: int, n: int) -> float:
+    """Flops of the d x n x d GEMM in each fit's M-step (Y diag(w) X^T)."""
+    return 2.0 * d * d * n
+
+
 def fit_translation(method: str, X: np.ndarray, Y: np.ndarray,
                     sgd_cfg: SgdConfig | None = None,
                     em_cfg: EmConfig | None = None):
     """Fit one of the four methods.
 
+    Runs on one BLAS thread when the M-step GEMM is small (module docstring).
+
     Returns:
         (Q, model, resp, trace): Q is the fitted d x d map, and the last
         three are None for the non-EM methods.
     """
-    if method == "op":
-        return procrustes(X, Y), None, None, None
-    if method == "sgd":
-        return sgd_align(X, Y, sgd_cfg), None, None, None
-    if method in ("em-hard", "em-soft"):
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    # a malformed X is reported by the fit itself
+    flops = _m_step_flops(*np.shape(X)) if np.ndim(X) == 2 else 0.0
+    with threads_for(flops):
+        if method == "op":
+            return procrustes(X, Y), None, None, None
+        if method == "sgd":
+            return sgd_align(X, Y, sgd_cfg), None, None, None
         model, resp, trace = em_fit(X, Y, em_cfg, soft=method == "em-soft")
         return model.Q, model, resp, trace
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 def run_synthetic_2d(seed: int = 0) -> dict:
@@ -81,17 +102,20 @@ def run_noise_curve(n: int = 1000, d: int = 50,
         if not 0.0 <= p < 1.0:
             raise ValueError(f"invalid noise level {p}")
     rows = []
-    for p in levels:
-        for seed in seeds:
-            prob = make_noisy_problem(n=n, d=d, p=p, seed=seed)
-            test_rng = np.random.default_rng([seed, 9173])
-            X_test = test_rng.standard_normal((d, test_n))
-            Y_test = prob.Q_gold @ X_test
-            for method in methods:
-                Q, _, _, _ = fit_translation(method, prob.X, prob.Y)
-                train_err = alignment_error(Q, prob.X, prob.Y, mask=prob.clean_mask)
-                test_err = alignment_error(Q, X_test, Y_test)
-                rows.append((method, float(p), int(seed), train_err, test_err))
+    # one thread for the whole loop: the problem generation and the error
+    # products between the fits would each wake the BLAS pool again
+    with threads_for(_m_step_flops(d, n)):
+        for p in levels:
+            for seed in seeds:
+                prob = make_noisy_problem(n=n, d=d, p=p, seed=seed)
+                test_rng = np.random.default_rng([seed, 9173])
+                X_test = test_rng.standard_normal((d, test_n))
+                Y_test = prob.Q_gold @ X_test
+                for method in methods:
+                    Q, _, _, _ = fit_translation(method, prob.X, prob.Y)
+                    train_err = alignment_error(Q, prob.X, prob.Y, mask=prob.clean_mask)
+                    test_err = alignment_error(Q, X_test, Y_test)
+                    rows.append((method, float(p), int(seed), train_err, test_err))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     return rows
 

@@ -200,6 +200,19 @@ class TestSgdAlign:
         with pytest.raises(DataError, match="10.0"):
             sgd_align(X, Y, cfg)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x_scale,y_scale,batch_size,what", [
+        (1e200, 1.0, None, "X X\\^T"), (1.5e308, 1.0, 2, "X X\\^T"),
+        (1e100, 1e250, None, "Y X\\^T"),
+    ])
+    def test_overflowing_gram_is_a_data_error(self, x_scale, y_scale, batch_size, what):
+        # the default step takes a norm (an SVD) of X X^T, which must not
+        # see inf, and an overflowed Y X^T is not divergence
+        sign = np.sign(np.random.default_rng(8).standard_normal((3, 8)))
+        cfg = SgdConfig(batch_size=batch_size)
+        with pytest.raises(DataError, match=what + " overflows float64"):
+            sgd_align(x_scale * sign, y_scale * sign, cfg)
+
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(7)
         X, Y = rng.standard_normal((3, 40)), rng.standard_normal((3, 40))

@@ -123,11 +123,10 @@ class TestAlign:
         assert (tmp_path / "1" / "matrix.txt").read_bytes() != \
             (tmp_path / "2" / "matrix.txt").read_bytes()
 
-    @pytest.mark.parametrize("method,value", [("em-hard", "1e200"), ("op", "1e200"),
-                                              ("em-hard", "1.5e308")])
-    def test_huge_vectors_are_a_data_error_not_a_hang(self, method, value, tmp_path):
-        # their d x d products overflow, and the SVD of a matrix holding inf
-        # may never return: a separate process is stopped if it hangs
+    @staticmethod
+    def align_huge(method, value, tmp_path):
+        """The CLI in a separate process, which is stopped if it hangs, on
+        vectors whose d x d products overflow."""
         emb = tmp_path / "huge.txt"
         emb.write_text(f"a {value} 0 3\nb 0 1e200 1\nc {value} {value} 2\n"
                        f"d 5 -1e200 1\n")
@@ -136,14 +135,28 @@ class TestAlign:
         src = str(Path(noisy_align.__file__).parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "noisy_align.cli", "align", "--src-emb", str(emb),
              "--tgt-emb", str(emb), "--lexicon", str(lex), "--method", method,
              "--output-dir", str(tmp_path / "out")],
             env=env, capture_output=True, text=True, timeout=60)
+
+    @pytest.mark.parametrize("method,value", [("em-hard", "1e200"), ("op", "1e200"),
+                                              ("em-hard", "1.5e308")])
+    def test_huge_vectors_are_a_data_error_not_a_hang(self, method, value, tmp_path):
+        # the SVD of a matrix holding inf may never return
+        done = self.align_huge(method, value, tmp_path)
         assert done.returncode == 2
         assert "overflows float64: the vectors are too large" in done.stderr
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("value", ["1e200", "1.5e308"])
+    def test_huge_vectors_under_sgd_are_one_line_data_error(self, value, tmp_path):
+        # no overflow warning, no LAPACK message and no "diverged"
+        done = self.align_huge("sgd", value, tmp_path)
+        assert done.returncode == 2
+        assert done.stderr == ("noisy-align: data error: X X^T overflows float64: "
+                               "the vectors are too large\n")
 
     def test_sgd_divergence_is_one_line_data_error(self, bilingual, tmp_path, capsys):
         code = run_align(bilingual, tmp_path / "z", ["--method", "sgd",

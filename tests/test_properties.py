@@ -192,6 +192,7 @@ FUZZ_SPACE = EmbeddingSet(tokens=["a", "b"], vectors=np.eye(2))
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.one_of(st.binary(), st.lists(st.sampled_from(TEXT_PIECES)).map(b"".join)))
+@example(b"a\tb\n")  # a lexicon line that resolves in FUZZ_SPACE
 def test_text_loaders_give_valid_object_or_data_error(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.txt"
@@ -209,7 +210,7 @@ def test_text_loaders_give_valid_object_or_data_error(data):
             pass
         else:
             assert len(lex) >= 1 and skipped >= 0
-            assert all(0 <= i < 2 and 0 <= j < 2 for i, j in lex)
+            assert all(0 <= i < 2 and 0 <= j < 2 for i, j in lex.pairs)
         try:
             stop = load_stoplist(path)
         except DataError:
