@@ -56,40 +56,37 @@ def _check_product(M: np.ndarray | None, what: str) -> None:
         raise DataError(f"{what} overflows float64: the vectors are too large")
 
 
-def _svd(M: np.ndarray, what: str, **kwargs):
+def _svd(M: np.ndarray, what: str):
     """`np.linalg.svd(M)` of a d x d product of the input vectors.
 
     LAPACK's SVD of a matrix holding inf may never return, so a
     non-finite M is a DataError naming it as `what`.
     """
     _check_product(M, what)
-    return np.linalg.svd(M, **kwargs)
+    return np.linalg.svd(M)
 
 
 def procrustes(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Orthogonal matrix minimizing ||QX - Y||_F^2 (closed form).
 
     Computes U V^T where U S V^T is the SVD of Y X^T. Reflections are
-    allowed (no determinant correction). A warning is issued when X has
-    rank below d: fewer than d columns, or numerically rank-deficient.
+    allowed (no determinant correction). The solution is unique exactly
+    when Y X^T is nonsingular, so a warning is issued when its smallest
+    singular value is at most 1e-12 times its largest. That covers X or
+    Y of rank below d, fewer than d columns, and a zero Y.
 
     Raises:
-        DataError: the vectors are so large that X's R factor or Y X^T
-            overflows.
+        DataError: the vectors are so large that Y X^T overflows.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     _check_pair_shapes(X, Y)
-    d, n = X.shape
-    # X^T = QR gives R the singular values of X; the QR is a cheaper
-    # O(d^2 n) pass than svd(X) and leaves only an O(d^3) SVD
-    sv = _svd(np.linalg.qr(X.T, mode="r"), "the R factor of X^T", compute_uv=False)
-    if n < d or (sv[0] > 0 and sv[-1] < 1e-12 * sv[0]):
-        warnings.warn("X is numerically rank-deficient; Procrustes solution "
-                      "is not unique", RuntimeWarning, stacklevel=2)
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _svd
         M = Y @ X.T
-    U, _, Vt = _svd(M, "Y X^T")
+    U, sv, Vt = _svd(M, "Y X^T")
+    if sv[-1] <= 1e-12 * sv[0]:  # also a zero Y X^T
+        warnings.warn("Y X^T is numerically rank-deficient; Procrustes solution "
+                      "is not unique", RuntimeWarning, stacklevel=2)
     return U @ Vt
 
 

@@ -35,6 +35,7 @@ from .evaluation import (
 from .experiments import (
     METHODS,
     fit_translation,
+    noise_curve_error,
     run_noise_curve,
     run_synthetic_2d,
     write_noise_curve_csv,
@@ -214,7 +215,8 @@ def build_parser() -> _Parser:
     p = command("synthetic-2d", _cmd_synthetic_2d, "2D single-noisy-pair experiment")
     p.add_argument("--seed", type=_non_negative_int, default=0)
 
-    p = command("noise-curve", _cmd_noise_curve, "error-vs-noise-level experiment")
+    p = command("noise-curve", _cmd_noise_curve, "error-vs-noise-level experiment",
+                check=lambda a: noise_curve_error(a.n, a.levels, a.methods))
     p.add_argument("--n", type=_positive_int, default=1000)
     p.add_argument("--d", type=_positive_int, default=50)
     p.add_argument("--test-n", type=_positive_int, default=300)

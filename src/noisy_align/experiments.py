@@ -1,10 +1,10 @@
 """End-to-end experiment drivers shared by the CLI and the demo scripts.
 
 `fit_translation` and the whole `run_noise_curve` loop run on one BLAS
-thread when the fit's M-step GEMM (2 d^2 n flops) is below
-`_blas.THREADED_MIN_FLOPS` (1e8). A fit that small is made of many short
-SVDs, QRs and GEMMs; a second OpenBLAS thread makes it no faster, and its
-idle spin after each call doubles the CPU time. Larger fits keep the
+thread when the fit's GEMMs (`_fit_flops`) are below
+`_blas.THREADED_MIN_FLOPS` (1e8 flops). A fit that small is made of many
+short SVDs and GEMMs; a second OpenBLAS thread makes it no faster, and
+its idle spin after each call doubles the CPU time. Larger fits keep the
 thread count they have, which OPENBLAS_NUM_THREADS still caps. The count
 is process-global, so these functions are not meant to run in concurrent
 Python threads.
@@ -30,9 +30,28 @@ METHODS = ("op", "sgd", "em-hard", "em-soft")
 SYNTHETIC_2D_SGD_EPOCHS = 3000
 
 
-def _m_step_flops(d: int, n: int) -> float:
-    """Flops of the d x n x d GEMM in each fit's M-step (Y diag(w) X^T)."""
-    return 2.0 * d * d * n
+def _fit_flops(method: str, d: int, n: int, sgd_cfg: SgdConfig | None = None) -> float:
+    """Flops of a fit's GEMMs: the d x n x d M-step GEMM (2 d^2 n); full-batch
+    SGD's Gram products and one d x d x d GEMM per epoch; or minibatch SGD's
+    two d x batch x d GEMMs per step."""
+    if method != "sgd":
+        return 2.0 * d * d * n
+    cfg = sgd_cfg or SgdConfig()
+    if (cfg.batch_size or n) >= n:
+        return 2.0 * d * d * n + cfg.epochs * 2.0 * d ** 3
+    return cfg.epochs * 4.0 * d * d * n
+
+
+def noise_curve_error(n: int, levels, methods) -> str | None:
+    """Why `run_noise_curve` cannot run these settings, or None: each level
+    must lie in [0, 1) and leave a clean pair (`make_noisy_problem` makes
+    round(p n) of the n pairs noisy), and EM needs at least 2 pairs."""
+    for p in levels:
+        if not (0.0 <= p < 1.0 and round(p * n) < n):
+            return f"noise level {p} must lie in [0, 1) and leave one of the {n} pairs clean"
+    if n < 2 and {"em-hard", "em-soft"} & set(methods):
+        return f"the EM methods need at least 2 training pairs, got n={n}"
+    return None
 
 
 def fit_translation(method: str, X: np.ndarray, Y: np.ndarray,
@@ -40,7 +59,7 @@ def fit_translation(method: str, X: np.ndarray, Y: np.ndarray,
                     em_cfg: EmConfig | None = None):
     """Fit one of the four methods.
 
-    Runs on one BLAS thread when the M-step GEMM is small (module docstring).
+    Runs on one BLAS thread when the fit's GEMMs are small (module docstring).
 
     Returns:
         (Q, model, resp, trace): Q is the fitted d x d map, and the last
@@ -49,7 +68,7 @@ def fit_translation(method: str, X: np.ndarray, Y: np.ndarray,
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     # a malformed X is reported by the fit itself
-    flops = _m_step_flops(*np.shape(X)) if np.ndim(X) == 2 else 0.0
+    flops = _fit_flops(method, *np.shape(X), sgd_cfg) if np.ndim(X) == 2 else 0.0
     with threads_for(flops):
         if method == "op":
             return procrustes(X, Y), None, None, None
@@ -97,14 +116,18 @@ def run_noise_curve(n: int = 1000, d: int = 50,
 
     Returns:
         rows (method, p, seed, train_error, test_error), sorted.
+
+    Raises:
+        ValueError: the problem `noise_curve_error` finds in the settings.
     """
-    for p in levels:
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"invalid noise level {p}")
+    problem = noise_curve_error(n, levels, methods)
+    if problem:
+        raise ValueError(problem)
     rows = []
-    # one thread for the whole loop: the problem generation and the error
-    # products between the fits would each wake the BLAS pool again
-    with threads_for(_m_step_flops(d, n)):
+    # one thread count for the whole loop, sized by its largest fit: the
+    # problem generation and the error products between the fits would each
+    # wake the BLAS pool again
+    with threads_for(max((_fit_flops(m, d, n) for m in methods), default=0.0)):
         for p in levels:
             for seed in seeds:
                 prob = make_noisy_problem(n=n, d=d, p=p, seed=seed)

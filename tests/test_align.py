@@ -91,17 +91,28 @@ class TestProcrustes:
         with pytest.warns(RuntimeWarning, match="rank-deficient"):
             procrustes(X, X)
 
-    @pytest.mark.parametrize("d,n,rank,warns", [
-        (3, 5, 3, False), (3, 3, 3, False), (1, 1, 1, False),
-        (3, 10, 2, True), (4, 40, 1, True),  # rank-deficient, n >= d
-        (5, 3, 3, True), (5, 1, 1, True),  # fewer pairs than dimensions
-    ])
-    def test_warns_exactly_when_rank_below_d(self, d, n, rank, warns):
+    # X or Y of rank below d makes Y X^T singular and the solution not
+    # unique; y_rank 0 is a zero Y
+    RANK_CASES = [
+        (3, 5, 3, 3, False), (3, 3, 3, 3, False), (1, 1, 1, 1, False),
+        (3, 10, 2, 2, True), (4, 40, 1, 1, True),  # rank-deficient, n >= d
+        (5, 3, 3, 3, True), (5, 1, 1, 1, True),  # fewer pairs than dimensions
+        (300, 299, 299, 299, True),
+        (3, 10, 3, 2, True), (4, 40, 4, 1, True),  # full-rank X, rank-deficient Y
+        (3, 10, 3, 0, True),
+    ]
+
+    # an id names Y's rank only where it differs from X's
+    @pytest.mark.parametrize("d,n,rank,y_rank,warns", RANK_CASES, ids=[
+        "-".join(map(str, (d, n, r) + ((yr,) if yr != r else ()) + (w,)))
+        for d, n, r, yr, w in RANK_CASES])
+    def test_warns_exactly_when_rank_below_d(self, d, n, rank, y_rank, warns):
         rng = np.random.default_rng(d + n)
         X = rng.standard_normal((d, rank)) @ rng.standard_normal((rank, n))
+        Y = rng.standard_normal((d, y_rank)) @ rng.standard_normal((y_rank, n))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            Q = procrustes(X, X)
+            Q = procrustes(X, Y)
         assert any("rank-deficient" in str(w.message) for w in caught) == warns
         assert ortho_residual(Q) <= 1e-8
 
@@ -123,7 +134,7 @@ class TestProcrustes:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale,what", [(1e200, "Y X\\^T"),
-                                            (1e308, "R factor of X\\^T")])
+                                            (1e308, "Y X\\^T")])
     def test_overflowing_product_is_a_data_error(self, scale, what):
         # the SVD of a matrix holding inf may never return
         X = scale * np.sign(np.random.default_rng(5).standard_normal((3, 8)))

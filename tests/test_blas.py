@@ -8,6 +8,7 @@ import pytest
 
 from noisy_align import _blas, experiments
 from noisy_align._blas import THREADED_MIN_FLOPS, threads_for
+from noisy_align.align import SgdConfig
 
 SMALL, LARGE = THREADED_MIN_FLOPS / 2, THREADED_MIN_FLOPS
 
@@ -98,13 +99,31 @@ def test_noise_curve_generates_and_fits_on_one_thread(fake, monkeypatch):
     assert fake.count == 4
 
 
-@pytest.mark.parametrize("d,n,threads", [(50, 1000, 1), (300, 600, 4)])
-def test_fit_translation_picks_threads_by_m_step_flops(fake, monkeypatch, d, n, threads):
+@pytest.mark.parametrize("method,fit,d,n,batch,threads", [
     # 2 d^2 n: 5e6 flops runs on one thread, 1.08e8 keeps the count
-    fits = spy_threads(monkeypatch, fake, "procrustes")
+    pytest.param("op", "procrustes", 50, 1000, None, 1, id="50-1000-1"),
+    pytest.param("op", "procrustes", 300, 600, None, 4, id="300-600-4"),
+    # full-batch SGD adds 200 epochs of 2 d^3: 5.5e7 runs on one thread,
+    # and 1.08e10 keeps the count although its 2 d^2 n is only 9e7
+    pytest.param("sgd", "sgd_align", 50, 1000, None, 1, id="sgd-50-1000-1"),
+    pytest.param("sgd", "sgd_align", 300, 500, None, 4, id="sgd-300-500-4"),
+    # minibatch SGD: 200 epochs of 4 d^2 n = 8e8 keep the count
+    pytest.param("sgd", "sgd_align", 50, 1000, 500, 4, id="sgd-50-1000-batch-500-4"),
+])
+def test_fit_translation_picks_threads_by_m_step_flops(fake, monkeypatch, method, fit,
+                                                       d, n, batch, threads):
+    fits = spy_threads(monkeypatch, fake, fit)
     X = np.random.default_rng(0).standard_normal((d, n))
-    experiments.fit_translation("op", X, X)
+    experiments.fit_translation(method, X, X, sgd_cfg=SgdConfig(batch_size=batch))
     assert fits == [threads] and fake.count == 4
+
+
+def test_noise_curve_is_sized_by_its_largest_fit(fake, monkeypatch):
+    # op's 2 d^2 n is 3e6 flops, but full-batch SGD's 4e8 keeps the count
+    problems = spy_threads(monkeypatch, fake, "make_noisy_problem")
+    experiments.run_noise_curve(n=150, d=100, levels=(0.0,), test_n=5,
+                                seeds=range(1), methods=("op", "sgd"))
+    assert problems == [4] and fake.count == 4
 
 
 def _numpy_names_openblas() -> bool:

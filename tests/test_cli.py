@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import noisy_align
-from noisy_align import cli
+from noisy_align import cli, experiments
 from noisy_align.align import random_orthogonal, save_matrix
 from noisy_align.cli import build_parser, main
 from noisy_align.io import EmbeddingSet, save_embeddings
@@ -375,6 +375,23 @@ class TestNoiseCurve:
         assert exit_code(lambda: main(["noise-curve", "--methods", "op,bogus",
                                        "--output-dir", str(tmp_path)])) == 1
         assert "usage: noisy-align noise-curve" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,message", [
+        # round(0.9 * 2) == 2: every training pair would be noisy
+        (["--n", "2", "--levels", "0.9"], "noise level 0.9 must lie in [0, 1) and leave one"),
+        (["--n", "1", "--methods", "em-hard"], "need at least 2 training pairs"),
+    ], ids=["all-pairs-noisy", "em-on-one-pair"])
+    def test_no_usable_training_pairs_is_usage_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert exit_code(lambda: main(["noise-curve", *flags, "--output-dir", str(out)])) == 1
+        err = capsys.readouterr().err
+        assert "usage: noisy-align noise-curve" in err and message in err
+        assert not out.exists()
+
+    def test_library_names_the_level_before_fitting(self, monkeypatch):
+        monkeypatch.setattr(experiments, "fit_translation", None)  # never reached
+        with pytest.raises(ValueError, match="noise level 0.75"):
+            experiments.run_noise_curve(n=2, d=3, levels=(0.0, 0.75), methods=("op",))
 
 
 class TestDiachronic:

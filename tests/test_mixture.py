@@ -206,7 +206,9 @@ class TestInitialize:
         rng = np.random.default_rng(6)
         X = rng.standard_normal((3, 10))
         Y = np.ones((3, 10))
-        model = initialize(X, Y)[0]
+        # a constant Y makes Y X^T rank 1
+        with pytest.warns(RuntimeWarning, match="rank-deficient"):
+            model = initialize(X, Y)[0]
         assert model.sigma_y2 == VAR_FLOOR
 
     def test_formula_recompute_oracle(self):
