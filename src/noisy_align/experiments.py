@@ -1,13 +1,9 @@
 """End-to-end experiment drivers shared by the CLI and the demo scripts.
 
-`fit_translation` and the whole `run_noise_curve` loop run on one BLAS
-thread when the fit's GEMMs (`_fit_flops`) are below
-`_blas.THREADED_MIN_FLOPS` (1e8 flops). A fit that small is made of many
-short SVDs and GEMMs; a second OpenBLAS thread makes it no faster, and
-its idle spin after each call doubles the CPU time. Larger fits keep the
-thread count they have, which OPENBLAS_NUM_THREADS still caps. The count
-is process-global, so these functions are not meant to run in concurrent
-Python threads.
+`fit_translation` and the whole `run_noise_curve` loop run under
+`_blas.threads_for` of the fit's GEMM flops (`_fit_flops`): on one BLAS
+thread below `_blas.THREADED_MIN_FLOPS`. The count is process-global, so
+these functions are not meant to run in concurrent Python threads.
 """
 
 from __future__ import annotations
@@ -31,22 +27,17 @@ SYNTHETIC_2D_SGD_EPOCHS = 3000
 
 
 def _fit_flops(method: str, d: int, n: int, sgd_cfg: SgdConfig | None = None) -> float:
-    """Flops of a fit's GEMMs: the d x n x d M-step GEMM (2 d^2 n); full-batch
-    SGD's Gram products and one d x d x d GEMM per epoch; or minibatch SGD's
-    two d x batch x d GEMMs per step."""
-    if method != "sgd":
-        return 2.0 * d * d * n
+    """Flops of a fit's GEMMs: the d x n x d M-step GEMM, 2 d^2 n, plus one
+    d x d x d GEMM per epoch for full-batch SGD (`sgd_align`'s Gram form)."""
     cfg = sgd_cfg or SgdConfig()
-    if (cfg.batch_size or n) >= n:
+    if method == "sgd" and (cfg.batch_size or n) >= n:
         return 2.0 * d * d * n + cfg.epochs * 2.0 * d ** 3
-    return cfg.epochs * 4.0 * d * d * n
+    return 2.0 * d * d * n
 
 
 def noise_curve_error(n: int, levels, methods) -> str | None:
-    """Why `run_noise_curve` cannot run these settings, or None: each level
-    must lie in [0, 1) and leave a clean pair (`make_noisy_problem` makes
-    round(p n) of the n pairs noisy), and EM needs at least 2 pairs."""
-    for p in levels:
+    """Why `run_noise_curve` cannot run these settings, or None."""
+    for p in levels:  # `make_noisy_problem` makes round(p n) of the n pairs noisy
         if not (0.0 <= p < 1.0 and round(p * n) < n):
             return f"noise level {p} must lie in [0, 1) and leave one of the {n} pairs clean"
     if n < 2 and {"em-hard", "em-soft"} & set(methods):
@@ -118,15 +109,13 @@ def run_noise_curve(n: int = 1000, d: int = 50,
         rows (method, p, seed, train_error, test_error), sorted.
 
     Raises:
-        ValueError: the problem `noise_curve_error` finds in the settings.
+        ValueError: settings that `noise_curve_error` rejects.
     """
-    problem = noise_curve_error(n, levels, methods)
-    if problem:
+    if problem := noise_curve_error(n, levels, methods):
         raise ValueError(problem)
     rows = []
-    # one thread count for the whole loop, sized by its largest fit: the
-    # problem generation and the error products between the fits would each
-    # wake the BLAS pool again
+    # one thread count for the whole loop, sized by its largest fit: the problem
+    # generation and error products between the fits would wake the pool again
     with threads_for(max((_fit_flops(m, d, n) for m in methods), default=0.0)):
         for p in levels:
             for seed in seeds:

@@ -116,6 +116,20 @@ class TestProcrustes:
         assert any("rank-deficient" in str(w.message) for w in caught) == warns
         assert ortho_residual(Q) <= 1e-8
 
+    # the 1e-12 cut-off applies to Y X^T, not to X: with Y = Q X the
+    # singular values of Y X^T are those of X squared, so a full-rank X of
+    # condition number 1e7 warns and one of 1e5 does not
+    @pytest.mark.parametrize("cond,warns", [(1e5, False), (1e7, True)])
+    def test_cut_off_applies_to_the_product(self, cond, warns):
+        d, n = 4, 20
+        V = np.linalg.qr(np.random.default_rng(8).standard_normal((n, d)))[0]
+        X = random_orthogonal(d, 1) @ np.diag(np.geomspace(1.0, 1.0 / cond, d)) @ V.T
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            Q = procrustes(X, random_orthogonal(d, 2) @ X)
+        assert any("rank-deficient" in str(w.message) for w in caught) == warns
+        assert ortho_residual(Q) <= 1e-8
+
     @pytest.mark.parametrize("d,n", [(2, 5), (5, 40), (50, 500), (300, 2000)])
     def test_orthogonality_residual(self, d, n):
         rng = np.random.default_rng(d)

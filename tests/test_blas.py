@@ -107,8 +107,8 @@ def test_noise_curve_generates_and_fits_on_one_thread(fake, monkeypatch):
     # and 1.08e10 keeps the count although its 2 d^2 n is only 9e7
     pytest.param("sgd", "sgd_align", 50, 1000, None, 1, id="sgd-50-1000-1"),
     pytest.param("sgd", "sgd_align", 300, 500, None, 4, id="sgd-300-500-4"),
-    # minibatch SGD: 200 epochs of 4 d^2 n = 8e8 keep the count
-    pytest.param("sgd", "sgd_align", 50, 1000, 500, 4, id="sgd-50-1000-batch-500-4"),
+    # minibatch SGD is sized by 2 d^2 n alone: 5e6 runs on one thread
+    pytest.param("sgd", "sgd_align", 50, 1000, 500, 1, id="sgd-50-1000-batch-500-1"),
 ])
 def test_fit_translation_picks_threads_by_m_step_flops(fake, monkeypatch, method, fit,
                                                        d, n, batch, threads):
