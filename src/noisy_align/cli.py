@@ -255,12 +255,11 @@ def _load_spaces(args):
     return src, tgt
 
 
-def _test_metrics(Q, test_lexicon: str, src, tgt) -> dict:
+def _test_metrics(Q, test_lex: nio.Lexicon, src, tgt) -> dict:
     """EvalReport's p_at_1, n_queries and test_error of Q on a test lexicon.
 
     The sizes of Q and of both embedding sets are checked before retrieval.
     """
-    test_lex, _ = nio.load_lexicon(test_lexicon, src, tgt)
     if Q.shape[0] != src.dim:
         raise nio.DataError(
             f"matrix dimension mismatch: matrix d={Q.shape[0]}, embedding d={src.dim}")
@@ -273,8 +272,12 @@ def _test_metrics(Q, test_lexicon: str, src, tgt) -> dict:
 def _cmd_align(args) -> int:
     src, tgt = _load_spaces(args)
     lex, skipped = nio.load_lexicon(args.lexicon, src, tgt)
-    X, Y = nio.gather_pairs(lex, src, tgt)
-    Q, model, resp, trace = fit_translation(args.method, X, Y, sgd_cfg=_sgd_config(args),
+    # clean-lexicon takes no --test-lexicon
+    test_path = getattr(args, "test_lexicon", None)
+    test_lex = nio.load_lexicon(test_path, src, tgt)[0] if test_path else None
+    # the training pairs are freed before the test set is gathered
+    Q, model, resp, trace = fit_translation(args.method, *nio.gather_pairs(lex, src, tgt),
+                                            sgd_cfg=_sgd_config(args),
                                             em_cfg=_em_config(args))
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -291,7 +294,7 @@ def _cmd_align(args) -> int:
     if model is not None:
         save_model(model, out / "model.txt")
         fit = {"noise_rate": 1.0 - model.alpha, "iterations": trace.iterations}
-    test = _test_metrics(Q, args.test_lexicon, src, tgt) if args.test_lexicon else {}
+    test = _test_metrics(Q, test_lex, src, tgt) if test_lex is not None else {}
     report = EvalReport(**test, **fit)
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     print(f"method={args.method} pairs={len(lex)} skipped_lines={skipped} "
@@ -303,7 +306,8 @@ def _cmd_align(args) -> int:
 def _cmd_evaluate(args) -> int:
     src, tgt = _load_spaces(args)
     Q = load_matrix(args.matrix)
-    report = EvalReport(**_test_metrics(Q, args.test_lexicon, src, tgt))
+    test_lex, _ = nio.load_lexicon(args.test_lexicon, src, tgt)
+    report = EvalReport(**_test_metrics(Q, test_lex, src, tgt))
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _cache
+
 logger = logging.getLogger(__name__)
 
 # Embedding rows whose values one `np.loadtxt` call converts.
@@ -183,7 +185,8 @@ def load_embeddings(path, limit: int | None = None, normalize: bool = False) -> 
 
     Values are parsed in chunks of `PARSE_CHUNK_ROWS` rows, one C-level
     conversion per chunk; the accepted number syntax is exactly Python
-    `float()`'s.
+    `float()`'s. A later load of the same unchanged file reads the parse
+    back from a per-user cache (README, "Embedding cache").
 
     Args:
         path: file with `token v1 ... vd` lines (optional `n d` header).
@@ -205,6 +208,18 @@ def load_embeddings(path, limit: int | None = None, normalize: bool = False) -> 
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
+    tokens, vectors, skipped = _cache.parsed(path, limit, _parse_embeddings)
+    if skipped:
+        logger.warning("skipped %d malformed/duplicate rows in %s", skipped, path)
+    if normalize:
+        vectors, norms = _column_norms(vectors)
+        norms[norms == 0] = 1.0
+        vectors = vectors / norms
+    return EmbeddingSet(tokens=tokens, vectors=vectors, skipped=skipped)
+
+
+def _parse_embeddings(path, limit: int | None) -> tuple[list[str], np.ndarray, int]:
+    """`load_embeddings`'s text parse: (tokens, d x n vectors, skipped)."""
     dim = None
     tokens: list[str] = []
     index: dict[str, int] = {}
@@ -249,19 +264,13 @@ def load_embeddings(path, limit: int | None = None, normalize: bool = False) -> 
         raise DataError(
             f"inconsistent dimension on {bad_dim}/{total} rows of {path}"
         )
-    if skipped:
-        logger.warning("skipped %d malformed/duplicate rows in %s", skipped, path)
 
     vectors = np.empty((dim, len(tokens)))
     start = 0
     for block in blocks:
         vectors[:, start:start + len(block)] = block.T
         start += len(block)
-    if normalize:
-        vectors, norms = _column_norms(vectors)
-        norms[norms == 0] = 1.0
-        vectors = vectors / norms
-    return EmbeddingSet(tokens=tokens, vectors=vectors, skipped=skipped)
+    return tokens, vectors, skipped
 
 
 def save_embeddings(emb: EmbeddingSet, path) -> None:

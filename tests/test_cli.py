@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,33 @@ class TestAlign:
                      "--output-dir", str(tmp_path / "x")])
         assert code == 2
         assert "zero resolvable pairs" in capsys.readouterr().err
+
+    def test_unresolvable_test_lexicon_fails_before_the_fit(self, bilingual, tmp_path,
+                                                            capsys):
+        bilingual["test"].write_text("s0\tnowhere\nnowhere\tt0\n")
+        out = tmp_path / "o"
+        assert run_align(bilingual, out) == 2
+        assert f"zero resolvable pairs in {bilingual['test']}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cached_inputs_give_identical_outputs(self, bilingual, tmp_path, capsys,
+                                                  caplog, cache_home):
+        with bilingual["src"].open("a") as fh:
+            fh.write("s0" + " 0" * 10 + "\n")  # a duplicate row: skipped, with a warning
+        old = time.time_ns() - 60 * 10**9
+        for name in ("src", "tgt"):
+            os.utime(bilingual[name], ns=(old, old))
+        runs = []
+        for out in ("miss", "hit"):
+            caplog.clear()
+            assert run_align(bilingual, tmp_path / out, ["--method", "em-soft"]) == 0
+            runs.append((capsys.readouterr(), caplog.messages,
+                         sorted(os.listdir(cache_home / "noisy-align"))))
+        assert runs[0] == runs[1] and len(runs[0][2]) == 2
+        assert "skipped 1 malformed/duplicate rows" in runs[0][1][0]
+        for name in os.listdir(tmp_path / "miss"):
+            assert (tmp_path / "miss" / name).read_bytes() == \
+                (tmp_path / "hit" / name).read_bytes(), name
 
     def test_sgd_flags_with_em_method_is_usage_error(self, bilingual, tmp_path, capsys):
         code = exit_code(lambda: run_align(bilingual, tmp_path / "y",

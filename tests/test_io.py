@@ -1,5 +1,8 @@
 import logging
+import os
 import tempfile
+import threading
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -7,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from noisy_align import io as nio
+from noisy_align import _cache, io as nio
 from noisy_align.io import (
     DataError,
     EmbeddingSet,
@@ -282,6 +285,125 @@ def test_bulk_loader_matches_row_loop(text, limit, chunk):
         with mock.patch.object(nio, "PARSE_CHUNK_ROWS", chunk):
             bulk = load_outcome(load_embeddings, path, limit)
         assert bulk == load_outcome(row_loop_load, path, limit)
+
+
+def backdate(path, seconds=60):
+    """Set a file's mtime `seconds` into the past, beyond the cache's
+    racy-file window."""
+    old = time.time_ns() - seconds * 10**9
+    os.utime(path, ns=(old, old))
+
+
+class TestEmbeddingCache:
+    TEXT = "2 3\na\x0cb 1 0.5 -2\nc\u2028d 3e-2 1 1\nbad 1 x 2\ne\u0301 nan 1 1\n" \
+           "e\x85 0 0 1\n"
+
+    @pytest.fixture
+    def emb(self, tmp_path):
+        path = write(tmp_path, "e.txt", self.TEXT)
+        backdate(path)
+        return path
+
+    @staticmethod
+    def entries(cache_home):
+        root = cache_home / "noisy-align"
+        return sorted(p.name for p in root.iterdir()) if root.exists() else []
+
+    def test_hit_gives_the_parse_and_its_warning(self, emb, cache_home):
+        miss = load_outcome(load_embeddings, emb)
+        assert len(self.entries(cache_home)) == 1
+        hit = load_outcome(load_embeddings, emb)
+        assert miss[2] > 0 and hit[2] == 0  # lines read
+        assert hit[:2] == miss[:2]
+        assert hit[0][1] == ["a\x0cb", "c\u2028d", "e\x85"] and hit[0][3] == 2
+        assert hit[1] == [f"skipped 2 malformed/duplicate rows in {emb}"]
+
+    def test_same_size_rewrite_in_place_misses(self, emb):
+        load_embeddings(emb)
+        st = os.stat(emb)
+        time.sleep(0.05)  # past the timestamp tick of the last change
+        with open(emb, "r+b") as fh:
+            fh.seek(len("2 3\na\x0cb ".encode()))
+            fh.write(b"7")
+        os.utime(emb, ns=(st.st_atime_ns, st.st_mtime_ns))  # same size and mtime
+        shown, _, lines = load_outcome(load_embeddings, emb)
+        assert lines > 0 and shown[4] == (3, 3)
+        assert shown[5] == load_outcome(row_loop_load, emb)[0][5]
+        assert load_embeddings(emb).vectors[:, 0].tolist() == [7.0, 0.5, -2.0]
+
+    def test_racy_file_gets_no_entry(self, tmp_path, cache_home):
+        path = write(tmp_path, "e.txt", self.TEXT)
+        for _ in range(2):
+            assert load_outcome(load_embeddings, path)[2] > 0
+        assert self.entries(cache_home) == []
+
+    @pytest.mark.parametrize("root", ["under-a-file", "no-home"])
+    def test_unusable_cache_root_still_loads(self, emb, tmp_path, monkeypatch, root):
+        if root == "under-a-file":
+            monkeypatch.setenv("XDG_CACHE_HOME", str(emb / "cache"))
+        else:
+            monkeypatch.delenv("XDG_CACHE_HOME")
+            monkeypatch.delenv("HOME", raising=False)
+            monkeypatch.setattr("pwd.getpwuid", mock.Mock(side_effect=KeyError))
+        for _ in range(2):
+            shown, _, lines = load_outcome(load_embeddings, emb)
+            assert lines > 0 and shown[1] == ["a\x0cb", "c\u2028d", "e\x85"]
+        assert os.listdir(tmp_path) == ["e.txt"]
+
+    def test_truncated_entry_is_parsed_again_and_replaced(self, emb, cache_home):
+        miss = load_outcome(load_embeddings, emb)
+        [name] = self.entries(cache_home)
+        entry = cache_home / "noisy-align" / name
+        entry.write_bytes(entry.read_bytes()[:-8])
+        again = load_outcome(load_embeddings, emb)
+        assert again[2] > 0 and again[:2] == miss[:2]
+        assert load_outcome(load_embeddings, emb)[2] == 0
+
+    def test_each_limit_has_its_own_entry(self, emb, cache_home):
+        for limit in (None, 1, 2, None, 1, 2):
+            assert load_embeddings(emb, limit=limit).n == (limit or 3)
+        assert len(self.entries(cache_home)) == 3
+        assert load_outcome(load_embeddings, emb, limit=1)[0][1] == ["a\x0cb"]
+
+    def test_normalize_is_applied_after_a_hit(self, emb):
+        parsed = load_embeddings(emb, normalize=True)
+        raw = load_outcome(load_embeddings, emb)
+        with mock.patch.object(nio, "_read_lines", side_effect=AssertionError):
+            hit = load_embeddings(emb, normalize=True)
+        assert raw[0][5] != hit.vectors.tobytes() == parsed.vectors.tobytes()
+
+    def test_fifo_is_never_cached(self, tmp_path, cache_home):
+        fifo = tmp_path / "e.fifo"
+        os.mkfifo(fifo)
+        backdate(fifo)
+        for _ in range(2):
+            writer = threading.Thread(target=fifo.write_text, args=(self.TEXT,), daemon=True)
+            writer.start()
+            assert load_embeddings(fifo).n == 3
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        assert self.entries(cache_home) == []
+
+    def test_prune_removes_orphans_then_the_least_recently_used(self, tmp_path, cache_home,
+                                                                 monkeypatch):
+        paths = []
+        for name in "abcd":
+            paths.append(write(tmp_path, f"{name}.txt", self.TEXT))
+            backdate(paths[-1])
+        load_embeddings(paths[0])
+        [orphan] = self.entries(cache_home)
+        paths[0].unlink()
+        load_embeddings(paths[1])
+        assert orphan not in self.entries(cache_home)
+        size = (cache_home / "noisy-align" / self.entries(cache_home)[0]).stat().st_size
+        monkeypatch.setattr(_cache, "MAX_BYTES", 2 * size + size // 2)
+        load_embeddings(paths[2])
+        for name in self.entries(cache_home):
+            backdate(cache_home / "noisy-align" / name)
+        load_embeddings(paths[1])  # a hit marks b's entry used, so c's is the oldest
+        load_embeddings(paths[3])
+        kept = {name.split("-")[1] for name in self.entries(cache_home)}
+        assert kept == {str(os.stat(p).st_ino) for p in (paths[1], paths[3])}
 
 
 class TestLexicon:
