@@ -220,16 +220,27 @@ def alignment_error(Q: np.ndarray, X: np.ndarray, Y: np.ndarray,
     return err
 
 
-def _write_matrix(fh, Q: np.ndarray) -> None:
-    """The `d` line and the d x d block below it, as `_parse_matrix` reads them."""
-    fh.write(f"{Q.shape[0]}\n")
-    np.savetxt(fh, Q, fmt="%.17g")
+def _matrix_lines(Q: np.ndarray):
+    """The `d` line and the d rows of Q as `%.17g` text, one line at a time:
+    the bytes of `np.savetxt(fh, Q, fmt="%.17g")` after the `d` line."""
+    yield f"{Q.shape[0]}\n"
+    row = " ".join(["%.17g"] * Q.shape[1]) + "\n"
+    for values in Q:
+        yield row % tuple(values.tolist())
+
+
+def _write_matrix(Q: np.ndarray, *files) -> None:
+    """Write the `d` line and the d x d block below it, as `_parse_matrix`
+    reads them, to each of `files`; each row is formatted once."""
+    for line in _matrix_lines(Q):
+        for fh in files:
+            fh.write(line)
 
 
 def save_matrix(Q: np.ndarray, path) -> None:
     """Persist a translation matrix: first line `d`, then d rows of d floats."""
     with open(path, "w", encoding="utf-8") as fh:
-        _write_matrix(fh, Q)
+        _write_matrix(Q, fh)
 
 
 def _parse_matrix(lines: list[str], path) -> np.ndarray:

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as nio
+from ._blas import park
 from .align import SgdConfig, alignment_error, load_matrix, save_matrix
 from .evaluation import (
     EvalReport,
@@ -40,7 +41,12 @@ from .experiments import (
     run_synthetic_2d,
     write_noise_curve_csv,
 )
-from .mixture import EmConfig, save_model, write_responsibilities_tsv
+from .mixture import (
+    EmConfig,
+    _save_model_and_matrix,
+    save_model,
+    write_responsibilities_tsv,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,16 +95,17 @@ _positive_float = _checked(float, lambda v: 0 < v < math.inf, "positive and fini
 _frequency = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 
 
-def _list_of(cast, ok, what: str):
+def _list_of(cast, ok=None, what: str = ""):
     """An argparse type: comma-separated entries, each `cast` and passing
-    `ok`; an empty list, an empty entry or a repeated one is rejected."""
+    `ok` if given; an empty list, an empty entry or a repeated one is
+    rejected."""
     def parse(text: str) -> tuple:
         entries = text.split(",")
         if "" in entries:
             raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
         values = tuple(map(cast, entries))
         for v in values:
-            if not ok(v):
+            if ok is not None and not ok(v):
                 raise argparse.ArgumentTypeError(f"each entry must be {what}, got {v!r}")
         if len(set(values)) < len(values):
             raise argparse.ArgumentTypeError(f"repeated entry in {text!r}")
@@ -107,7 +114,7 @@ def _list_of(cast, ok, what: str):
     return parse
 
 
-_levels = _list_of(float, lambda p: 0.0 <= p < 1.0, "a noise fraction in [0, 1)")
+_levels = _list_of(float)  # each level's range: `noise_curve_error`
 _methods = _list_of(str, lambda m: m in METHODS, "one of " + ",".join(METHODS))
 
 
@@ -172,6 +179,12 @@ def _check_diachronic(args) -> str | None:
     return None
 
 
+def _check_noise_curve(args) -> str | None:
+    """`noise_curve_error`'s reason, under the flag it concerns."""
+    problem = noise_curve_error(args.n, args.levels, args.methods)
+    return problem and f"argument --{problem[0]}: {problem[1]}"
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="noisy-align",
                      description="Noise-aware alignment of embedding spaces")
@@ -216,7 +229,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_non_negative_int, default=0)
 
     p = command("noise-curve", _cmd_noise_curve, "error-vs-noise-level experiment",
-                check=lambda a: noise_curve_error(a.n, a.levels, a.methods))
+                check=_check_noise_curve)
     p.add_argument("--n", type=_positive_int, default=1000)
     p.add_argument("--d", type=_positive_int, default=50)
     p.add_argument("--test-n", type=_positive_int, default=300)
@@ -279,6 +292,8 @@ def _cmd_align(args) -> int:
     Q, model, resp, trace = fit_translation(args.method, *nio.gather_pairs(lex, src, tgt),
                                             sgd_cfg=_sgd_config(args),
                                             em_cfg=_em_config(args))
+    test = _test_metrics(Q, test_lex, src, tgt) if test_lex is not None else {}
+    park()  # no BLAS call follows
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -289,12 +304,12 @@ def _cmd_align(args) -> int:
               f"({skipped} unresolvable lexicon lines skipped)")
         return 0
 
-    save_matrix(Q, out / "matrix.txt")
     fit = {}
-    if model is not None:
-        save_model(model, out / "model.txt")
+    if model is None:
+        save_matrix(Q, out / "matrix.txt")
+    else:
+        _save_model_and_matrix(model, out / "model.txt", out / "matrix.txt")
         fit = {"noise_rate": 1.0 - model.alpha, "iterations": trace.iterations}
-    test = _test_metrics(Q, test_lex, src, tgt) if test_lex is not None else {}
     report = EvalReport(**test, **fit)
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     print(f"method={args.method} pairs={len(lex)} skipped_lines={skipped} "
@@ -344,13 +359,14 @@ def _cmd_diachronic(args) -> int:
     src, tgt = _load_spaces(args)
     stoplist = nio.load_stoplist(args.stoplist) if args.stoplist else None
     lex = nio.build_identity_lexicon(src, tgt, stoplist=stoplist)
-    X, Y = nio.gather_pairs(lex, src, tgt)
-    Q, model, resp, trace = fit_translation("em-hard", X, Y, em_cfg=_em_config(args))
+    Q, model, resp, trace = fit_translation("em-hard", *nio.gather_pairs(lex, src, tgt),
+                                            em_cfg=_em_config(args))
     src_freqs = nio.load_frequency_table(args.src_freqs) if args.src_freqs else None
     tgt_freqs = nio.load_frequency_table(args.tgt_freqs) if args.tgt_freqs else None
     ranking, dropped = rank_semantic_shift(
         Q, lex, src, tgt, src_freqs=src_freqs, tgt_freqs=tgt_freqs,
         threshold=args.threshold, responsibilities=resp)
+    park()  # no BLAS call follows
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_shift_ranking_tsv(ranking, out / "shift_ranking.tsv")

@@ -35,13 +35,15 @@ def _fit_flops(method: str, d: int, n: int, sgd_cfg: SgdConfig | None = None) ->
     return 2.0 * d * d * n
 
 
-def noise_curve_error(n: int, levels, methods) -> str | None:
-    """Why `run_noise_curve` cannot run these settings, or None."""
+def noise_curve_error(n: int, levels, methods) -> tuple[str, str] | None:
+    """Why `run_noise_curve` cannot run these settings, as (the parameter at
+    fault, the reason), or None. The one range check of the noise levels."""
     for p in levels:  # `make_noisy_problem` makes round(p n) of the n pairs noisy
         if not (0.0 <= p < 1.0 and round(p * n) < n):
-            return f"noise level {p} must lie in [0, 1) and leave one of the {n} pairs clean"
+            return "levels", (f"noise level {p} must lie in [0, 1) and leave one of "
+                              f"the {n} pairs clean")
     if n < 2 and {"em-hard", "em-soft"} & set(methods):
-        return f"the EM methods need at least 2 training pairs, got n={n}"
+        return "methods", f"the EM methods need at least 2 training pairs, got n={n}"
     return None
 
 
@@ -112,7 +114,7 @@ def run_noise_curve(n: int = 1000, d: int = 50,
         ValueError: settings that `noise_curve_error` rejects.
     """
     if problem := noise_curve_error(n, levels, methods):
-        raise ValueError(problem)
+        raise ValueError(problem[1])
     rows = []
     # one thread count for the whole loop, sized by its largest fit: the problem
     # generation and error products between the fits would wake the pool again

@@ -293,14 +293,28 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
     return model, resp, trace
 
 
+def _write_parameters(fh, model: AlignmentModel) -> None:
+    """The lines of `save_model`'s file below its Q block."""
+    fh.write(f"sigma2 {model.sigma2:.17g}\n")
+    fh.write("mu_y " + " ".join(f"{v:.17g}" for v in model.mu_y) + "\n")
+    fh.write(f"sigma_y2 {model.sigma_y2:.17g}\n")
+    fh.write(f"alpha {model.alpha:.17g}\n")
+
+
 def save_model(model: AlignmentModel, path) -> None:
     """Persist a fitted model as text (Q block, then scalar/vector lines)."""
     with open(path, "w", encoding="utf-8") as fh:
-        _write_matrix(fh, model.Q)
-        fh.write(f"sigma2 {model.sigma2:.17g}\n")
-        fh.write("mu_y " + " ".join(f"{v:.17g}" for v in model.mu_y) + "\n")
-        fh.write(f"sigma_y2 {model.sigma_y2:.17g}\n")
-        fh.write(f"alpha {model.alpha:.17g}\n")
+        _write_matrix(model.Q, fh)
+        _write_parameters(fh, model)
+
+
+def _save_model_and_matrix(model: AlignmentModel, model_path, matrix_path) -> None:
+    """`save_model(model, model_path)` and `save_matrix(model.Q, matrix_path)`
+    with Q formatted once: the model file begins with the matrix file's bytes."""
+    with open(model_path, "w", encoding="utf-8") as fh, \
+            open(matrix_path, "w", encoding="utf-8") as matrix_fh:
+        _write_matrix(model.Q, fh, matrix_fh)
+        _write_parameters(fh, model)
 
 
 def load_model(path) -> AlignmentModel:

@@ -1,3 +1,4 @@
+import io
 import warnings
 
 import numpy as np
@@ -354,6 +355,17 @@ def test_matrix_save_load_round_trip(tmp_path):
     loaded = load_matrix(path)
     assert loaded.dtype == np.float64
     assert np.array_equal(loaded, Q)
+
+
+@pytest.mark.parametrize("Q", [random_orthogonal(7, 43),
+                               np.array([[-0.0, 5e-324], [1e308, -1.0 / 3.0]])],
+                         ids=["orthogonal", "edge-values"])
+def test_save_matrix_writes_the_bytes_of_savetxt(tmp_path, Q):
+    # np.savetxt is the reference: the formatting is its own, row by row
+    save_matrix(Q, tmp_path / "matrix.txt")
+    ref = io.StringIO()
+    np.savetxt(ref, Q, fmt="%.17g")
+    assert (tmp_path / "matrix.txt").read_text() == f"{len(Q)}\n" + ref.getvalue()
 
 
 def test_load_matrix_keeps_a_non_orthogonal_map(tmp_path):

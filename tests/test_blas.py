@@ -1,29 +1,37 @@
-"""`_blas.threads_for`: one BLAS thread for small work, the count restored after."""
+"""`_blas.threads_for`: one BLAS thread for small work, the count restored after;
+`_blas.park`: the workers stopped, with nothing else changed."""
 
 import contextlib
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from noisy_align import _blas, experiments
-from noisy_align._blas import THREADED_MIN_FLOPS, threads_for
+from noisy_align._blas import THREADED_MIN_FLOPS, park, threads_for
 from noisy_align.align import SgdConfig
 
 SMALL, LARGE = THREADED_MIN_FLOPS / 2, THREADED_MIN_FLOPS
 
 
 class FakeOpenBlas:
-    """Stands in for the library: a thread count and a log of set calls."""
+    """Stands in for the library: a thread count, a log of set calls and a
+    count of shutdown calls."""
 
     def __init__(self, start):
         self.count = start
         self.sets = []
-        self.library = (lambda: self.count, self.set, start)
+        self.shutdowns = 0
+        self.library = (lambda: self.count, self.set, start, self.shutdown)
 
     def set(self, n):
         self.sets.append(n)
         self.count = n
+
+    def shutdown(self):
+        self.shutdowns += 1
+        return 0
 
 
 @pytest.fixture
@@ -74,6 +82,25 @@ def test_no_op_without_openblas(monkeypatch):
     monkeypatch.setattr(_blas, "_library", lambda: None)
     with threads_for(SMALL):
         pass
+
+
+def test_park_stops_the_workers_and_keeps_the_count(fake):
+    park()
+    assert fake.shutdowns == 1 and fake.count == 4 and fake.sets == []
+    with threads_for(SMALL):
+        assert fake.count == 1
+    assert fake.count == 4
+
+
+def test_park_is_a_no_op_without_openblas(monkeypatch):
+    monkeypatch.setattr(_blas, "_library", lambda: None)
+    park()
+
+
+def test_park_is_a_no_op_without_the_shutdown_symbol(fake, monkeypatch):
+    monkeypatch.setattr(_blas, "_library", lambda: fake.library[:3] + (None,))
+    park()
+    assert fake.shutdowns == 0
 
 
 def spy_threads(monkeypatch, fake, name):
@@ -137,9 +164,39 @@ def _numpy_names_openblas() -> bool:
 def test_finds_the_openblas_numpy_loaded():
     lib = _blas._library()
     assert lib is not None, "numpy names OpenBLAS but no thread-count symbols were found"
-    get_threads, _, start = lib
+    get_threads, _, start, _ = lib
     before = get_threads()
     assert 1 <= before <= start
+    with threads_for(SMALL):
+        assert get_threads() == 1
+    assert get_threads() == before
+
+
+@pytest.mark.skipif(not _numpy_names_openblas(), reason="numpy is not built on OpenBLAS")
+def test_park_leaves_results_and_thread_count_alone():
+    lib = _blas._library()
+    if lib is None or lib[3] is None:
+        # numpy >= 2 wheels export the shutdown beside the thread-count pair
+        assert lib is None or np.lib.NumpyVersion(np.__version__) < "2.0.0"
+        pytest.skip("this OpenBLAS exports no blas_thread_shutdown_")
+    get_threads = lib[0]
+    rng = np.random.default_rng(0)
+    A, B = rng.standard_normal((300, 300)), rng.standard_normal((300, 300))
+    gemm, svd = A @ B, np.linalg.svd(A)
+    before = get_threads()
+    tasks = Path("/proc/self/task")
+    running = len(list(tasks.iterdir())) if tasks.is_dir() else None
+    park()
+    if running is not None and before > 1:
+        # the workers have exited, and the next threaded call starts them again
+        assert len(list(tasks.iterdir())) < running
+    assert get_threads() == before
+    assert np.array_equal(A @ B, gemm)
+    if running is not None:
+        assert len(list(tasks.iterdir())) == running
+    park()
+    assert all(np.array_equal(a, b) for a, b in zip(np.linalg.svd(A), svd))
+    park()
     with threads_for(SMALL):
         assert get_threads() == 1
     assert get_threads() == before

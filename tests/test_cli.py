@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import noisy_align
-from noisy_align import cli, experiments
+from noisy_align import align, cli, experiments
 from noisy_align.align import random_orthogonal, save_matrix
 from noisy_align.cli import build_parser, main
 from noisy_align.io import EmbeddingSet, save_embeddings
@@ -70,6 +70,21 @@ def run_align(bilingual, out, extra=()):
                  "--output-dir", str(out), *extra])
 
 
+def record_calls(monkeypatch, *names):
+    """The order in which the named `cli` functions are called."""
+    events = []
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
+    return events
+
+
 class TestAlign:
     def test_em_hard_end_to_end(self, bilingual, tmp_path):
         out = tmp_path / "out"
@@ -84,6 +99,26 @@ class TestAlign:
                       (out / "responsibilities.tsv").read_text().splitlines()[1:]
                       if line.endswith("Noise")]
         assert {int(r.split("\t")[0]) for r in noise_rows} == bilingual["noisy"]
+
+    def test_model_begins_with_the_matrix_formatted_once(self, bilingual, tmp_path,
+                                                         monkeypatch):
+        formatted = []
+        real = align._matrix_lines
+        monkeypatch.setattr(align, "_matrix_lines",
+                            lambda Q: formatted.append(Q.shape) or real(Q))
+        out = tmp_path / "out"
+        assert run_align(bilingual, out, ["--method", "em-hard"]) == 0
+        assert formatted == [(10, 10)]
+        model = (out / "model.txt").read_bytes().splitlines(keepends=True)
+        assert b"".join(model[:11]) == (out / "matrix.txt").read_bytes()
+
+    def test_blas_is_parked_between_the_last_blas_call_and_the_writes(
+            self, bilingual, tmp_path, monkeypatch):
+        events = record_calls(monkeypatch, "precision_at_1", "park",
+                              "write_responsibilities_tsv", "_save_model_and_matrix")
+        assert run_align(bilingual, tmp_path / "out") == 0
+        assert events == ["precision_at_1", "park", "write_responsibilities_tsv",
+                          "_save_model_and_matrix"]
 
     def test_op_method_writes_matrix_only(self, bilingual, tmp_path):
         out = tmp_path / "op_out"
@@ -457,6 +492,18 @@ class TestDiachronic:
         top = rows[:n_shift]
         assert {r.split("\t")[0] for r in top} == {f"w{i}" for i in shifted}
         assert all(r.split("\t")[2] == "Noise" for r in top)
+
+    def test_blas_is_parked_between_the_ranking_and_the_writes(self, tmp_path,
+                                                               monkeypatch):
+        emb = make_set([f"w{i}" for i in range(30)],
+                       np.random.default_rng(9).standard_normal((4, 30)))
+        path = tmp_path / "emb.txt"
+        save_embeddings(emb, path)
+        events = record_calls(monkeypatch, "fit_translation", "rank_semantic_shift",
+                              "park", "write_shift_ranking_tsv", "save_model")
+        assert main(self.base_args(path, path, tmp_path / "out")) == 0
+        assert events == ["fit_translation", "rank_semantic_shift", "park",
+                          "write_shift_ranking_tsv", "save_model"]
 
     def test_threshold_without_tables_is_usage_error(self, tmp_path, capsys):
         rng = np.random.default_rng(8)

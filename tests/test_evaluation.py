@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 import warnings
 
 import mpmath
@@ -113,9 +114,9 @@ class TestNearestNeighbor:
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6),
        V=st.integers(1, 40), rows=st.integers(2, 5), blocks=st.integers(1, 4),
        ragged=st.integers(1, 4), n_dup=st.integers(0, 6),
-       n_zero=st.integers(0, 3), k=st.sampled_from([1, 3]))
+       n_zero=st.integers(0, 3), k=st.sampled_from([1, 3]), by_minimum=st.booleans())
 def test_kernel_matches_per_query_oracle(seed, d, V, rows, blocks, ragged,
-                                         n_dup, n_zero, k):
+                                         n_dup, n_zero, k, by_minimum):
     rng = np.random.default_rng(seed)
     vectors = rng.standard_normal((d, V))
     for _ in range(n_dup):
@@ -129,7 +130,9 @@ def test_kernel_matches_per_query_oracle(seed, d, V, rows, blocks, ragged,
     n = rows * blocks + 1 + ragged % (rows - 1)
     cols = rng.integers(12, size=n)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluation, "SCORE_BLOCK_BYTES", 8 * V * rows)
+        # blocks of `rows` queries, set by the byte budget or by the row minimum
+        mp.setattr(evaluation, "SCORE_BLOCK_BYTES", 8 * V * (1 if by_minimum else rows))
+        mp.setattr(evaluation, "MIN_BLOCK_ROWS", rows if by_minimum else 1)
         top, scores, zero = evaluation._search(index, Q, X, cols, k)
     assert not zero.any()
     for row, c in enumerate(cols):
@@ -143,6 +146,27 @@ def test_kernel_matches_per_query_oracle(seed, d, V, rows, blocks, ragged,
 
 
 class TestSearchKernel:
+    def test_row_minimum_applies_where_the_byte_budget_gives_fewer(self, monkeypatch):
+        # at V=5000 the 2 MiB budget gives 52 rows per block, so 150 queries
+        # run in blocks of 64, 64 and a short last one of 22
+        V = 5000
+        assert evaluation.SCORE_BLOCK_BYTES // (8 * V) < evaluation.MIN_BLOCK_ROWS == 64
+        src, tgt = random_set(150, 8, seed=26), random_set(V, 8, seed=27, prefix="t")
+        index = build_index(tgt)
+        Q = random_orthogonal(8, 28)
+        blocks = []
+        real_mapped = evaluation._mapped
+
+        def mapped(Qm, M):
+            blocks.append(M.shape[1])
+            return real_mapped(Qm, M)
+
+        monkeypatch.setattr(evaluation, "_mapped", mapped)
+        top, _, _ = evaluation._search(index, Q, src.vectors, np.arange(150), 1)
+        assert blocks == [64, 64, 22]
+        assert top[:, 0].tolist() == [oracle_top_k(index, Q @ src.vectors[:, i], 1)[0]
+                                      for i in range(150)]
+
     def test_identical_targets_resolve_to_the_first_copy(self):
         # copies at the end of the vocabulary, where BLAS kernels handle
         # the ragged edge of a matrix with other code
@@ -152,6 +176,20 @@ class TestSearchKernel:
                                           np.arange(1003), 1)
         assert not zero.any()
         assert top[:, 0].tolist() == [i if i < 995 else i - 995 for i in range(1003)]
+
+    def test_memory_stays_within_one_score_block(self):
+        # 64 rows x 5000 targets: one 2.56 MB block at a time, not two
+        src, tgt = random_set(200, 8, seed=29), random_set(5000, 8, seed=30, prefix="t")
+        index = build_index(tgt)
+        block = 8 * 5000 * evaluation.MIN_BLOCK_ROWS
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            evaluation._search(index, np.eye(8), src.vectors, np.arange(200), 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert block <= peak < 1.5 * block
 
     def test_scale_matches_per_query_oracle(self):
         # 500 queries over 2000 targets span four score blocks, the last ragged

@@ -20,6 +20,7 @@ from noisy_align.mixture import (
     _component_logdensities,
     _e_step,
     _noise_residuals,
+    _save_model_and_matrix,
     em_fit,
     initialize,
     load_model,
@@ -473,6 +474,17 @@ def test_model_q_block_is_the_matrix_file(tmp_path):
     matrix = (tmp_path / "matrix.txt").read_text()
     assert (tmp_path / "model.txt").read_text().startswith(matrix)
     assert len(matrix.splitlines()) == model.dim + 1
+
+
+def test_model_and_matrix_written_together_match_the_separate_writers(tmp_path):
+    X, Y, _ = jittered_instance(57)
+    model, _, _ = em_fit(X, Y)
+    save_model(model, tmp_path / "model.txt")
+    save_matrix(model.Q, tmp_path / "matrix.txt")
+    _save_model_and_matrix(model, tmp_path / "model2.txt", tmp_path / "matrix2.txt")
+    for name in ("model", "matrix"):
+        assert (tmp_path / f"{name}2.txt").read_bytes() == \
+            (tmp_path / f"{name}.txt").read_bytes()
 
 
 @pytest.mark.parametrize("text", ["", "2\n1 0\n", "2\n1 0\n0 1\nsigma2 x\n",
