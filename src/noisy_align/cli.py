@@ -358,11 +358,16 @@ def _cmd_noise_curve(args) -> int:
 def _cmd_diachronic(args) -> int:
     src, tgt = _load_spaces(args)
     stoplist = nio.load_stoplist(args.stoplist) if args.stoplist else None
-    lex = nio.build_identity_lexicon(src, tgt, stoplist=stoplist)
-    Q, model, resp, trace = fit_translation("em-hard", *nio.gather_pairs(lex, src, tgt),
-                                            em_cfg=_em_config(args))
     src_freqs = nio.load_frequency_table(args.src_freqs) if args.src_freqs else None
     tgt_freqs = nio.load_frequency_table(args.tgt_freqs) if args.tgt_freqs else None
+    lex = nio.build_identity_lexicon(src, tgt, stoplist=stoplist)
+    X, Y = nio.gather_pairs(lex, src, tgt)
+    # nothing below reads a column outside the pairs, so both sets become
+    # the pairs alone and the loaded matrices are freed before the fit
+    tokens = [src.tokens[s] for s, _ in lex.pairs]
+    src, tgt = nio.EmbeddingSet(tokens, X), nio.EmbeddingSet(tokens, Y)
+    lex = nio.Lexicon([(t, t) for t in range(len(tokens))])
+    Q, model, resp, trace = fit_translation("em-hard", X, Y, em_cfg=_em_config(args))
     ranking, dropped = rank_semantic_shift(
         Q, lex, src, tgt, src_freqs=src_freqs, tgt_freqs=tgt_freqs,
         threshold=args.threshold, responsibilities=resp)

@@ -7,7 +7,7 @@ and the accepted number syntax is exactly Python `float()`'s. A row is
 skipped, and counted, when it has the wrong number of values, a value
 that is not a number or not finite, or a token already kept. Lexicons are
 `source<TAB>target` (single space accepted as fallback). Stop-lists are one
-token per line; frequency tables are `token<TAB>float`.
+token per line; frequency tables are `token<TAB>float`, one line per token.
 """
 
 from __future__ import annotations
@@ -367,8 +367,8 @@ def load_frequency_table(path) -> dict[str, float]:
     """Load a `token<TAB>relative_frequency` table.
 
     Raises:
-        DataError: unreadable file, a malformed line or a frequency
-            outside [0, 1].
+        DataError: unreadable file, a malformed line, a frequency
+            outside [0, 1] or a token listed twice.
     """
     table: dict[str, float] = {}
     for line in _read_lines(path, "frequency table"):
@@ -385,5 +385,7 @@ def load_frequency_table(path) -> dict[str, float]:
             raise DataError(f"malformed frequency for {token!r}: {raw!r}") from None
         if not 0.0 <= freq <= 1.0:
             raise DataError(f"frequency out of [0,1] for {token!r}: {freq}")
+        if token in table:
+            raise DataError(f"repeated frequency for {token!r}")
         table[token] = freq
     return table

@@ -5,16 +5,19 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import noisy_align
-from noisy_align import align, cli, experiments
+from noisy_align import align, cli, experiments, io as nio
 from noisy_align.align import random_orthogonal, save_matrix
 from noisy_align.cli import build_parser, main
+from noisy_align.evaluation import rank_semantic_shift, write_shift_ranking_tsv
 from noisy_align.io import EmbeddingSet, save_embeddings
+from noisy_align.mixture import load_model, write_responsibilities_tsv
 
 
 def make_set(tokens, vectors):
@@ -504,6 +507,96 @@ class TestDiachronic:
         assert main(self.base_args(path, path, tmp_path / "out")) == 0
         assert events == ["fit_translation", "rank_semantic_shift", "park",
                           "write_shift_ranking_tsv", "save_model"]
+
+    @pytest.fixture
+    def decades(self, tmp_path):
+        """Two decades in different vocabulary orders, each with tokens the
+        other lacks, planted shifts, a stop-list and frequency tables."""
+        rng = np.random.default_rng(12)
+        d, n = 8, 120
+        Q = random_orthogonal(d, seed=13)
+        old = rng.standard_normal((d, n))
+        new = Q @ old
+        shifted = rng.choice(n, size=12, replace=False)
+        new[:, shifted] = rng.standard_normal((d, 12))
+        tokens = [f"w{i}" for i in range(n)]
+        order = rng.permutation(n)
+        save_embeddings(make_set(tokens + ["only_old"],
+                                 np.hstack([old, rng.standard_normal((d, 1))])),
+                        tmp_path / "old.txt")
+        save_embeddings(make_set([tokens[i] for i in order] + ["only_new"],
+                                 np.hstack([new[:, order], rng.standard_normal((d, 1))])),
+                        tmp_path / "new.txt")
+        (tmp_path / "stop.txt").write_text("w0\nw5\n")
+        for name in ("f1.tsv", "f2.tsv"):
+            (tmp_path / name).write_text(
+                "".join(f"{t}\t{f:.3g}\n" for t, f in zip(tokens, rng.uniform(0, 0.01, n))))
+        return tmp_path
+
+    def decade_args(self, decades, out):
+        return [*self.base_args(decades / "old.txt", decades / "new.txt", out),
+                "--stoplist", str(decades / "stop.txt"),
+                "--src-freqs", str(decades / "f1.tsv"),
+                "--tgt-freqs", str(decades / "f2.tsv"), "--threshold", "0.002"]
+
+    def test_loaded_matrices_are_freed_before_the_fit(self, decades, monkeypatch):
+        loaded, alive_at_fit = [], []
+        real_load, real_fit = nio.load_embeddings, cli.fit_translation
+
+        def load(*args, **kwargs):
+            emb = real_load(*args, **kwargs)
+            loaded.append(weakref.ref(emb.vectors))
+            return emb
+
+        def fit(*args, **kwargs):
+            alive_at_fit.extend(ref() is not None for ref in loaded)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(nio, "load_embeddings", load)
+        monkeypatch.setattr(cli, "fit_translation", fit)
+        assert main(self.decade_args(decades, decades / "out")) == 0
+        assert alive_at_fit == [False, False]
+
+    def test_outputs_equal_the_library_on_the_full_sets(self, decades):
+        out = decades / "out"
+        assert main(self.decade_args(decades, out)) == 0
+        src = nio.load_embeddings(decades / "old.txt")
+        tgt = nio.load_embeddings(decades / "new.txt")
+        lex = nio.build_identity_lexicon(src, tgt, nio.load_stoplist(decades / "stop.txt"))
+        resp = experiments.fit_translation("em-hard", *nio.gather_pairs(lex, src, tgt))[2]
+        rows, dropped = rank_semantic_shift(
+            load_model(out / "model.txt").Q, lex, src, tgt,
+            src_freqs=nio.load_frequency_table(decades / "f1.tsv"),
+            tgt_freqs=nio.load_frequency_table(decades / "f2.tsv"),
+            threshold=0.002, responsibilities=resp)
+        assert 0 < len(rows) < len(lex) and {r[2] for r in rows} == {"Aligned", "Noise"}
+        assert json.loads((out / "shift_ranking.json").read_text()) == \
+            [list(r) for r in rows]
+        assert json.loads((out / "diachronic_summary.json").read_text())[
+            "dropped_below_threshold"] == dropped
+        write_shift_ranking_tsv(rows, decades / "ranking.tsv")
+        write_responsibilities_tsv(resp, lex, decades / "resp.tsv", src, tgt)
+        for ours, api in (("shift_ranking.tsv", "ranking.tsv"),
+                          ("responsibilities.tsv", "resp.tsv")):
+            assert (out / ours).read_bytes() == (decades / api).read_bytes()
+
+    @pytest.mark.parametrize("table,message", [
+        (None, "cannot read frequency table"),
+        ("w1\t0.5\nw2\n", "malformed frequency line"),
+        ("w1\t0.5\nw1\t0.6\n", "repeated frequency for 'w1'"),
+    ], ids=["missing", "malformed", "repeated"])
+    def test_frequency_tables_are_read_before_the_fit(self, decades, monkeypatch, capsys,
+                                                      table, message):
+        path = decades / "bad.tsv"
+        if table is not None:
+            path.write_text(table)
+        events = record_calls(monkeypatch, "fit_translation")
+        argv = self.decade_args(decades, decades / "out")
+        argv[argv.index("--tgt-freqs") + 1] = str(path)
+        assert main(argv) == 2
+        assert events == []
+        err = capsys.readouterr().err
+        assert err.startswith("noisy-align: data error:") and message in err
 
     def test_threshold_without_tables_is_usage_error(self, tmp_path, capsys):
         rng = np.random.default_rng(8)

@@ -517,6 +517,12 @@ def test_frequency_table(tmp_path):
     assert table == {"dog": 0.001, "cat": 0.5}
 
 
+def test_repeated_frequency_token_is_data_error(tmp_path):
+    # the threshold decides on this value, so neither line may silently win
+    with pytest.raises(DataError, match="repeated frequency for 'a'"):
+        load_frequency_table(write(tmp_path, "f.tsv", "a\t0.5\nb\t0.1\na\t0.6\n"))
+
+
 def test_frequency_out_of_range(tmp_path):
     with pytest.raises(DataError, match="out of"):
         load_frequency_table(write(tmp_path, "f.tsv", "dog\t1.5\n"))
