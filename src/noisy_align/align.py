@@ -4,13 +4,16 @@ All solvers return the map as a plain float64 d x d array Q taking
 source columns to target columns, y ~ Q x. `procrustes` solves the
 orthogonality-constrained problem in closed form via the SVD of Y X^T;
 `sgd_align` minimizes the unconstrained Frobenius objective
-||QX - Y||_F^2 by gradient descent, full-batch or minibatch.
+||QX - Y||_F^2 by gradient descent, full-batch or minibatch. A map is
+kept as text by `save_matrix` and `load_matrix`; `_write_matrix` formats
+it one row at a time for both `save_matrix` and `mixture.save_model`.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -32,12 +35,14 @@ class SgdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be positive")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
+        # written so that NaN fails each check
+        if self.learning_rate is not None and not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if not (isinstance(self.epochs, Integral) and self.epochs >= 1):
+            raise ValueError("epochs must be a positive integer")
+        if self.batch_size is not None and not (isinstance(self.batch_size, Integral)
+                                                and self.batch_size >= 1):
+            raise ValueError("batch_size must be a positive integer")
 
 
 def _check_pair_shapes(X: np.ndarray, Y: np.ndarray) -> None:
@@ -104,7 +109,7 @@ def weighted_procrustes(X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> np.ndarr
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (X.shape[1],):
         raise ValueError(f"weights shape {w.shape} does not match n={X.shape[1]}")
-    if np.any(w < 0) or np.any(w > 1):
+    if not np.all((w >= 0) & (w <= 1)):  # also rejects NaN
         raise ValueError("weights must lie in [0, 1]")
     if w.sum() <= 0:
         raise ValueError("weights sum to zero")
@@ -220,19 +225,16 @@ def alignment_error(Q: np.ndarray, X: np.ndarray, Y: np.ndarray,
     return err
 
 
-def _matrix_lines(Q: np.ndarray):
-    """The `d` line and the d rows of Q as `%.17g` text, one line at a time:
-    the bytes of `np.savetxt(fh, Q, fmt="%.17g")` after the `d` line."""
-    yield f"{Q.shape[0]}\n"
-    row = " ".join(["%.17g"] * Q.shape[1]) + "\n"
-    for values in Q:
-        yield row % tuple(values.tolist())
-
-
 def _write_matrix(Q: np.ndarray, *files) -> None:
     """Write the `d` line and the d x d block below it, as `_parse_matrix`
-    reads them, to each of `files`; each row is formatted once."""
-    for line in _matrix_lines(Q):
+    reads them, to each of `files`: the bytes of
+    `np.savetxt(fh, Q, fmt="%.17g")` after the `d` line. Each row is
+    converted and formatted once, one row at a time."""
+    for fh in files:
+        fh.write(f"{Q.shape[0]}\n")
+    row = " ".join(["%.17g"] * Q.shape[1]) + "\n"
+    for values in Q:
+        line = row % tuple(values.tolist())
         for fh in files:
             fh.write(line)
 

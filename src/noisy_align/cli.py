@@ -41,12 +41,7 @@ from .experiments import (
     run_synthetic_2d,
     write_noise_curve_csv,
 )
-from .mixture import (
-    EmConfig,
-    _save_model_and_matrix,
-    save_model,
-    write_responsibilities_tsv,
-)
+from .mixture import EmConfig, save_model, write_responsibilities_tsv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -308,7 +303,7 @@ def _cmd_align(args) -> int:
     if model is None:
         save_matrix(Q, out / "matrix.txt")
     else:
-        _save_model_and_matrix(model, out / "model.txt", out / "matrix.txt")
+        save_model(model, out / "model.txt", out / "matrix.txt")
         fit = {"noise_rate": 1.0 - model.alpha, "iterations": trace.iterations}
     report = EvalReport(**test, **fit)
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
@@ -319,8 +314,8 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    Q = load_matrix(args.matrix)  # before the larger embedding files
     src, tgt = _load_spaces(args)
-    Q = load_matrix(args.matrix)
     test_lex, _ = nio.load_lexicon(args.test_lexicon, src, tgt)
     report = EvalReport(**_test_metrics(Q, test_lex, src, tgt))
     out = Path(args.output_dir)
@@ -356,10 +351,11 @@ def _cmd_noise_curve(args) -> int:
 
 
 def _cmd_diachronic(args) -> int:
-    src, tgt = _load_spaces(args)
+    # the small inputs first: a bad one is reported before the embeddings load
     stoplist = nio.load_stoplist(args.stoplist) if args.stoplist else None
     src_freqs = nio.load_frequency_table(args.src_freqs) if args.src_freqs else None
     tgt_freqs = nio.load_frequency_table(args.tgt_freqs) if args.tgt_freqs else None
+    src, tgt = _load_spaces(args)
     lex = nio.build_identity_lexicon(src, tgt, stoplist=stoplist)
     X, Y = nio.gather_pairs(lex, src, tgt)
     # nothing below reads a column outside the pairs, so both sets become

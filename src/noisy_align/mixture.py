@@ -5,13 +5,18 @@ N(Qx_t, sigma2*I) with prior alpha, or a noise component N(mu_y, sigma_y2*I)
 with prior 1-alpha. EM (hard or soft assignments) jointly fits the
 orthogonal map Q, the component parameters, and per-pair responsibilities.
 All densities are evaluated in log space; at d=300 the linear-space
-Gaussian underflows.
+Gaussian underflows. One function, `_e_step`, turns per-pair residuals
+into both component log densities and the posteriors. `save_model` is the
+one model writer; given a matrix path it also writes the file of
+`align.save_matrix` from the same formatted rows.
 """
 
 from __future__ import annotations
 
 import logging
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -72,7 +77,7 @@ class Responsibilities:
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=np.float64)
-        if np.any(self.w < 0) or np.any(self.w > 1):
+        if not np.all((self.w >= 0) & (self.w <= 1)):  # also rejects NaN
             raise ValueError("responsibilities must lie in [0, 1]")
         self.h = self.w > 0.5
         self.n1 = int(self.h.sum())
@@ -86,10 +91,10 @@ class EmConfig:
     max_iters: int = 100
 
     def __post_init__(self):
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if self.epsilon is not None and not 0 < self.epsilon < np.inf:  # also NaN
+            raise ValueError("epsilon must be positive and finite")
+        if not (isinstance(self.max_iters, Integral) and self.max_iters >= 1):
+            raise ValueError("max_iters must be an integer >= 1")
 
 
 @dataclass
@@ -115,9 +120,10 @@ def _noise_residuals(mu_y: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.sum((Y - mu_y[:, None]) ** 2, axis=0)
 
 
-def _component_logdensities(model: AlignmentModel, r_aligned: np.ndarray,
-                            r_noise: np.ndarray):
-    """Per-column log densities of both components, vectorized.
+def _e_step(model: AlignmentModel, r_aligned: np.ndarray, r_noise: np.ndarray):
+    """One E-step of `model`, vectorized: (w, loglik, la, ln) are the
+    posterior aligned probabilities, the marginal log-likelihood and the
+    per-column log densities of both components.
 
     `r_aligned` and `r_noise` are `_aligned_residuals(model.Q, X, Y)` and
     `_noise_residuals(model.mu_y, Y)`.
@@ -125,39 +131,19 @@ def _component_logdensities(model: AlignmentModel, r_aligned: np.ndarray,
     d = model.dim
     la = -0.5 * d * (LOG_2PI + np.log(model.sigma2)) - r_aligned / (2.0 * model.sigma2)
     ln = -0.5 * d * (LOG_2PI + np.log(model.sigma_y2)) - r_noise / (2.0 * model.sigma_y2)
-    return la, ln
-
-
-def _e_step(model: AlignmentModel, la: np.ndarray, ln: np.ndarray):
-    """Posterior aligned probabilities and the marginal log-likelihood.
-
-    `la` and `ln` are the per-column component log densities of `model`.
-    """
     if model.alpha == 0.0:
-        return np.zeros(la.size), float(np.sum(ln))
+        return np.zeros(la.size), float(np.sum(ln)), la, ln
     if model.alpha == 1.0:
-        return np.ones(la.size), float(np.sum(la))
-    la = la + np.log(model.alpha)
-    ln = ln + np.log1p(-model.alpha)
-    total = np.logaddexp(la, ln)
-    return np.exp(la - total), float(np.sum(total))
+        return np.ones(la.size), float(np.sum(la)), la, ln
+    joint = la + np.log(model.alpha)
+    total = np.logaddexp(joint, ln + np.log1p(-model.alpha))
+    return np.exp(joint - total), float(np.sum(total)), la, ln
 
 
 def log_likelihood(model: AlignmentModel, X: np.ndarray, Y: np.ndarray) -> float:
     """Marginal log-likelihood sum_t log f(y_t | x_t) of the mixture."""
-    la, ln = _component_logdensities(model, _aligned_residuals(model.Q, X, Y),
-                                     _noise_residuals(model.mu_y, Y))
-    return _e_step(model, la, ln)[1]
-
-
-def _sums_of_squares(sq: np.ndarray) -> tuple[float, np.ndarray]:
-    """The flat sum of `sq`, as in `alignment_error`, and its column sums,
-    as in `_aligned_residuals` and `_noise_residuals`.
-
-    Taking `sq` as an argument frees it on return, so `initialize` holds
-    one d x n array of squares at a time.
-    """
-    return float(np.sum(sq)), np.sum(sq, axis=0)
+    return _e_step(model, _aligned_residuals(model.Q, X, Y),
+                   _noise_residuals(model.mu_y, Y))[1]
 
 
 def initialize(X: np.ndarray, Y: np.ndarray):
@@ -178,10 +164,14 @@ def initialize(X: np.ndarray, Y: np.ndarray):
         raise ValueError("need at least 2 pairs to initialize the mixture")
     Q = procrustes(X, Y)
     mu_y = Y.mean(axis=1)
-    noise_sum, r_noise = _sums_of_squares((Y - mu_y[:, None]) ** 2)
-    sigma_y2 = max(noise_sum / (n * d), VAR_FLOOR)
-    aligned_sum, r_aligned = _sums_of_squares((Q @ X - Y) ** 2)
-    sigma2 = max(aligned_sum / (n * d), VAR_FLOOR)
+    # flat sums as in `alignment_error`, column sums as in `_*_residuals`
+    sq = (Y - mu_y[:, None]) ** 2
+    sigma_y2 = max(float(np.sum(sq)) / (n * d), VAR_FLOOR)
+    r_noise = np.sum(sq, axis=0)
+    del sq  # one d x n array of squares at a time
+    sq = (Q @ X - Y) ** 2
+    sigma2 = max(float(np.sum(sq)) / (n * d), VAR_FLOOR)
+    r_aligned = np.sum(sq, axis=0)
     model = AlignmentModel(Q=Q, sigma2=sigma2, mu_y=mu_y, sigma_y2=sigma_y2, alpha=0.5)
     return model, r_aligned, r_noise
 
@@ -260,8 +250,7 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
     n = X.shape[1]
     eps = cfg.epsilon if cfg.epsilon is not None else max(1.0 / (2 * n), 1e-4)
 
-    la, ln = _component_logdensities(model, r_aligned, r_noise)
-    resp = Responsibilities(_e_step(model, la, ln)[0])
+    resp = Responsibilities(_e_step(model, r_aligned, r_noise)[0])
     trace = EmTrace()
     alpha_prev = np.inf
     for it in range(cfg.max_iters):
@@ -275,8 +264,7 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
         model, degenerate, r_aligned, r_noise = _m_step(model, X, Y, weights,
                                                         r_aligned, r_noise)
         # one pass over the data scores the new model and runs the next E-step
-        la, ln = _component_logdensities(model, r_aligned, r_noise)
-        w, loglik = _e_step(model, la, ln)
+        w, loglik, la, ln = _e_step(model, r_aligned, r_noise)
         objective = loglik if soft else _complete_data_objective(model, la, ln, resp.h)
 
         if degenerate:
@@ -293,28 +281,20 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
     return model, resp, trace
 
 
-def _write_parameters(fh, model: AlignmentModel) -> None:
-    """The lines of `save_model`'s file below its Q block."""
-    fh.write(f"sigma2 {model.sigma2:.17g}\n")
-    fh.write("mu_y " + " ".join(f"{v:.17g}" for v in model.mu_y) + "\n")
-    fh.write(f"sigma_y2 {model.sigma_y2:.17g}\n")
-    fh.write(f"alpha {model.alpha:.17g}\n")
+def save_model(model: AlignmentModel, path, matrix_path=None) -> None:
+    """Persist a fitted model as text (Q block, then scalar/vector lines).
 
-
-def save_model(model: AlignmentModel, path) -> None:
-    """Persist a fitted model as text (Q block, then scalar/vector lines)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_matrix(model.Q, fh)
-        _write_parameters(fh, model)
-
-
-def _save_model_and_matrix(model: AlignmentModel, model_path, matrix_path) -> None:
-    """`save_model(model, model_path)` and `save_matrix(model.Q, matrix_path)`
-    with Q formatted once: the model file begins with the matrix file's bytes."""
-    with open(model_path, "w", encoding="utf-8") as fh, \
-            open(matrix_path, "w", encoding="utf-8") as matrix_fh:
-        _write_matrix(model.Q, fh, matrix_fh)
-        _write_parameters(fh, model)
+    With `matrix_path`, Q is also saved there as by `align.save_matrix`,
+    formatted once: the model file begins with the matrix file's bytes.
+    """
+    paths = (path,) if matrix_path is None else (path, matrix_path)
+    with ExitStack() as stack:
+        fh, *others = [stack.enter_context(open(p, "w", encoding="utf-8")) for p in paths]
+        _write_matrix(model.Q, fh, *others)
+        fh.write(f"sigma2 {model.sigma2:.17g}\n")
+        fh.write("mu_y " + " ".join(f"{v:.17g}" for v in model.mu_y) + "\n")
+        fh.write(f"sigma_y2 {model.sigma_y2:.17g}\n")
+        fh.write(f"alpha {model.alpha:.17g}\n")
 
 
 def load_model(path) -> AlignmentModel:

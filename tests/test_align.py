@@ -183,6 +183,12 @@ class TestWeightedProcrustes:
             R = random_orthogonal(3, seed)
             assert best <= np.sum(w * np.sum((R @ X - Y) ** 2, axis=0)) + 1e-9
 
+    @pytest.mark.parametrize("w", [[-0.1, 0.5, 0.5], [0.5, 1.5, 0.5],
+                                   [np.nan, 0.5, 0.5]])
+    def test_weights_outside_the_unit_interval_are_rejected(self, w):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            weighted_procrustes(np.ones((2, 3)), np.ones((2, 3)), np.array(w))
+
     def test_all_zero_weights(self):
         with pytest.raises(ValueError, match="zero"):
             weighted_procrustes(np.ones((2, 3)), np.ones((2, 3)), np.zeros(3))
@@ -195,6 +201,14 @@ class TestWeightedProcrustes:
 
 
 class TestSgdAlign:
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", 0.0), ("learning_rate", np.nan), ("learning_rate", np.inf),
+        ("epochs", 0), ("epochs", 1.5), ("batch_size", 0), ("batch_size", 2.5),
+    ])
+    def test_config_rejects_a_value_the_cli_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SgdConfig(**{field: value})
+
     def stable_cfg(self, X, epochs=2000):
         lam = np.linalg.norm(X @ X.T, ord=2)
         return SgdConfig(learning_rate=0.4 / lam, epochs=epochs,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import noisy_align
-from noisy_align import align, cli, experiments, io as nio
+from noisy_align import align, cli, experiments, io as nio, mixture
 from noisy_align.align import random_orthogonal, save_matrix
 from noisy_align.cli import build_parser, main
 from noisy_align.evaluation import rank_semantic_shift, write_shift_ranking_tsv
@@ -73,6 +73,16 @@ def run_align(bilingual, out, extra=()):
                  "--output-dir", str(out), *extra])
 
 
+def forbid_embedding_loads(monkeypatch, *paths):
+    """Fail the test if an embedding file is loaded; `paths` are aged past
+    the cache's 2 s window, so that a load would also leave cache entries."""
+    def load(*args, **kwargs):
+        raise AssertionError(f"embedding file {args[0]} loaded")
+    for path in paths:
+        os.utime(path, (time.time() - 60,) * 2)
+    monkeypatch.setattr(nio, "load_embeddings", load)
+
+
 def record_calls(monkeypatch, *names):
     """The order in which the named `cli` functions are called."""
     events = []
@@ -105,23 +115,28 @@ class TestAlign:
 
     def test_model_begins_with_the_matrix_formatted_once(self, bilingual, tmp_path,
                                                          monkeypatch):
+        # save_model writes both files through one _write_matrix call
         formatted = []
-        real = align._matrix_lines
-        monkeypatch.setattr(align, "_matrix_lines",
-                            lambda Q: formatted.append(Q.shape) or real(Q))
+        real = align._write_matrix
+
+        def write_matrix(Q, *files):
+            formatted.append((Q.shape, len(files)))
+            real(Q, *files)
+        for module in (align, mixture):
+            monkeypatch.setattr(module, "_write_matrix", write_matrix)
         out = tmp_path / "out"
         assert run_align(bilingual, out, ["--method", "em-hard"]) == 0
-        assert formatted == [(10, 10)]
+        assert formatted == [((10, 10), 2)]
         model = (out / "model.txt").read_bytes().splitlines(keepends=True)
         assert b"".join(model[:11]) == (out / "matrix.txt").read_bytes()
 
     def test_blas_is_parked_between_the_last_blas_call_and_the_writes(
             self, bilingual, tmp_path, monkeypatch):
         events = record_calls(monkeypatch, "precision_at_1", "park",
-                              "write_responsibilities_tsv", "_save_model_and_matrix")
+                              "write_responsibilities_tsv", "save_model", "save_matrix")
         assert run_align(bilingual, tmp_path / "out") == 0
         assert events == ["precision_at_1", "park", "write_responsibilities_tsv",
-                          "_save_model_and_matrix"]
+                          "save_model"]
 
     def test_op_method_writes_matrix_only(self, bilingual, tmp_path):
         out = tmp_path / "op_out"
@@ -369,6 +384,21 @@ def test_evaluate_empty_matrix_is_data_error(bilingual, tmp_path, capsys):
     assert "data error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text,message", [(None, "No such file"),
+                                          ("2\n1 x\n0 1\n", "malformed")],
+                         ids=["missing", "malformed"])
+def test_evaluate_reads_the_matrix_before_the_embeddings(bilingual, tmp_path, monkeypatch,
+                                                         capsys, cache_home, text, message):
+    matrix = tmp_path / "bad-matrix.txt"
+    if text is not None:
+        matrix.write_text(text)
+    forbid_embedding_loads(monkeypatch, bilingual["src"], bilingual["tgt"])
+    assert run_evaluate(bilingual, matrix, tmp_path / "eval") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("noisy-align: data error:") and message in err
+    assert list(cache_home.iterdir()) == []
+
+
 def run_evaluate(bilingual, matrix, out, tgt=None):
     return main(["evaluate",
                  "--src-emb", str(bilingual["src"]),
@@ -597,6 +627,24 @@ class TestDiachronic:
         assert events == []
         err = capsys.readouterr().err
         assert err.startswith("noisy-align: data error:") and message in err
+
+    @pytest.mark.parametrize("flag,text,message", [
+        ("--stoplist", None, "cannot read stop-list"),
+        ("--src-freqs", "w1\t0.5\nw2\n", "malformed frequency line"),
+        ("--tgt-freqs", None, "cannot read frequency table"),
+    ], ids=["stoplist", "src-freqs", "tgt-freqs"])
+    def test_small_inputs_are_read_before_the_embeddings(self, decades, monkeypatch, capsys,
+                                                         cache_home, flag, text, message):
+        path = decades / "bad.txt"
+        if text is not None:
+            path.write_text(text)
+        forbid_embedding_loads(monkeypatch, decades / "old.txt", decades / "new.txt")
+        argv = self.decade_args(decades, decades / "out")
+        argv[argv.index(flag) + 1] = str(path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("noisy-align: data error:") and message in err
+        assert list(cache_home.iterdir()) == []
 
     def test_threshold_without_tables_is_usage_error(self, tmp_path, capsys):
         rng = np.random.default_rng(8)

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import tracemalloc
 from collections import Counter
 
 import mpmath
@@ -17,10 +18,8 @@ from noisy_align.mixture import (
     EmConfig,
     Responsibilities,
     _aligned_residuals,
-    _component_logdensities,
     _e_step,
     _noise_residuals,
-    _save_model_and_matrix,
     em_fit,
     initialize,
     load_model,
@@ -52,9 +51,8 @@ def pair_weight(model, x, y):
     """The E-step's posterior that the one pair (x, y) is aligned, through
     the density and E-step kernels that em_fit runs."""
     X, Y = np.reshape(x, (-1, 1)), np.reshape(y, (-1, 1))
-    la, ln = _component_logdensities(model, _aligned_residuals(model.Q, X, Y),
-                                     _noise_residuals(model.mu_y, Y))
-    return float(_e_step(model, la, ln)[0][0])
+    w = _e_step(model, _aligned_residuals(model.Q, X, Y), _noise_residuals(model.mu_y, Y))[0]
+    return float(w[0])
 
 
 class TestAlignmentModel:
@@ -87,10 +85,23 @@ class TestResponsibilities:
         with pytest.raises(TypeError):
             Responsibilities(w=np.array([0.9, 0.1]), **{name: value})
 
-    @pytest.mark.parametrize("w", [[-0.1, 0.5], [0.5, 1.5]])
+    @pytest.mark.parametrize("w", [[-0.1, 0.5], [0.5, 1.5], [math.nan, 0.5]])
     def test_weights_outside_the_unit_interval_are_rejected(self, w):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             Responsibilities(np.array(w))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epsilon", 0.0), ("epsilon", -1e-3), ("epsilon", math.nan), ("epsilon", math.inf),
+    ("max_iters", 0), ("max_iters", 2.5), ("max_iters", math.nan), ("max_iters", "3"),
+])
+def test_em_config_rejects_a_value_the_cli_rejects(field, value):
+    with pytest.raises(ValueError, match=field):
+        EmConfig(**{field: value})
+
+
+def test_em_config_takes_a_numpy_integer():
+    assert EmConfig(max_iters=np.int64(3)).max_iters == 3
 
 
 def test_em_config_has_no_mode():
@@ -364,9 +375,9 @@ class TestEmFit:
         prob = make_noisy_problem(n=500, d=20, p=0.3, seed=1)
         model, resp, _ = em_fit(prob.X, prob.Y, EmConfig(max_iters=max_iters),
                                 soft=mode == "soft")
-        la, ln = _component_logdensities(model, _aligned_residuals(model.Q, prob.X, prob.Y),
-                                         _noise_residuals(model.mu_y, prob.Y))
-        assert np.array_equal(resp.w, _e_step(model, la, ln)[0])
+        w = _e_step(model, _aligned_residuals(model.Q, prob.X, prob.Y),
+                    _noise_residuals(model.mu_y, prob.Y))[0]
+        assert np.array_equal(resp.w, w)
         assert np.array_equal(resp.h, resp.w > 0.5)
 
     def test_degenerate_all_aligned_is_frozen_not_fatal(self):
@@ -481,10 +492,29 @@ def test_model_and_matrix_written_together_match_the_separate_writers(tmp_path):
     model, _, _ = em_fit(X, Y)
     save_model(model, tmp_path / "model.txt")
     save_matrix(model.Q, tmp_path / "matrix.txt")
-    _save_model_and_matrix(model, tmp_path / "model2.txt", tmp_path / "matrix2.txt")
+    save_model(model, tmp_path / "model2.txt", tmp_path / "matrix2.txt")
     for name in ("model", "matrix"):
         assert (tmp_path / f"{name}2.txt").read_bytes() == \
             (tmp_path / f"{name}.txt").read_bytes()
+
+
+def test_model_without_a_matrix_path_writes_one_file(tmp_path):
+    save_model(toy_model(d=4), tmp_path / "model.txt")
+    assert [p.name for p in tmp_path.iterdir()] == ["model.txt"]
+
+
+def test_model_and_matrix_are_written_one_row_at_a_time(tmp_path):
+    # a d=300 map holds 90,000 values: converting or formatting them all at
+    # once takes megabytes, one row of them a few kilobytes
+    model = toy_model(d=300, seed=3)
+    tracemalloc.start()
+    try:
+        save_model(model, tmp_path / "model.txt", tmp_path / "matrix.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    assert load_model(tmp_path / "model.txt").Q.shape == (300, 300)
 
 
 @pytest.mark.parametrize("text", ["", "2\n1 0\n", "2\n1 0\n0 1\nsigma2 x\n",
