@@ -43,6 +43,13 @@ class SgdConfig:
         if self.batch_size is not None and not (isinstance(self.batch_size, Integral)
                                                 and self.batch_size >= 1):
             raise ValueError("batch_size must be a positive integer")
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer")
+
+    def full_batch(self, n: int) -> bool:
+        """Whether one batch covers all n pairs, so every epoch takes the
+        same full-batch step (the Gram form in `sgd_align`)."""
+        return self.batch_size is None or self.batch_size >= n
 
 
 def _check_pair_shapes(X: np.ndarray, Y: np.ndarray) -> None:
@@ -127,8 +134,8 @@ def sgd_objective_grad(Q: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarra
 def sgd_align(X: np.ndarray, Y: np.ndarray, cfg: SgdConfig | None = None) -> np.ndarray:
     """Unconstrained least-squares map fit by gradient descent.
 
-    With one batch per epoch (cfg.batch_size None or >= n) every epoch
-    takes the same full-batch step, written in Gram form:
+    With one batch per epoch (`cfg.full_batch(n)`) every epoch takes the
+    same full-batch step, written in Gram form:
     2 (QX - Y) X^T = 2 (Q C - B) with C = X X^T and B = Y X^T. C and B
     cost O(d^2 n) once, then each epoch costs O(d^3), and the result does
     not depend on cfg.seed. With smaller batches the seed drives the
@@ -147,8 +154,7 @@ def sgd_align(X: np.ndarray, Y: np.ndarray, cfg: SgdConfig | None = None) -> np.
     Y = np.asarray(Y, dtype=np.float64)
     _check_pair_shapes(X, Y)
     d, n = X.shape
-    batch_size = cfg.batch_size or n
-    full_batch = batch_size >= n
+    full_batch = cfg.full_batch(n)
     # an inf in C would reach the SVD behind the default step's norm
     # (see `_svd`), and one in B would pass for divergence
     with np.errstate(over="ignore", invalid="ignore"):
@@ -168,8 +174,8 @@ def sgd_align(X: np.ndarray, Y: np.ndarray, cfg: SgdConfig | None = None) -> np.
                 Q = Q - lr * (2.0 * (Q @ C - B))
             else:
                 order = rng.permutation(n)
-                for start in range(0, n, batch_size):
-                    batch = order[start:start + batch_size]
+                for start in range(0, n, cfg.batch_size):
+                    batch = order[start:start + cfg.batch_size]
                     Q = Q - lr * sgd_objective_grad(Q, X[:, batch], Y[:, batch])
             if not np.isfinite(Q).all():
                 raise DataError(

@@ -30,7 +30,7 @@ def _fit_flops(method: str, d: int, n: int, sgd_cfg: SgdConfig | None = None) ->
     """Flops of a fit's GEMMs: the d x n x d M-step GEMM, 2 d^2 n, plus one
     d x d x d GEMM per epoch for full-batch SGD (`sgd_align`'s Gram form)."""
     cfg = sgd_cfg or SgdConfig()
-    if method == "sgd" and (cfg.batch_size or n) >= n:
+    if method == "sgd" and cfg.full_batch(n):
         return 2.0 * d * d * n + cfg.epochs * 2.0 * d ** 3
     return 2.0 * d * d * n
 

@@ -6,7 +6,9 @@ with prior 1-alpha. EM (hard or soft assignments) jointly fits the
 orthogonal map Q, the component parameters, and per-pair responsibilities.
 All densities are evaluated in log space; at d=300 the linear-space
 Gaussian underflows. One function, `_e_step`, turns per-pair residuals
-into both component log densities and the posteriors. `save_model` is the
+into each pair's joint log density under both components; the posteriors,
+soft EM's marginal log-likelihood and hard EM's complete-data
+log-likelihood all come from these two numbers. `save_model` is the
 one model writer; given a matrix path it also writes the file of
 `align.save_matrix` from the same formatted rows.
 """
@@ -121,9 +123,11 @@ def _noise_residuals(mu_y: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _e_step(model: AlignmentModel, r_aligned: np.ndarray, r_noise: np.ndarray):
-    """One E-step of `model`, vectorized: (w, loglik, la, ln) are the
+    """One E-step of `model`, vectorized: (w, loglik, ja, jn) are the
     posterior aligned probabilities, the marginal log-likelihood and the
-    per-column log densities of both components.
+    per-column joint log densities log alpha + log f1(y | x) and
+    log(1 - alpha) + log f0(y). At alpha = 0 or 1 one joint is -inf, so
+    w is exactly 0 or 1 and loglik sums the other component's densities.
 
     `r_aligned` and `r_noise` are `_aligned_residuals(model.Q, X, Y)` and
     `_noise_residuals(model.mu_y, Y)`.
@@ -131,13 +135,11 @@ def _e_step(model: AlignmentModel, r_aligned: np.ndarray, r_noise: np.ndarray):
     d = model.dim
     la = -0.5 * d * (LOG_2PI + np.log(model.sigma2)) - r_aligned / (2.0 * model.sigma2)
     ln = -0.5 * d * (LOG_2PI + np.log(model.sigma_y2)) - r_noise / (2.0 * model.sigma_y2)
-    if model.alpha == 0.0:
-        return np.zeros(la.size), float(np.sum(ln)), la, ln
-    if model.alpha == 1.0:
-        return np.ones(la.size), float(np.sum(la)), la, ln
-    joint = la + np.log(model.alpha)
-    total = np.logaddexp(joint, ln + np.log1p(-model.alpha))
-    return np.exp(joint - total), float(np.sum(total)), la, ln
+    with np.errstate(divide="ignore"):  # log 0 = -inf at alpha = 0 or 1
+        ja = la + np.log(model.alpha)
+        jn = ln + np.log1p(-model.alpha)
+    total = np.logaddexp(ja, jn)
+    return np.exp(ja - total), float(np.sum(total)), ja, jn
 
 
 def log_likelihood(model: AlignmentModel, X: np.ndarray, Y: np.ndarray) -> float:
@@ -174,22 +176,6 @@ def initialize(X: np.ndarray, Y: np.ndarray):
     r_aligned = np.sum(sq, axis=0)
     model = AlignmentModel(Q=Q, sigma2=sigma2, mu_y=mu_y, sigma_y2=sigma_y2, alpha=0.5)
     return model, r_aligned, r_noise
-
-
-def _complete_data_objective(model: AlignmentModel, la: np.ndarray, ln: np.ndarray,
-                             h: np.ndarray) -> float:
-    """Joint log-likelihood of data and hard assignments h.
-
-    `la` and `ln` are the per-column component log densities of `model`.
-    """
-    n1 = int(h.sum())
-    n0 = h.size - n1
-    obj = float(la[h].sum() + ln[~h].sum())
-    if n1 and model.alpha > 0:
-        obj += n1 * float(np.log(model.alpha))
-    if n0 and model.alpha < 1:
-        obj += n0 * float(np.log1p(-model.alpha))
-    return obj
 
 
 def _m_step(model: AlignmentModel, X: np.ndarray, Y: np.ndarray, w: np.ndarray,
@@ -229,9 +215,9 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
     Hard EM (the default) and soft EM (`soft=True`) share one weighted
     M-step (`_m_step`) and differ only in the E-step rounding and the
     objective: hard EM weights pairs by their 0/1 `Responsibilities`
-    labels and traces the complete-data objective; soft EM
-    weights them by their posteriors and traces the marginal
-    log-likelihood.
+    labels and traces the complete-data log-likelihood, each pair's joint
+    log density under its label; soft EM weights them by their posteriors
+    and traces the marginal log-likelihood.
     Iterates until |alpha_curr - alpha_prev| <= epsilon or max_iters.
 
     When an iteration leaves a component without weight (n1=0 or n1=n in
@@ -255,7 +241,6 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
     alpha_prev = np.inf
     for it in range(cfg.max_iters):
         if abs(model.alpha - alpha_prev) <= eps:
-            trace.converged = True
             break
         alpha_prev = model.alpha
 
@@ -264,19 +249,18 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
         model, degenerate, r_aligned, r_noise = _m_step(model, X, Y, weights,
                                                         r_aligned, r_noise)
         # one pass over the data scores the new model and runs the next E-step
-        w, loglik, la, ln = _e_step(model, r_aligned, r_noise)
-        objective = loglik if soft else _complete_data_objective(model, la, ln, resp.h)
+        w, loglik, ja, jn = _e_step(model, r_aligned, r_noise)
+        objective = loglik if soft else float(ja[resp.h].sum() + jn[~resp.h].sum())
 
         if degenerate:
             trace.degenerate_iters.append(it)
         trace.steps.append((model.alpha, objective, resp.n1))
         resp = Responsibilities(w)
-    else:
-        trace.converged = abs(model.alpha - alpha_prev) <= eps
-        if not trace.converged:
-            logger.warning("EM stopped at max_iters=%d without converging: "
-                           "|alpha change| %.3g > epsilon %.3g",
-                           cfg.max_iters, abs(model.alpha - alpha_prev), eps)
+    trace.converged = abs(model.alpha - alpha_prev) <= eps
+    if not trace.converged:
+        logger.warning("EM stopped at max_iters=%d without converging: "
+                       "|alpha change| %.3g > epsilon %.3g",
+                       cfg.max_iters, abs(model.alpha - alpha_prev), eps)
 
     return model, resp, trace
 

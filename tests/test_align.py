@@ -204,6 +204,7 @@ class TestSgdAlign:
     @pytest.mark.parametrize("field,value", [
         ("learning_rate", 0.0), ("learning_rate", np.nan), ("learning_rate", np.inf),
         ("epochs", 0), ("epochs", 1.5), ("batch_size", 0), ("batch_size", 2.5),
+        ("seed", -1), ("seed", 1.5),
     ])
     def test_config_rejects_a_value_the_cli_rejects(self, field, value):
         with pytest.raises(ValueError, match=field):

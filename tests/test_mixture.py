@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 
 import mpmath
@@ -205,6 +206,30 @@ class TestLogLikelihood:
             want = float(total)
         assert log_likelihood(model, X, Y) == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_alpha_zero_or_one_is_one_components_likelihood(self, alpha):
+        # the other component's joint is -inf: w and loglik come out exact
+        # through the general E-step, and log 0 raises no warning
+        rng = np.random.default_rng(7)
+        d, n = 4, 9
+        model = toy_model(d=d, alpha=alpha, sigma2=0.5, sigma_y2=2.0, seed=7)
+        X, Y = rng.standard_normal((d, n)), 3.0 * rng.standard_normal((d, n))
+        Y[:, 0] *= 1e3  # a pair far from both components
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, loglik, ja, jn = _e_step(model, _aligned_residuals(model.Q, X, Y),
+                                        _noise_residuals(model.mu_y, Y))
+        if alpha == 1.0:
+            own, other = ja, jn
+            want = [log_gaussian_iso(Y[:, t], model.Q @ X[:, t], 0.5) for t in range(n)]
+        else:
+            own, other = jn, ja
+            want = [log_gaussian_iso(Y[:, t], model.mu_y, 2.0) for t in range(n)]
+        assert np.array_equal(w, np.full(n, alpha))
+        assert np.all(other == -np.inf)
+        np.testing.assert_allclose(own, want, rtol=1e-12)
+        assert loglik == float(np.sum(own))
+
 
 class TestInitialize:
     def test_perfect_fit_hits_variance_floor(self):
@@ -308,6 +333,27 @@ def all_noise_instance():
     return X, Y
 
 
+def all_aligned_instance():
+    """Noise-free pairs: every hard M-step leaves the noise component empty."""
+    prob = make_noisy_problem(n=50, d=5, p=0.0, seed=9)
+    return prob.X, prob.Y
+
+
+def hard_objective_oracle(model, X, Y, h):
+    """Complete-data log-likelihood of `model` and the labels h, summed one
+    pair at a time: log alpha + log f1 for an aligned pair, log(1 - alpha)
+    + log f0 for a noise pair."""
+    total = 0.0
+    for t in range(X.shape[1]):
+        if h[t]:
+            total += (log_gaussian_iso(Y[:, t], model.Q @ X[:, t], model.sigma2)
+                      + math.log(model.alpha))
+        else:
+            total += (log_gaussian_iso(Y[:, t], model.mu_y, model.sigma_y2)
+                      + math.log1p(-model.alpha))
+    return total
+
+
 def jittered_instance(seed, d=None, n=None, p=None, jitter=0.05):
     rng = np.random.default_rng(seed)
     d = d or int(rng.integers(2, 20))
@@ -354,6 +400,28 @@ class TestEmFit:
             _, _, trace = em_fit(X, Y, soft=mode == "soft")
             objs = [obj for _, obj, _ in trace.steps]
             assert all(b >= a - 1e-9 for a, b in zip(objs, objs[1:]))
+
+    @pytest.mark.parametrize("instance", [
+        pytest.param(lambda: jittered_instance(60)[:2], id="jittered-60"),
+        pytest.param(lambda: jittered_instance(61)[:2], id="jittered-61"),
+        pytest.param(all_noise_instance, id="all-noise"),
+        pytest.param(all_aligned_instance, id="all-aligned"),
+    ])
+    def test_hard_objective_matches_a_per_pair_oracle(self, instance):
+        X, Y = instance()
+        trace = em_fit(X, Y)[2]
+        # iteration k scores the model it fitted under the labels it fitted to;
+        # at alpha = 0.5 the first labels go to the denser component
+        model = initialize(X, Y)[0]
+        h = np.array([log_gaussian_iso(Y[:, t], model.Q @ X[:, t], model.sigma2)
+                      > log_gaussian_iso(Y[:, t], model.mu_y, model.sigma_y2)
+                      for t in range(X.shape[1])])
+        for k, (alpha, objective, n1) in enumerate(trace.steps, start=1):
+            model, resp, _ = em_fit(X, Y, EmConfig(max_iters=k))
+            assert model.alpha == alpha and h.sum() == n1
+            assert objective == pytest.approx(hard_objective_oracle(model, X, Y, h),
+                                              rel=1e-12)
+            h = resp.h
 
     def test_hard_trace_alpha_equals_n1_over_n(self):
         X, Y, prob = jittered_instance(21)
@@ -415,6 +483,15 @@ class TestEmFit:
         X, Y, _ = jittered_instance(44)
         with caplog.at_level(logging.WARNING, logger="noisy_align.mixture"):
             _, _, trace = em_fit(X, Y, soft=True)
+        assert trace.converged and not caplog.records
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_fit_capped_at_its_iteration_count_converges(self, mode, caplog):
+        X, Y, _ = jittered_instance(44)
+        iterations = em_fit(X, Y, soft=mode == "soft")[2].iterations
+        with caplog.at_level(logging.WARNING, logger="noisy_align.mixture"):
+            _, _, trace = em_fit(X, Y, EmConfig(max_iters=iterations), soft=mode == "soft")
+        assert trace.iterations == iterations
         assert trace.converged and not caplog.records
 
 
