@@ -31,7 +31,8 @@ lex = build_identity_lexicon(old, new)
 X, Y = gather_pairs(lex, old, new)
 model, resp, trace = em_fit(X, Y)
 
-ranking, _ = rank_semantic_shift(model.Q, lex, old, new, responsibilities=resp)
+shared = [old.tokens[i] for i, _ in lex.pairs]
+ranking, _ = rank_semantic_shift(model.Q, shared, X, Y, responsibilities=resp)
 
 print(f"vocabulary {vocab}, planted shifts {n_shifted}, "
       f"EM noise fraction {float(np.mean(~resp.h)):.3f}")

@@ -131,6 +131,12 @@ def sgd_objective_grad(Q: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarra
     return 2.0 * (Q @ X - Y) @ X.T
 
 
+def _sgd_flops(d: int, n: int, cfg: SgdConfig) -> float:
+    """Flops of `sgd_align`'s GEMMs on n pairs: X X^T, 2 d^2 n, plus one
+    d x d x d GEMM per epoch when `cfg.full_batch(n)` (the Gram form)."""
+    return 2.0 * d * d * n + (cfg.epochs if cfg.full_batch(n) else 0) * 2.0 * d ** 3
+
+
 def sgd_align(X: np.ndarray, Y: np.ndarray, cfg: SgdConfig | None = None) -> np.ndarray:
     """Unconstrained least-squares map fit by gradient descent.
 

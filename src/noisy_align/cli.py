@@ -10,7 +10,8 @@ A `--config FILE` of `key = value` lines supplies defaults: each line
 becomes the token `--key=value`, inserted right after the command name.
 argparse then checks the keys, types and choices as for any flag, required
 flags may come from the file, and explicit command-line flags always win.
-Switches such as `normalize` take `true` or `false`.
+Switches such as `normalize` take `true` or `false`. A second `--config`,
+also one named in the file, is a usage error.
 """
 
 from __future__ import annotations
@@ -65,6 +66,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+class _Once(argparse.Action):
+    """Store the value; a second one is a usage error (see `main`)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "may be given once, not in a config file")
+        setattr(namespace, self.dest, values)
 
 
 def _switch(text: str) -> bool:
@@ -188,7 +198,7 @@ def build_parser() -> _Parser:
     def command(name, run, help, check=None):
         p = sub.add_parser(name, help=help, check=check)
         p.set_defaults(run=run)
-        p.add_argument("--config", help="key = value defaults file; flags win")
+        p.add_argument("--config", action=_Once, help="key = value defaults; flags win")
         p.add_argument("--output-dir", default=".")
         return p
 
@@ -252,11 +262,6 @@ def _em_config(args) -> EmConfig:
     return EmConfig(**_given(args, _EM_FLAGS))
 
 
-def _sgd_config(args) -> SgdConfig:
-    """SGD settings: each flag given overrides only its field."""
-    return SgdConfig(**_given(args, _SGD_FLAGS))
-
-
 def _load_spaces(args):
     src = nio.load_embeddings(args.src_emb, limit=args.limit, normalize=args.normalize)
     tgt = nio.load_embeddings(args.tgt_emb, limit=args.limit, normalize=args.normalize)
@@ -284,16 +289,17 @@ def _cmd_align(args) -> int:
     test_path = getattr(args, "test_lexicon", None)
     test_lex = nio.load_lexicon(test_path, src, tgt)[0] if test_path else None
     # the training pairs are freed before the test set is gathered
-    Q, model, resp, trace = fit_translation(args.method, *nio.gather_pairs(lex, src, tgt),
-                                            sgd_cfg=_sgd_config(args),
-                                            em_cfg=_em_config(args))
+    Q, model, resp, trace = fit_translation(
+        args.method, *nio.gather_pairs(lex, src, tgt),
+        sgd_cfg=SgdConfig(**_given(args, _SGD_FLAGS)), em_cfg=_em_config(args))
     test = _test_metrics(Q, test_lex, src, tgt) if test_lex is not None else {}
     park()  # no BLAS call follows
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     if resp is not None:
-        write_responsibilities_tsv(resp, lex, out / "responsibilities.tsv", src, tgt)
+        names = [(src.tokens[s], tgt.tokens[g]) for s, g in lex.pairs]
+        write_responsibilities_tsv(resp, names, out / "responsibilities.tsv")
     if args.command == "clean-lexicon":
         print(f"wrote {out / 'responsibilities.tsv'} "
               f"({skipped} unresolvable lexicon lines skipped)")
@@ -358,14 +364,12 @@ def _cmd_diachronic(args) -> int:
     src, tgt = _load_spaces(args)
     lex = nio.build_identity_lexicon(src, tgt, stoplist=stoplist)
     X, Y = nio.gather_pairs(lex, src, tgt)
-    # nothing below reads a column outside the pairs, so both sets become
-    # the pairs alone and the loaded matrices are freed before the fit
     tokens = [src.tokens[s] for s, _ in lex.pairs]
-    src, tgt = nio.EmbeddingSet(tokens, X), nio.EmbeddingSet(tokens, Y)
-    lex = nio.Lexicon([(t, t) for t in range(len(tokens))])
+    # only the pairs' tokens and columns are read below: free the loaded sets
+    del src, tgt, lex
     Q, model, resp, trace = fit_translation("em-hard", X, Y, em_cfg=_em_config(args))
     ranking, dropped = rank_semantic_shift(
-        Q, lex, src, tgt, src_freqs=src_freqs, tgt_freqs=tgt_freqs,
+        Q, tokens, X, Y, src_freqs=src_freqs, tgt_freqs=tgt_freqs,
         threshold=args.threshold, responsibilities=resp)
     park()  # no BLAS call follows
     out = Path(args.output_dir)
@@ -376,7 +380,7 @@ def _cmd_diachronic(args) -> int:
     noise_frac = float(np.mean(~resp.h))
     n_noise_ranked = sum(1 for _, _, label in ranking if label == "Noise")
     summary = {
-        "pairs": len(lex),
+        "pairs": len(tokens),
         "noise_fraction": noise_frac,
         "noisy_after_filter": n_noise_ranked,
         "dropped_below_threshold": dropped,
@@ -384,7 +388,7 @@ def _cmd_diachronic(args) -> int:
     }
     (out / "diachronic_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    write_responsibilities_tsv(resp, lex, out / "responsibilities.tsv", src, tgt)
+    write_responsibilities_tsv(resp, [(t, t) for t in tokens], out / "responsibilities.tsv")
     save_model(model, out / "model.txt")
     print(json.dumps(summary, sort_keys=True))
     return 0
@@ -393,12 +397,12 @@ def _cmd_diachronic(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     config_parser = _Parser(prog="noisy-align", add_help=False)
-    config_parser.add_argument("--config")
+    config_parser.add_argument("--config", action="append")
     try:
-        config = config_parser.parse_known_args(argv)[0].config
-        if config:
+        configs = config_parser.parse_known_args(argv)[0].config or []
+        if len(configs) == 1:  # a second one, also from the file, is `_Once`'s error
             # right after the command name, so that every explicit flag wins
-            argv[1:1] = _config_tokens(config)
+            argv[1:1] = _config_tokens(configs[0])
         args = build_parser().parse_args(argv)
         return args.run(args)
     except (nio.DataError, OSError, ValueError) as exc:

@@ -7,7 +7,8 @@ per block against the whole target matrix. Besides `index.unit` (one
 float64 copy of the targets), memory is bounded by one score block of
 max(`SCORE_BLOCK_BYTES`, `MIN_BLOCK_ROWS`·8·V) bytes for V targets: a
 block holds as many queries as fit in 2 MiB, but never fewer than 64.
-Ties break deterministically toward the lower token index.
+Ties break deterministically toward the lower token index. Shift
+ranking reads only the gathered pairs: their tokens, X and Y.
 """
 
 from __future__ import annotations
@@ -206,45 +207,42 @@ def precision_at_1(Q: np.ndarray, test_lex: Lexicon, src: EmbeddingSet,
     return correct / len(gold), len(gold)
 
 
-def rank_semantic_shift(Q: np.ndarray, identity_lex: Lexicon, src: EmbeddingSet,
-                        tgt: EmbeddingSet,
+def rank_semantic_shift(Q: np.ndarray, tokens: list[str], X: np.ndarray, Y: np.ndarray,
                         src_freqs: dict[str, float] | None = None,
                         tgt_freqs: dict[str, float] | None = None,
                         threshold: float | None = None,
                         responsibilities: Responsibilities | None = None):
     """Rank shared-vocabulary tokens by post-alignment cosine distance.
 
-    distance(token) = 1 - cos(Q x_token, y_token), sorted descending; the
-    distance is 1 where either vector is zero. With a frequency threshold,
-    tokens below it in either table (or missing from one) are dropped
-    before scoring. All kept pairs are mapped by one GEMM (`_mapped`).
+    Column t of X and Y is the pair of `tokens[t]`; differing sizes (also
+    of the responsibilities) are a ValueError. distance(token) =
+    1 - cos(Q x_token, y_token), sorted descending; the distance is 1
+    where either vector is zero. With a frequency threshold, tokens below
+    it in either table (or missing from one) are dropped before scoring.
+    All kept pairs are mapped by one GEMM (`_mapped`).
 
     Returns:
         (ranking, n_dropped) where ranking is a list of
         (token, distance, label) and label comes from the hard EM
         decisions when responsibilities are given, else "".
     """
-    tokens = [src.tokens[i] for i, _ in identity_lex.pairs]
-    kept = range(len(identity_lex.pairs))
+    h = None if responsibilities is None else responsibilities.h
+    if {X.shape[1], Y.shape[1], len(tokens) if h is None else h.size} != {len(tokens)}:
+        raise ValueError("tokens, X and Y columns and responsibilities differ in number")
+    kept = np.arange(len(tokens))
     if threshold is not None:
-        src_freqs, tgt_freqs = src_freqs or {}, tgt_freqs or {}
-
-        def frequent(token):
-            fs, ft = src_freqs.get(token), tgt_freqs.get(token)
-            return fs is not None and ft is not None and fs >= threshold and ft >= threshold
-
-        kept = [t for t in kept if frequent(tokens[t])]
-    pairs = np.array(identity_lex.pairs, dtype=np.intp).reshape(-1, 2)[kept]
-    x, nx = _column_norms(_mapped(Q, src.vectors[:, pairs[:, 0]]))
-    y, ny = _column_norms(tgt.vectors[:, pairs[:, 1]])
+        fs, ft = src_freqs or {}, tgt_freqs or {}
+        kept = np.array([i for i, t in enumerate(tokens) if t in fs and t in ft
+                         and fs[t] >= threshold and ft[t] >= threshold], dtype=np.intp)
+    x, nx = _column_norms(_mapped(Q, X[:, kept]))
+    y, ny = _column_norms(Y[:, kept])
     zero = (nx == 0) | (ny == 0)
     cos = np.einsum("ij,ij->j", x, y) / np.where(zero, 1.0, nx * ny)
     dists = np.where(zero, 1.0, 1.0 - cos).tolist()
-    h = None if responsibilities is None else responsibilities.h
     rows = [(tokens[t], dist, "" if h is None else "Aligned" if h[t] else "Noise")
-            for t, dist in zip(kept, dists)]
+            for t, dist in zip(kept.tolist(), dists)]
     rows.sort(key=lambda r: (-r[1], r[0]))
-    return rows, len(identity_lex.pairs) - len(kept)
+    return rows, len(tokens) - len(kept)
 
 
 def shift_ranking_to_json(ranking) -> str:

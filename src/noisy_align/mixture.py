@@ -8,9 +8,9 @@ All densities are evaluated in log space; at d=300 the linear-space
 Gaussian underflows. One function, `_e_step`, turns per-pair residuals
 into each pair's joint log density under both components; the posteriors,
 soft EM's marginal log-likelihood and hard EM's complete-data
-log-likelihood all come from these two numbers. `save_model` is the
-one model writer; given a matrix path it also writes the file of
-`align.save_matrix` from the same formatted rows.
+log-likelihood all come from these two numbers. `save_model` is the one
+model writer, formatting Q once also for an optional matrix file; the
+responsibilities writer takes each pair's tokens, not the sets.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from numbers import Integral
 import numpy as np
 
 from .align import _parse_matrix, _write_matrix, procrustes, weighted_procrustes
-from .io import DataError, EmbeddingSet, Lexicon
+from .io import DataError
 
 logger = logging.getLogger(__name__)
 
@@ -296,18 +296,16 @@ def load_model(path) -> AlignmentModel:
         raise DataError(f"model file {path} is malformed: {exc}") from exc
 
 
-def write_responsibilities_tsv(resp: Responsibilities, lex: Lexicon, path,
-                               src: EmbeddingSet, tgt: EmbeddingSet) -> None:
+def write_responsibilities_tsv(resp: Responsibilities, names, path) -> None:
     """Export per-pair decisions as TSV: index, tokens, weight, Aligned/Noise.
 
-    Pair t of `lex` is named by its tokens in the two vocabularies,
-    `src.tokens[s]` and `tgt.tokens[g]`.
+    `names[t]` is pair t's (source token, target token).
     """
-    if len(lex) != resp.w.size:
-        raise ValueError(f"{resp.w.size} responsibilities for {len(lex)} lexicon pairs")
+    if len(names) != resp.w.size:
+        raise ValueError(f"{resp.w.size} responsibilities for {len(names)} named pairs")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("pair_index\tsrc_token\ttgt_token\tw\tlabel\n")
-        for t, ((s, g), w, aligned) in enumerate(zip(lex.pairs, resp.w.tolist(),
+        for t, ((s, g), w, aligned) in enumerate(zip(names, resp.w.tolist(),
                                                      resp.h.tolist())):
             label = "Aligned" if aligned else "Noise"
-            fh.write(f"{t}\t{src.tokens[s]}\t{tgt.tokens[g]}\t{w:.6g}\t{label}\n")
+            fh.write(f"{t}\t{s}\t{g}\t{w:.6g}\t{label}\n")

@@ -306,6 +306,7 @@ class TestAlign:
         assert run_align(bilingual, tmp_path / "o", ["--config", str(cfg)]) == 2
         assert run_align(bilingual, tmp_path / "o",
                          ["--config", str(tmp_path / "missing.cfg")]) == 2
+        assert run_align(bilingual, tmp_path / "o", ["--config", ""]) == 2  # not ignored
 
     def test_config_switch_matches_flag(self, bilingual, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -593,9 +594,10 @@ class TestDiachronic:
         src = nio.load_embeddings(decades / "old.txt")
         tgt = nio.load_embeddings(decades / "new.txt")
         lex = nio.build_identity_lexicon(src, tgt, nio.load_stoplist(decades / "stop.txt"))
-        resp = experiments.fit_translation("em-hard", *nio.gather_pairs(lex, src, tgt))[2]
+        X, Y = nio.gather_pairs(lex, src, tgt)
+        resp = experiments.fit_translation("em-hard", X, Y)[2]
         rows, dropped = rank_semantic_shift(
-            load_model(out / "model.txt").Q, lex, src, tgt,
+            load_model(out / "model.txt").Q, [src.tokens[s] for s, _ in lex.pairs], X, Y,
             src_freqs=nio.load_frequency_table(decades / "f1.tsv"),
             tgt_freqs=nio.load_frequency_table(decades / "f2.tsv"),
             threshold=0.002, responsibilities=resp)
@@ -605,7 +607,9 @@ class TestDiachronic:
         assert json.loads((out / "diachronic_summary.json").read_text())[
             "dropped_below_threshold"] == dropped
         write_shift_ranking_tsv(rows, decades / "ranking.tsv")
-        write_responsibilities_tsv(resp, lex, decades / "resp.tsv", src, tgt)
+        # each pair named from both full sets, in their different orders
+        names = [(src.tokens[s], tgt.tokens[g]) for s, g in lex.pairs]
+        write_responsibilities_tsv(resp, names, decades / "resp.tsv")
         for ours, api in (("shift_ranking.tsv", "ranking.tsv"),
                           ("responsibilities.tsv", "resp.tsv")):
             assert (out / ours).read_bytes() == (decades / api).read_bytes()
@@ -735,15 +739,24 @@ class TestFlagSurface:
                                              ("--levels", "0,,0.1"), ("--methods", ","),
                                              ("--methods", "op,op"), ("--methods", "op,bogus"))),
         ("synthetic-2d", "--seed", "-1"),
+        # a value of several words is several tokens: --config given twice
+        *((c, "--config", "a.cfg --config c.cfg") for c in ("align", "noise-curve")),
+        ("align", "--config", "a.cfg --config=a.cfg"),
+        # a config file that names another
+        *((c, "--config", "nested.cfg") for c in ("diachronic", "synthetic-2d")),
     ]
 
     @pytest.mark.parametrize("command,flag,value", BAD_VALUES)
     def test_bad_numeric_value_is_usage_error(self, command, flag, value, tmp_path,
-                                              capsys):
-        argv = [command, *self.REQUIRED[command], flag, value,
+                                              capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nested.cfg").write_text("config = other.cfg\n")
+        argv = [command, *self.REQUIRED[command], flag, *value.split(" "),
                 "--output-dir", str(tmp_path)]
         assert exit_code(lambda: main(argv)) == 1
-        assert f"argument {flag}:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: noisy-align {command}")
+        assert f"argument {flag}:" in err
 
     METHOD_FLAGS = [
         *((method, f, v) for method in ("op", "sgd")

@@ -16,7 +16,7 @@ from noisy_align.evaluation import (
     precision_at_1,
     rank_semantic_shift,
 )
-from noisy_align.io import EmbeddingSet, Lexicon, build_identity_lexicon
+from noisy_align.io import EmbeddingSet, Lexicon, build_identity_lexicon, gather_pairs
 from noisy_align.mixture import Responsibilities
 
 
@@ -34,6 +34,13 @@ def random_set(n_tokens, d, seed, prefix="w"):
     rng = np.random.default_rng(seed)
     return make_set([f"{prefix}{i}" for i in range(n_tokens)],
                     rng.standard_normal((d, n_tokens)))
+
+
+def identity_pairs(src, tgt):
+    """`rank_semantic_shift`'s tokens, X and Y for the tokens both sets share,
+    gathered as `diachronic` gathers them."""
+    lex = build_identity_lexicon(src, tgt)
+    return [src.tokens[i] for i, _ in lex.pairs], *gather_pairs(lex, src, tgt)
 
 
 def oracle_scores(index, q):
@@ -295,8 +302,7 @@ class TestRankSemanticShift:
         Q = random_orthogonal(4, 6)
         tgt = make_set(emb.tokens, Q @ emb.vectors)
         tgt.vectors[:, 2] = np.random.default_rng(7).standard_normal(4)
-        lex = build_identity_lexicon(emb, tgt)
-        ranking, dropped = rank_semantic_shift(Q, lex, emb, tgt)
+        ranking, dropped = rank_semantic_shift(Q, *identity_pairs(emb, tgt))
         assert dropped == 0
         assert ranking[0][0] == "w2"
         assert ranking[-1][1] == pytest.approx(0.0, abs=1e-12)
@@ -310,22 +316,19 @@ class TestRankSemanticShift:
         planted = int(rng.integers(1000))
         vectors[:, planted] = rng.standard_normal(10)
         tgt = make_set(src.tokens, vectors)
-        ranking, _ = rank_semantic_shift(Q, build_identity_lexicon(src, tgt),
-                                         src, tgt)
+        ranking, _ = rank_semantic_shift(Q, *identity_pairs(src, tgt))
         assert ranking[0][0] == f"w{planted}"
 
     def test_identical_tiny_vectors_have_zero_distance(self):
         emb = make_set(["t"], [[1e-170], [0.0]])
-        ranking, _ = rank_semantic_shift(np.eye(2), build_identity_lexicon(emb, emb),
-                                         emb, emb)
+        ranking, _ = rank_semantic_shift(np.eye(2), *identity_pairs(emb, emb))
         assert ranking == [("t", 0.0, "")]
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_mapped_vector_keeps_its_distance(self):
         src = make_set(["huge", "one"], [[HUGE, 1.0], [HUGE, 1.0]])
         tgt = make_set(["huge", "one"], [[0.3, 0.3], [1.0, 1.0]])
-        ranking, _ = rank_semantic_shift(ROT45, build_identity_lexicon(src, tgt),
-                                         src, tgt)
+        ranking, _ = rank_semantic_shift(ROT45, *identity_pairs(src, tgt))
         dist = {token: d for token, d, _ in ranking}
         assert 0.0 < dist["one"] < 1.0
         assert abs(dist["huge"] - dist["one"]) <= 1e-15
@@ -339,7 +342,7 @@ class TestRankSemanticShift:
         ys[:, 0] = xs[:, 0]
         src, tgt = make_set("abcde", scale * xs), make_set("abcde", scale * ys)
         Q = random_orthogonal(3, 15)
-        ranking, _ = rank_semantic_shift(Q, build_identity_lexicon(src, tgt), src, tgt)
+        ranking, _ = rank_semantic_shift(Q, *identity_pairs(src, tgt))
         assert len(ranking) == 5
         with mpmath.workdps(50):
             q = mpmath.matrix(Q.tolist())
@@ -352,19 +355,17 @@ class TestRankSemanticShift:
 
     def test_frequency_filter_drops_missing_and_rare(self):
         emb = random_set(4, 3, seed=8)
-        lex = build_identity_lexicon(emb, emb)
         freqs = {"w0": 0.1, "w1": 1e-7, "w2": 0.2}  # w3 missing
         ranking, dropped = rank_semantic_shift(
-            np.eye(3), lex, emb, emb, src_freqs=freqs, tgt_freqs=freqs,
+            np.eye(3), *identity_pairs(emb, emb), src_freqs=freqs, tgt_freqs=freqs,
             threshold=1e-5)
         assert dropped == 2
         assert {t for t, _, _ in ranking} == {"w0", "w2"}
 
     def test_noise_labels_attached(self):
         emb = random_set(3, 2, seed=9)
-        lex = build_identity_lexicon(emb, emb)
         resp = Responsibilities(w=np.array([0.9, 0.1, 0.8]))
-        ranking, _ = rank_semantic_shift(np.eye(2), lex, emb, emb,
+        ranking, _ = rank_semantic_shift(np.eye(2), *identity_pairs(emb, emb),
                                          responsibilities=resp)
         labels = {t: l for t, _, l in ranking}
         assert labels["w1"] == "Noise" and labels["w0"] == "Aligned"
@@ -374,14 +375,24 @@ class TestRankSemanticShift:
         tgt = random_set(20, 5, seed=11, prefix="w")
         Q = random_orthogonal(5, 12)
         R = random_orthogonal(5, 13)
-        lex = build_identity_lexicon(src, tgt)
-        base, _ = rank_semantic_shift(Q, lex, src, tgt)
-        rot_src = make_set(src.tokens, src.vectors)
+        base, _ = rank_semantic_shift(Q, *identity_pairs(src, tgt))
         rot_tgt = make_set(tgt.tokens, R @ tgt.vectors)
-        rotated, _ = rank_semantic_shift(R @ Q, lex, rot_src, rot_tgt)
+        rotated, _ = rank_semantic_shift(R @ Q, *identity_pairs(src, rot_tgt))
         for (t1, d1, _), (t2, d2, _) in zip(base, rotated):
             assert t1 == t2
             assert d1 == pytest.approx(d2, abs=1e-9)
+
+    @pytest.mark.parametrize("n_tokens,n_x,n_y,n_w", [
+        (3, 2, 3, None), (3, 3, 2, None), (2, 3, 3, None), (3, 3, 3, 2), (3, 3, 3, 4),
+        (0, 0, 0, 1),
+    ])
+    def test_sizes_that_differ_are_rejected(self, n_tokens, n_x, n_y, n_w):
+        rng = np.random.default_rng(16)
+        resp = None if n_w is None else Responsibilities(w=np.full(n_w, 0.9))
+        with pytest.raises(ValueError, match="differ in number"):
+            rank_semantic_shift(np.eye(2), [f"w{i}" for i in range(n_tokens)],
+                                rng.standard_normal((2, n_x)), rng.standard_normal((2, n_y)),
+                                responsibilities=resp)
 
 
 def oracle_shift_ranking(Q, lex, src, tgt, src_freqs, tgt_freqs, threshold, resp):
@@ -421,6 +432,9 @@ def test_shift_ranking_matches_per_token_oracle(seed, d, n, n_zero_src, n_zero_t
                                               rng.integers(V, size=n))]
     lex = Lexicon(pairs=pairs)
     tokens = [src.tokens[i] for i, _ in pairs]
+    # gathered as `io.gather_pairs` gathers them, which refuses n = 0
+    idx = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    X, Y = np.take(src.vectors, idx[:, 0], axis=1), np.take(tgt.vectors, idx[:, 1], axis=1)
     # a frequency table misses a token (nan) or holds it at, below or above 0.3
     freqs = rng.choice([np.nan, 0.0, 0.2, 0.3, 0.5, 1.0], size=(2, n))
     src_freqs, tgt_freqs = ({t: f for t, f in zip(tokens, row) if not np.isnan(f)}
@@ -432,7 +446,7 @@ def test_shift_ranking_matches_per_token_oracle(seed, d, n, n_zero_src, n_zero_t
     Q = rng.standard_normal((d, d))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a zero vector is no division by zero
-        got, got_dropped = rank_semantic_shift(Q, lex, src, tgt, src_freqs, tgt_freqs,
+        got, got_dropped = rank_semantic_shift(Q, tokens, X, Y, src_freqs, tgt_freqs,
                                                threshold, resp)
     want, want_dropped = oracle_shift_ranking(Q, lex, src, tgt, src_freqs, tgt_freqs,
                                               threshold, resp)

@@ -12,7 +12,7 @@ import pytest
 from noisy_align import mixture
 from noisy_align.align import alignment_error, random_orthogonal, save_matrix
 from noisy_align.experiments import fit_translation
-from noisy_align.io import DataError, EmbeddingSet, Lexicon
+from noisy_align.io import DataError
 from noisy_align.mixture import (
     VAR_FLOOR,
     AlignmentModel,
@@ -615,21 +615,25 @@ def test_load_model_rejects_a_non_orthogonal_q(tmp_path):
 
 
 def test_responsibilities_tsv(tmp_path):
-    # pairs are named from the two vocabularies
+    # pair t is written under names[t], the source and the target token
     resp = Responsibilities(w=np.array([0.9, 0.2]))
-    src = EmbeddingSet(tokens=["dog"], vectors=np.ones((2, 1)))
-    tgt = EmbeddingSet(tokens=["cane", "dog"], vectors=np.eye(2))
-    lex = Lexicon(pairs=[(0, 0), (0, 1)])
     path = tmp_path / "resp.tsv"
-    write_responsibilities_tsv(resp, lex, path, src, tgt)
+    write_responsibilities_tsv(resp, [("dog", "cane"), ("dog", "dog")], path)
     lines = path.read_text().splitlines()
     assert lines == ["pair_index\tsrc_token\ttgt_token\tw\tlabel",
                      "0\tdog\tcane\t0.9\tAligned", "1\tdog\tdog\t0.2\tNoise"]
 
 
 def test_responsibilities_tsv_needs_one_weight_per_pair(tmp_path):
-    emb = EmbeddingSet(tokens=["a", "b"], vectors=np.eye(2))
-    lex = Lexicon(pairs=[(0, 0), (1, 1)])
-    with pytest.raises(ValueError, match="1 responsibilities for 2 lexicon pairs"):
-        write_responsibilities_tsv(Responsibilities(w=np.array([0.9])), lex,
-                                   tmp_path / "resp.tsv", emb, emb)
+    with pytest.raises(ValueError, match="1 responsibilities for 2 named pairs"):
+        write_responsibilities_tsv(Responsibilities(w=np.array([0.9])),
+                                   [("a", "a"), ("b", "b")], tmp_path / "resp.tsv")
+
+
+@pytest.mark.parametrize("w,n_names", [([0.9, 0.1], 1), ([], 1), ([0.9], 0)])
+def test_responsibilities_tsv_rejects_a_size_mismatch(tmp_path, w, n_names):
+    path = tmp_path / "resp.tsv"
+    with pytest.raises(ValueError, match=f"{len(w)} responsibilities for {n_names} named"):
+        write_responsibilities_tsv(Responsibilities(w=np.array(w)),
+                                   [("a", "b")] * n_names, path)
+    assert not path.exists()  # checked before the file is opened
