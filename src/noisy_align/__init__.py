@@ -7,6 +7,7 @@ and a two-component Gaussian-mixture EM that jointly learns Q and labels
 each lexicon pair as aligned or noise.
 """
 
+from . import _blas  # first: it loads numpy with OpenBLAS's idle policy
 from .io import (
     EmbeddingSet,
     Lexicon,

@@ -1,28 +1,37 @@
 """Keep OpenBLAS's idle worker threads from burning CPU.
 
-After each threaded call, OpenBLAS's idle workers spin for about 0.1 s
-before they sleep. A fit made of many small SVDs, QRs and GEMMs therefore
-keeps every worker busy while a second thread buys it no wall time.
-`threads_for` drops BLAS to one thread for work below `THREADED_MIN_FLOPS`
-and restores the previous count on exit. `park` stops the workers; the
-`align`, `clean-lexicon` and `diachronic` commands call it after their
-last BLAS call, so that no worker spins through the output writes (on
-the benchmark inputs, 0.1-0.12 s less worker CPU per run). The next
-threaded call starts the workers again. Neither can reach the worker's
-spin during `import numpy` (0.05-0.1 s of CPU), which ends before this
-package runs. The thread count is process-global, so
-neither is meant for concurrent Python threads. Without an OpenBLAS that
-numpy loaded, both do nothing.
+An idle OpenBLAS worker spins for 2^28 cycles (about 0.1 s) before it
+sleeps: after each threaded call and after its start in `import numpy`.
+This module imports numpy with OPENBLAS_THREAD_TIMEOUT=4, which OpenBLAS
+reads once, at load: a worker then sleeps after 2^4 cycles, its minimum.
+Thread counts, work partition and results are unchanged. A value the user
+set wins, and ours is removed right after the import, so no child process
+sees it. The package imports this module first; where numpy was loaded
+before, set the variable before that import instead.
+
+`threads_for` runs work below `THREADED_MIN_FLOPS` on one BLAS thread: a
+second thread buys small SVDs, QRs and GEMMs no wall time. The count is
+process-global, so it is not meant for concurrent Python threads. Without
+an OpenBLAS that numpy loaded, it does nothing.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import os
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
+_TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
+_ours = _TIMEOUT not in os.environ
+if _ours:
+    os.environ[_TIMEOUT] = "4"
+try:
+    import numpy as np
+finally:
+    if _ours:
+        del os.environ[_TIMEOUT]
 
 # on a 2-vCPU Xeon, a second BLAS thread made EM and Procrustes fits below
 # this many M-step flops no faster, and d x n x d GEMMs from here up
@@ -35,17 +44,13 @@ _SYMBOLS = (
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
-# what OpenBLAS calls before every fork(): it joins the worker threads, and
-# the next threaded call or a raised thread count starts them again
-_SHUTDOWN = "blas_thread_shutdown_"
 
 
 @functools.cache
 def _library():
-    """(get, set, start, shutdown): the thread-count functions of numpy's
-    OpenBLAS, the count the process started with and the function that
-    stops its workers (None where the library lacks it); or None when
-    there is no such library."""
+    """(get, set, start): the thread-count functions of numpy's OpenBLAS
+    and the count the process started with; or None when there is no
+    such library."""
     root = Path(np.__file__).parent
     for lib_path in sorted([*root.parent.glob("numpy.libs/*openblas*"),
                             *root.glob(".dylibs/*openblas*")]):
@@ -59,10 +64,7 @@ def _library():
             if get_threads is not None and set_threads is not None:
                 get_threads.argtypes, get_threads.restype = [], ctypes.c_int
                 set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                shutdown = getattr(lib, _SHUTDOWN, None)
-                if shutdown is not None:
-                    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-                return get_threads, set_threads, get_threads(), shutdown
+                return get_threads, set_threads, get_threads()
     return None
 
 
@@ -78,23 +80,10 @@ def threads_for(flops: float):
     if lib is None or flops >= THREADED_MIN_FLOPS:
         yield
         return
-    get_threads, set_threads, start, _ = lib
+    get_threads, set_threads, start = lib
     previous = min(get_threads(), start)
     set_threads(1)
     try:
         yield
     finally:
         set_threads(previous)
-
-
-def park() -> None:
-    """Stop OpenBLAS's worker threads until the next threaded call.
-
-    Call it after a command's last BLAS call: the Python work that follows
-    then runs without an idle worker spinning beside it. The thread count
-    is unchanged, so `threads_for` and `get_threads` see the same count,
-    and results of later calls are unchanged too.
-    """
-    lib = _library()
-    if lib is not None and lib[3] is not None:
-        lib[3]()

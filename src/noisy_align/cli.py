@@ -6,12 +6,13 @@ only the flags it reads, and abbreviated flags are rejected. Exit codes:
 0 success, 1 usage error (printed after the subcommand's usage line),
 2 data error.
 
-A `--config FILE` of `key = value` lines supplies defaults: each line
-becomes the token `--key=value`, inserted right after the command name.
-argparse then checks the keys, types and choices as for any flag, required
-flags may come from the file, and explicit command-line flags always win.
-Switches such as `normalize` take `true` or `false`. A second `--config`,
-also one named in the file, is a usage error.
+A `--config FILE` of `key = value` lines, given after the subcommand,
+supplies defaults: each line becomes the token `--key=value`, inserted
+right after the command name. argparse then checks the keys, types and
+choices as for any flag, required flags may come from the file, and
+explicit command-line flags always win. Switches such as `normalize` take
+`true` or `false`. A second `--config`, also one named in the file, is a
+usage error, and so is a `--config` before the subcommand.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from . import io as nio
-from ._blas import park
 from .align import SgdConfig, alignment_error, load_matrix, save_matrix
 from .evaluation import (
     EvalReport,
@@ -293,7 +293,6 @@ def _cmd_align(args) -> int:
         args.method, *nio.gather_pairs(lex, src, tgt),
         sgd_cfg=SgdConfig(**_given(args, _SGD_FLAGS)), em_cfg=_em_config(args))
     test = _test_metrics(Q, test_lex, src, tgt) if test_lex is not None else {}
-    park()  # no BLAS call follows
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -371,7 +370,6 @@ def _cmd_diachronic(args) -> int:
     ranking, dropped = rank_semantic_shift(
         Q, tokens, X, Y, src_freqs=src_freqs, tgt_freqs=tgt_freqs,
         threshold=args.threshold, responsibilities=resp)
-    park()  # no BLAS call follows
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_shift_ranking_tsv(ranking, out / "shift_ranking.tsv")
@@ -396,14 +394,20 @@ def _cmd_diachronic(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
+    if argv and argv[0].split("=", 1)[0] == "--config":
+        parser.error("argument --config: goes after the subcommand, "
+                     "as in `noisy-align align --config FILE`")
+    # a --config without its value is left to the subcommand's parser
     config_parser = _Parser(prog="noisy-align", add_help=False)
-    config_parser.add_argument("--config", action="append")
+    config_parser.add_argument("--config", action="append", nargs="?")
     try:
         configs = config_parser.parse_known_args(argv)[0].config or []
-        if len(configs) == 1:  # a second one, also from the file, is `_Once`'s error
+        # a second one, also from the file, is `_Once`'s error
+        if len(configs) == 1 and configs[0] is not None:
             # right after the command name, so that every explicit flag wins
             argv[1:1] = _config_tokens(configs[0])
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
         return args.run(args)
     except (nio.DataError, OSError, ValueError) as exc:
         print(f"noisy-align: data error: {exc}", file=sys.stderr)

@@ -1,37 +1,36 @@
 """`_blas.threads_for`: one BLAS thread for small work, the count restored after;
-`_blas.park`: the workers stopped, with nothing else changed."""
+OpenBLAS's idle workers sleep at once when the package loads numpy."""
 
 import contextlib
 import io
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import noisy_align
 from noisy_align import _blas, experiments
-from noisy_align._blas import THREADED_MIN_FLOPS, park, threads_for
+from noisy_align._blas import THREADED_MIN_FLOPS, threads_for
 from noisy_align.align import SgdConfig
 
 SMALL, LARGE = THREADED_MIN_FLOPS / 2, THREADED_MIN_FLOPS
 
 
 class FakeOpenBlas:
-    """Stands in for the library: a thread count, a log of set calls and a
-    count of shutdown calls."""
+    """Stands in for the library: a thread count and a log of set calls."""
 
     def __init__(self, start):
         self.count = start
         self.sets = []
-        self.shutdowns = 0
-        self.library = (lambda: self.count, self.set, start, self.shutdown)
+        self.library = (lambda: self.count, self.set, start)
 
     def set(self, n):
         self.sets.append(n)
         self.count = n
-
-    def shutdown(self):
-        self.shutdowns += 1
-        return 0
 
 
 @pytest.fixture
@@ -82,25 +81,6 @@ def test_no_op_without_openblas(monkeypatch):
     monkeypatch.setattr(_blas, "_library", lambda: None)
     with threads_for(SMALL):
         pass
-
-
-def test_park_stops_the_workers_and_keeps_the_count(fake):
-    park()
-    assert fake.shutdowns == 1 and fake.count == 4 and fake.sets == []
-    with threads_for(SMALL):
-        assert fake.count == 1
-    assert fake.count == 4
-
-
-def test_park_is_a_no_op_without_openblas(monkeypatch):
-    monkeypatch.setattr(_blas, "_library", lambda: None)
-    park()
-
-
-def test_park_is_a_no_op_without_the_shutdown_symbol(fake, monkeypatch):
-    monkeypatch.setattr(_blas, "_library", lambda: fake.library[:3] + (None,))
-    park()
-    assert fake.shutdowns == 0
 
 
 def spy_threads(monkeypatch, fake, name):
@@ -164,7 +144,7 @@ def _numpy_names_openblas() -> bool:
 def test_finds_the_openblas_numpy_loaded():
     lib = _blas._library()
     assert lib is not None, "numpy names OpenBLAS but no thread-count symbols were found"
-    get_threads, _, start, _ = lib
+    get_threads, _, start = lib
     before = get_threads()
     assert 1 <= before <= start
     with threads_for(SMALL):
@@ -172,31 +152,56 @@ def test_finds_the_openblas_numpy_loaded():
     assert get_threads() == before
 
 
+# In a fresh interpreter: the CPU time, from schedstat, of every thread but
+# the main one after `import noisy_align` loaded numpy, and over 0.3 s idle
+# after one threaded 600 x 600 GEMM; and whether the import left os.environ
+# as it was.
+IDLE_PROBE = """
+import json, os, sys, time
+from pathlib import Path
+
+def workers():
+    return [t for t in Path("/proc/self/task").iterdir() if int(t.name) != os.getpid()]
+
+def worker_ms():
+    return sum(int((t / "schedstat").read_text().split()[0]) for t in workers()) / 1e6
+
+environ = dict(os.environ)
+import noisy_align
+import_ms = worker_ms()
+import numpy as np
+A = np.random.default_rng(0).standard_normal((600, 600))
+A @ A
+gemm_ms = worker_ms()
+time.sleep(0.3)
+print(json.dumps({"workers": len(workers()), "import_ms": import_ms,
+                  "idle_ms": worker_ms() - gemm_ms,
+                  "environ_unchanged": dict(os.environ) == environ,
+                  "timeout": os.environ.get("OPENBLAS_THREAD_TIMEOUT")}))
+"""
+
+
+def run_idle_probe(**env) -> dict:
+    src = str(Path(noisy_align.__file__).parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", IDLE_PROBE], env={**base, **env},
+                          capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(done.stdout)
+
+
 @pytest.mark.skipif(not _numpy_names_openblas(), reason="numpy is not built on OpenBLAS")
-def test_park_leaves_results_and_thread_count_alone():
-    lib = _blas._library()
-    if lib is None or lib[3] is None:
-        # numpy >= 2 wheels export the shutdown beside the thread-count pair
-        assert lib is None or np.lib.NumpyVersion(np.__version__) < "2.0.0"
-        pytest.skip("this OpenBLAS exports no blas_thread_shutdown_")
-    get_threads = lib[0]
-    rng = np.random.default_rng(0)
-    A, B = rng.standard_normal((300, 300)), rng.standard_normal((300, 300))
-    gemm, svd = A @ B, np.linalg.svd(A)
-    before = get_threads()
-    tasks = Path("/proc/self/task")
-    running = len(list(tasks.iterdir())) if tasks.is_dir() else None
-    park()
-    if running is not None and before > 1:
-        # the workers have exited, and the next threaded call starts them again
-        assert len(list(tasks.iterdir())) < running
-    assert get_threads() == before
-    assert np.array_equal(A @ B, gemm)
-    if running is not None:
-        assert len(list(tasks.iterdir())) == running
-    park()
-    assert all(np.array_equal(a, b) for a, b in zip(np.linalg.svd(A), svd))
-    park()
-    with threads_for(SMALL):
-        assert get_threads() == 1
-    assert get_threads() == before
+@pytest.mark.skipif(not Path("/proc/self/schedstat").exists(), reason="no schedstat")
+def test_idle_workers_sleep_from_the_package_import_on():
+    # at OpenBLAS's default timeout of 2^28 cycles an idle worker spins for
+    # about 0.1 s: 60-70 ms during the import and 0.12 s after the GEMM on
+    # a 2-vCPU Xeon
+    probe = run_idle_probe()
+    if probe["workers"] == 0:
+        pytest.skip("OpenBLAS runs no worker thread here")
+    assert probe["import_ms"] <= 10
+    assert probe["idle_ms"] <= 10
+    assert probe["environ_unchanged"] and probe["timeout"] is None
+    # a value the user set is left in place
+    probe = run_idle_probe(OPENBLAS_THREAD_TIMEOUT="28")
+    assert probe["environ_unchanged"] and probe["timeout"] == "28"

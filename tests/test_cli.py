@@ -130,13 +130,14 @@ class TestAlign:
         model = (out / "model.txt").read_bytes().splitlines(keepends=True)
         assert b"".join(model[:11]) == (out / "matrix.txt").read_bytes()
 
-    def test_blas_is_parked_between_the_last_blas_call_and_the_writes(
-            self, bilingual, tmp_path, monkeypatch):
-        events = record_calls(monkeypatch, "precision_at_1", "park",
+    def test_fit_and_test_metrics_come_before_the_writes(self, bilingual, tmp_path,
+                                                         monkeypatch):
+        # so a data error in the test metrics exits 2 before any file is written
+        events = record_calls(monkeypatch, "fit_translation", "precision_at_1",
                               "write_responsibilities_tsv", "save_model", "save_matrix")
         assert run_align(bilingual, tmp_path / "out") == 0
-        assert events == ["precision_at_1", "park", "write_responsibilities_tsv",
-                          "save_model"]
+        assert events == ["fit_translation", "precision_at_1",
+                          "write_responsibilities_tsv", "save_model"]
 
     def test_op_method_writes_matrix_only(self, bilingual, tmp_path):
         out = tmp_path / "op_out"
@@ -527,16 +528,16 @@ class TestDiachronic:
         assert {r.split("\t")[0] for r in top} == {f"w{i}" for i in shifted}
         assert all(r.split("\t")[2] == "Noise" for r in top)
 
-    def test_blas_is_parked_between_the_ranking_and_the_writes(self, tmp_path,
-                                                               monkeypatch):
+    def test_fit_and_ranking_come_before_the_writes(self, tmp_path, monkeypatch):
+        # so a data error in the ranking exits 2 before any file is written
         emb = make_set([f"w{i}" for i in range(30)],
                        np.random.default_rng(9).standard_normal((4, 30)))
         path = tmp_path / "emb.txt"
         save_embeddings(emb, path)
         events = record_calls(monkeypatch, "fit_translation", "rank_semantic_shift",
-                              "park", "write_shift_ranking_tsv", "save_model")
+                              "write_shift_ranking_tsv", "save_model")
         assert main(self.base_args(path, path, tmp_path / "out")) == 0
-        assert events == ["fit_translation", "rank_semantic_shift", "park",
+        assert events == ["fit_translation", "rank_semantic_shift",
                           "write_shift_ranking_tsv", "save_model"]
 
     @pytest.fixture
@@ -744,6 +745,10 @@ class TestFlagSurface:
         ("align", "--config", "a.cfg --config=a.cfg"),
         # a config file that names another
         *((c, "--config", "nested.cfg") for c in ("diachronic", "synthetic-2d")),
+        ("synthetic-2d", "--config", ""),  # no value
+        # before the subcommand (no command here): the top-level usage line
+        *(("", "--config", v) for v in ("a.cfg synthetic-2d", "", "a.cfg",
+                                        "a.cfg align --config c.cfg")),
     ]
 
     @pytest.mark.parametrize("command,flag,value", BAD_VALUES)
@@ -751,12 +756,16 @@ class TestFlagSurface:
                                               capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "nested.cfg").write_text("config = other.cfg\n")
-        argv = [command, *self.REQUIRED[command], flag, *value.split(" "),
-                "--output-dir", str(tmp_path)]
+        if command:
+            argv = [command, *self.REQUIRED[command], flag, *value.split(),
+                    "--output-dir", str(tmp_path)]
+        else:
+            argv = [flag, *value.split()]
         assert exit_code(lambda: main(argv)) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"usage: noisy-align {command}")
+        assert err.startswith(f"usage: noisy-align {command or '[-h]'}")
         assert f"argument {flag}:" in err
+        assert command or "goes after the subcommand" in err
 
     METHOD_FLAGS = [
         *((method, f, v) for method in ("op", "sgd")
