@@ -52,13 +52,17 @@ class SgdConfig:
         return self.batch_size is None or self.batch_size >= n
 
 
-def _check_pair_shapes(X: np.ndarray, Y: np.ndarray) -> None:
+def _pairs(X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """X and Y as float64 d x n matrices of equal shape, n >= 1, all finite."""
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
     if X.shape != Y.shape:
         raise ValueError(f"shape mismatch: X {X.shape} vs Y {Y.shape}")
     if X.ndim != 2 or X.shape[1] < 1:
         raise ValueError(f"expected d x n matrices with n >= 1, got {X.shape}")
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         raise ValueError("non-finite entries in input matrices")
+    return X, Y
 
 
 def _check_product(M: np.ndarray | None, what: str) -> None:
@@ -90,9 +94,7 @@ def procrustes(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Raises:
         DataError: the vectors are so large that Y X^T overflows.
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    _check_pair_shapes(X, Y)
+    X, Y = _pairs(X, Y)
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _svd
         M = Y @ X.T
     U, sv, Vt = _svd(M, "Y X^T")
@@ -110,9 +112,7 @@ def weighted_procrustes(X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> np.ndarr
     Raises:
         DataError: the vectors are so large that Y diag(w) X^T overflows.
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    _check_pair_shapes(X, Y)
+    X, Y = _pairs(X, Y)
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (X.shape[1],):
         raise ValueError(f"weights shape {w.shape} does not match n={X.shape[1]}")
@@ -156,9 +156,7 @@ def sgd_align(X: np.ndarray, Y: np.ndarray, cfg: SgdConfig | None = None) -> np.
             (diverged), and the message names the offending learning rate.
     """
     cfg = cfg or SgdConfig()
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    _check_pair_shapes(X, Y)
+    X, Y = _pairs(X, Y)
     d, n = X.shape
     full_batch = cfg.full_batch(n)
     # an inf in C would reach the SVD behind the default step's norm
@@ -219,9 +217,7 @@ def alignment_error(Q: np.ndarray, X: np.ndarray, Y: np.ndarray,
             map with huge entries makes Q @ X or the sum of squares
             overflow).
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    _check_pair_shapes(X, Y)
+    X, Y = _pairs(X, Y)
     # overflow is reported below rather than warned
     with np.errstate(over="ignore", invalid="ignore"):
         resid = Q @ X - Y

@@ -12,7 +12,8 @@ right after the command name. argparse then checks the keys, types and
 choices as for any flag, required flags may come from the file, and
 explicit command-line flags always win. Switches such as `normalize` take
 `true` or `false`. A second `--config`, also one named in the file, is a
-usage error, and so is a `--config` before the subcommand.
+usage error, and so is a `--config` before the subcommand. The file is read
+only when the first argument names a subcommand.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from .evaluation import (
     EvalReport,
     precision_at_1,
     rank_semantic_shift,
-    shift_ranking_to_json,
     write_shift_ranking_tsv,
 )
 from .experiments import (
+    EM_METHODS,
     METHODS,
     fit_translation,
     noise_curve_error,
@@ -169,7 +170,7 @@ def _given(args, names) -> dict:
 
 def _check_align(args) -> str | None:
     """Method-specific flags are valid only with their method."""
-    for names, kind, ok in ((_EM_FLAGS, "EM", args.method in ("em-hard", "em-soft")),
+    for names, kind, ok in ((_EM_FLAGS, "EM", args.method in EM_METHODS),
                             (_SGD_FLAGS, "SGD", args.method == "sgd")):
         given = _given(args, names)
         if given and not ok:
@@ -222,7 +223,7 @@ def build_parser() -> _Parser:
                 "align and emit only the responsibilities TSV")
     _add_data_args(p)
     p.add_argument("--lexicon", required=True)
-    p.add_argument("--method", choices=("em-hard", "em-soft"), default="em-hard")
+    p.add_argument("--method", choices=EM_METHODS, default="em-hard")
     _add_em_args(p)
 
     p = command("evaluate", _cmd_evaluate, "evaluate a saved translation matrix")
@@ -374,7 +375,7 @@ def _cmd_diachronic(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_shift_ranking_tsv(ranking, out / "shift_ranking.tsv")
     (out / "shift_ranking.json").write_text(
-        shift_ranking_to_json(ranking) + "\n", encoding="utf-8")
+        json.dumps(ranking, indent=2) + "\n", encoding="utf-8")
     noise_frac = float(np.mean(~resp.h))
     n_noise_ranked = sum(1 for _, _, label in ranking if label == "Noise")
     summary = {
@@ -398,15 +399,19 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0].split("=", 1)[0] == "--config":
         parser.error("argument --config: goes after the subcommand, "
                      "as in `noisy-align align --config FILE`")
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
     # a --config without its value is left to the subcommand's parser
     config_parser = _Parser(prog="noisy-align", add_help=False)
     config_parser.add_argument("--config", action="append", nargs="?")
     try:
-        configs = config_parser.parse_known_args(argv)[0].config or []
-        # a second one, also from the file, is `_Once`'s error
-        if len(configs) == 1 and configs[0] is not None:
-            # right after the command name, so that every explicit flag wins
-            argv[1:1] = _config_tokens(configs[0])
+        # read only after a subcommand: `-h` or a bad command reaches argparse as given
+        if argv and argv[0] in commands:
+            configs = config_parser.parse_known_args(argv)[0].config or []
+            # a second one, also from the file, is `_Once`'s error
+            if len(configs) == 1 and configs[0] is not None:
+                # right after the command name, so that every explicit flag wins
+                argv[1:1] = _config_tokens(configs[0])
         args = parser.parse_args(argv)
         return args.run(args)
     except (nio.DataError, OSError, ValueError) as exc:

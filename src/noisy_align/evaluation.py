@@ -5,8 +5,7 @@ vocabulary under cosine similarity. Every caller goes through one kernel
 that maps and scores the queries one block at a time, with a single GEMM
 per block against the whole target matrix. Besides `index.unit` (one
 float64 copy of the targets), memory is bounded by one score block of
-max(`SCORE_BLOCK_BYTES`, `MIN_BLOCK_ROWS`·8·V) bytes for V targets: a
-block holds as many queries as fit in 2 MiB, but never fewer than 64.
+`BLOCK_ROWS`·8·V bytes for V targets: a block holds 64 queries.
 Ties break deterministically toward the lower token index. Shift
 ranking reads only the gathered pairs: their tokens, X and Y.
 """
@@ -24,12 +23,10 @@ from .mixture import Responsibilities
 
 logger = logging.getLogger(__name__)
 
-# Byte budget for one (query block x vocabulary) float64 score block.
-SCORE_BLOCK_BYTES = 2 ** 21
-# Fewest queries per block: each block reads all of `index.unit`, so blocks
+# Queries per score block: each block reads all of `index.unit`, so blocks
 # of a few rows make the GEMM memory-bound (1500 queries at V=50k, d=300 on
 # a 2-vCPU Xeon: 2.95 s at 5 rows per block, 0.74-0.79 s at 64).
-MIN_BLOCK_ROWS = 64
+BLOCK_ROWS = 64
 
 
 @dataclass
@@ -141,9 +138,8 @@ def _search(index: NnIndex, Qm: np.ndarray | None, X: np.ndarray, cols,
     top = np.empty((n, k), dtype=np.intp)
     scores = np.empty((n, k))
     zero = np.zeros(n, dtype=bool)
-    step = max(MIN_BLOCK_ROWS, SCORE_BLOCK_BYTES // (8 * V))
-    for start in range(0, n, step):
-        block = slice(start, start + step)
+    for start in range(0, n, BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
         M = X[:, cols[block]]
         if Qm is not None:
             M = _mapped(Qm, M)
@@ -243,10 +239,6 @@ def rank_semantic_shift(Q: np.ndarray, tokens: list[str], X: np.ndarray, Y: np.n
             for t, dist in zip(kept.tolist(), dists)]
     rows.sort(key=lambda r: (-r[1], r[0]))
     return rows, len(tokens) - len(kept)
-
-
-def shift_ranking_to_json(ranking) -> str:
-    return json.dumps([[t, d, l] for t, d, l in ranking], indent=2)
 
 
 def write_shift_ranking_tsv(ranking, path) -> None:

@@ -15,7 +15,8 @@ from .align import SgdConfig, _sgd_flops, alignment_error, procrustes, sgd_align
 from .mixture import EmConfig, em_fit
 from .synthetic import make_noisy_problem
 
-METHODS = ("op", "sgd", "em-hard", "em-soft")
+EM_METHODS = ("em-hard", "em-soft")
+METHODS = ("op", "sgd") + EM_METHODS
 
 # full-batch epochs of the 2D experiment's SGD fits (10 pairs each)
 SYNTHETIC_2D_SGD_EPOCHS = 3000
@@ -35,7 +36,7 @@ def noise_curve_error(n: int, levels, methods) -> tuple[str, str] | None:
         if not (0.0 <= p < 1.0 and round(p * n) < n):
             return "levels", (f"noise level {p} must lie in [0, 1) and leave one of "
                               f"the {n} pairs clean")
-    if n < 2 and {"em-hard", "em-soft"} & set(methods):
+    if n < 2 and set(EM_METHODS) & set(methods):
         return "methods", f"the EM methods need at least 2 training pairs, got n={n}"
     return None
 

@@ -363,6 +363,40 @@ class TestAlignmentError:
             alignment_error(Q, X, np.ones((2, 2)))
 
 
+# every solver checks its pairs alike: the shapes first, then the layout,
+# then the values
+PAIR_SOLVERS = {
+    "procrustes": procrustes,
+    "weighted_procrustes": lambda X, Y: weighted_procrustes(X, Y, np.ones(np.shape(X)[-1])),
+    "sgd_align": sgd_align,
+    "alignment_error": lambda X, Y: alignment_error(np.eye(2), X, Y),
+}
+BAD_PAIRS = {
+    "mismatch": (np.ones((2, 3)), np.ones((2, 4)), "shape mismatch: X (2, 3) vs Y (2, 4)"),
+    "n=0": (np.ones((2, 0)), np.ones((2, 0)),
+            "expected d x n matrices with n >= 1, got (2, 0)"),
+    "1-D": ([np.nan, 1.0], [1.0, 1.0], "expected d x n matrices with n >= 1, got (2,)"),
+    "nan": (np.ones((2, 3)), np.full((2, 3), np.nan), "non-finite entries in input matrices"),
+}
+REJECTED = [
+    *(pytest.param(lambda f=f, X=X, Y=Y: f(X, Y), message, id=f"{name}-{case}")
+      for name, f in PAIR_SOLVERS.items() for case, (X, Y, message) in BAD_PAIRS.items()),
+    pytest.param(lambda: weighted_procrustes(np.eye(2), np.eye(2), np.ones(3)),
+                 "weights shape (3,) does not match n=2", id="weights-length"),
+    pytest.param(lambda: weighted_procrustes(np.eye(2), np.eye(2), np.ones((1, 2))),
+                 "weights shape (1, 2) does not match n=2", id="weights-2-D"),
+    *(pytest.param(lambda d=d: random_orthogonal(d, 0), "dimension must be positive",
+                   id=f"random-orthogonal-{d}") for d in (0, -1)),
+]
+
+
+@pytest.mark.parametrize("call,message", REJECTED)
+def test_rejected_input_is_a_value_error(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_matrix_save_load_round_trip(tmp_path):
     Q = random_orthogonal(5, 42)
     path = tmp_path / "matrix.txt"

@@ -309,6 +309,13 @@ class TestAlign:
                          ["--config", str(tmp_path / "missing.cfg")]) == 2
         assert run_align(bilingual, tmp_path / "o", ["--config", ""]) == 2  # not ignored
 
+    def test_config_comments_and_blank_lines_are_skipped(self, bilingual, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# method = em-soft\n\n   \nmethod = op  # not EM\n\t# max-iters = 3\n")
+        assert cli._config_tokens(str(cfg)) == ["--method=op"]
+        assert run_align(bilingual, tmp_path / "o", ["--config", str(cfg)]) == 0
+        assert not (tmp_path / "o" / "model.txt").exists()  # op, as the file says
+
     def test_config_switch_matches_flag(self, bilingual, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("normalize = true\n")
@@ -766,6 +773,24 @@ class TestFlagSurface:
         assert err.startswith(f"usage: noisy-align {command or '[-h]'}")
         assert f"argument {flag}:" in err
         assert command or "goes after the subcommand" in err
+
+    # every config path here is missing, so a read shows as exit 2
+    CONFIG_READS = [
+        ("-h --config missing.cfg", 0, "usage: noisy-align [-h]"),
+        ("bogus --config missing.cfg", 1, "invalid choice: 'bogus'"),
+        ("--output-dir x --config missing.cfg synthetic-2d", 1, "invalid choice: 'x'"),
+        # after a subcommand the file is read before the subcommand's -h
+        ("synthetic-2d --config missing.cfg -h", 2, "cannot read config file missing.cfg"),
+    ]
+
+    @pytest.mark.parametrize("argv,code,message", CONFIG_READS)
+    def test_config_is_read_only_after_a_subcommand(self, argv, code, message, tmp_path,
+                                                    capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert exit_code(lambda: main(argv.split())) == code
+        out, err = capsys.readouterr()
+        assert message in (out if code == 0 else err)
+        assert not list(tmp_path.iterdir())  # no output directory either
 
     METHOD_FLAGS = [
         *((method, f, v) for method in ("op", "sgd")

@@ -121,9 +121,9 @@ class TestNearestNeighbor:
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6),
        V=st.integers(1, 40), rows=st.integers(2, 5), blocks=st.integers(1, 4),
        ragged=st.integers(1, 4), n_dup=st.integers(0, 6),
-       n_zero=st.integers(0, 3), k=st.sampled_from([1, 3]), by_minimum=st.booleans())
+       n_zero=st.integers(0, 3), k=st.sampled_from([1, 3]))
 def test_kernel_matches_per_query_oracle(seed, d, V, rows, blocks, ragged,
-                                         n_dup, n_zero, k, by_minimum):
+                                         n_dup, n_zero, k):
     rng = np.random.default_rng(seed)
     vectors = rng.standard_normal((d, V))
     for _ in range(n_dup):
@@ -137,9 +137,7 @@ def test_kernel_matches_per_query_oracle(seed, d, V, rows, blocks, ragged,
     n = rows * blocks + 1 + ragged % (rows - 1)
     cols = rng.integers(12, size=n)
     with pytest.MonkeyPatch.context() as mp:
-        # blocks of `rows` queries, set by the byte budget or by the row minimum
-        mp.setattr(evaluation, "SCORE_BLOCK_BYTES", 8 * V * (1 if by_minimum else rows))
-        mp.setattr(evaluation, "MIN_BLOCK_ROWS", rows if by_minimum else 1)
+        mp.setattr(evaluation, "BLOCK_ROWS", rows)
         top, scores, zero = evaluation._search(index, Q, X, cols, k)
     assert not zero.any()
     for row, c in enumerate(cols):
@@ -153,13 +151,11 @@ def test_kernel_matches_per_query_oracle(seed, d, V, rows, blocks, ragged,
 
 
 class TestSearchKernel:
-    def test_row_minimum_applies_where_the_byte_budget_gives_fewer(self, monkeypatch):
-        # at V=5000 the 2 MiB budget gives 52 rows per block, so 150 queries
-        # run in blocks of 64, 64 and a short last one of 22
-        V = 5000
-        assert evaluation.SCORE_BLOCK_BYTES // (8 * V) < evaluation.MIN_BLOCK_ROWS == 64
-        src, tgt = random_set(150, 8, seed=26), random_set(V, 8, seed=27, prefix="t")
-        index = build_index(tgt)
+    def test_blocks_hold_block_rows_queries_at_any_vocabulary_size(self, monkeypatch):
+        # 150 queries run in blocks of 64, 64 and a short last one of 22,
+        # whatever the number of targets
+        assert evaluation.BLOCK_ROWS == 64
+        src = random_set(150, 8, seed=26)
         Q = random_orthogonal(8, 28)
         blocks = []
         real_mapped = evaluation._mapped
@@ -169,10 +165,20 @@ class TestSearchKernel:
             return real_mapped(Qm, M)
 
         monkeypatch.setattr(evaluation, "_mapped", mapped)
-        top, _, _ = evaluation._search(index, Q, src.vectors, np.arange(150), 1)
-        assert blocks == [64, 64, 22]
-        assert top[:, 0].tolist() == [oracle_top_k(index, Q @ src.vectors[:, i], 1)[0]
-                                      for i in range(150)]
+        for V in (1000, 5000):
+            index = build_index(random_set(V, 8, seed=27, prefix="t"))
+            blocks.clear()
+            top, _, _ = evaluation._search(index, Q, src.vectors, np.arange(150), 1)
+            assert blocks == [64, 64, 22]
+            assert top[:, 0].tolist() == [oracle_top_k(index, Q @ src.vectors[:, i], 1)[0]
+                                          for i in range(150)]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_rejected(self, k):
+        index = build_index(random_set(3, 2, 0))
+        with pytest.raises(ValueError) as exc:
+            evaluation._search(index, None, np.ones((2, 1)), [0], k)
+        assert str(exc.value) == "k must be >= 1"
 
     def test_identical_targets_resolve_to_the_first_copy(self):
         # copies at the end of the vocabulary, where BLAS kernels handle
@@ -188,7 +194,7 @@ class TestSearchKernel:
         # 64 rows x 5000 targets: one 2.56 MB block at a time, not two
         src, tgt = random_set(200, 8, seed=29), random_set(5000, 8, seed=30, prefix="t")
         index = build_index(tgt)
-        block = 8 * 5000 * evaluation.MIN_BLOCK_ROWS
+        block = 8 * 5000 * evaluation.BLOCK_ROWS
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -199,13 +205,13 @@ class TestSearchKernel:
         assert block <= peak < 1.5 * block
 
     def test_scale_matches_per_query_oracle(self):
-        # 500 queries over 2000 targets span four score blocks, the last ragged
+        # 500 queries over 2000 targets span eight score blocks, the last ragged
         src = random_set(2000, 50, seed=22)
         tgt = random_set(2000, 50, seed=23, prefix="t")
         Q = random_orthogonal(50, 24)
         tgt = make_set(tgt.tokens, Q @ src.vectors + 0.8 * tgt.vectors)
         index = build_index(tgt)
-        assert evaluation.SCORE_BLOCK_BYTES // (8 * 2000) < 500 // 2
+        assert 500 // evaluation.BLOCK_ROWS == 7
         top, _, _ = evaluation._search(index, Q, src.vectors, np.arange(500), 1)
         assert top[:, 0].tolist() == [oracle_top_k(index, Q @ src.vectors[:, i], 1)[0]
                                       for i in range(500)]

@@ -359,6 +359,52 @@ class TestEmbeddingCache:
         assert again[2] > 0 and again[:2] == miss[:2]
         assert load_outcome(load_embeddings, emb)[2] == 0
 
+    # entries under the file's own stamp that do not hold a parse: a malformed
+    # header (None), or a result whose token block or matrix does not fit
+    DAMAGED = {
+        "header-of-three-fields": None,
+        "extra-token": lambda tokens, vectors, skipped: (tokens + ["x"], vectors, skipped),
+        "missing-column": lambda tokens, vectors, skipped: (tokens, vectors[:, :-1], skipped),
+        "float32-matrix": lambda tokens, vectors, skipped: (
+            tokens, vectors.astype(np.float32), skipped),
+        "flat-matrix": lambda tokens, vectors, skipped: (tokens, vectors.ravel(), skipped),
+    }
+
+    @pytest.mark.parametrize("damage", DAMAGED)
+    def test_damaged_entry_is_parsed_again_and_replaced(self, emb, cache_home, damage):
+        miss = load_outcome(load_embeddings, emb)
+        [name] = self.entries(cache_home)
+        entry = cache_home / "noisy-align" / name
+        stamp = _cache._stamp(emb, os.stat(emb), None)
+        if self.DAMAGED[damage] is None:
+            entry.write_bytes(b"1 2 3\n" + entry.read_bytes())
+            with pytest.raises(ValueError, match="^malformed cache entry header$"):
+                _cache._read(entry, stamp)
+        else:
+            _cache._write(entry, stamp, self.DAMAGED[damage](*_cache._read(entry, stamp)))
+            assert _cache._read(entry, stamp) is None
+        again = load_outcome(load_embeddings, emb)
+        assert again[2] > 0 and again[:2] == miss[:2]
+        assert load_outcome(load_embeddings, emb)[2] == 0
+
+    def test_parse_larger_than_the_bound_gets_no_entry(self, emb, cache_home, monkeypatch):
+        monkeypatch.setattr(_cache, "MAX_BYTES", 3 * 3 * 8 - 1)  # the 3 x 3 matrix is 72 B
+        for _ in range(2):
+            assert load_outcome(load_embeddings, emb)[2] > 0
+        assert not (cache_home / "noisy-align").exists()  # nothing was written
+
+    def test_prune_removes_a_stale_temporary_file(self, emb, cache_home):
+        root = cache_home / "noisy-align"
+        root.mkdir()
+        stale, fresh = root / ".1-2-0.98.tmp", root / ".1-3-0.99.tmp"
+        for temp in (stale, fresh):
+            temp.write_bytes(b"torn")
+        backdate(stale, seconds=int(_cache._STALE_TEMP_S) + 60)
+        backdate(fresh)
+        load_embeddings(emb)  # a written entry prunes the root
+        assert not stale.exists() and fresh.exists()
+        assert len(self.entries(cache_home)) == 2
+
     def test_each_limit_has_its_own_entry(self, emb, cache_home):
         for limit in (None, 1, 2, None, 1, 2):
             assert load_embeddings(emb, limit=limit).n == (limit or 3)
@@ -499,6 +545,12 @@ class TestGatherPairs:
         pairs = [(i, j) for i in range(3) for j in range(3)]
         X, Y = gather_pairs(Lexicon(pairs=pairs), src, tgt)
         assert X.shape[1] == 9 and Y.shape[1] == 9
+
+    def test_empty_lexicon(self):
+        src = make_set(["a"], [[1.0], [2.0]])
+        with pytest.raises(ValueError) as exc:
+            gather_pairs(Lexicon(pairs=[]), src, src)
+        assert str(exc.value) == "lexicon is empty"
 
     def test_dim_mismatch(self):
         from noisy_align.io import Lexicon

@@ -68,6 +68,17 @@ class TestAlignmentModel:
         with pytest.raises(ValueError, match="Q must be"):
             AlignmentModel(Q=Q, sigma2=1.0, mu_y=np.zeros(2), sigma_y2=1.0, alpha=0.5)
 
+    @pytest.mark.parametrize("field,value,message", [
+        *((f, v, "component variances must be positive and finite")
+          for f in ("sigma2", "sigma_y2") for v in (0.0, -1.0, np.inf, np.nan)),
+        *(("alpha", v, "alpha must lie in [0, 1]") for v in (-0.1, 1.1, np.nan)),
+    ])
+    def test_rejects_a_parameter_out_of_range(self, field, value, message):
+        params = dict(Q=np.eye(2), sigma2=1.0, mu_y=np.zeros(2), sigma_y2=1.0, alpha=0.5)
+        with pytest.raises(ValueError) as exc:
+            AlignmentModel(**{**params, field: value})
+        assert str(exc.value) == message
+
     def test_q_is_a_float64_array(self):
         model = AlignmentModel(Q=[[0, 1], [1, 0]], sigma2=1.0, mu_y=np.zeros(2),
                                sigma_y2=1.0, alpha=0.5)
@@ -637,3 +648,10 @@ def test_responsibilities_tsv_rejects_a_size_mismatch(tmp_path, w, n_names):
         write_responsibilities_tsv(Responsibilities(w=np.array(w)),
                                    [("a", "b")] * n_names, path)
     assert not path.exists()  # checked before the file is opened
+
+
+def test_fit_translation_rejects_an_unknown_method():
+    with pytest.raises(ValueError) as exc:
+        fit_translation("em", np.eye(2), np.eye(2))
+    assert str(exc.value) == ("unknown method 'em'; expected one of "
+                              "('op', 'sgd', 'em-hard', 'em-soft')")

@@ -49,3 +49,14 @@ def test_invalid_noise_fraction():
         make_noisy_problem(n=10, d=2, p=1.0, seed=0)
     with pytest.raises(ValueError):
         make_noisy_problem(n=10, d=2, p=-0.1, seed=0)
+
+
+@pytest.mark.parametrize("n,p,message", [
+    (0, 0.0, "n must be >= 1"),
+    (-3, 0.0, "n must be >= 1"),
+    (10, np.nan, "noise fraction p must lie in [0, 1)"),
+])
+def test_rejected_setting_is_a_value_error(n, p, message):
+    with pytest.raises(ValueError) as exc:
+        make_noisy_problem(n=n, d=2, p=p, seed=0)
+    assert str(exc.value) == message
