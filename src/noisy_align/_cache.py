@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 # part of every stamp: bump it when the entry layout or the parse changes
-FORMAT = 1
+FORMAT = 2
 
 # no entry for a file modified this recently: 2 s is FAT's timestamp tick
 RACY_S = 2.0
@@ -78,7 +78,8 @@ def _read_head(fh) -> tuple[tuple, int, int]:
 
 
 def _read(entry: Path, stamp: tuple):
-    """The parse result in `entry`, or None when its stamp is not `stamp`.
+    """The parse result in `entry`, or None when its stamp is not `stamp`
+    or its token block or matrix does not fit the parse it records.
 
     Raises OSError, ValueError or EOFError for a missing or damaged entry.
     """
@@ -87,10 +88,11 @@ def _read(entry: Path, stamp: tuple):
         if recorded != stamp:
             return None
         blob = fh.read(token_bytes)
+        if len(blob) != token_bytes:  # cut inside the token block
+            return None
         vectors = np.load(fh, allow_pickle=False)
     tokens = blob.decode("utf-8").split("\n")
-    if (len(blob) != token_bytes or vectors.dtype != np.float64 or vectors.ndim != 2
-            or vectors.shape[1] != len(tokens)):
+    if vectors.dtype != np.float64 or vectors.ndim != 2 or vectors.shape[1] != len(tokens):
         return None
     return tokens, vectors, skipped
 

@@ -272,5 +272,5 @@ def _parse_matrix(lines: list[str], path) -> np.ndarray:
 
 def load_matrix(path) -> np.ndarray:
     """Load a matrix saved by `save_matrix`; DataError if the file is malformed."""
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
         return _parse_matrix(fh.read().splitlines(), path)

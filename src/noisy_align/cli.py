@@ -125,9 +125,10 @@ _methods = _list_of(str, lambda m: m in METHODS, "one of " + ",".join(METHODS))
 
 
 def _config_tokens(path: str) -> list[str]:
-    """The `--config` file's `key = value` lines as `--key=value` tokens."""
+    """The `--config` file's `key = value` lines as `--key=value` tokens; a
+    leading byte-order mark is dropped."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise nio.DataError(f"cannot read config file {path}: {exc}") from exc
     tokens = []

@@ -87,9 +87,10 @@ class Lexicon:
 
 def _read_lines(path, what: str):
     """Stream a UTF-8 file's lines, broken only at newlines (`str.splitlines`
-    also breaks at `\\x0c`, `\\x85`, ...); read errors raise DataError."""
+    also breaks at `\\x0c`, `\\x85`, ...), without a leading byte-order
+    mark; read errors raise DataError."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield from fh
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc

@@ -219,6 +219,10 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
     log density under its label; soft EM weights them by their posteriors
     and traces the marginal log-likelihood.
     Iterates until |alpha_curr - alpha_prev| <= epsilon or max_iters.
+    Hard EM also stops when the E-step repeats the labels of its last
+    M-step: refitting to them would return the same model, so that
+    iteration's step is recorded again (trace.iterations counts it) without
+    the M-step and E-step, and the fit has converged.
 
     When an iteration leaves a component without weight (n1=0 or n1=n in
     hard EM), that component's parameters are frozen at their previous
@@ -239,13 +243,24 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
     resp = Responsibilities(_e_step(model, r_aligned, r_noise)[0])
     trace = EmTrace()
     alpha_prev = np.inf
+    fitted_h = None  # the labels of hard EM's last M-step
     for it in range(cfg.max_iters):
         if abs(model.alpha - alpha_prev) <= eps:
             break
         alpha_prev = model.alpha
+        if fitted_h is not None and np.array_equal(resp.h, fitted_h):
+            # the fixed point: the same labels give the same M-step, E-step
+            # and trace step again, and then |alpha change| = 0
+            if degenerate:
+                trace.degenerate_iters.append(it)
+            trace.steps.append(trace.steps[-1])
+            break
 
-        # hard EM is the same M-step with the 0/1 labels as weights
-        weights = resp.w if soft else resp.h.astype(np.float64)
+        if soft:
+            weights = resp.w
+        else:  # hard EM is the same M-step with the 0/1 labels as weights
+            fitted_h = resp.h
+            weights = fitted_h.astype(np.float64)
         model, degenerate, r_aligned, r_noise = _m_step(model, X, Y, weights,
                                                         r_aligned, r_noise)
         # one pass over the data scores the new model and runs the next E-step
@@ -283,7 +298,7 @@ def save_model(model: AlignmentModel, path, matrix_path=None) -> None:
 
 def load_model(path) -> AlignmentModel:
     """Load a model saved by `save_model`; DataError if the file is malformed."""
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
         lines = fh.read().splitlines()
     Q = _parse_matrix(lines, path)
     try:

@@ -406,6 +406,14 @@ def test_matrix_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded, Q)
 
 
+def test_load_matrix_reads_no_byte_order_mark(tmp_path):
+    Q = random_orthogonal(5, 42)
+    path = tmp_path / "matrix.txt"
+    save_matrix(Q, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert np.array_equal(load_matrix(path), Q)
+
+
 @pytest.mark.parametrize("Q", [random_orthogonal(7, 43),
                                np.array([[-0.0, 5e-324], [1e308, -1.0 / 3.0]])],
                          ids=["orthogonal", "edge-values"])

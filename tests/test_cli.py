@@ -316,6 +316,15 @@ class TestAlign:
         assert run_align(bilingual, tmp_path / "o", ["--config", str(cfg)]) == 0
         assert not (tmp_path / "o" / "model.txt").exists()  # op, as the file says
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_config_byte_order_mark_is_not_part_of_the_first_key(self, bilingual,
+                                                                  tmp_path, bom):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(bom + b"method = op\n")
+        assert cli._config_tokens(str(cfg)) == ["--method=op"]
+        assert run_align(bilingual, tmp_path / "o", ["--config", str(cfg)]) == 0
+        assert not (tmp_path / "o" / "model.txt").exists()  # op, as the file says
+
     def test_config_switch_matches_flag(self, bilingual, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("normalize = true\n")

@@ -359,6 +359,24 @@ class TestEmbeddingCache:
         assert again[2] > 0 and again[:2] == miss[:2]
         assert load_outcome(load_embeddings, emb)[2] == 0
 
+    def test_entry_cut_inside_its_token_block_is_a_miss(self, emb, cache_home):
+        miss = load_outcome(load_embeddings, emb)
+        [name] = self.entries(cache_home)
+        entry = cache_home / "noisy-align" / name
+        whole = entry.read_bytes()
+        head = whole.split(b"\n", 1)[0]
+        fields = head.split()  # ..., path bytes, skipped, token bytes
+        path_bytes, token_bytes = int(fields[7]), int(fields[9])
+        start = len(head) + 1 + path_bytes
+        assert token_bytes == len("a\x0cb\nc\u2028d\ne\x85".encode())
+        stamp = _cache._stamp(emb, os.stat(emb), None)
+        for cut in range(start, start + token_bytes):
+            entry.write_bytes(whole[:cut])
+            assert _cache._read(entry, stamp) is None
+            again = load_outcome(load_embeddings, emb)
+            assert again[2] > 0 and again[:2] == miss[:2]
+            assert entry.read_bytes() == whole  # replaced by the fresh parse's entry
+
     # entries under the file's own stamp that do not hold a parse: a malformed
     # header (None), or a result whose token block or matrix does not fit
     DAMAGED = {
@@ -590,6 +608,37 @@ def test_invalid_utf8_is_data_error(tmp_path, load):
     path.write_bytes(b"a\tb 0.5\n\xff\xfe\n")
     with pytest.raises(DataError, match="UTF-8"):
         load(path)
+
+
+def embedding_rows(path):
+    emb = load_embeddings(path)
+    return emb.tokens, emb.vectors.tolist(), emb.skipped
+
+
+def lexicon_pairs(path):
+    lex, skipped = load_lexicon(path, *SPACES)
+    return lex.pairs, skipped
+
+
+# each text reader's result on a small file, which a leading byte-order mark
+# must not change: it is not part of the header or of the first token
+BOM_READS = [
+    pytest.param(embedding_rows, "2 2\na 1 0\nc 0 1\n",
+                 (["a", "c"], [[1.0, 0.0], [0.0, 1.0]], 0), id="embeddings"),
+    pytest.param(embedding_rows, "a 1 0\nc 0 1\n",
+                 (["a", "c"], [[1.0, 0.0], [0.0, 1.0]], 0), id="embeddings-without-header"),
+    pytest.param(lexicon_pairs, "c\td\na\x0cb\te\n", ([(1, 0), (0, 1)], 0), id="lexicon"),
+    pytest.param(load_stoplist, "the\nof\n", {"the", "of"}, id="stop-list"),
+    pytest.param(load_frequency_table, "dog\t0.5\n", {"dog": 0.5}, id="frequency-table"),
+]
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+@pytest.mark.parametrize("read, text, expected", BOM_READS)
+def test_a_byte_order_mark_is_not_read(tmp_path, read, text, expected, bom):
+    path = tmp_path / "f.txt"
+    path.write_bytes(bom + text.encode("utf-8"))
+    assert read(path) == expected
 
 
 def test_lexicon_and_frequency_tokens_keep_form_feed(tmp_path):

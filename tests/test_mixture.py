@@ -20,6 +20,7 @@ from noisy_align.mixture import (
     Responsibilities,
     _aligned_residuals,
     _e_step,
+    _m_step,
     _noise_residuals,
     em_fit,
     initialize,
@@ -308,21 +309,23 @@ class TestInitialize:
     def test_em_fit_computes_each_residual_once(self, mode, monkeypatch):
         # the initial model's residuals reach the first E-step, and each
         # M-step's residuals the next one: no E-step recomputes Q @ X or
-        # the noise residual
+        # the noise residual. Hard EM's last iteration repeats the labels
+        # of the one before and runs no M-step.
         calls = count_residual_calls(monkeypatch)
         X, Y, _ = jittered_instance(12)
         _, _, trace = em_fit(X, Y, soft=mode == "soft")
         assert trace.iterations >= 2 and not trace.degenerate_iters
-        assert calls == {"_aligned_residuals": trace.iterations,
-                         "_noise_residuals": trace.iterations}
+        m_steps = trace.iterations - (mode == "hard")
+        assert calls == {"_aligned_residuals": m_steps, "_noise_residuals": m_steps}
 
     def test_kept_component_passes_its_residual_on(self, monkeypatch):
-        # an all-noise fit keeps Q in every iteration, so no Q @ X is redone
+        # an all-noise fit keeps Q in its one M-step, so no Q @ X is redone;
+        # the second iteration repeats the all-noise labels and runs none
         calls = count_residual_calls(monkeypatch)
         X, Y = all_noise_instance()
         _, _, trace = em_fit(X, Y)
         assert trace.degenerate_iters == [0, 1]
-        assert calls == {"_noise_residuals": 2}
+        assert calls == {"_noise_residuals": 1}
 
 
 def count_residual_calls(monkeypatch) -> Counter:
@@ -334,6 +337,47 @@ def count_residual_calls(monkeypatch) -> Counter:
             return _fn(*args)
         monkeypatch.setattr(mixture, name, spy)
     return calls
+
+
+def reference_em_fit(X, Y, cfg=None, soft=False):
+    """`em_fit` with an M-step and an E-step in every iteration: hard EM
+    refits to labels that repeat its last M-step's and stops one iteration
+    later, when alpha has not moved."""
+    cfg = cfg or EmConfig()
+    model, r_aligned, r_noise = initialize(X, Y)
+    n = X.shape[1]
+    eps = cfg.epsilon if cfg.epsilon is not None else max(1.0 / (2 * n), 1e-4)
+    resp = Responsibilities(_e_step(model, r_aligned, r_noise)[0])
+    trace = mixture.EmTrace()
+    alpha_prev = np.inf
+    for it in range(cfg.max_iters):
+        if abs(model.alpha - alpha_prev) <= eps:
+            break
+        alpha_prev = model.alpha
+        weights = resp.w if soft else resp.h.astype(np.float64)
+        model, degenerate, r_aligned, r_noise = _m_step(model, X, Y, weights,
+                                                        r_aligned, r_noise)
+        w, loglik, ja, jn = _e_step(model, r_aligned, r_noise)
+        objective = loglik if soft else float(ja[resp.h].sum() + jn[~resp.h].sum())
+        if degenerate:
+            trace.degenerate_iters.append(it)
+        trace.steps.append((model.alpha, objective, resp.n1))
+        resp = Responsibilities(w)
+    trace.converged = abs(model.alpha - alpha_prev) <= eps
+    return model, resp, trace
+
+
+def assert_same_fit(got, want):
+    """Bit-for-bit equality of two (model, responsibilities, trace) fits."""
+    (model, resp, trace), (ref_model, ref_resp, ref_trace) = got, want
+    assert np.array_equal(model.Q, ref_model.Q)
+    assert np.array_equal(model.mu_y, ref_model.mu_y)
+    assert (model.sigma2, model.sigma_y2, model.alpha) == \
+        (ref_model.sigma2, ref_model.sigma_y2, ref_model.alpha)
+    assert np.array_equal(resp.w, ref_resp.w) and np.array_equal(resp.h, ref_resp.h)
+    assert trace.steps == ref_trace.steps
+    assert trace.converged == ref_trace.converged
+    assert trace.degenerate_iters == ref_trace.degenerate_iters
 
 
 def all_noise_instance():
@@ -348,6 +392,16 @@ def all_aligned_instance():
     """Noise-free pairs: every hard M-step leaves the noise component empty."""
     prob = make_noisy_problem(n=50, d=5, p=0.0, seed=9)
     return prob.X, prob.Y
+
+
+def relabelled_instance():
+    """Loosely related pairs: the second hard labels count as many aligned
+    pairs as the first (33), but two pairs trade places, so the labels do
+    not repeat."""
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((5, 80))
+    Y = 0.5 * X + 0.5 * rng.standard_normal((5, 80))
+    return X, Y
 
 
 def hard_objective_oracle(model, X, Y, h):
@@ -373,6 +427,16 @@ def jittered_instance(seed, d=None, n=None, p=None, jitter=0.05):
     prob = make_noisy_problem(n, d, p, seed)
     Y = prob.Y + jitter * rng.standard_normal(prob.Y.shape)
     return prob.X, Y, prob
+
+
+# the instances the EM checks run on: EM from mixed labels, all-noise
+# (degenerate in iterations [0, 1]) and all-aligned (alpha -> 1)
+EM_INSTANCES = [
+    pytest.param(lambda: jittered_instance(60)[:2], id="jittered-60"),
+    pytest.param(lambda: jittered_instance(61)[:2], id="jittered-61"),
+    pytest.param(all_noise_instance, id="all-noise"),
+    pytest.param(all_aligned_instance, id="all-aligned"),
+]
 
 
 class TestEmFit:
@@ -412,12 +476,7 @@ class TestEmFit:
             objs = [obj for _, obj, _ in trace.steps]
             assert all(b >= a - 1e-9 for a, b in zip(objs, objs[1:]))
 
-    @pytest.mark.parametrize("instance", [
-        pytest.param(lambda: jittered_instance(60)[:2], id="jittered-60"),
-        pytest.param(lambda: jittered_instance(61)[:2], id="jittered-61"),
-        pytest.param(all_noise_instance, id="all-noise"),
-        pytest.param(all_aligned_instance, id="all-aligned"),
-    ])
+    @pytest.mark.parametrize("instance", EM_INSTANCES)
     def test_hard_objective_matches_a_per_pair_oracle(self, instance):
         X, Y = instance()
         trace = em_fit(X, Y)[2]
@@ -505,6 +564,55 @@ class TestEmFit:
         assert trace.iterations == iterations
         assert trace.converged and not caplog.records
 
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    @pytest.mark.parametrize("instance", EM_INSTANCES + [
+        *(pytest.param(lambda seed=seed: jittered_instance(seed)[:2], id=f"jittered-{seed}")
+          for seed in (62, 63, 69, 74, 77)),
+        pytest.param(relabelled_instance, id="relabelled")])
+    def test_matches_a_loop_that_runs_every_m_step(self, mode, instance):
+        X, Y = instance()
+        soft = mode == "soft"
+        assert_same_fit(em_fit(X, Y, soft=soft), reference_em_fit(X, Y, soft=soft))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("instance", EM_INSTANCES)
+    def test_capped_at_the_repeat_matches_a_loop_that_runs_every_m_step(
+            self, instance, offset):
+        # hard EM's labels repeat in its last iteration: a cap just before
+        # that iteration, at it or after it gives the reference's fit
+        X, Y = instance()
+        steps = reference_em_fit(X, Y)[2].steps
+        assert len(steps) >= 2 and steps[-1] == steps[-2]
+        cfg = EmConfig(max_iters=len(steps) + offset)
+        assert_same_fit(em_fit(X, Y, cfg), reference_em_fit(X, Y, cfg))
+
+    def test_relabelled_instance_keeps_the_count_not_the_labels(self):
+        # what makes it the case a check of n1 alone would call a repeat
+        X, Y = relabelled_instance()
+        h0 = Responsibilities(_e_step(*initialize(X, Y))[0]).h
+        h1 = em_fit(X, Y, EmConfig(max_iters=1))[1].h
+        assert h0.sum() == h1.sum() == 33 and (h0 != h1).sum() == 2
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_weighted_procrustes_runs_once_per_m_step(self, mode, monkeypatch):
+        # soft EM fits Q in every iteration; hard EM's last iteration
+        # repeats the labels of the one before and refits nothing
+        calls = []
+
+        def spy(X, Y, w, _fn=mixture.weighted_procrustes):
+            calls.append(w)
+            return _fn(X, Y, w)
+        monkeypatch.setattr(mixture, "weighted_procrustes", spy)
+        X, Y, _ = jittered_instance(77)
+        _, resp, trace = em_fit(X, Y, soft=mode == "soft")
+        assert trace.iterations == 4 and trace.converged
+        if mode == "soft":
+            assert len(calls) == trace.iterations
+        else:
+            assert len(calls) == trace.iterations - 1
+            assert trace.steps[-1] == trace.steps[-2]
+            assert np.array_equal(calls[-1], resp.h)  # the fixed point's labels
+
 
 def test_method_string_selects_soft_and_keeps_other_settings():
     X, Y, _ = jittered_instance(44)
@@ -563,6 +671,16 @@ def test_model_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.mu_y, model.mu_y)
     assert loaded.sigma_y2 == model.sigma_y2
     assert loaded.alpha == model.alpha
+
+
+def test_load_model_reads_no_byte_order_mark(tmp_path):
+    model = toy_model(d=3, alpha=0.25)
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    loaded = load_model(path)
+    assert np.array_equal(loaded.Q, model.Q) and np.array_equal(loaded.mu_y, model.mu_y)
+    assert (loaded.sigma2, loaded.sigma_y2, loaded.alpha) == (1.0, 1.0, 0.25)
 
 
 def test_model_q_block_is_the_matrix_file(tmp_path):
