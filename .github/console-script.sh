@@ -44,6 +44,21 @@ noisy-align diachronic --src-emb "$emb" --tgt-emb "$emb" --threshold 0.5 \
   --output-dir "$RUNNER_TEMP/dia" 2> "$RUNNER_TEMP/usage.txt" || code=$?
 test "$code" -eq 1
 grep -q "usage: noisy-align diachronic" "$RUNNER_TEMP/usage.txt"
+# a flag the subcommand does not take: its own usage line, not the top-level one
+code=0
+noisy-align synthetic-2d --bogus 1 --output-dir "$RUNNER_TEMP/bogus" \
+  2> "$RUNNER_TEMP/usage.txt" || code=$?
+test "$code" -eq 1
+grep -q "usage: noisy-align synthetic-2d" "$RUNNER_TEMP/usage.txt"
+test ! -e "$RUNNER_TEMP/bogus"
+# a config file that is not UTF-8 is a data error that names the file
+printf 'seed = \377\n' > "$RUNNER_TEMP/bad.cfg"
+code=0
+noisy-align synthetic-2d --config "$RUNNER_TEMP/bad.cfg" --output-dir "$RUNNER_TEMP/bad" \
+  2> "$RUNNER_TEMP/data.txt" || code=$?
+test "$code" -eq 2
+grep -qF "config file $RUNNER_TEMP/bad.cfg is not valid UTF-8" "$RUNNER_TEMP/data.txt"
+test ! -e "$RUNNER_TEMP/bad"
 # --config given twice is a usage error, before any fit: neither
 # file silently replaces the other
 printf 'method = op\n' > "$RUNNER_TEMP/a.cfg"

@@ -17,7 +17,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .io import DataError
+from .io import DataError, _read_lines
 
 
 @dataclass
@@ -129,12 +129,6 @@ def weighted_procrustes(X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> np.ndarr
 def sgd_objective_grad(Q: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Gradient of ||QX - Y||_F^2 with respect to Q: 2 (QX - Y) X^T."""
     return 2.0 * (Q @ X - Y) @ X.T
-
-
-def _sgd_flops(d: int, n: int, cfg: SgdConfig) -> float:
-    """Flops of `sgd_align`'s GEMMs on n pairs: X X^T, 2 d^2 n, plus one
-    d x d x d GEMM per epoch when `cfg.full_batch(n)` (the Gram form)."""
-    return 2.0 * d * d * n + (cfg.epochs if cfg.full_batch(n) else 0) * 2.0 * d ** 3
 
 
 def sgd_align(X: np.ndarray, Y: np.ndarray, cfg: SgdConfig | None = None) -> np.ndarray:
@@ -272,5 +266,4 @@ def _parse_matrix(lines: list[str], path) -> np.ndarray:
 
 def load_matrix(path) -> np.ndarray:
     """Load a matrix saved by `save_matrix`; DataError if the file is malformed."""
-    with open(path, encoding="utf-8-sig", errors="replace") as fh:
-        return _parse_matrix(fh.read().splitlines(), path)
+    return _parse_matrix(list(_read_lines(path, "matrix file")), path)

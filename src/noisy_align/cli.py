@@ -125,14 +125,9 @@ _methods = _list_of(str, lambda m: m in METHODS, "one of " + ",".join(METHODS))
 
 
 def _config_tokens(path: str) -> list[str]:
-    """The `--config` file's `key = value` lines as `--key=value` tokens; a
-    leading byte-order mark is dropped."""
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise nio.DataError(f"cannot read config file {path}: {exc}") from exc
+    """The `--config` file's `key = value` lines as `--key=value` tokens."""
     tokens = []
-    for line in text.splitlines():
+    for line in nio._read_lines(path, "config file"):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -199,7 +194,7 @@ def build_parser() -> _Parser:
 
     def command(name, run, help, check=None):
         p = sub.add_parser(name, help=help, check=check)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, parser=p)
         p.add_argument("--config", action=_Once, help="key = value defaults; flags win")
         p.add_argument("--output-dir", default=".")
         return p
@@ -413,7 +408,10 @@ def main(argv: list[str] | None = None) -> int:
             if len(configs) == 1 and configs[0] is not None:
                 # right after the command name, so that every explicit flag wins
                 argv[1:1] = _config_tokens(configs[0])
-        args = parser.parse_args(argv)
+        # argparse reports a subcommand's leftovers with the top-level usage line
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
         return args.run(args)
     except (nio.DataError, OSError, ValueError) as exc:
         print(f"noisy-align: data error: {exc}", file=sys.stderr)

@@ -214,7 +214,8 @@ def rank_semantic_shift(Q: np.ndarray, tokens: list[str], X: np.ndarray, Y: np.n
     of the responsibilities) are a ValueError. distance(token) =
     1 - cos(Q x_token, y_token), sorted descending; the distance is 1
     where either vector is zero. With a frequency threshold, tokens below
-    it in either table (or missing from one) are dropped before scoring.
+    it in either table (or missing from one) are dropped before scoring; a
+    threshold without both tables is a ValueError.
     All kept pairs are mapped by one GEMM (`_mapped`).
 
     Returns:
@@ -227,7 +228,9 @@ def rank_semantic_shift(Q: np.ndarray, tokens: list[str], X: np.ndarray, Y: np.n
         raise ValueError("tokens, X and Y columns and responsibilities differ in number")
     kept = np.arange(len(tokens))
     if threshold is not None:
-        fs, ft = src_freqs or {}, tgt_freqs or {}
+        fs, ft = src_freqs, tgt_freqs
+        if fs is None or ft is None:
+            raise ValueError("a threshold needs both frequency tables")
         kept = np.array([i for i, t in enumerate(tokens) if t in fs and t in ft
                          and fs[t] >= threshold and ft[t] >= threshold], dtype=np.intp)
     x, nx = _column_norms(_mapped(Q, X[:, kept]))

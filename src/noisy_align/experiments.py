@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._blas import threads_for
-from .align import SgdConfig, _sgd_flops, alignment_error, procrustes, sgd_align
+from .align import SgdConfig, alignment_error, procrustes, sgd_align
 from .mixture import EmConfig, em_fit
 from .synthetic import make_noisy_problem
 
@@ -23,10 +23,11 @@ SYNTHETIC_2D_SGD_EPOCHS = 3000
 
 
 def _fit_flops(method: str, d: int, n: int, sgd_cfg: SgdConfig | None = None) -> float:
-    """Flops of a fit's GEMMs: `align._sgd_flops` for SGD, else the M-step's 2 d^2 n."""
-    if method == "sgd":
-        return _sgd_flops(d, n, sgd_cfg or SgdConfig())
-    return 2.0 * d * d * n
+    """Flops of a fit's GEMMs: the M-step's (or SGD's X X^T) 2 d^2 n, plus
+    one d x d x d GEMM per epoch for full-batch SGD (`sgd_align`'s Gram form)."""
+    cfg = sgd_cfg or SgdConfig()
+    gram = method == "sgd" and cfg.full_batch(n)
+    return 2.0 * d * d * n + (cfg.epochs * 2.0 * d ** 3 if gram else 0.0)
 
 
 def noise_curve_error(n: int, levels, methods) -> tuple[str, str] | None:

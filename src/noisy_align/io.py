@@ -86,9 +86,10 @@ class Lexicon:
 
 
 def _read_lines(path, what: str):
-    """Stream a UTF-8 file's lines, broken only at newlines (`str.splitlines`
-    also breaks at `\\x0c`, `\\x85`, ...), without a leading byte-order
-    mark; read errors raise DataError."""
+    """Stream a UTF-8 file's lines, broken only at newlines (not at `\\x0c`,
+    `\\x85`, ...), without a leading byte-order mark; read and decode errors
+    raise DataError naming the file as `what`. It reads every text input:
+    this module's four, `--config`, `align.load_matrix` and `mixture.load_model`."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             yield from fh

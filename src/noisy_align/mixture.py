@@ -23,7 +23,7 @@ from numbers import Integral
 import numpy as np
 
 from .align import _parse_matrix, _write_matrix, procrustes, weighted_procrustes
-from .io import DataError
+from .io import DataError, _read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -298,8 +298,7 @@ def save_model(model: AlignmentModel, path, matrix_path=None) -> None:
 
 def load_model(path) -> AlignmentModel:
     """Load a model saved by `save_model`; DataError if the file is malformed."""
-    with open(path, encoding="utf-8-sig", errors="replace") as fh:
-        lines = fh.read().splitlines()
+    lines = list(_read_lines(path, "model file"))
     Q = _parse_matrix(lines, path)
     try:
         fields = {parts[0]: np.array(parts[1:], dtype=np.float64)

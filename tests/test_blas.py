@@ -125,6 +125,25 @@ def test_fit_translation_picks_threads_by_m_step_flops(fake, monkeypatch, method
     assert fits == [threads] and fake.count == 4
 
 
+def reference_fit_flops(method, d, n, sgd_cfg=None):
+    """`experiments._fit_flops` written out per method: 2 d^2 n, and for SGD
+    200 (or `epochs`) more d x d x d GEMMs when one batch holds all n pairs."""
+    if method != "sgd":
+        return 2.0 * d * d * n
+    cfg = sgd_cfg or SgdConfig()
+    return 2.0 * d * d * n + (cfg.epochs if cfg.full_batch(n) else 0) * 2.0 * d ** 3
+
+
+@pytest.mark.parametrize("method", experiments.METHODS)
+def test_fit_flops_matches_the_per_method_formula(method):
+    for d, n in ((1, 1), (2, 3), (50, 1000), (300, 500), (300, 600), (7, 10**6)):
+        for cfg in (None, SgdConfig(), SgdConfig(epochs=3000), SgdConfig(batch_size=n),
+                    SgdConfig(batch_size=n + 1, epochs=7), SgdConfig(batch_size=1),
+                    SgdConfig(batch_size=max(1, n // 2), epochs=5)):
+            assert experiments._fit_flops(method, d, n, cfg) == reference_fit_flops(
+                method, d, n, cfg)
+
+
 def test_noise_curve_is_sized_by_its_largest_fit(fake, monkeypatch):
     # op's 2 d^2 n is 3e6 flops, but full-batch SGD's 4e8 keeps the count
     problems = spy_threads(monkeypatch, fake, "make_noisy_problem")

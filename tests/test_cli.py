@@ -309,6 +309,14 @@ class TestAlign:
                          ["--config", str(tmp_path / "missing.cfg")]) == 2
         assert run_align(bilingual, tmp_path / "o", ["--config", ""]) == 2  # not ignored
 
+    def test_config_not_in_utf8_is_data_error_naming_it(self, bilingual, tmp_path,
+                                                         capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"method = \xff\n")
+        assert run_align(bilingual, tmp_path / "o", ["--config", str(cfg)]) == 2
+        assert f"data error: config file {cfg} is not valid UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_comments_and_blank_lines_are_skipped(self, bilingual, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# method = em-soft\n\n   \nmethod = op  # not EM\n\t# max-iters = 3\n")
@@ -739,7 +747,20 @@ class TestFlagSurface:
     def test_removed_flag_is_usage_error(self, command, flag, tmp_path, capsys):
         argv = [command, *self.REQUIRED[command], flag, "1", "--output-dir", str(tmp_path)]
         assert exit_code(lambda: main(argv)) == 1
-        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: noisy-align {command} ")
+        assert f"unrecognized arguments: {flag} 1" in err
+
+    @pytest.mark.parametrize("command", list(REQUIRED))
+    def test_unknown_config_key_prints_the_subcommand_usage(self, command, tmp_path,
+                                                            capsys):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("bogus = 1\n")
+        argv = [command, *self.REQUIRED[command], "--config", str(cfg)]
+        assert exit_code(lambda: main(argv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: noisy-align {command} ")
+        assert "unrecognized arguments: --bogus=1" in err
 
     BAD_VALUES = [
         *(("align", f, v) for f, v in (("--max-iters", "0"), ("--epsilon", "-1"),

@@ -368,6 +368,17 @@ class TestRankSemanticShift:
         assert dropped == 2
         assert {t for t, _, _ in ranking} == {"w0", "w2"}
 
+    @pytest.mark.parametrize("src_freqs,tgt_freqs", [
+        (None, None), ({"w0": 0.5}, None), (None, {"w0": 0.5})],
+        ids=["neither", "source-only", "target-only"])
+    def test_threshold_needs_both_frequency_tables(self, src_freqs, tgt_freqs):
+        # as the CLI's --threshold does: a missing table holds no token, so
+        # the ranking would be empty
+        emb = random_set(3, 2, seed=8)
+        with pytest.raises(ValueError, match="both frequency tables"):
+            rank_semantic_shift(np.eye(2), *identity_pairs(emb, emb), src_freqs=src_freqs,
+                                tgt_freqs=tgt_freqs, threshold=1e-5)
+
     def test_noise_labels_attached(self):
         emb = random_set(3, 2, seed=9)
         resp = Responsibilities(w=np.array([0.9, 0.1, 0.8]))

@@ -1,5 +1,6 @@
 import logging
 import os
+import re
 import tempfile
 import threading
 import time
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from noisy_align import _cache, io as nio
+from noisy_align import _cache, cli, io as nio
+from noisy_align.align import load_matrix
 from noisy_align.io import (
     DataError,
     EmbeddingSet,
@@ -23,6 +25,7 @@ from noisy_align.io import (
     load_stoplist,
     save_embeddings,
 )
+from noisy_align.mixture import load_model
 
 
 def write(tmp_path, name, text):
@@ -602,12 +605,27 @@ SPACES = (make_set(["a\x0cb", "c"], np.eye(2)), make_set(["d", "e"], np.eye(2)))
 
 
 @pytest.mark.parametrize("load", [load_embeddings, load_stoplist, load_frequency_table,
-                                  lambda path: load_lexicon(path, *SPACES)])
+                                  lambda path: load_lexicon(path, *SPACES),
+                                  cli._config_tokens, load_matrix, load_model])
 def test_invalid_utf8_is_data_error(tmp_path, load):
     path = tmp_path / "f.txt"
     path.write_bytes(b"a\tb 0.5\n\xff\xfe\n")
-    with pytest.raises(DataError, match="UTF-8"):
+    # the message names the file, as "<what> <path> is not valid UTF-8"
+    with pytest.raises(DataError, match=f"^[a-z -]+ {re.escape(str(path))} is not valid"):
         load(path)
+
+
+# a saved 2 x 2 identity map, then a model's scalar and vector lines
+MATRIX_TEXT, IDENTITY = "2\n1 0\n0 1\n", [[1.0, 0.0], [0.0, 1.0]]
+MODEL_TAIL = "sigma2 0.5\nmu_y 1 -2\nsigma_y2 2\nalpha 0.25\n"
+
+
+def model_fields(path):
+    m = load_model(path)
+    return m.Q.tolist(), m.sigma2, m.mu_y.tolist(), m.sigma_y2, m.alpha
+
+
+MODEL_FIELDS = (IDENTITY, 0.5, [1.0, -2.0], 2.0, 0.25)
 
 
 def embedding_rows(path):
@@ -630,6 +648,10 @@ BOM_READS = [
     pytest.param(lexicon_pairs, "c\td\na\x0cb\te\n", ([(1, 0), (0, 1)], 0), id="lexicon"),
     pytest.param(load_stoplist, "the\nof\n", {"the", "of"}, id="stop-list"),
     pytest.param(load_frequency_table, "dog\t0.5\n", {"dog": 0.5}, id="frequency-table"),
+    pytest.param(cli._config_tokens, "method = op\n", ["--method=op"], id="config"),
+    pytest.param(lambda path: load_matrix(path).tolist(), MATRIX_TEXT, IDENTITY,
+                 id="matrix"),
+    pytest.param(model_fields, MATRIX_TEXT + MODEL_TAIL, MODEL_FIELDS, id="model"),
 ]
 
 
@@ -639,6 +661,47 @@ def test_a_byte_order_mark_is_not_read(tmp_path, read, text, expected, bom):
     path = tmp_path / "f.txt"
     path.write_bytes(bom + text.encode("utf-8"))
     assert read(path) == expected
+
+
+@pytest.mark.parametrize("sep", ["\x0c", "\x85", "\u2028"],
+                         ids=["form-feed", "next-line", "line-separator"])
+def test_only_a_newline_ends_a_config_matrix_or_model_line(tmp_path, sep):
+    path = tmp_path / "f.txt"
+
+    def read(load, text):
+        path.write_text(text, encoding="utf-8")
+        return load(path)
+
+    # at the end of a row the character is whitespace in that row
+    assert read(load_matrix, f"2\n1 0{sep}\n0 1\n").tolist() == IDENTITY
+    assert read(model_fields, f"2\n1 0{sep}\n0 1\n{MODEL_TAIL}") == MODEL_FIELDS
+    # between two rows it leaves them one line: 4 values in a row of 2
+    with pytest.raises(DataError, match="not a finite 2 x 2 block"):
+        read(load_matrix, f"2\n1 0{sep}0 1\n")
+    with pytest.raises(DataError, match="model file .* is malformed"):
+        read(load_model, MATRIX_TEXT + MODEL_TAIL.replace("\n", sep, 1))
+    # the comment runs to the newline, over the second key
+    assert read(cli._config_tokens, f"method = op # was:{sep}method = sgd\n") == [
+        "--method=op"]
+
+
+READERS = [  # each text reader, and what its errors call the file
+    pytest.param(load_embeddings, "embedding file", id="embeddings"),
+    pytest.param(lambda path: load_lexicon(path, *SPACES), "lexicon file", id="lexicon"),
+    pytest.param(load_stoplist, "stop-list", id="stop-list"),
+    pytest.param(load_frequency_table, "frequency table", id="frequency-table"),
+    pytest.param(cli._config_tokens, "config file", id="config"),
+    pytest.param(load_matrix, "matrix file", id="matrix"),
+    pytest.param(load_model, "model file", id="model"),
+]
+
+
+@pytest.mark.parametrize("read, what", READERS)
+def test_missing_file_is_data_error_naming_it(tmp_path, read, what):
+    path = tmp_path / "missing.txt"
+    with pytest.raises(DataError) as info:
+        read(path)
+    assert str(info.value).startswith(f"cannot read {what} {path}: ")
 
 
 def test_lexicon_and_frequency_tokens_keep_form_feed(tmp_path):

@@ -163,15 +163,23 @@ def damaged_model_text(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(text=st.one_of(st.text(), damaged_model_text()))
+# a lone surrogate is written as the byte it escapes, which UTF-8 cannot
+# decode: a model with a trailing b"\xff\xfe" line, a matrix with a binary
+# tail, a matrix cut inside a two-byte character
+@example("\n".join(SAVED_MODEL) + "\n\udcff\udcfe\n")
+@example("\n".join(SAVED_MODEL[:3]) + "\n\udc89PNG\x00\udc80\n")
+@example("\n".join(SAVED_MODEL[:3]) + "\n\udcc3")
 def test_loaders_give_valid_object_or_data_error(text):
+    undecodable = any("\udc80" <= c <= "\udcff" for c in text)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.txt"
-        path.write_text(text, encoding="utf-8")
+        path.write_text(text, encoding="utf-8", errors="surrogateescape")
         try:
             Q = load_matrix(path)
         except DataError:
             pass
         else:
+            assert not undecodable
             assert isinstance(Q, np.ndarray) and Q.dtype == np.float64
             assert Q.ndim == 2 and Q.shape[0] == Q.shape[1] and np.isfinite(Q).all()
         try:
@@ -179,6 +187,7 @@ def test_loaders_give_valid_object_or_data_error(text):
         except DataError:
             pass
         else:
+            assert not undecodable
             assert np.linalg.norm(model.Q.T @ model.Q - np.eye(model.dim)) <= ORTHO_TOL
             assert model.mu_y.shape == (model.dim,)
             assert np.isfinite([model.sigma2, model.sigma_y2, model.alpha]).all()
