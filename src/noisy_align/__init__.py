@@ -52,41 +52,6 @@ from .evaluation import (
 )
 from .synthetic import SyntheticProblem, make_noisy_problem
 
-__all__ = [
-    "EmbeddingSet",
-    "Lexicon",
-    "DataError",
-    "load_embeddings",
-    "save_embeddings",
-    "load_lexicon",
-    "build_identity_lexicon",
-    "gather_pairs",
-    "load_stoplist",
-    "load_frequency_table",
-    "SgdConfig",
-    "procrustes",
-    "weighted_procrustes",
-    "sgd_align",
-    "random_orthogonal",
-    "alignment_error",
-    "save_matrix",
-    "load_matrix",
-    "AlignmentModel",
-    "Responsibilities",
-    "EmConfig",
-    "EmTrace",
-    "log_likelihood",
-    "initialize",
-    "em_fit",
-    "save_model",
-    "load_model",
-    "write_responsibilities_tsv",
-    "NnIndex",
-    "EvalReport",
-    "build_index",
-    "nearest_neighbor",
-    "precision_at_1",
-    "rank_semantic_shift",
-    "SyntheticProblem",
-    "make_noisy_problem",
-]
+# the public names are the ones imported above from the package's modules
+__all__ = [name for name, value in globals().items()
+           if getattr(value, "__module__", "").startswith(__name__ + ".")]

@@ -255,7 +255,7 @@ def _parse_matrix(lines: list[str], path) -> np.ndarray:
     (`mixture.AlignmentModel`).
     """
     try:
-        d = int(lines[0].split()[0])
+        (d,) = map(int, lines[0].split())  # exactly one field
         Q = np.array([line.split() for line in lines[1:d + 1]], dtype=np.float64)
     except (IndexError, ValueError) as exc:
         raise DataError(f"matrix in {path} is malformed: {exc}") from exc

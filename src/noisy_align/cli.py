@@ -47,20 +47,9 @@ from .mixture import EmConfig, save_model, write_responsibilities_tsv
 
 
 class _Parser(argparse.ArgumentParser):
-    """`check(args)` returns the usage error of flags that are invalid
-    together, or None; it runs once this parser has parsed its flags."""
-
-    def __init__(self, check=None, **kwargs):
+    def __init__(self, **kwargs):
         # no prefix matching: `--seed` must not pass for noise-curve's `--seeds`
         super().__init__(allow_abbrev=False, **kwargs)
-        self.check = check
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        problem = self.check and self.check(namespace)
-        if problem:
-            self.error(problem)
-        return namespace, extras
 
     # spec'd exit codes: usage errors are 1, not argparse's default 2
     def error(self, message):
@@ -192,9 +181,11 @@ def build_parser() -> _Parser:
                      description="Noise-aware alignment of embedding spaces")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def command(name, run, help, check=None):
-        p = sub.add_parser(name, help=help, check=check)
-        p.set_defaults(run=run, parser=p)
+    def command(name, run, help, check=lambda args: None):
+        """`check(args)` returns the usage error of flags that are invalid
+        together, or None; `main` runs it after the parse."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run, parser=p, check=check)
         p.add_argument("--config", action=_Once, help="key = value defaults; flags win")
         p.add_argument("--output-dir", default=".")
         return p
@@ -254,11 +245,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _em_config(args) -> EmConfig:
-    """EM settings: each flag given overrides only its field."""
-    return EmConfig(**_given(args, _EM_FLAGS))
-
-
 def _load_spaces(args):
     src = nio.load_embeddings(args.src_emb, limit=args.limit, normalize=args.normalize)
     tgt = nio.load_embeddings(args.tgt_emb, limit=args.limit, normalize=args.normalize)
@@ -288,7 +274,8 @@ def _cmd_align(args) -> int:
     # the training pairs are freed before the test set is gathered
     Q, model, resp, trace = fit_translation(
         args.method, *nio.gather_pairs(lex, src, tgt),
-        sgd_cfg=SgdConfig(**_given(args, _SGD_FLAGS)), em_cfg=_em_config(args))
+        sgd_cfg=SgdConfig(**_given(args, _SGD_FLAGS)),
+        em_cfg=EmConfig(**_given(args, _EM_FLAGS)))
     test = _test_metrics(Q, test_lex, src, tgt) if test_lex is not None else {}
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -363,7 +350,8 @@ def _cmd_diachronic(args) -> int:
     tokens = [src.tokens[s] for s, _ in lex.pairs]
     # only the pairs' tokens and columns are read below: free the loaded sets
     del src, tgt, lex
-    Q, model, resp, trace = fit_translation("em-hard", X, Y, em_cfg=_em_config(args))
+    Q, model, resp, trace = fit_translation(
+        "em-hard", X, Y, em_cfg=EmConfig(**_given(args, _EM_FLAGS)))
     ranking, dropped = rank_semantic_shift(
         Q, tokens, X, Y, src_freqs=src_freqs, tgt_freqs=tgt_freqs,
         threshold=args.threshold, responsibilities=resp)
@@ -410,6 +398,8 @@ def main(argv: list[str] | None = None) -> int:
                 argv[1:1] = _config_tokens(configs[0])
         # argparse reports a subcommand's leftovers with the top-level usage line
         args, extras = parser.parse_known_args(argv)
+        if problem := args.check(args):  # before any unrecognized argument
+            args.parser.error(problem)
         if extras:
             args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
         return args.run(args)

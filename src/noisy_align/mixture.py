@@ -22,7 +22,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .align import _parse_matrix, _write_matrix, procrustes, weighted_procrustes
+from .align import (_check_product, _parse_matrix, _write_matrix, procrustes,
+                    weighted_procrustes)
 from .io import DataError, _read_lines
 
 logger = logging.getLogger(__name__)
@@ -113,13 +114,19 @@ class EmTrace:
 
 
 def _aligned_residuals(Q: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Per-column squared residuals ||Q x_t - y_t||^2."""
-    return np.sum((Q @ X - Y) ** 2, axis=0)
+    """Per-column squared residuals ||Q x_t - y_t||^2; DataError on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        r = np.sum((Q @ X - Y) ** 2, axis=0)
+    _check_product(r, "||Qx - y||^2")
+    return r
 
 
 def _noise_residuals(mu_y: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Per-column squared residuals ||y_t - mu_y||^2."""
-    return np.sum((Y - mu_y[:, None]) ** 2, axis=0)
+    """Per-column squared residuals ||y_t - mu_y||^2; DataError on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        r = np.sum((Y - mu_y[:, None]) ** 2, axis=0)
+    _check_product(r, "||y - mu_y||^2")
+    return r
 
 
 def _e_step(model: AlignmentModel, r_aligned: np.ndarray, r_noise: np.ndarray):
@@ -158,6 +165,10 @@ def initialize(X: np.ndarray, Y: np.ndarray):
     Returns:
         (model, r_aligned, r_noise): the model, and its
         `_aligned_residuals` and `_noise_residuals` for the first E-step.
+
+    Raises:
+        DataError: the vectors are so large that ||y - mu_y||^2 or
+            ||Qx - y||^2 overflows.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -165,15 +176,19 @@ def initialize(X: np.ndarray, Y: np.ndarray):
     if n < 2:
         raise ValueError("need at least 2 pairs to initialize the mixture")
     Q = procrustes(X, Y)
-    mu_y = Y.mean(axis=1)
-    # flat sums as in `alignment_error`, column sums as in `_*_residuals`
-    sq = (Y - mu_y[:, None]) ** 2
-    sigma_y2 = max(float(np.sum(sq)) / (n * d), VAR_FLOOR)
-    r_noise = np.sum(sq, axis=0)
-    del sq  # one d x n array of squares at a time
-    sq = (Q @ X - Y) ** 2
-    sigma2 = max(float(np.sum(sq)) / (n * d), VAR_FLOOR)
-    r_aligned = np.sum(sq, axis=0)
+    # flat sums as in `alignment_error`, column sums as in `_*_residuals`;
+    # an overflow is reported below, as there
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu_y = Y.mean(axis=1)
+        sq = (Y - mu_y[:, None]) ** 2
+        sigma_y2 = max(float(np.sum(sq)) / (n * d), VAR_FLOOR)
+        r_noise = np.sum(sq, axis=0)
+        del sq  # one d x n array of squares at a time
+        sq = (Q @ X - Y) ** 2
+        sigma2 = max(float(np.sum(sq)) / (n * d), VAR_FLOOR)
+        r_aligned = np.sum(sq, axis=0)
+    _check_product(r_noise, "||y - mu_y||^2")
+    _check_product(r_aligned, "||Qx - y||^2")
     model = AlignmentModel(Q=Q, sigma2=sigma2, mu_y=mu_y, sigma_y2=sigma_y2, alpha=0.5)
     return model, r_aligned, r_noise
 

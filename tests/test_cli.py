@@ -206,22 +206,31 @@ class TestAlign:
             (tmp_path / "2" / "matrix.txt").read_bytes()
 
     @staticmethod
-    def align_huge(method, value, tmp_path):
+    def align_texts(method, src_text, tgt_text, tmp_path):
         """The CLI in a separate process, which is stopped if it hangs, on
-        vectors whose d x d products overflow."""
-        emb = tmp_path / "huge.txt"
-        emb.write_text(f"a {value} 0 3\nb 0 1e200 1\nc {value} {value} 2\n"
-                       f"d 5 -1e200 1\n")
+        the embedding texts given and the identity lexicon of the source's
+        words."""
+        src_emb, tgt_emb = tmp_path / "src.txt", tmp_path / "tgt.txt"
+        src_emb.write_text(src_text)
+        tgt_emb.write_text(tgt_text)
         lex = tmp_path / "lex.tsv"
-        lex.write_text("a\ta\nb\tb\nc\tc\nd\td\n")
+        words = [line.split()[0] for line in src_text.splitlines()]
+        lex.write_text("".join(f"{w}\t{w}\n" for w in words))
         src = str(Path(noisy_align.__file__).parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         return subprocess.run(
-            [sys.executable, "-m", "noisy_align.cli", "align", "--src-emb", str(emb),
-             "--tgt-emb", str(emb), "--lexicon", str(lex), "--method", method,
+            [sys.executable, "-m", "noisy_align.cli", "align", "--src-emb", str(src_emb),
+             "--tgt-emb", str(tgt_emb), "--lexicon", str(lex), "--method", method,
              "--output-dir", str(tmp_path / "out")],
             env=env, capture_output=True, text=True, timeout=60)
+
+    @classmethod
+    def align_huge(cls, method, value, tmp_path):
+        """`align_texts` on vectors whose d x d products overflow."""
+        emb = (f"a {value} 0 3\nb 0 1e200 1\nc {value} {value} 2\n"
+               f"d 5 -1e200 1\n")
+        return cls.align_texts(method, emb, emb, tmp_path)
 
     @pytest.mark.parametrize("method,value", [("em-hard", "1e200"), ("op", "1e200"),
                                               ("em-hard", "1.5e308")])
@@ -239,6 +248,23 @@ class TestAlign:
         assert done.returncode == 2
         assert done.stderr == ("noisy-align: data error: X X^T overflows float64: "
                                "the vectors are too large\n")
+
+    @pytest.mark.parametrize("method", experiments.EM_METHODS)
+    def test_mixed_magnitudes_under_em_are_one_line_data_error(self, method, tmp_path):
+        # each pair joins a vector near 1e200 with one near 1e-200, so Y X^T
+        # is finite and only EM's squared residuals overflow
+        big = ["1 2 0 -1", "0 1 3 1", "2 -1 1 0"]
+        small = ["1 0 -2 1", "0 3 1 -1", "1 1 1 2"]
+
+        def space(first, second):
+            rows = [" ".join(f"{v}e{first}" for v in r.split()) for r in big]
+            rows += [" ".join(f"{v}e{second}" for v in r.split()) for r in small]
+            return "".join(f"{w} {r}\n" for w, r in zip("abcdef", rows))
+
+        done = self.align_texts(method, space(200, -200), space(-200, 200), tmp_path)
+        assert done.returncode == 2
+        assert done.stderr == ("noisy-align: data error: ||y - mu_y||^2 overflows "
+                               "float64: the vectors are too large\n")
 
     def test_sgd_divergence_is_one_line_data_error(self, bilingual, tmp_path, capsys):
         code = run_align(bilingual, tmp_path / "z", ["--method", "sgd",
