@@ -6,7 +6,8 @@ orthogonality-constrained problem in closed form via the SVD of Y X^T;
 `sgd_align` minimizes the unconstrained Frobenius objective
 ||QX - Y||_F^2 by gradient descent, full-batch or minibatch. A map is
 kept as text by `save_matrix` and `load_matrix`; `_write_matrix` formats
-it one row at a time for both `save_matrix` and `mixture.save_model`.
+it one row at a time for both `save_matrix` and `mixture.save_model`, and
+`_parse_map` reads both files back.
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ def alignment_error(Q: np.ndarray, X: np.ndarray, Y: np.ndarray,
 
 
 def _write_matrix(Q: np.ndarray, *files) -> None:
-    """Write the `d` line and the d x d block below it, as `_parse_matrix`
+    """Write the `d` line and the d x d block below it, as `_parse_map`
     reads them, to each of `files`: the bytes of
     `np.savetxt(fh, Q, fmt="%.17g")` after the `d` line. Each row is
     converted and formatted once, one row at a time."""
@@ -247,23 +248,42 @@ def save_matrix(Q: np.ndarray, path) -> None:
         _write_matrix(Q, fh)
 
 
-def _parse_matrix(lines: list[str], path) -> np.ndarray:
-    """The `d` line and the d x d block below it, as written by `save_matrix`.
+# the parameter lines `mixture.save_model` writes after the map, in order
+_MODEL_KEYS = ("sigma2", "mu_y", "sigma_y2", "alpha")
+
+
+def _parse_map(path, what: str) -> tuple[np.ndarray, dict]:
+    """Read the file `what`: the `d` line and the d x d block below it, as
+    `save_matrix` writes them, then nothing or a model's `_MODEL_KEYS` lines,
+    as `mixture.save_model` writes them. Anything else is a DataError.
 
     The file is outside input, so the block must be square and finite;
     whether it is orthogonal is checked only where that is required
     (`mixture.AlignmentModel`).
+
+    Returns:
+        (Q, tail): tail is empty or maps each key to its value, d floats
+        for `mu_y` and one float for each other key.
     """
+    lines = [line.split() for line in _read_lines(path, what)]
     try:
-        (d,) = map(int, lines[0].split())  # exactly one field
-        Q = np.array([line.split() for line in lines[1:d + 1]], dtype=np.float64)
+        (d,) = map(int, lines[0])  # exactly one field
+        Q = np.array(lines[1:d + 1], dtype=np.float64)
+        rest = lines[d + 1:]
+        if rest and [row[:1] for row in rest] != [[key] for key in _MODEL_KEYS]:
+            raise ValueError("only the lines " + ", ".join(_MODEL_KEYS)
+                             + " may follow the block, in this order")
+        tail = {key: np.array(values, dtype=np.float64) for key, *values in rest}
+        if any(v.shape != ((d,) if k == "mu_y" else (1,)) for k, v in tail.items()):
+            raise ValueError(f"mu_y takes {d} values and each other key one")
     except (IndexError, ValueError) as exc:
-        raise DataError(f"matrix in {path} is malformed: {exc}") from exc
+        raise DataError(f"{what} {path} is malformed: {exc}") from exc
     if d < 1 or Q.shape != (d, d) or not np.isfinite(Q).all():
         raise DataError(f"matrix in {path} is not a finite {d} x {d} block")
-    return Q
+    return Q, {k: v if k == "mu_y" else float(v[0]) for k, v in tail.items()}
 
 
 def load_matrix(path) -> np.ndarray:
-    """Load a matrix saved by `save_matrix`; DataError if the file is malformed."""
-    return _parse_matrix(list(_read_lines(path, "matrix file")), path)
+    """Load the map of a file saved by `save_matrix` or `mixture.save_model`;
+    DataError if the file is malformed."""
+    return _parse_map(path, "matrix file")[0]

@@ -4,7 +4,8 @@ Subcommands: align, evaluate, synthetic-2d, noise-curve, diachronic and
 clean-lexicon (align emitting only the cleaned-lexicon TSV). Each takes
 only the flags it reads, and abbreviated flags are rejected. Exit codes:
 0 success, 1 usage error (printed after the subcommand's usage line),
-2 data error.
+2 data error. A warning the library issues while a command runs prints as
+one line, `noisy-align: warning: <message>`, on stderr.
 
 A `--config FILE` of `key = value` lines, given after the subcommand,
 supplies defaults: each line becomes the token `--key=value`, inserted
@@ -22,6 +23,8 @@ import argparse
 import json
 import math
 import sys
+import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +248,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _output(args, name: str) -> Path:
+    """The path of output file `name` in `--output-dir`, which is created."""
+    out = Path(args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
+
+
+def _write_json(args, name: str, obj) -> str:
+    """Write `obj` to output file `name` as indented JSON with sorted keys and
+    return the text; a non-finite value is a ValueError, never written."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    _output(args, name).write_text(text + "\n", encoding="utf-8")
+    return text
+
+
 def _load_spaces(args):
     src = nio.load_embeddings(args.src_emb, limit=args.limit, normalize=args.normalize)
     tgt = nio.load_embeddings(args.tgt_emb, limit=args.limit, normalize=args.normalize)
@@ -277,28 +295,26 @@ def _cmd_align(args) -> int:
         sgd_cfg=SgdConfig(**_given(args, _SGD_FLAGS)),
         em_cfg=EmConfig(**_given(args, _EM_FLAGS)))
     test = _test_metrics(Q, test_lex, src, tgt) if test_lex is not None else {}
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     if resp is not None:
         names = [(src.tokens[s], tgt.tokens[g]) for s, g in lex.pairs]
-        write_responsibilities_tsv(resp, names, out / "responsibilities.tsv")
+        path = _output(args, "responsibilities.tsv")
+        write_responsibilities_tsv(resp, names, path)
     if args.command == "clean-lexicon":
-        print(f"wrote {out / 'responsibilities.tsv'} "
-              f"({skipped} unresolvable lexicon lines skipped)")
+        print(f"wrote {path} ({skipped} unresolvable lexicon lines skipped)")
         return 0
 
     fit = {}
     if model is None:
-        save_matrix(Q, out / "matrix.txt")
+        save_matrix(Q, _output(args, "matrix.txt"))
     else:
-        save_model(model, out / "model.txt", out / "matrix.txt")
+        save_model(model, _output(args, "model.txt"), _output(args, "matrix.txt"))
         fit = {"noise_rate": 1.0 - model.alpha, "iterations": trace.iterations}
     report = EvalReport(**test, **fit)
-    (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    text = _write_json(args, "report.json", asdict(report))
     print(f"method={args.method} pairs={len(lex)} skipped_lines={skipped} "
           f"discarded_fraction={report.noise_rate:.4f}")
-    print(report.to_json())
+    print(text)
     return 0
 
 
@@ -307,19 +323,13 @@ def _cmd_evaluate(args) -> int:
     src, tgt = _load_spaces(args)
     test_lex, _ = nio.load_lexicon(args.test_lexicon, src, tgt)
     report = EvalReport(**_test_metrics(Q, test_lex, src, tgt))
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    print(report.to_json())
+    print(_write_json(args, "report.json", asdict(report)))
     return 0
 
 
 def _cmd_synthetic_2d(args) -> int:
     report = run_synthetic_2d(seed=args.seed)
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    (out / "synthetic_2d.json").write_text(text + "\n", encoding="utf-8")
+    _write_json(args, "synthetic_2d.json", report)
     for variant in ("noise_free", "noisy"):
         errs = report[variant]["clean_error"]
         line = " ".join(f"{m}={e:.3g}" for m, e in sorted(errs.items()))
@@ -331,9 +341,7 @@ def _cmd_noise_curve(args) -> int:
     rows = run_noise_curve(n=args.n, d=args.d, levels=args.levels,
                            test_n=args.test_n, seeds=range(args.seeds),
                            methods=args.methods)
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "noise_curve.csv"
+    path = _output(args, "noise_curve.csv")
     write_noise_curve_csv(rows, path)
     print(f"wrote {len(rows)} rows to {path}")
     return 0
@@ -355,11 +363,8 @@ def _cmd_diachronic(args) -> int:
     ranking, dropped = rank_semantic_shift(
         Q, tokens, X, Y, src_freqs=src_freqs, tgt_freqs=tgt_freqs,
         threshold=args.threshold, responsibilities=resp)
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_shift_ranking_tsv(ranking, out / "shift_ranking.tsv")
-    (out / "shift_ranking.json").write_text(
-        json.dumps(ranking, indent=2) + "\n", encoding="utf-8")
+    write_shift_ranking_tsv(ranking, _output(args, "shift_ranking.tsv"))
+    _write_json(args, "shift_ranking.json", ranking)
     noise_frac = float(np.mean(~resp.h))
     n_noise_ranked = sum(1 for _, _, label in ranking if label == "Noise")
     summary = {
@@ -369,12 +374,17 @@ def _cmd_diachronic(args) -> int:
         "dropped_below_threshold": dropped,
         "iterations": trace.iterations,
     }
-    (out / "diachronic_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    write_responsibilities_tsv(resp, [(t, t) for t in tokens], out / "responsibilities.tsv")
-    save_model(model, out / "model.txt")
+    _write_json(args, "diachronic_summary.json", summary)
+    write_responsibilities_tsv(resp, [(t, t) for t in tokens],
+                               _output(args, "responsibilities.tsv"))
+    save_model(model, _output(args, "model.txt"))
     print(json.dumps(summary, sort_keys=True))
     return 0
+
+
+def _show_warning(message, *_) -> None:
+    """`warnings.showwarning` while a command runs: the message alone."""
+    print(f"noisy-align: warning: {message}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -402,7 +412,10 @@ def main(argv: list[str] | None = None) -> int:
             args.parser.error(problem)
         if extras:
             args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
-        return args.run(args)
+        # the filters stay as set: `-W error` still raises
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.run(args)
     except (nio.DataError, OSError, ValueError) as exc:
         print(f"noisy-align: data error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .io import EmbeddingSet, Lexicon, _column_norms
+from .io import EmbeddingSet, Lexicon, _column_norms, _unit_columns
 from .mixture import Responsibilities
 
 logger = logging.getLogger(__name__)
@@ -88,11 +88,10 @@ def _repeats(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def build_index(emb: EmbeddingSet) -> NnIndex:
     """Precompute unit-normalized target columns for cosine retrieval."""
-    vectors, norms = _column_norms(emb.vectors)
+    unit, norms = _unit_columns(emb.vectors)
     excluded = [int(i) for i in np.flatnonzero(norms == 0)]
-    safe = np.where(norms == 0, 1.0, norms)
     repeats, first_copies = _repeats(emb.vectors)
-    return NnIndex(emb=emb, unit=vectors / safe, excluded=excluded,
+    return NnIndex(emb=emb, unit=unit, excluded=excluded,
                    repeats=repeats, first_copies=first_copies)
 
 
@@ -114,15 +113,15 @@ def _mapped(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
     return M
 
 
-def _search(index: NnIndex, Qm: np.ndarray | None, X: np.ndarray, cols,
+def _search(index: NnIndex, Qm: np.ndarray, X: np.ndarray, cols,
             k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact top-k cosine targets of the mapped queries Qm @ X[:, cols].
 
     Queries are mapped by `_mapped`, scored and ranked one block at a time,
-    so neither all mapped queries nor all scores are ever held at once;
-    `Qm=None` leaves the (finite) queries unmapped. Excluded (zero)
-    targets are never returned, and identical targets always tie. Ties
-    break toward the lowest index, also across the k-th place.
+    so neither all mapped queries nor all scores are ever held at once.
+    Excluded (zero) targets are never returned, and identical targets
+    always tie. Ties break toward the lowest index, also across the k-th
+    place.
 
     Returns:
         (top, scores, zero): (n, k) target indices, best first, -1 where
@@ -140,12 +139,9 @@ def _search(index: NnIndex, Qm: np.ndarray | None, X: np.ndarray, cols,
     zero = np.zeros(n, dtype=bool)
     for start in range(0, n, BLOCK_ROWS):
         block = slice(start, start + BLOCK_ROWS)
-        M = X[:, cols[block]]
-        if Qm is not None:
-            M = _mapped(Qm, M)
-        M, norms = _column_norms(M)
+        M, norms = _unit_columns(_mapped(Qm, X[:, cols[block]]))
         zero[block] = norms == 0
-        S = (M / np.where(zero[block], 1.0, norms)).T @ index.unit
+        S = M.T @ index.unit
         S[:, index.excluded] = -np.inf
         # BLAS may round the scores of identical columns differently
         S[:, index.repeats] = S[:, index.first_copies]
@@ -170,7 +166,8 @@ def nearest_neighbor(index: NnIndex, q: np.ndarray, k: int) -> list[tuple[str, f
     q = np.asarray(q, dtype=np.float64)
     if not np.isfinite(q).all():
         raise ValueError("query vector has non-finite entries")
-    top, scores, zero = _search(index, None, q[:, None], [0], k)
+    # the identity maps every finite q to itself, value for value
+    top, scores, zero = _search(index, np.eye(q.size), q[:, None], [0], k)
     if zero[0]:
         raise ValueError("zero query vector")
     return [(index.emb.tokens[i], float(s))

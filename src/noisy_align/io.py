@@ -136,6 +136,13 @@ def _column_norms(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return M, norms
 
 
+def _unit_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(unit, norms): the columns of M divided by their `_column_norms`
+    norms, and those norms; a zero column stays zero."""
+    M, norms = _column_norms(M)
+    return M / np.where(norms == 0, 1.0, norms), norms
+
+
 def _parse_values(tails: list[str], dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Convert rows of `dim` space-separated values to a (rows, dim) matrix.
 
@@ -214,9 +221,7 @@ def load_embeddings(path, limit: int | None = None, normalize: bool = False) -> 
     if skipped:
         logger.warning("skipped %d malformed/duplicate rows in %s", skipped, path)
     if normalize:
-        vectors, norms = _column_norms(vectors)
-        norms[norms == 0] = 1.0
-        vectors = vectors / norms
+        vectors = _unit_columns(vectors)[0]
     return EmbeddingSet(tokens=tokens, vectors=vectors, skipped=skipped)
 
 
@@ -268,10 +273,7 @@ def _parse_embeddings(path, limit: int | None) -> tuple[list[str], np.ndarray, i
         )
 
     vectors = np.empty((dim, len(tokens)))
-    start = 0
-    for block in blocks:
-        vectors[:, start:start + len(block)] = block.T
-        start += len(block)
+    np.concatenate(blocks, out=vectors.T)  # the blocks' rows are its columns
     return tokens, vectors, skipped
 
 

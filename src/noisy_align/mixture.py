@@ -22,9 +22,9 @@ from numbers import Integral
 
 import numpy as np
 
-from .align import (_check_product, _parse_matrix, _write_matrix, procrustes,
-                    weighted_procrustes)
-from .io import DataError, _read_lines
+from .align import (_MODEL_KEYS, _check_product, _parse_map, _write_matrix,
+                    procrustes, weighted_procrustes)
+from .io import DataError
 
 logger = logging.getLogger(__name__)
 
@@ -129,6 +129,13 @@ def _noise_residuals(mu_y: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return r
 
 
+def _variance(total: float, count: float, what: str) -> float:
+    """`total`, a sum of squared residuals `what`, over `count`, floored at
+    VAR_FLOOR so a perfect fit stays defined; DataError if the sum overflowed."""
+    _check_product(total, what)
+    return max(float(total) / count, VAR_FLOOR)
+
+
 def _e_step(model: AlignmentModel, r_aligned: np.ndarray, r_noise: np.ndarray):
     """One E-step of `model`, vectorized: (w, loglik, ja, jn) are the
     posterior aligned probabilities, the marginal log-likelihood and the
@@ -177,18 +184,16 @@ def initialize(X: np.ndarray, Y: np.ndarray):
         raise ValueError("need at least 2 pairs to initialize the mixture")
     Q = procrustes(X, Y)
     # flat sums as in `alignment_error`, column sums as in `_*_residuals`;
-    # an overflow is reported below, as there
+    # `_variance` reports an overflow, also one of a column sum
     with np.errstate(over="ignore", invalid="ignore"):
         mu_y = Y.mean(axis=1)
         sq = (Y - mu_y[:, None]) ** 2
-        sigma_y2 = max(float(np.sum(sq)) / (n * d), VAR_FLOOR)
+        sigma_y2 = _variance(np.sum(sq), n * d, "||y - mu_y||^2")
         r_noise = np.sum(sq, axis=0)
         del sq  # one d x n array of squares at a time
         sq = (Q @ X - Y) ** 2
-        sigma2 = max(float(np.sum(sq)) / (n * d), VAR_FLOOR)
+        sigma2 = _variance(np.sum(sq), n * d, "||Qx - y||^2")
         r_aligned = np.sum(sq, axis=0)
-    _check_product(r_noise, "||y - mu_y||^2")
-    _check_product(r_aligned, "||Qx - y||^2")
     model = AlignmentModel(Q=Q, sigma2=sigma2, mu_y=mu_y, sigma_y2=sigma_y2, alpha=0.5)
     return model, r_aligned, r_noise
 
@@ -204,20 +209,22 @@ def _m_step(model: AlignmentModel, X: np.ndarray, Y: np.ndarray, w: np.ndarray,
     at most VAR_FLOOR keeps its parameters from `model` and is degenerate;
     r and r0 are `_aligned_residuals` of the returned Q and
     `_noise_residuals` of the returned mu_y (a kept component's are the
-    ones given).
+    ones given). An overflowing residual or weighted sum is a DataError.
     """
     d, n = X.shape
     s1, s0 = float(w.sum()), float((1.0 - w).sum())
     Q, sigma2, r = model.Q, model.sigma2, r_aligned
     mu_y, sigma_y2, r0 = model.mu_y, model.sigma_y2, r_noise
-    if s1 > VAR_FLOOR:
-        Q = weighted_procrustes(X, Y, w)
-        r = _aligned_residuals(Q, X, Y)
-        sigma2 = max(float(np.dot(w, r)) / (d * s1), VAR_FLOOR)
-    if s0 > VAR_FLOOR:
-        mu_y = (Y @ (1.0 - w)) / s0
-        r0 = _noise_residuals(mu_y, Y)
-        sigma_y2 = max(float(np.dot(1.0 - w, r0)) / (d * s0), VAR_FLOOR)
+    # an overflow is reported by `_noise_residuals` or `_variance`
+    with np.errstate(over="ignore", invalid="ignore"):
+        if s1 > VAR_FLOOR:
+            Q = weighted_procrustes(X, Y, w)
+            r = _aligned_residuals(Q, X, Y)
+            sigma2 = _variance(np.dot(w, r), d * s1, "||Qx - y||^2")
+        if s0 > VAR_FLOOR:
+            mu_y = (Y @ (1.0 - w)) / s0
+            r0 = _noise_residuals(mu_y, Y)
+            sigma_y2 = _variance(np.dot(1.0 - w, r0), d * s0, "||y - mu_y||^2")
     fitted = AlignmentModel(Q=Q, sigma2=sigma2, mu_y=mu_y,
                             sigma_y2=sigma_y2, alpha=s1 / n)
     return fitted, s1 <= VAR_FLOOR or s0 <= VAR_FLOOR, r, r0
@@ -234,10 +241,10 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
     log density under its label; soft EM weights them by their posteriors
     and traces the marginal log-likelihood.
     Iterates until |alpha_curr - alpha_prev| <= epsilon or max_iters.
-    Hard EM also stops when the E-step repeats the labels of its last
-    M-step: refitting to them would return the same model, so that
-    iteration's step is recorded again (trace.iterations counts it) without
-    the M-step and E-step, and the fit has converged.
+    When hard EM's E-step repeats the labels of its last M-step, refitting
+    to them would return the same model: that iteration runs no M-step or
+    E-step and records the same step again (trace.iterations counts it),
+    and the next one sees alpha unchanged and stops.
 
     When an iteration leaves a component without weight (n1=0 or n1=n in
     hard EM), that component's parameters are frozen at their previous
@@ -263,24 +270,15 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
         if abs(model.alpha - alpha_prev) <= eps:
             break
         alpha_prev = model.alpha
-        if fitted_h is not None and np.array_equal(resp.h, fitted_h):
-            # the fixed point: the same labels give the same M-step, E-step
-            # and trace step again, and then |alpha change| = 0
-            if degenerate:
-                trace.degenerate_iters.append(it)
-            trace.steps.append(trace.steps[-1])
-            break
-
-        if soft:
-            weights = resp.w
-        else:  # hard EM is the same M-step with the 0/1 labels as weights
+        # at hard EM's fixed point the labels, so the step, would repeat
+        if soft or not np.array_equal(resp.h, fitted_h):
             fitted_h = resp.h
-            weights = fitted_h.astype(np.float64)
-        model, degenerate, r_aligned, r_noise = _m_step(model, X, Y, weights,
-                                                        r_aligned, r_noise)
-        # one pass over the data scores the new model and runs the next E-step
-        w, loglik, ja, jn = _e_step(model, r_aligned, r_noise)
-        objective = loglik if soft else float(ja[resp.h].sum() + jn[~resp.h].sum())
+            weights = resp.w if soft else fitted_h.astype(np.float64)  # 0/1 labels
+            model, degenerate, r_aligned, r_noise = _m_step(model, X, Y, weights,
+                                                            r_aligned, r_noise)
+            # one pass over the data scores the new model and runs the next E-step
+            w, loglik, ja, jn = _e_step(model, r_aligned, r_noise)
+            objective = loglik if soft else float(ja[resp.h].sum() + jn[~resp.h].sum())
 
         if degenerate:
             trace.degenerate_iters.append(it)
@@ -296,7 +294,8 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
 
 
 def save_model(model: AlignmentModel, path, matrix_path=None) -> None:
-    """Persist a fitted model as text (Q block, then scalar/vector lines).
+    """Persist a fitted model as text: the Q block, then one line per
+    parameter, named as in `align._MODEL_KEYS` and in that order.
 
     With `matrix_path`, Q is also saved there as by `align.save_matrix`,
     formatted once: the model file begins with the matrix file's bytes.
@@ -305,23 +304,19 @@ def save_model(model: AlignmentModel, path, matrix_path=None) -> None:
     with ExitStack() as stack:
         fh, *others = [stack.enter_context(open(p, "w", encoding="utf-8")) for p in paths]
         _write_matrix(model.Q, fh, *others)
-        fh.write(f"sigma2 {model.sigma2:.17g}\n")
-        fh.write("mu_y " + " ".join(f"{v:.17g}" for v in model.mu_y) + "\n")
-        fh.write(f"sigma_y2 {model.sigma_y2:.17g}\n")
-        fh.write(f"alpha {model.alpha:.17g}\n")
+        for key in _MODEL_KEYS:
+            values = np.atleast_1d(getattr(model, key)).tolist()
+            fh.write(" ".join([key, *(f"{v:.17g}" for v in values)]) + "\n")
 
 
 def load_model(path) -> AlignmentModel:
     """Load a model saved by `save_model`; DataError if the file is malformed."""
-    lines = list(_read_lines(path, "model file"))
-    Q = _parse_matrix(lines, path)
+    Q, tail = _parse_map(path, "model file")
+    if not tail:
+        raise DataError(f"model file {path} is malformed: it holds only a matrix")
     try:
-        fields = {parts[0]: np.array(parts[1:], dtype=np.float64)
-                  for parts in map(str.split, lines[len(Q) + 1:]) if parts}
-        return AlignmentModel(Q=Q, sigma2=float(fields["sigma2"][0]), mu_y=fields["mu_y"],
-                              sigma_y2=float(fields["sigma_y2"][0]),
-                              alpha=float(fields["alpha"][0]))
-    except (IndexError, KeyError, ValueError) as exc:
+        return AlignmentModel(Q=Q, **tail)
+    except ValueError as exc:
         raise DataError(f"model file {path} is malformed: {exc}") from exc
 
 

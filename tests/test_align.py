@@ -434,7 +434,7 @@ def test_load_matrix_keeps_a_non_orthogonal_map(tmp_path):
 
 @pytest.mark.parametrize("text", ["", "\n", "2\n1 0\n", "2\n1 0\n0 x\n",
                                   "2\n1 0\n0 nan\n", "0\n", "x\n",
-                                  "2 7\n1 0\n0 1\n"])
+                                  "2 7\n1 0\n0 1\n", "2\n1 0\n0 1\nnot a matrix row\n"])
 def test_load_matrix_rejects_bad_file(tmp_path, text):
     path = tmp_path / "matrix.txt"
     path.write_text(text)

@@ -1,15 +1,20 @@
 import argparse
+import contextlib
+import io
 import json
 import logging
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import noisy_align
 from noisy_align import align, cli, experiments, io as nio, mixture
@@ -265,6 +270,16 @@ class TestAlign:
         assert done.returncode == 2
         assert done.stderr == ("noisy-align: data error: ||y - mu_y||^2 overflows "
                                "float64: the vectors are too large\n")
+
+    @pytest.mark.parametrize("method", ["op", "em-hard"])
+    def test_a_library_warning_prints_as_one_line(self, method, tmp_path):
+        # 4 words of rank 2 in d=3: Y X^T is rank-deficient, and the fit
+        # goes on from a Procrustes map that is not unique
+        emb = "a 1 0 0\nb 2 0 0\nc 0 1 0\nd 0 2 0\n"
+        done = self.align_texts(method, emb, emb, tmp_path)
+        assert done.returncode == 0
+        assert done.stderr == ("noisy-align: warning: Y X^T is numerically rank-deficient; "
+                               "Procrustes solution is not unique\n")
 
     def test_sgd_divergence_is_one_line_data_error(self, bilingual, tmp_path, capsys):
         code = run_align(bilingual, tmp_path / "z", ["--method", "sgd",
@@ -919,3 +934,76 @@ class TestDiachronicConfig:
                 "--config", str(cfg), "--output-dir", str(tmp_path / "o")]
         assert exit_code(lambda: main(argv)) == 1
         assert "--seed=1" in capsys.readouterr().err
+
+
+# each generated vector entry is one of these magnitudes, either sign
+MAGNITUDES = [0.0, 1e-300, 1.0, 1e150, 1e300]
+
+
+@st.composite
+def small_space(draw, n: int, d: int) -> list:
+    """n columns of d entries; after the first, a column is new, a repeat of
+    an earlier one or an earlier one scaled, so spaces are often of low rank."""
+    entry = st.builds(lambda sign, m: sign * m, st.sampled_from([1.0, -1.0]),
+                      st.sampled_from(MAGNITUDES))
+    cols = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["new", "repeat", "scaled"])) if cols else "new"
+        if kind == "new":
+            cols.append(draw(st.lists(entry, min_size=d, max_size=d)))
+        else:
+            scale = 1.0 if kind == "repeat" else draw(entry)
+            cols.append([scale * v for v in draw(st.sampled_from(cols))])
+    return cols
+
+
+def print_warning(message, category, filename, lineno, file=None, line=None):
+    """Show a warning as the interpreter does: location, category, message
+    and source line, on the current stderr."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+def run_in_process(argv: list) -> tuple:
+    """(exit code, stderr) of `main(argv)` under the default warning filter."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("default")
+        warnings.showwarning = print_warning
+        code = exit_code(lambda: main(argv))
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 5), d=st.integers(1, 3),
+       normalize=st.booleans())
+def test_fuzzed_spaces_give_exit_0_or_a_one_line_error(data, n, d, normalize):
+    words = [f"w{i}" for i in range(n)]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name in ("src", "tgt"):
+            cols = data.draw(small_space(n, d), label=name)
+            (tmp / f"{name}.txt").write_text("".join(
+                f"{w} {' '.join(map(repr, col))}\n" for w, col in zip(words, cols)))
+        (tmp / "lex.tsv").write_text("".join(f"{w}\t{w}\n" for w in words))
+        save_matrix(np.eye(d), tmp / "identity.txt")
+        spaces = ["--src-emb", str(tmp / "src.txt"), "--tgt-emb", str(tmp / "tgt.txt"),
+                  f"--normalize={normalize}"]
+        lex = str(tmp / "lex.tsv")
+        runs = [["align", *spaces, "--lexicon", lex, "--test-lexicon", lex,
+                 "--method", m] for m in experiments.METHODS]
+        runs += [["clean-lexicon", *spaces, "--lexicon", lex],
+                 ["evaluate", *spaces, "--test-lexicon", lex,
+                  "--matrix", str(tmp / "identity.txt")],
+                 ["diachronic", *spaces]]
+        for i, argv in enumerate(runs):
+            out = tmp / f"out{i}"
+            code, err = run_in_process([*argv, "--output-dir", str(out)])
+            assert code in (0, 2), (argv, err)
+            # a data error or a library warning is one line; no traceback
+            # and no raw `RuntimeWarning` line with its source line
+            assert all(line.startswith("noisy-align: ") for line in err.splitlines()), err
+            if code == 0:
+                for path in out.glob("*.json"):
+                    json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(
+                        f"{path.name} holds {c}"))

@@ -177,7 +177,7 @@ class TestSearchKernel:
     def test_k_below_one_is_rejected(self, k):
         index = build_index(random_set(3, 2, 0))
         with pytest.raises(ValueError) as exc:
-            evaluation._search(index, None, np.ones((2, 1)), [0], k)
+            evaluation._search(index, np.eye(2), np.ones((2, 1)), [0], k)
         assert str(exc.value) == "k must be >= 1"
 
     def test_identical_targets_resolve_to_the_first_copy(self):

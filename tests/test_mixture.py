@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from noisy_align import mixture
-from noisy_align.align import alignment_error, random_orthogonal, save_matrix
+from noisy_align.align import (alignment_error, load_matrix, random_orthogonal, save_matrix,
+                               weighted_procrustes)
 from noisy_align.experiments import fit_translation
 from noisy_align.io import DataError
 from noisy_align.mixture import (
@@ -285,6 +287,15 @@ class TestInitialize:
         with pytest.raises(ValueError):
             initialize(np.ones((3, 1)), np.ones((3, 1)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_variance_is_a_data_error_naming_the_residual(self):
+        # each column's ||y - mu_y||^2 is about 4e306, their sum overflows
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((4, 100))
+        Y = np.where(rng.random((4, 100)) < 0.5, -1e153, 1e153)
+        with pytest.raises(DataError, match=r"^\|\|y - mu_y\|\|\^2 overflows float64"):
+            em_fit(X, Y)
+
     def test_residuals_for_the_first_e_step_are_bit_identical(self):
         rng = np.random.default_rng(9)
         X, Y = rng.standard_normal((6, 40)), rng.standard_normal((6, 40))
@@ -326,6 +337,22 @@ class TestInitialize:
         _, _, trace = em_fit(X, Y)
         assert trace.degenerate_iters == [0, 1]
         assert calls == {"_noise_residuals": 1}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("aligned, what", [(True, "||Qx - y||^2"), (False, "||y - mu_y||^2")],
+                         ids=["aligned", "noise"])
+def test_m_step_overflowing_variance_is_a_data_error(aligned, what):
+    # every column's residual is finite, about 1.44e308, and their weighted
+    # sum overflows; the other component keeps its parameters
+    X = np.random.default_rng(4).standard_normal((2, 4))
+    Y = np.array([[1.2e154, -1.2e154, 1.2e154, -1.2e154], [0.0, 0.0, 0.0, 0.0]])
+    model = AlignmentModel(Q=np.eye(2), sigma2=1.0, mu_y=np.zeros(2), sigma_y2=1.0, alpha=0.5)
+    Q = weighted_procrustes(X, Y, np.ones(4))
+    assert np.isfinite(_aligned_residuals(Q, X, Y)).all()
+    assert np.isfinite(_noise_residuals(np.zeros(2), Y)).all()  # mu_y = 0
+    with pytest.raises(DataError, match=f"^{re.escape(what)} overflows float64"):
+        _m_step(model, X, Y, np.full(4, float(aligned)), np.ones(4), np.ones(4))
 
 
 def count_residual_calls(monkeypatch) -> Counter:
@@ -731,6 +758,35 @@ def test_load_model_rejects_bad_file(tmp_path, text):
     path.write_text(text)
     with pytest.raises(DataError):
         load_model(path)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda lines: lines + ["beta 1"], id="extra"),
+    pytest.param(lambda lines: lines[:2] + lines[3:], id="missing"),
+    pytest.param(lambda lines: lines + lines[-1:], id="repeated"),
+    pytest.param(lambda lines: [lines[1], lines[0], *lines[2:]], id="reordered"),
+])
+def test_a_model_file_holds_each_key_once_in_order(tmp_path, edit):
+    path = tmp_path / "model.txt"
+    save_model(toy_model(), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + edit(lines[3:])) + "\n")
+    for load, what in ((load_model, "model file"), (load_matrix, "matrix file")):
+        with pytest.raises(DataError, match=f"^{what} .* is malformed: only the lines "
+                           "sigma2, mu_y, sigma_y2, alpha may follow the block"):
+            load(path)
+
+
+def test_a_model_file_loads_as_its_matrix(tmp_path):
+    model = toy_model(d=3)
+    save_model(model, tmp_path / "model.txt")
+    assert np.array_equal(load_matrix(tmp_path / "model.txt"), model.Q)
+
+
+def test_load_model_rejects_a_matrix_file(tmp_path):
+    save_matrix(np.eye(2), tmp_path / "matrix.txt")
+    with pytest.raises(DataError, match="is malformed: it holds only a matrix"):
+        load_model(tmp_path / "matrix.txt")
 
 
 def test_load_model_rejects_a_non_orthogonal_q(tmp_path):

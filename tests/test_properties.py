@@ -5,6 +5,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from noisy_align.align import (
@@ -13,6 +14,7 @@ from noisy_align.align import (
     load_matrix,
     procrustes,
     random_orthogonal,
+    save_matrix,
     sgd_align,
 )
 from noisy_align.io import (
@@ -191,6 +193,57 @@ def test_loaders_give_valid_object_or_data_error(text):
             assert np.linalg.norm(model.Q.T @ model.Q - np.eye(model.dim)) <= ORTHO_TOL
             assert model.mu_y.shape == (model.dim,)
             assert np.isfinite([model.sigma2, model.sigma_y2, model.alpha]).all()
+
+
+@st.composite
+def map_to_save(draw):
+    """(Q, model): a finite Q for a matrix file and None, or an orthogonal
+    Q and the model for a model file."""
+    d = draw(st.integers(1, 5))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(finite, min_size=d * d, max_size=d * d))).reshape(d, d), None
+    positive = st.floats(min_value=5e-324, allow_infinity=False)
+    model = AlignmentModel(
+        Q=random_orthogonal(d, draw(st.integers(0, 2**31 - 1))),
+        sigma2=draw(positive), mu_y=draw(st.lists(finite, min_size=d, max_size=d)),
+        sigma_y2=draw(positive), alpha=draw(st.floats(0.0, 1.0)))
+    return model.Q, model
+
+
+# printable ASCII: no character that a line split takes for whitespace or
+# that ends a line
+PRINTABLE = st.characters(min_codepoint=32, max_codepoint=126)
+
+
+@settings(max_examples=100, deadline=None)
+@given(saved=map_to_save(), data=st.data())
+def test_saved_maps_load_bit_exact_and_one_more_line_or_field_is_rejected(saved, data):
+    Q, model = saved
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "map.txt"
+        if model is None:
+            save_matrix(Q, path)
+        else:
+            save_model(model, path)
+            loaded = load_model(path)
+            assert loaded.Q.tobytes() == Q.tobytes()
+            assert loaded.mu_y.tobytes() == model.mu_y.tobytes()
+            assert [loaded.sigma2, loaded.sigma_y2, loaded.alpha] == \
+                [model.sigma2, model.sigma_y2, model.alpha]
+        assert load_matrix(path).tobytes() == Q.tobytes()
+
+        lines = path.read_text().splitlines()
+        if data.draw(st.booleans(), label="append a line"):
+            lines.append(data.draw(st.text(PRINTABLE, max_size=12), label="line"))
+        else:
+            i = data.draw(st.integers(0, len(lines) - 1), label="row")
+            lines[i] += " " + data.draw(
+                st.text(PRINTABLE.filter(lambda c: c != " "), min_size=1), label="field")
+        path.write_text("\n".join(lines) + "\n")
+        for load in (load_matrix, load_model):
+            with pytest.raises(DataError):
+                load(path)
 
 
 # byte pieces that make headers, rows, lexicon pairs and frequency lines likely
