@@ -93,27 +93,24 @@ _positive_float = _checked(float, lambda v: 0 < v < math.inf, "positive and fini
 _frequency = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 
 
-def _list_of(cast, ok=None, what: str = ""):
-    """An argparse type: comma-separated entries, each `cast` and passing
-    `ok` if given; an empty list, an empty entry or a repeated one is
+def _list_of(entry):
+    """An argparse type: comma-separated entries, each parsed by the argparse
+    type `entry`; an empty list, an empty entry or a repeated one is
     rejected."""
     def parse(text: str) -> tuple:
         entries = text.split(",")
         if "" in entries:
             raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
-        values = tuple(map(cast, entries))
-        for v in values:
-            if ok is not None and not ok(v):
-                raise argparse.ArgumentTypeError(f"each entry must be {what}, got {v!r}")
+        values = tuple(map(entry, entries))
         if len(set(values)) < len(values):
             raise argparse.ArgumentTypeError(f"repeated entry in {text!r}")
         return values
-    parse.__name__ = cast.__name__  # argparse's "invalid float value" message
+    parse.__name__ = entry.__name__  # argparse's "invalid float value" message
     return parse
 
 
 _levels = _list_of(float)  # each level's range: `noise_curve_error`
-_methods = _list_of(str, lambda m: m in METHODS, "one of " + ",".join(METHODS))
+_methods = _list_of(_checked(str, lambda m: m in METHODS, "one of " + ",".join(METHODS)))
 
 
 def _config_tokens(path: str) -> list[str]:

@@ -12,9 +12,8 @@ ranking reads only the gathered pairs: their tokens, X and Y.
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,20 +46,19 @@ class NnIndex:
 
 @dataclass
 class EvalReport:
-    """Summary metrics for one alignment run."""
+    """Summary metrics for one alignment run. The test metrics are None
+    when there was no test lexicon; `iterations` and `noise_rate` are 0
+    when no mixture was fitted."""
 
-    p_at_1: float = 0.0
-    n_queries: int = 0
-    test_error: float = 0.0
+    p_at_1: float | None = None
+    n_queries: int | None = None
+    test_error: float | None = None
     iterations: int = 0
     noise_rate: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.p_at_1 <= 1.0:
+        if self.p_at_1 is not None and not 0.0 <= self.p_at_1 <= 1.0:
             raise ValueError("p_at_1 must lie in [0, 1]")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _repeats(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

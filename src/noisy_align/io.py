@@ -8,6 +8,10 @@ skipped, and counted, when it has the wrong number of values, a value
 that is not a number or not finite, or a token already kept. Lexicons are
 `source<TAB>target` (single space accepted as fallback). Stop-lists are one
 token per line; frequency tables are `token<TAB>float`, one line per token.
+Both two-column files follow one rule (`_field_lines`): a stripped line
+is split at its tabs, or at single spaces when it holds no tab, and empty
+fields are dropped. Blank lines are ignored; a line left with other than
+two fields is skipped in a lexicon and a DataError in a frequency table.
 """
 
 from __future__ import annotations
@@ -97,6 +101,16 @@ def _read_lines(path, what: str):
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{what} {path} is not valid UTF-8: {exc}") from exc
+
+
+def _field_lines(path, what: str):
+    """(line, fields) for each non-blank stripped line of a two-column file:
+    the fields are split at tabs, or at single spaces when the line holds no
+    tab, and empty fields are dropped."""
+    for line in _read_lines(path, what):
+        line = line.strip()
+        if line:
+            yield line, [f for f in line.split("\t" if "\t" in line else " ") if f]
 
 
 def _is_header(fields: list[str]) -> bool:
@@ -285,12 +299,6 @@ def save_embeddings(emb: EmbeddingSet, path) -> None:
             fh.write(f"{token} {values}\n")
 
 
-def _split_pair(line: str) -> list[str]:
-    if "\t" in line:
-        return line.split("\t")
-    return line.split(" ")
-
-
 def load_lexicon(path, src: EmbeddingSet, tgt: EmbeddingSet) -> tuple[Lexicon, int]:
     """Load a `source<TAB>target` lexicon, resolving tokens to indices.
 
@@ -306,11 +314,7 @@ def load_lexicon(path, src: EmbeddingSet, tgt: EmbeddingSet) -> tuple[Lexicon, i
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     skipped = 0
-    for line in _read_lines(path, "lexicon file"):
-        line = line.strip()
-        if not line:
-            continue
-        fields = [f for f in _split_pair(line) if f]
+    for _, fields in _field_lines(path, "lexicon file"):
         if len(fields) != 2:
             skipped += 1
             continue
@@ -375,11 +379,7 @@ def load_frequency_table(path) -> dict[str, float]:
             outside [0, 1] or a token listed twice.
     """
     table: dict[str, float] = {}
-    for line in _read_lines(path, "frequency table"):
-        line = line.strip()
-        if not line:
-            continue
-        fields = [f for f in _split_pair(line) if f]
+    for line, fields in _field_lines(path, "frequency table"):
         if len(fields) != 2:
             raise DataError(f"malformed frequency line: {line!r}")
         token, raw = fields

@@ -5,10 +5,12 @@ N(Qx_t, sigma2*I) with prior alpha, or a noise component N(mu_y, sigma_y2*I)
 with prior 1-alpha. EM (hard or soft assignments) jointly fits the
 orthogonal map Q, the component parameters, and per-pair responsibilities.
 All densities are evaluated in log space; at d=300 the linear-space
-Gaussian underflows. One function, `_e_step`, turns per-pair residuals
-into each pair's joint log density under both components; the posteriors,
-soft EM's marginal log-likelihood and hard EM's complete-data
-log-likelihood all come from these two numbers. `save_model` is the one
+Gaussian underflows. The two components differ only in their mean, so one
+function, `_residuals`, gives each pair's squared residual under either,
+and one, `_e_step`, turns those residuals into each pair's joint log
+density under both components; the posteriors, soft EM's marginal
+log-likelihood and hard EM's complete-data log-likelihood all come from
+these two numbers. `save_model` is the one
 model writer, formatting Q once also for an optional matrix file; the
 responsibilities writer takes each pair's tokens, not the sets.
 """
@@ -113,19 +115,14 @@ class EmTrace:
         return len(self.steps)
 
 
-def _aligned_residuals(Q: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Per-column squared residuals ||Q x_t - y_t||^2; DataError on overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        r = np.sum((Q @ X - Y) ** 2, axis=0)
-    _check_product(r, "||Qx - y||^2")
-    return r
-
-
-def _noise_residuals(mu_y: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Per-column squared residuals ||y_t - mu_y||^2; DataError on overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        r = np.sum((Y - mu_y[:, None]) ** 2, axis=0)
-    _check_product(r, "||y - mu_y||^2")
+def _residuals(diff: np.ndarray, what: str) -> np.ndarray:
+    """Per-column squared residuals `what` of the d x n difference `diff`,
+    Q @ X - Y for the aligned component or Y - mu_y[:, None] for the noise
+    one; DataError on overflow. `diff` is squared in place, so that no
+    second d x n array is held; callers pass a temporary and ignore
+    overflow and invalid warnings."""
+    r = np.sum(np.square(diff, out=diff), axis=0)
+    _check_product(r, what)
     return r
 
 
@@ -143,8 +140,8 @@ def _e_step(model: AlignmentModel, r_aligned: np.ndarray, r_noise: np.ndarray):
     log(1 - alpha) + log f0(y). At alpha = 0 or 1 one joint is -inf, so
     w is exactly 0 or 1 and loglik sums the other component's densities.
 
-    `r_aligned` and `r_noise` are `_aligned_residuals(model.Q, X, Y)` and
-    `_noise_residuals(model.mu_y, Y)`.
+    `r_aligned` and `r_noise` are the `_residuals` of `model.Q @ X - Y`
+    and of `Y - model.mu_y[:, None]`.
     """
     d = model.dim
     la = -0.5 * d * (LOG_2PI + np.log(model.sigma2)) - r_aligned / (2.0 * model.sigma2)
@@ -158,8 +155,10 @@ def _e_step(model: AlignmentModel, r_aligned: np.ndarray, r_noise: np.ndarray):
 
 def log_likelihood(model: AlignmentModel, X: np.ndarray, Y: np.ndarray) -> float:
     """Marginal log-likelihood sum_t log f(y_t | x_t) of the mixture."""
-    return _e_step(model, _aligned_residuals(model.Q, X, Y),
-                   _noise_residuals(model.mu_y, Y))[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # `_residuals` reports it
+        r = _residuals(model.Q @ X - Y, "||Qx - y||^2")
+        r0 = _residuals(Y - model.mu_y[:, None], "||y - mu_y||^2")
+    return _e_step(model, r, r0)[1]
 
 
 def initialize(X: np.ndarray, Y: np.ndarray):
@@ -170,8 +169,8 @@ def initialize(X: np.ndarray, Y: np.ndarray):
     Variances are floored at VAR_FLOOR so perfect-fit data stays defined.
 
     Returns:
-        (model, r_aligned, r_noise): the model, and its
-        `_aligned_residuals` and `_noise_residuals` for the first E-step.
+        (model, r_aligned, r_noise): the model, and its aligned and noise
+        residuals for the first E-step, bit for bit its `_residuals`.
 
     Raises:
         DataError: the vectors are so large that ||y - mu_y||^2 or
@@ -183,7 +182,7 @@ def initialize(X: np.ndarray, Y: np.ndarray):
     if n < 2:
         raise ValueError("need at least 2 pairs to initialize the mixture")
     Q = procrustes(X, Y)
-    # flat sums as in `alignment_error`, column sums as in `_*_residuals`;
+    # flat sums as in `alignment_error`, column sums as in `_residuals`;
     # `_variance` reports an overflow, also one of a column sum
     with np.errstate(over="ignore", invalid="ignore"):
         mu_y = Y.mean(axis=1)
@@ -202,28 +201,28 @@ def _m_step(model: AlignmentModel, X: np.ndarray, Y: np.ndarray, w: np.ndarray,
             r_aligned: np.ndarray, r_noise: np.ndarray):
     """Weighted Procrustes and weighted moments: the EM M-step for weights w.
 
-    `r_aligned` and `r_noise` are the `_aligned_residuals` and
-    `_noise_residuals` of `model`.
+    `r_aligned` and `r_noise` are the aligned and noise `_residuals` of
+    `model`.
 
     Returns (model, degenerate, r, r0): a component whose total weight is
     at most VAR_FLOOR keeps its parameters from `model` and is degenerate;
-    r and r0 are `_aligned_residuals` of the returned Q and
-    `_noise_residuals` of the returned mu_y (a kept component's are the
-    ones given). An overflowing residual or weighted sum is a DataError.
+    r and r0 are the `_residuals` of the returned Q and mu_y (a kept
+    component's are the ones given). An overflowing residual or weighted
+    sum is a DataError.
     """
     d, n = X.shape
     s1, s0 = float(w.sum()), float((1.0 - w).sum())
     Q, sigma2, r = model.Q, model.sigma2, r_aligned
     mu_y, sigma_y2, r0 = model.mu_y, model.sigma_y2, r_noise
-    # an overflow is reported by `_noise_residuals` or `_variance`
+    # an overflow is reported by `_residuals` or `_variance`
     with np.errstate(over="ignore", invalid="ignore"):
         if s1 > VAR_FLOOR:
             Q = weighted_procrustes(X, Y, w)
-            r = _aligned_residuals(Q, X, Y)
+            r = _residuals(Q @ X - Y, "||Qx - y||^2")
             sigma2 = _variance(np.dot(w, r), d * s1, "||Qx - y||^2")
         if s0 > VAR_FLOOR:
             mu_y = (Y @ (1.0 - w)) / s0
-            r0 = _noise_residuals(mu_y, Y)
+            r0 = _residuals(Y - mu_y[:, None], "||y - mu_y||^2")
             sigma_y2 = _variance(np.dot(1.0 - w, r0), d * s0, "||y - mu_y||^2")
     fitted = AlignmentModel(Q=Q, sigma2=sigma2, mu_y=mu_y,
                             sigma_y2=sigma_y2, alpha=s1 / n)

@@ -144,6 +144,27 @@ class TestAlign:
         assert events == ["fit_translation", "precision_at_1",
                           "write_responsibilities_tsv", "save_model"]
 
+    @pytest.mark.parametrize("method", ["op", "em-hard"])
+    def test_test_metrics_are_null_without_a_test_lexicon(self, method, bilingual, tmp_path):
+        # a metric nobody measured is null, not a 0 that reads as a perfect map
+        reports = []
+        for test in ([], ["--test-lexicon", str(bilingual["test"])]):
+            out = tmp_path / f"out{len(test)}"
+            assert main(["align", "--src-emb", str(bilingual["src"]),
+                         "--tgt-emb", str(bilingual["tgt"]),
+                         "--lexicon", str(bilingual["train"]), *test,
+                         "--method", method, "--output-dir", str(out)]) == 0
+            reports.append(json.loads((out / "report.json").read_text()))
+        untested, tested = reports
+        keys = ("p_at_1", "n_queries", "test_error")
+        assert [untested[k] for k in keys] == [None, None, None]
+        assert all(isinstance(tested[k], (int, float)) for k in keys)
+        assert tested["n_queries"] == 10
+        # the fit's own figures do not depend on the test set
+        assert {k: untested[k] for k in ("iterations", "noise_rate")} == \
+            {k: tested[k] for k in ("iterations", "noise_rate")}
+        assert (untested["iterations"] == 0) == (method == "op")
+
     def test_op_method_writes_matrix_only(self, bilingual, tmp_path):
         out = tmp_path / "op_out"
         assert run_align(bilingual, out, ["--method", "op"]) == 0

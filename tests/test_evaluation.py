@@ -1,13 +1,16 @@
+import json
 import logging
 import tracemalloc
 import warnings
+from argparse import Namespace
+from dataclasses import asdict
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noisy_align import evaluation
+from noisy_align import cli, evaluation
 from noisy_align.align import random_orthogonal
 from noisy_align.evaluation import (
     EvalReport,
@@ -477,13 +480,14 @@ def test_shift_ranking_matches_per_token_oracle(seed, d, n, n_zero_src, n_zero_t
         assert t == u or abs(want_rows[t][0] - dist) <= 1e-12
 
 
-def test_eval_report_json_keys():
+def test_eval_report_json_keys(tmp_path):
     report = EvalReport(p_at_1=0.5, n_queries=10, test_error=1.25,
                         iterations=7, noise_rate=0.1)
-    import json
-    data = json.loads(report.to_json())
+    text = cli._write_json(Namespace(output_dir=tmp_path), "report.json", asdict(report))
+    data = json.loads(text)
     assert set(data) == {"p_at_1", "n_queries", "test_error", "iterations",
                          "noise_rate"}
+    assert (tmp_path / "report.json").read_text() == text + "\n"
 
 
 def test_eval_report_validates_range():
@@ -492,6 +496,10 @@ def test_eval_report_validates_range():
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
-def test_eval_report_json_is_strict(value):
+def test_eval_report_json_is_strict(tmp_path, value):
+    # the one JSON writer raises on a non-finite value and writes no file
+    out = tmp_path / "out"
     with pytest.raises(ValueError):
-        EvalReport(test_error=value).to_json()
+        cli._write_json(Namespace(output_dir=out), "report.json",
+                        asdict(EvalReport(test_error=value)))
+    assert not out.exists()

@@ -506,9 +506,13 @@ class TestLexicon:
         assert len(lex) == 1 and skipped == 1
 
     def test_space_separator_fallback(self, tmp_path, spaces):
+        # a line splits at spaces only when it holds no tab, and a run of
+        # spaces is one separator; blank and whitespace-only lines are not
+        # counted as skipped
         src, tgt = spaces
-        lex, _ = load_lexicon(write(tmp_path, "l.txt", "good buon\n"), src, tgt)
-        assert lex.pairs == [(1, 2)]
+        text = "good buon\n\nnew   cane\n \t \ndog cane\tcani\n"
+        lex, skipped = load_lexicon(write(tmp_path, "l.txt", text), src, tgt)
+        assert lex.pairs == [(1, 2), (2, 0)] and skipped == 1
 
     def test_empty_file_errors(self, tmp_path, spaces):
         src, tgt = spaces
@@ -586,8 +590,11 @@ def test_load_stoplist(tmp_path):
 
 
 def test_frequency_table(tmp_path):
-    table = load_frequency_table(write(tmp_path, "f.tsv", "dog\t0.001\ncat\t0.5\n"))
-    assert table == {"dog": 0.001, "cat": 0.5}
+    # the lexicon's two-column rule: a tab line keeps the spaces in its
+    # fields, a run of spaces is one separator, blank lines are ignored
+    text = "dog\t0.001\n\ncat   0.5\n \t \nnew york\t0.25\n"
+    table = load_frequency_table(write(tmp_path, "f.tsv", text))
+    assert table == {"dog": 0.001, "cat": 0.5, "new york": 0.25}
 
 
 def test_repeated_frequency_token_is_data_error(tmp_path):

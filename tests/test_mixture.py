@@ -20,10 +20,9 @@ from noisy_align.mixture import (
     AlignmentModel,
     EmConfig,
     Responsibilities,
-    _aligned_residuals,
     _e_step,
     _m_step,
-    _noise_residuals,
+    _residuals,
     em_fit,
     initialize,
     load_model,
@@ -51,11 +50,20 @@ def toy_model(d=2, alpha=0.5, sigma2=1.0, sigma_y2=1.0, seed=0):
                           mu_y=np.zeros(d), sigma_y2=sigma_y2, alpha=alpha)
 
 
+ALIGNED, NOISE = "||Qx - y||^2", "||y - mu_y||^2"
+
+
+def residuals(model, X, Y):
+    """The aligned and noise residuals of `model` on (X, Y), through the one
+    residual kernel that em_fit runs."""
+    return _residuals(model.Q @ X - Y, ALIGNED), _residuals(Y - model.mu_y[:, None], NOISE)
+
+
 def pair_weight(model, x, y):
     """The E-step's posterior that the one pair (x, y) is aligned, through
     the density and E-step kernels that em_fit runs."""
     X, Y = np.reshape(x, (-1, 1)), np.reshape(y, (-1, 1))
-    w = _e_step(model, _aligned_residuals(model.Q, X, Y), _noise_residuals(model.mu_y, Y))[0]
+    w = _e_step(model, *residuals(model, X, Y))[0]
     return float(w[0])
 
 
@@ -231,8 +239,7 @@ class TestLogLikelihood:
         Y[:, 0] *= 1e3  # a pair far from both components
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w, loglik, ja, jn = _e_step(model, _aligned_residuals(model.Q, X, Y),
-                                        _noise_residuals(model.mu_y, Y))
+            w, loglik, ja, jn = _e_step(model, *residuals(model, X, Y))
         if alpha == 1.0:
             own, other = ja, jn
             want = [log_gaussian_iso(Y[:, t], model.Q @ X[:, t], 0.5) for t in range(n)]
@@ -300,8 +307,9 @@ class TestInitialize:
         rng = np.random.default_rng(9)
         X, Y = rng.standard_normal((6, 40)), rng.standard_normal((6, 40))
         model, r, r0 = initialize(X, Y)
-        assert np.array_equal(r, _aligned_residuals(model.Q, X, Y))
-        assert np.array_equal(r0, _noise_residuals(model.mu_y, Y))
+        want_r, want_r0 = residuals(model, X, Y)
+        assert np.array_equal(r, want_r)
+        assert np.array_equal(r0, want_r0)
 
     def test_em_fit_calls_initialize_by_its_module_name(self, monkeypatch):
         # a wrapper bound to `mixture.initialize` (as the benchmark's tracer
@@ -327,7 +335,7 @@ class TestInitialize:
         _, _, trace = em_fit(X, Y, soft=mode == "soft")
         assert trace.iterations >= 2 and not trace.degenerate_iters
         m_steps = trace.iterations - (mode == "hard")
-        assert calls == {"_aligned_residuals": m_steps, "_noise_residuals": m_steps}
+        assert calls == {ALIGNED: m_steps, NOISE: m_steps}
 
     def test_kept_component_passes_its_residual_on(self, monkeypatch):
         # an all-noise fit keeps Q in its one M-step, so no Q @ X is redone;
@@ -336,7 +344,21 @@ class TestInitialize:
         X, Y = all_noise_instance()
         _, _, trace = em_fit(X, Y)
         assert trace.degenerate_iters == [0, 1]
-        assert calls == {"_noise_residuals": 1}
+        assert calls == {NOISE: 1}
+
+    def test_a_residual_holds_one_d_by_n_array(self):
+        # `_residuals` squares the difference in place: a second d x n array
+        # would add its megabytes to every M-step at the benchmark's sizes
+        rng = np.random.default_rng(10)
+        X, Y = rng.standard_normal((300, 1000)), rng.standard_normal((300, 1000))
+        model = toy_model(d=300, seed=10)
+        tracemalloc.start()
+        try:
+            log_likelihood(model, X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * X.nbytes
 
 
 @pytest.mark.filterwarnings("error")
@@ -349,20 +371,20 @@ def test_m_step_overflowing_variance_is_a_data_error(aligned, what):
     Y = np.array([[1.2e154, -1.2e154, 1.2e154, -1.2e154], [0.0, 0.0, 0.0, 0.0]])
     model = AlignmentModel(Q=np.eye(2), sigma2=1.0, mu_y=np.zeros(2), sigma_y2=1.0, alpha=0.5)
     Q = weighted_procrustes(X, Y, np.ones(4))
-    assert np.isfinite(_aligned_residuals(Q, X, Y)).all()
-    assert np.isfinite(_noise_residuals(np.zeros(2), Y)).all()  # mu_y = 0
+    assert np.isfinite(_residuals(Q @ X - Y, ALIGNED)).all()
+    assert np.isfinite(_residuals(Y.copy(), NOISE)).all()  # mu_y = 0
     with pytest.raises(DataError, match=f"^{re.escape(what)} overflows float64"):
         _m_step(model, X, Y, np.full(4, float(aligned)), np.ones(4), np.ones(4))
 
 
 def count_residual_calls(monkeypatch) -> Counter:
-    """Count the calls of the two residual helpers inside `mixture`."""
+    """Count the calls of `mixture._residuals`, by the residual they name."""
     calls = Counter()
-    for name in ("_aligned_residuals", "_noise_residuals"):
-        def spy(*args, _name=name, _fn=getattr(mixture, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(mixture, name, spy)
+
+    def spy(diff, what, _fn=mixture._residuals):
+        calls[what] += 1
+        return _fn(diff, what)
+    monkeypatch.setattr(mixture, "_residuals", spy)
     return calls
 
 
@@ -540,8 +562,7 @@ class TestEmFit:
         prob = make_noisy_problem(n=500, d=20, p=0.3, seed=1)
         model, resp, _ = em_fit(prob.X, prob.Y, EmConfig(max_iters=max_iters),
                                 soft=mode == "soft")
-        w = _e_step(model, _aligned_residuals(model.Q, prob.X, prob.Y),
-                    _noise_residuals(model.mu_y, prob.Y))[0]
+        w = _e_step(model, *residuals(model, prob.X, prob.Y))[0]
         assert np.array_equal(resp.w, w)
         assert np.array_equal(resp.h, resp.w > 0.5)
 

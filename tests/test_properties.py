@@ -29,15 +29,14 @@ from noisy_align.mixture import (
     ORTHO_TOL,
     VAR_FLOOR,
     AlignmentModel,
-    _aligned_residuals,
     _m_step,
-    _noise_residuals,
+    _residuals,
     initialize,
     load_model,
     save_model,
 )
 from test_align import sgd_oracle
-from test_mixture import jittered_instance, pair_weight
+from test_mixture import ALIGNED, NOISE, jittered_instance, pair_weight, residuals
 
 
 def instance(seed, d, n):
@@ -105,6 +104,22 @@ def test_posterior_stays_in_unit_interval(seed, alpha, sigma2, sigma_y2):
 
 
 @settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), d=st.integers(1, 8), n=st.integers(1, 40),
+       scale=st.sampled_from([1e-150, 1.0, 1e100]))
+def test_residuals_are_each_components_formula_bit_for_bit(seed, d, n, scale):
+    # one kernel serves both components, squaring their difference in place:
+    # the same bits as sum((Qx - y)^2) and sum((y - mu_y)^2)
+    X, Y = instance(seed, d, n)
+    Y *= scale
+    Q = random_orthogonal(d, seed)
+    mu_y = Y.mean(axis=1)
+    assert np.array_equal(_residuals(Q @ X - Y, ALIGNED),
+                          np.sum((Q @ X - Y) ** 2, axis=0))
+    assert np.array_equal(_residuals(Y - mu_y[:, None], NOISE),
+                          np.sum((Y - mu_y[:, None]) ** 2, axis=0))
+
+
+@settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), frac=st.floats(0.0, 1.0))
 def test_m_step_with_01_weights_equals_subset_fit(seed, frac):
     # hard EM relies on this: the weighted M-step with a 0/1 mask is the
@@ -116,8 +131,7 @@ def test_m_step_with_01_weights_equals_subset_fit(seed, frac):
     mask[rng.choice(n, 2, replace=False)] = [True, False]
     start = initialize(X, Y)[0]
     model, degenerate, r, r0 = _m_step(start, X, Y, mask.astype(np.float64),
-                                       _aligned_residuals(start.Q, X, Y),
-                                       _noise_residuals(start.mu_y, Y))
+                                       *residuals(start, X, Y))
     Xa, Ya, Yn = X[:, mask], Y[:, mask], Y[:, ~mask]
     n1 = Xa.shape[1]
     with warnings.catch_warnings():  # subsets narrower than d are rank-deficient
@@ -125,8 +139,9 @@ def test_m_step_with_01_weights_equals_subset_fit(seed, frac):
         Qa = procrustes(Xa, Ya)
     mu = Yn.mean(axis=1)
     assert not degenerate
-    assert np.array_equal(r, _aligned_residuals(model.Q, X, Y))
-    assert np.array_equal(r0, _noise_residuals(model.mu_y, Y))
+    want_r, want_r0 = residuals(model, X, Y)
+    assert np.array_equal(r, want_r)
+    assert np.array_equal(r0, want_r0)
     # Q is unique on the span of the selected columns, not beyond it
     assert np.abs(model.Q @ Xa - Qa @ Xa).max() <= 1e-10
     sigma2 = max(alignment_error(Qa, Xa, Ya) / (d * n1), VAR_FLOOR)
