@@ -106,6 +106,18 @@ cmp "$RUNNER_TEMP/miss.out" "$RUNNER_TEMP/hit.out"
 cmp "$RUNNER_TEMP/miss.err" "$RUNNER_TEMP/hit.err"
 test "$(ls "$RUNNER_TEMP/miss" | wc -l)" -eq 4
 for f in "$RUNNER_TEMP"/miss/*; do cmp "$f" "$RUNNER_TEMP/hit/${f##*/}"; done
+# a damaged entry is a miss, not an error: with both entries cut to 100
+# bytes, the run parses both files again, prints and writes what the miss
+# run did, and replaces both entries
+truncate -s 100 "$XDG_CACHE_HOME"/noisy-align/*
+noisy-align align --src-emb "$bli/src.vec" --tgt-emb "$bli/tgt.vec" \
+  --lexicon "$bli/train.tsv" --test-lexicon "$bli/test.tsv" \
+  --output-dir "$RUNNER_TEMP/cut" > "$RUNNER_TEMP/cut.out" 2> "$RUNNER_TEMP/cut.err"
+cmp "$RUNNER_TEMP/miss.out" "$RUNNER_TEMP/cut.out"
+cmp "$RUNNER_TEMP/miss.err" "$RUNNER_TEMP/cut.err"
+for f in "$RUNNER_TEMP"/miss/*; do cmp "$f" "$RUNNER_TEMP/cut/${f##*/}"; done
+test "$(ls "$XDG_CACHE_HOME/noisy-align" | wc -l)" -eq 2
+test "$(find "$XDG_CACHE_HOME/noisy-align" -type f -newer "$RUNNER_TEMP/hit.done" | wc -l)" -eq 2
 # the d=300 map is formatted once: model.txt begins with matrix.txt's bytes
 head -n 301 "$RUNNER_TEMP/hit/model.txt" | cmp - "$RUNNER_TEMP/hit/matrix.txt"
 # evaluate reads that matrix.txt back and reports align's test metrics

@@ -16,16 +16,18 @@ entry file instead of parsing the text again.
   `RACY_S` before the load therefore gets no entry; after that, any
   rewrite changes its mtime.
 - Nothing here is an error: an OSError, or a home directory that cannot be
-  found, falls back to the parse, and an unreadable, truncated or torn
-  entry is a miss and is replaced.
+  found, falls back to the parse, and an unreadable, truncated, torn or
+  otherwise damaged entry is a miss and is replaced.
 - An entry is written under a temporary name and renamed into place. After
   a write, entries whose file no longer matches their stamp are deleted,
   then the least recently used (a hit marks an entry used) beyond
   `MAX_BYTES`.
 
-An entry is one header line of decimal fields, the realpath's bytes, the
-tokens as UTF-8 joined by newlines (a token never holds one), then the
-matrix as a plain `.npy`.
+An entry is four `.npy` records, one after the other: a 0-d structured
+record of the stamp's integers and the skipped count (`_HEAD`), the
+realpath's bytes, the tokens as UTF-8 joined by newlines (a token never
+holds one), both as uint8, then the matrix. Each record's own header
+carries its dtype and shape, so a cut anywhere fails numpy's read.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ import time
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.format import read_array  # unlike np.load, never a pickle or a zip
 
 # part of every stamp: bump it when the entry layout or the parse changes
-FORMAT = 2
+FORMAT = 3
 
 # no entry for a file modified this recently: 2 s is FAT's timestamp tick
 RACY_S = 2.0
@@ -50,8 +53,10 @@ MAX_BYTES = 4 * 2**30
 # a temporary file untouched this long was left by a writer that died
 _STALE_TEMP_S = 3600.0
 
-# longest header line: ten 20-digit fields and their separators
-_HEAD_BYTES = 256
+# an entry's first record: st_dev and st_ino are unsigned, and a file
+# dated before 1970 has negative times
+_HEAD = np.dtype({"names": ["format", "dev", "ino", "limit", "size", "mtime_ns", "ctime_ns",
+                            "skipped"], "formats": ["<i8", "<u8", "<u8"] + ["<i8"] * 5})
 
 
 def _root() -> Path:
@@ -67,52 +72,49 @@ def _stamp(path, st: os.stat_result, limit: int | None) -> tuple:
             st.st_ctime_ns, os.fsencode(os.path.realpath(path)))
 
 
-def _read_head(fh) -> tuple[tuple, int, int]:
-    """(stamp, skipped, token bytes) from an entry's start; ValueError if
-    the header is malformed."""
-    fields = [int(f) for f in fh.readline(_HEAD_BYTES).split()]
-    if len(fields) != 10:
-        raise ValueError("malformed cache entry header")
-    *head, path_bytes, skipped, token_bytes = fields
-    return (*head, fh.read(path_bytes)), skipped, token_bytes
+def _read_head(fh) -> tuple[tuple, int]:
+    """(stamp, skipped) from an entry's first two records; ValueError if
+    the first is not a `_HEAD` record."""
+    head = read_array(fh)
+    if head.dtype != _HEAD:
+        raise ValueError("malformed cache entry head")
+    *stamp, skipped = head.item()
+    return (*stamp, read_array(fh).tobytes()), skipped
 
 
 def _read(entry: Path, stamp: tuple):
     """The parse result in `entry`, or None when its stamp is not `stamp`
-    or its token block or matrix does not fit the parse it records.
+    or its matrix does not fit the tokens it records.
 
-    Raises OSError, ValueError or EOFError for a missing or damaged entry.
+    Raises OSError or ValueError for a missing or damaged entry, and
+    MemoryError for a record that declares a shape too large to hold.
     """
     with open(entry, "rb") as fh:
-        recorded, skipped, token_bytes = _read_head(fh)
+        recorded, skipped = _read_head(fh)
         if recorded != stamp:
             return None
-        blob = fh.read(token_bytes)
-        if len(blob) != token_bytes:  # cut inside the token block
-            return None
-        vectors = np.load(fh, allow_pickle=False)
-    tokens = blob.decode("utf-8").split("\n")
+        tokens = read_array(fh).tobytes().decode("utf-8").split("\n")
+        vectors = read_array(fh)
     if vectors.dtype != np.float64 or vectors.ndim != 2 or vectors.shape[1] != len(tokens):
         return None
     return tokens, vectors, skipped
 
 
 def _write(entry: Path, stamp: tuple, result) -> None:
-    """Store a parse result as `entry`, unless it alone exceeds MAX_BYTES."""
+    """Store a parse result as `entry`, unless it alone exceeds MAX_BYTES.
+
+    Raises OverflowError for a stamp field beyond 64 bits."""
     tokens, vectors, skipped = result
     if vectors.nbytes > MAX_BYTES:
         return
-    blob = "\n".join(tokens).encode("utf-8")
-    real = stamp[-1]
+    records = (np.array((*stamp[:-1], skipped), dtype=_HEAD), np.frombuffer(stamp[-1], np.uint8),
+               np.frombuffer("\n".join(tokens).encode("utf-8"), np.uint8), vectors)
     entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
     temp = entry.with_name(f".{entry.name}.{os.getpid()}.tmp")
     try:
         with open(temp, "wb") as fh:
-            fh.write(b"%d %d %d %d %d %d %d %d %d %d\n"
-                     % (*stamp[:-1], len(real), skipped, len(blob)))
-            fh.write(real)
-            fh.write(blob)
-            np.save(fh, vectors, allow_pickle=False)
+            for record in records:
+                np.save(fh, record, allow_pickle=False)
         os.replace(temp, entry)
     finally:
         temp.unlink(missing_ok=True)
@@ -128,7 +130,7 @@ def _is_orphan(path: str, st: os.stat_result, now: float) -> bool:
             recorded = _read_head(fh)[0]
         real, limit = recorded[-1], recorded[3]
         return recorded != _stamp(real, os.stat(real), limit)
-    except (OSError, ValueError):
+    except (OSError, ValueError, MemoryError):
         return True
 
 
@@ -138,14 +140,12 @@ def _prune(root: Path) -> None:
     kept = []
     with os.scandir(root) as it:
         for dirent in it:
-            try:
+            with contextlib.suppress(OSError):
                 st = dirent.stat()
                 if _is_orphan(dirent.path, st, now):
                     os.unlink(dirent.path)
                 else:
                     kept.append((st.st_mtime_ns, st.st_size, dirent.path))
-            except OSError:
-                pass
     total = 0
     for _, size, path in sorted(kept, reverse=True):
         total += size
@@ -159,25 +159,22 @@ def parsed(path, limit: int | None, parse):
     regular file whose entry's stamp matches (module docstring)."""
     now = time.time_ns()
     entry = stamp = result = None
-    try:
+    with contextlib.suppress(OSError, RuntimeError, ValueError, MemoryError):
         st = os.stat(path)
         if stat.S_ISREG(st.st_mode):
             stamp = _stamp(path, st, limit)
             entry = _root() / f"{st.st_dev}-{st.st_ino}-{limit or 0}"
             result = _read(entry, stamp)
-    except (OSError, RuntimeError, ValueError, EOFError):
-        pass
     if result is not None:
         with contextlib.suppress(OSError):
             os.utime(entry)
         return result
     result = parse(path, limit)
     if entry is not None and now - st.st_mtime_ns >= RACY_S * 1e9:
-        try:
+        # a file dated before 1677 overflows the stamp record and keeps no entry
+        with contextlib.suppress(OSError, OverflowError):
             # a file changed while it was parsed keeps no entry
             if _stamp(path, os.stat(path), limit) == stamp:
                 _write(entry, stamp, result)
                 _prune(entry.parent)
-        except OSError:
-            pass
     return result

@@ -309,8 +309,9 @@ def _cmd_align(args) -> int:
         fit = {"noise_rate": 1.0 - model.alpha, "iterations": trace.iterations}
     report = EvalReport(**test, **fit)
     text = _write_json(args, "report.json", asdict(report))
-    print(f"method={args.method} pairs={len(lex)} skipped_lines={skipped} "
-          f"discarded_fraction={report.noise_rate:.4f}")
+    # op and sgd fit no mixture, so they discard nothing
+    discarded = f" discarded_fraction={report.noise_rate:.4f}" if fit else ""
+    print(f"method={args.method} pairs={len(lex)} skipped_lines={skipped}{discarded}")
     print(text)
     return 0
 

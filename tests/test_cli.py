@@ -23,6 +23,7 @@ from noisy_align.cli import build_parser, main
 from noisy_align.evaluation import rank_semantic_shift, write_shift_ranking_tsv
 from noisy_align.io import EmbeddingSet, save_embeddings
 from noisy_align.mixture import load_model, write_responsibilities_tsv
+from test_io import declare_shape
 
 
 def make_set(tokens, vectors):
@@ -207,6 +208,34 @@ class TestAlign:
         for name in os.listdir(tmp_path / "miss"):
             assert (tmp_path / "miss" / name).read_bytes() == \
                 (tmp_path / "hit" / name).read_bytes(), name
+
+    def test_entries_declaring_exabyte_matrices_are_misses(self, bilingual, tmp_path, capsys,
+                                                           cache_home):
+        # a matrix record whose header claims more than any address space
+        # holds fails its allocation, and the load parses the text again
+        old = time.time_ns() - 60 * 10**9
+        for name in ("src", "tgt"):
+            os.utime(bilingual[name], ns=(old, old))
+        assert run_align(bilingual, tmp_path / "clean") == 0
+        clean = capsys.readouterr()
+        entries = sorted((cache_home / "noisy-align").iterdir())
+        written = [entry.read_bytes() for entry in entries]
+        for entry in entries:
+            declare_shape(entry, 3, (10, 2**55))
+        assert run_align(bilingual, tmp_path / "damaged") == 0
+        assert capsys.readouterr() == clean
+        for name in os.listdir(tmp_path / "clean"):
+            assert (tmp_path / "clean" / name).read_bytes() == \
+                (tmp_path / "damaged" / name).read_bytes(), name
+        assert [entry.read_bytes() for entry in entries] == written  # rewritten
+
+    @pytest.mark.parametrize("method", ["op", "sgd", "em-hard"])
+    def test_only_a_mixture_fit_prints_a_discarded_fraction(self, bilingual, tmp_path, capsys,
+                                                            method):
+        assert run_align(bilingual, tmp_path / "out", ["--method", method]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.split(" discarded_fraction=")[0] == f"method={method} pairs=50 skipped_lines=0"
+        assert ("discarded_fraction=" in first) == (method == "em-hard")
 
     def test_sgd_flags_with_em_method_is_usage_error(self, bilingual, tmp_path, capsys):
         code = exit_code(lambda: run_align(bilingual, tmp_path / "y",

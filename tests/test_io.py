@@ -1,3 +1,4 @@
+import io
 import logging
 import os
 import re
@@ -297,6 +298,36 @@ def backdate(path, seconds=60):
     os.utime(path, ns=(old, old))
 
 
+def declare_shape(entry, index, shape):
+    """Rewrite the header of a cache entry's record `index` (0 is the
+    stamp) to declare `shape`, keeping every data byte."""
+    fmt = np.lib.format
+    whole = entry.read_bytes()
+    with open(entry, "rb") as fh:
+        for _ in range(index):
+            fmt.read_array(fh)
+        start = fh.tell()
+        fmt.read_magic(fh)
+        _, fortran, dtype = fmt.read_array_header_1_0(fh)
+        data = fh.tell()
+    head = io.BytesIO()
+    fmt.write_array_header_1_0(head, {"descr": fmt.dtype_to_descr(dtype),
+                                      "fortran_order": fortran, "shape": shape})
+    entry.write_bytes(whole[:start] + head.getvalue() + whole[data:])
+
+
+def format_2_entry(stamp, result) -> bytes:
+    """An entry as the cache wrote it before its records were `.npy`: one
+    header line of decimal fields, the realpath, the tokens, the matrix."""
+    tokens, vectors, skipped = result
+    real, blob = stamp[-1], "\n".join(tokens).encode("utf-8")
+    out = io.BytesIO()
+    out.write(b"%d %d %d %d %d %d %d %d %d %d\n"
+              % (2, *stamp[1:-1], len(real), skipped, len(blob)) + real + blob)
+    np.save(out, vectors, allow_pickle=False)
+    return out.getvalue()
+
+
 class TestEmbeddingCache:
     TEXT = "2 3\na\x0cb 1 0.5 -2\nc\u2028d 3e-2 1 1\nbad 1 x 2\ne\u0301 nan 1 1\n" \
            "e\x85 0 0 1\n"
@@ -362,26 +393,122 @@ class TestEmbeddingCache:
         assert again[2] > 0 and again[:2] == miss[:2]
         assert load_outcome(load_embeddings, emb)[2] == 0
 
-    def test_entry_cut_inside_its_token_block_is_a_miss(self, emb, cache_home):
+    def test_every_cut_of_an_entry_is_a_miss(self, emb, cache_home):
         miss = load_outcome(load_embeddings, emb)
         [name] = self.entries(cache_home)
         entry = cache_home / "noisy-align" / name
         whole = entry.read_bytes()
-        head = whole.split(b"\n", 1)[0]
-        fields = head.split()  # ..., path bytes, skipped, token bytes
-        path_bytes, token_bytes = int(fields[7]), int(fields[9])
-        start = len(head) + 1 + path_bytes
-        assert token_bytes == len("a\x0cb\nc\u2028d\ne\x85".encode())
+        assert whole.startswith(b"\x93NUMPY") and whole.count(b"\x93NUMPY") == 4
         stamp = _cache._stamp(emb, os.stat(emb), None)
-        for cut in range(start, start + token_bytes):
+        for cut in range(len(whole)):
             entry.write_bytes(whole[:cut])
-            assert _cache._read(entry, stamp) is None
+            try:
+                outcome = _cache._read(entry, stamp)
+            except ValueError:  # numpy's error for a cut record
+                outcome = None
+            assert outcome is None, cut
             again = load_outcome(load_embeddings, emb)
             assert again[2] > 0 and again[:2] == miss[:2]
             assert entry.read_bytes() == whole  # replaced by the fresh parse's entry
 
-    # entries under the file's own stamp that do not hold a parse: a malformed
-    # header (None), or a result whose token block or matrix does not fit
+    def test_records_round_trip_every_stamp_value(self, tmp_path):
+        # unsigned dev and ino beyond 2**63, times before 1970, and bytes
+        # that the old newline-separated layout could not have held
+        stamp = (_cache.FORMAT, 2**64 - 1, 2**63 + 5, 7, 10, -1_500_000_000_123_456_789, -1,
+                 b"/a\nb")
+        result = (["a\x00b", "c"], np.arange(6.0).reshape(3, 2), 4)
+        entry = tmp_path / "entry"
+        _cache._write(entry, stamp, result)
+        tokens, vectors, skipped = _cache._read(entry, stamp)
+        assert (tokens, vectors.tobytes(), skipped) == (
+            result[0], result[1].tobytes(), result[2])
+        for i, field in enumerate(stamp):
+            changed = field + b"x" if isinstance(field, bytes) else field + 1
+            assert _cache._read(entry, stamp[:i] + (changed,) + stamp[i + 1:]) is None, i
+        with open(entry, "rb") as fh:
+            assert _cache._read_head(fh) == (stamp, 4)
+
+    def test_stamp_beyond_64_bits_gets_no_entry(self, emb, cache_home, monkeypatch):
+        # a file dated before 1677 has an mtime_ns below -2**63
+        real = _cache._stamp
+
+        def stamp(*args):
+            fields = list(real(*args))
+            fields[5] = -2**63 - 1  # mtime_ns
+            return tuple(fields)
+        monkeypatch.setattr(_cache, "_stamp", stamp)
+        for _ in range(2):
+            assert load_outcome(load_embeddings, emb)[2] > 0
+        assert self.entries(cache_home) == []
+
+    def test_format_2_entry_is_a_miss_and_is_rewritten(self, emb, cache_home):
+        miss = load_outcome(load_embeddings, emb)
+        [name] = self.entries(cache_home)
+        entry = cache_home / "noisy-align" / name
+        whole = entry.read_bytes()
+        stamp = _cache._stamp(emb, os.stat(emb), None)
+        entry.write_bytes(format_2_entry(stamp, _cache._read(entry, stamp)))
+        again = load_outcome(load_embeddings, emb)
+        assert again[2] > 0 and again[:2] == miss[:2]
+        assert entry.read_bytes() == whole
+
+    @pytest.mark.parametrize("old", ["format-2", "huge-path-record"])
+    def test_unreadable_entry_of_a_deleted_file_is_pruned(self, tmp_path, cache_home, old):
+        paths = [write(tmp_path, f"{name}.txt", self.TEXT) for name in "ab"]
+        for path in paths:
+            backdate(path)
+        load_embeddings(paths[0])
+        [name] = self.entries(cache_home)
+        entry = cache_home / "noisy-align" / name
+        if old == "format-2":
+            stamp = _cache._stamp(paths[0], os.stat(paths[0]), None)
+            entry.write_bytes(format_2_entry(stamp, _cache._read(entry, stamp)))
+        else:
+            declare_shape(entry, 1, (2**62,))  # 4 EiB of realpath: a MemoryError
+        paths[0].unlink()
+        load_embeddings(paths[1])  # a written entry prunes the root
+        assert name not in self.entries(cache_home) and len(self.entries(cache_home)) == 1
+
+    @pytest.mark.parametrize("head", ["integer", "three-fields", "zip-magic"])
+    def test_entry_without_a_stamp_record_is_a_miss(self, emb, cache_home, head):
+        miss = load_outcome(load_embeddings, emb)
+        [name] = self.entries(cache_home)
+        entry = cache_home / "noisy-align" / name
+        whole = entry.read_bytes()
+        with open(entry, "rb") as fh:
+            np.lib.format.read_array(fh)
+            rest = whole[fh.tell():]
+        first = io.BytesIO()
+        if head == "zip-magic":  # np.load would open the file as an .npz archive
+            first.write(b"PK\x03\x04")
+        else:
+            np.save(first, np.array(3) if head == "integer" else np.zeros((), "i8,i8,i8"))
+        entry.write_bytes(first.getvalue() + rest)
+        error = "magic string" if head == "zip-magic" else "^malformed cache entry head$"
+        with pytest.raises(ValueError, match=error):
+            _cache._read(entry, _cache._stamp(emb, os.stat(emb), None))
+        again = load_outcome(load_embeddings, emb)
+        assert again[2] > 0 and again[:2] == miss[:2]
+        assert entry.read_bytes() == whole
+
+    @pytest.mark.parametrize("index", [1, 2, 3])
+    def test_record_declaring_exabytes_is_a_miss(self, emb, cache_home, index):
+        miss = load_outcome(load_embeddings, emb)
+        [name] = self.entries(cache_home)
+        entry = cache_home / "noisy-align" / name
+        whole = entry.read_bytes()
+        # more than any address space holds, so its allocation fails
+        declare_shape(entry, index, (3, 2**57) if index == 3 else (2**62,))
+        stamp = _cache._stamp(emb, os.stat(emb), None)
+        with pytest.raises(MemoryError):
+            _cache._read(entry, stamp)
+        again = load_outcome(load_embeddings, emb)
+        assert again[2] > 0 and again[:2] == miss[:2]
+        assert entry.read_bytes() == whole
+
+    # entries under the file's own stamp that do not hold a parse: bytes
+    # before the first record (None), or a result whose matrix does not fit
+    # its tokens
     DAMAGED = {
         "header-of-three-fields": None,
         "extra-token": lambda tokens, vectors, skipped: (tokens + ["x"], vectors, skipped),
@@ -399,7 +526,7 @@ class TestEmbeddingCache:
         stamp = _cache._stamp(emb, os.stat(emb), None)
         if self.DAMAGED[damage] is None:
             entry.write_bytes(b"1 2 3\n" + entry.read_bytes())
-            with pytest.raises(ValueError, match="^malformed cache entry header$"):
+            with pytest.raises(ValueError, match="magic string"):
                 _cache._read(entry, stamp)
         else:
             _cache._write(entry, stamp, self.DAMAGED[damage](*_cache._read(entry, stamp)))
