@@ -148,3 +148,21 @@ cmp "$RUNNER_TEMP/dia-miss.out" "$RUNNER_TEMP/dia-hit.out"
 cmp "$RUNNER_TEMP/dia-miss.err" "$RUNNER_TEMP/dia-hit.err"
 test "$(ls "$RUNNER_TEMP/dia-miss" | wc -l)" -eq 5
 for f in "$RUNNER_TEMP"/dia-miss/*; do cmp "$f" "$RUNNER_TEMP/dia-hit/${f##*/}"; done
+# the same inputs without --threshold rank every pair, reading the pairs in
+# place: `pairs` rows in descending distance, among them each row of the
+# thresholded ranking verbatim
+(cd "$dia" && ${cmdline% --threshold *} --output-dir "$RUNNER_TEMP/dia-all") \
+  > "$RUNNER_TEMP/dia-all.out"
+python3 - "$RUNNER_TEMP/dia-all" "$RUNNER_TEMP/dia-hit" <<'PY'
+import json, sys
+from pathlib import Path
+
+full, part = (Path(p) for p in sys.argv[1:])
+rows = (full / "shift_ranking.tsv").read_text(encoding="utf-8").splitlines()[1:]
+kept = (part / "shift_ranking.tsv").read_text(encoding="utf-8").splitlines()[1:]
+pairs = json.loads((full / "diachronic_summary.json").read_text(encoding="utf-8"))["pairs"]
+dists = [float(row.split("\t")[1]) for row in rows]
+assert len(rows) == pairs, (len(rows), pairs)
+assert dists == sorted(dists, reverse=True)
+assert kept and set(kept) <= set(rows)
+PY

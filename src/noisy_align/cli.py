@@ -352,10 +352,14 @@ def _cmd_diachronic(args) -> int:
     tgt_freqs = nio.load_frequency_table(args.tgt_freqs) if args.tgt_freqs else None
     src, tgt = _load_spaces(args)
     lex = nio.build_identity_lexicon(src, tgt, stoplist=stoplist)
-    X, Y = nio.gather_pairs(lex, src, tgt)
+    nio._check_dims(src, tgt)
     tokens = [src.tokens[s] for s, _ in lex.pairs]
-    # only the pairs' tokens and columns are read below: free the loaded sets
-    del src, tgt, lex
+    # only the pairs' tokens and columns are read below; each loaded set is
+    # freed once its side is gathered (README, "Outputs")
+    X = nio._pair_columns(lex, 0, src)
+    del src
+    Y = nio._pair_columns(lex, 1, tgt)
+    del tgt, lex
     Q, model, resp, trace = fit_translation(
         "em-hard", X, Y, em_cfg=EmConfig(**_given(args, _EM_FLAGS)))
     ranking, dropped = rank_semantic_shift(

@@ -211,7 +211,8 @@ def rank_semantic_shift(Q: np.ndarray, tokens: list[str], X: np.ndarray, Y: np.n
     where either vector is zero. With a frequency threshold, tokens below
     it in either table (or missing from one) are dropped before scoring; a
     threshold without both tables is a ValueError.
-    All kept pairs are mapped by one GEMM (`_mapped`).
+    All kept pairs are mapped by one GEMM (`_mapped`); X and Y are copied
+    only when a token is dropped.
 
     Returns:
         (ranking, n_dropped) where ranking is a list of
@@ -228,8 +229,9 @@ def rank_semantic_shift(Q: np.ndarray, tokens: list[str], X: np.ndarray, Y: np.n
             raise ValueError("a threshold needs both frequency tables")
         kept = np.array([i for i, t in enumerate(tokens) if t in fs and t in ft
                          and fs[t] >= threshold and ft[t] >= threshold], dtype=np.intp)
-    x, nx = _column_norms(_mapped(Q, X[:, kept]))
-    y, ny = _column_norms(Y[:, kept])
+    cols = kept if len(kept) < len(tokens) else slice(None)
+    x, nx = _column_norms(_mapped(Q, X[:, cols]))
+    y, ny = _column_norms(Y[:, cols])
     zero = (nx == 0) | (ny == 0)
     cos = np.einsum("ij,ij->j", x, y) / np.where(zero, 1.0, nx * ny)
     dists = np.where(zero, 1.0, 1.0 - cos).tolist()

@@ -32,6 +32,9 @@ PARSE_CHUNK_ROWS = 1024
 # can cost `np.linalg.norm` precision.
 _NORM_FLOOR = np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps
 
+# Columns whose squares `_column_norms` holds at once (0.6 MB at d=300).
+_NORM_BLOCK_COLS = 256
+
 # Characters `np.loadtxt` strips from around a number but `float()` refuses
 # (it also breaks lines at `\n` and `\r`, which a line never holds); a
 # chunk holding one is parsed row by row.
@@ -127,26 +130,36 @@ def _is_header(fields: list[str]) -> bool:
 def _column_norms(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean norms of the columns of M, without underflow or overflow.
 
-    `np.linalg.norm` squares before the square root: below `_NORM_FLOOR`
-    squares can fall into the subnormal range, so the norm loses precision
-    (a non-zero column below about 1e-162 gets norm 0), and above about
-    1e154 it overflows to inf. Such non-zero columns are divided by their
-    largest magnitude, in a copy of M; every other column keeps its exact
-    bits.
+    They are taken one block of `_NORM_BLOCK_COLS` columns at a time, with
+    `np.linalg.norm`'s arithmetic: a block keeps M's layout, so its columns
+    are summed as in M (a lone column is summed pairwise, so a last one
+    joins the block before). That squares before the square root: below
+    `_NORM_FLOOR` squares can fall into the subnormal range, so the norm
+    loses precision (a non-zero column below about 1e-162 gets norm 0), and
+    above about 1e154 it overflows to inf. Such non-zero columns are divided
+    by their largest magnitude, in a copy of M; every other column keeps
+    its exact bits.
 
     Returns:
         (M, norms): M itself when no column was rescaled, and the norms
         of the returned columns. An all-zero column has norm 0.
     """
+    n = M.shape[1]
+    norms = np.empty(n)
+    start = 0
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(M, axis=0)
+        for stop in [*range(_NORM_BLOCK_COLS, n - 1, _NORM_BLOCK_COLS), n]:
+            np.add.reduce(np.square(M[:, start:stop]), axis=0, out=norms[start:stop])
+            start = stop
+    np.sqrt(norms, out=norms)
     odd = np.flatnonzero((norms < _NORM_FLOOR) | np.isinf(norms))
     peak = np.abs(M[:, odd]).max(axis=0, initial=0.0)
     odd, peak = odd[peak > 0], peak[peak > 0]
     if odd.size:
         M = M.copy()
         M[:, odd] /= peak
-        norms[odd] = np.linalg.norm(M[:, odd], axis=0)
+        # a largest magnitude of 1 leaves no rescaled column odd
+        norms[odd] = _column_norms(M[:, odd])[1]
     return M, norms
 
 
@@ -351,19 +364,28 @@ def build_identity_lexicon(src: EmbeddingSet, tgt: EmbeddingSet,
     return Lexicon(pairs=pairs)
 
 
-def gather_pairs(lex: Lexicon, src: EmbeddingSet, tgt: EmbeddingSet):
-    """Stack the lexicon's pairs into matrices X, Y (one column per pair)."""
-    if not lex.pairs:
-        raise ValueError("lexicon is empty")
+def _check_dims(src: EmbeddingSet, tgt: EmbeddingSet) -> None:
+    """DataError unless both embedding sets have the same dimension."""
     if src.dim != tgt.dim:
         raise DataError(
             f"embedding dimension mismatch: src d={src.dim}, tgt d={tgt.dim}"
         )
-    idx = np.array(lex.pairs, dtype=np.intp)
-    # `take` gives each C-order result in one allocation; `vectors[:, idx]`
+
+
+def _pair_columns(lex: Lexicon, side: int, emb: EmbeddingSet) -> np.ndarray:
+    """Column `pair[side]` of `emb` for each lexicon pair, in C order."""
+    idx = np.fromiter((pair[side] for pair in lex.pairs), dtype=np.intp, count=len(lex))
+    # `take` gives a C-order result in one allocation; `vectors[:, idx]`
     # is F-order and takes a second copy to become C-order
-    return (np.take(src.vectors, idx[:, 0], axis=1),
-            np.take(tgt.vectors, idx[:, 1], axis=1))
+    return np.take(emb.vectors, idx, axis=1)
+
+
+def gather_pairs(lex: Lexicon, src: EmbeddingSet, tgt: EmbeddingSet):
+    """Stack the lexicon's pairs into matrices X, Y (one column per pair)."""
+    if not lex.pairs:
+        raise ValueError("lexicon is empty")
+    _check_dims(src, tgt)
+    return _pair_columns(lex, 0, src), _pair_columns(lex, 1, tgt)
 
 
 def load_stoplist(path) -> set[str]:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -765,6 +766,72 @@ class TestDiachronic:
         err = capsys.readouterr().err
         assert err.startswith("noisy-align: data error:") and message in err
         assert list(cache_home.iterdir()) == []
+
+    @pytest.fixture(scope="class")
+    def large_decades(self, tmp_path_factory):
+        """Two d=100, V=3000 decades, with n = V >> d, and a frequency table
+        for both; every file is older than the cache's 2 s racy window."""
+        root = tmp_path_factory.mktemp("large-decades")
+        rng = np.random.default_rng(30)
+        d, V = 100, 3000
+        tokens = [f"w{i}" for i in range(V)]
+        old = rng.standard_normal((d, V))
+        new = random_orthogonal(d, seed=31) @ old + 0.3 * rng.standard_normal((d, V))
+        new[:, :300] = rng.standard_normal((d, 300))
+        save_embeddings(make_set(tokens, old), root / "old.txt")
+        save_embeddings(make_set(tokens, new), root / "new.txt")
+        (root / "f.tsv").write_text(
+            "".join(f"{t}\t{f:.3g}\n" for t, f in zip(tokens, rng.uniform(0.001, 0.01, V))))
+        for path in root.iterdir():
+            os.utime(path, (time.time() - 60,) * 2)
+        return root, d, V
+
+    @pytest.mark.parametrize("threshold", ["0.005", "0", None],
+                             ids=["drops-tokens", "keeps-all", "no-threshold"])
+    def test_peak_holds_three_pair_matrices(self, large_decades, tmp_path, threshold):
+        # two loaded sets and X, then the target set, X and Y, then X, Y and
+        # one temporary of the fit or of the ranking: 8*d*V bytes each, plus
+        # tokens, tables and masks (4.71, 5.49 and 5.21 of them with both
+        # sets and both pair matrices held at once and the pairs copied by
+        # the ranking)
+        root, d, V = large_decades
+        argv = self.base_args(root / "old.txt", root / "new.txt", tmp_path / "out")
+        if threshold is not None:
+            argv += ["--src-freqs", str(root / "f.tsv"), "--tgt-freqs", str(root / "f.tsv"),
+                     "--threshold", threshold]
+        assert main(argv) == 0  # the cache misses; the traced run reads it back
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        summary = json.loads((tmp_path / "out" / "diachronic_summary.json").read_text())
+        assert summary["pairs"] == V and 0 < summary["noise_fraction"] < 0.5
+        assert (summary["dropped_below_threshold"] > 0) == (threshold == "0.005")
+        assert peak <= 4.0 * 8 * d * V
+
+    def test_dimension_mismatch_is_data_error_before_any_output(self, tmp_path, capsys):
+        rng = np.random.default_rng(32)
+        tokens = [f"w{i}" for i in range(10)]
+        save_embeddings(make_set(tokens, rng.standard_normal((2, 10))), tmp_path / "old.txt")
+        save_embeddings(make_set(tokens, rng.standard_normal((3, 10))), tmp_path / "new.txt")
+        out = tmp_path / "out"
+        assert main(self.base_args(tmp_path / "old.txt", tmp_path / "new.txt", out)) == 2
+        assert capsys.readouterr().err == (
+            "noisy-align: data error: embedding dimension mismatch: src d=2, tgt d=3\n")
+        assert not out.exists()
+
+    def test_threshold_dropping_every_token_writes_an_empty_ranking(self, decades, capsys):
+        out = decades / "out"
+        argv = self.decade_args(decades, out)
+        argv[argv.index("--threshold") + 1] = "1"
+        assert main(argv) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["dropped_below_threshold"] == summary["pairs"] > 0
+        assert summary["noisy_after_filter"] == 0
+        assert (out / "shift_ranking.tsv").read_text() == "token\tcosine_distance\tlabel\n"
+        assert json.loads((out / "shift_ranking.json").read_text()) == []
 
     def test_threshold_without_tables_is_usage_error(self, tmp_path, capsys):
         rng = np.random.default_rng(8)

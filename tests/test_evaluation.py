@@ -19,7 +19,8 @@ from noisy_align.evaluation import (
     precision_at_1,
     rank_semantic_shift,
 )
-from noisy_align.io import EmbeddingSet, Lexicon, build_identity_lexicon, gather_pairs
+from noisy_align.io import (EmbeddingSet, Lexicon, _column_norms, build_identity_lexicon,
+                             gather_pairs)
 from noisy_align.mixture import Responsibilities
 
 
@@ -478,6 +479,71 @@ def test_shift_ranking_matches_per_token_oracle(seed, d, n, n_zero_src, n_zero_t
     # the order is the oracle's up to near-ties
     for (t, _, _), (u, dist, _) in zip(got, want):
         assert t == u or abs(want_rows[t][0] - dist) <= 1e-12
+
+
+def fancy_index_ranking(Q, tokens, X, Y, src_freqs=None, tgt_freqs=None,
+                        threshold=None, resp=None):
+    """`rank_semantic_shift` with the kept columns of X and Y always copied
+    by index (F-order copies), also when every token is kept."""
+    kept = np.arange(len(tokens))
+    if threshold is not None:
+        kept = np.array([i for i, t in enumerate(tokens) if t in src_freqs
+                         and t in tgt_freqs and src_freqs[t] >= threshold
+                         and tgt_freqs[t] >= threshold], dtype=np.intp)
+    x, nx = _column_norms(evaluation._mapped(Q, X[:, kept]))
+    y, ny = _column_norms(Y[:, kept])
+    zero = (nx == 0) | (ny == 0)
+    cos = np.einsum("ij,ij->j", x, y) / np.where(zero, 1.0, nx * ny)
+    dists = np.where(zero, 1.0, 1.0 - cos).tolist()
+    rows = [(tokens[t], dist, "" if resp is None else "Aligned" if resp.h[t] else "Noise")
+            for t, dist in zip(kept.tolist(), dists)]
+    rows.sort(key=lambda r: (-r[1], r[0]))
+    return rows, len(tokens) - len(kept)
+
+
+class TestShiftRankingCopies:
+    """Only a dropped token costs a copy of the pairs."""
+
+    @pytest.fixture
+    def pairs(self):
+        rng = np.random.default_rng(40)
+        src = random_set(3000, 100, seed=41)
+        Q = random_orthogonal(100, 42)
+        tgt = make_set(src.tokens, Q @ src.vectors + rng.standard_normal((100, 3000)))
+        tokens, X, Y = identity_pairs(src, tgt)
+        freqs = dict(zip(tokens, rng.uniform(0.0, 1.0, len(tokens))))
+        resp = Responsibilities(w=(rng.random(len(tokens)) < 0.7).astype(float))
+        return Q, tokens, X, Y, freqs, resp
+
+    @pytest.mark.parametrize("threshold", [None, 0.0])
+    def test_unfiltered_ranking_matches_the_copies(self, pairs, threshold):
+        Q, tokens, X, Y, freqs, resp = pairs
+        got, dropped = rank_semantic_shift(Q, tokens, X, Y, freqs, freqs, threshold, resp)
+        want, _ = fancy_index_ranking(Q, tokens, X, Y, freqs, freqs, threshold, resp)
+        assert dropped == 0
+        assert [(t, label) for t, _, label in got] == [(t, label) for t, _, label in want]
+        # the pairs are read in C order, not as F-order copies: only the
+        # last bits of a distance may move
+        assert max(abs(g[1] - w[1]) for g, w in zip(got, want)) <= 1e-15
+
+    def test_filtered_ranking_equals_the_copies_bit_for_bit(self, pairs):
+        Q, tokens, X, Y, freqs, resp = pairs
+        got = rank_semantic_shift(Q, tokens, X, Y, freqs, freqs, 0.5, resp)
+        assert 0 < got[1] < len(tokens)
+        assert got == fancy_index_ranking(Q, tokens, X, Y, freqs, freqs, 0.5, resp)
+
+    @pytest.mark.parametrize("threshold", [None, 0.0])
+    def test_unfiltered_ranking_adds_one_mapped_matrix(self, pairs, threshold):
+        # Q X and its finiteness mask; copies of X and Y and an array of
+        # squares would add three more d x n matrices
+        Q, tokens, X, Y, freqs, resp = pairs
+        tracemalloc.start()
+        try:
+            rank_semantic_shift(Q, tokens, X, Y, freqs, freqs, threshold, resp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * X.nbytes
 
 
 def test_eval_report_json_keys(tmp_path):

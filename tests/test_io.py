@@ -5,6 +5,7 @@ import re
 import tempfile
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -710,6 +711,59 @@ class TestGatherPairs:
         tgt = make_set(["a"], [[1.0], [2.0], [3.0]])
         with pytest.raises(DataError, match="dimension mismatch"):
             gather_pairs(Lexicon(pairs=[(0, 0)]), src, tgt)
+
+
+def full_square_norms(M):
+    """`_column_norms` from one d x n array of squares, `np.linalg.norm`'s,
+    also for the rescaled columns (copied by index): the bits its blocks of
+    columns must keep."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(M, axis=0)
+    odd = np.flatnonzero((norms < nio._NORM_FLOOR) | np.isinf(norms))
+    peak = np.abs(M[:, odd]).max(axis=0, initial=0.0)
+    odd, peak = odd[peak > 0], peak[peak > 0]
+    if odd.size:
+        M = M.copy()
+        M[:, odd] /= peak
+        norms[odd] = np.linalg.norm(M[:, odd], axis=0)
+    return M, norms
+
+
+class TestColumnNorms:
+    BLOCK = nio._NORM_BLOCK_COLS
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bits_equal_norms_of_all_squares(self, n, order):
+        rng = np.random.default_rng(n)
+        M = rng.standard_normal((40, n)) * np.exp(rng.uniform(-20, 20, n))
+        if n:
+            # squares 1 and 39 x 2**-54 sum to 1 row by row but not pairwise,
+            # as numpy sums a lone column: a last block of one column differs
+            M[:, -1] = [1.0] + [2.0**-27] * 39
+        M = np.asarray(M, order=order)
+        unit, norms = nio._column_norms(M)
+        assert unit is M and np.array_equal(norms, np.linalg.norm(M, axis=0))
+        # columns near 1e-200 and 1e200 take the rescale path
+        tiny, huge = rng.choice(n, size=(2, min(n // 2, 5)), replace=False)
+        M[:, tiny] *= 1e-200
+        M[:, huge] *= 1e200
+        got, want = nio._column_norms(M), full_square_norms(M)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        if n > 1:
+            assert got[0] is not M and np.isfinite(got[1]).all() and (got[1] > 0).all()
+
+    def test_holds_the_squares_of_one_block(self):
+        # one block's squares are an eighth of M here; all of them are M.nbytes
+        M = np.random.default_rng(3).standard_normal((50, 8 * self.BLOCK))
+        tracemalloc.start()
+        try:
+            unit, norms = nio._column_norms(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert unit is M and norms.shape == (M.shape[1],)
+        assert peak < M.nbytes / 4
 
 
 def test_load_stoplist(tmp_path):
