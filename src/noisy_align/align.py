@@ -215,13 +215,14 @@ def alignment_error(Q: np.ndarray, X: np.ndarray, Y: np.ndarray,
     X, Y = _pairs(X, Y)
     # overflow is reported below rather than warned
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = Q @ X - Y
+        resid = Q @ X
+        resid -= Y  # in place, as the square below: one d x n array
         if mask is not None:
             mask = np.asarray(mask)
             resid = resid[:, mask]
             if resid.shape[1] == 0:
                 raise ValueError("empty column mask")
-        err = float(np.sum(resid * resid))
+        err = float(np.sum(np.square(resid, out=resid)))
     if not np.isfinite(err):
         raise DataError("alignment error overflows float64: the map or the "
                         "vectors are too large")

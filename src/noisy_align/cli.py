@@ -286,15 +286,22 @@ def _cmd_align(args) -> int:
     # clean-lexicon takes no --test-lexicon
     test_path = getattr(args, "test_lexicon", None)
     test_lex = nio.load_lexicon(test_path, src, tgt)[0] if test_path else None
-    # the training pairs are freed before the test set is gathered
+    nio._check_dims(src, tgt)
+    # of the source set only X, the test queries and the pairs' names are
+    # kept: it is freed before Y is gathered (README, "Outputs")
+    X = nio._pair_columns(lex, 0, src)
+    if test_lex is not None:
+        queries, test_lex = nio._source_subset(test_lex, src)
+    names = [(src.tokens[s], tgt.tokens[g]) for s, g in lex.pairs]
+    del src
+    Y = nio._pair_columns(lex, 1, tgt)
     Q, model, resp, trace = fit_translation(
-        args.method, *nio.gather_pairs(lex, src, tgt),
-        sgd_cfg=SgdConfig(**_given(args, _SGD_FLAGS)),
+        args.method, X, Y, sgd_cfg=SgdConfig(**_given(args, _SGD_FLAGS)),
         em_cfg=EmConfig(**_given(args, _EM_FLAGS)))
-    test = _test_metrics(Q, test_lex, src, tgt) if test_lex is not None else {}
+    del X, Y
+    test = _test_metrics(Q, test_lex, queries, tgt) if test_lex is not None else {}
 
     if resp is not None:
-        names = [(src.tokens[s], tgt.tokens[g]) for s, g in lex.pairs]
         path = _output(args, "responsibilities.tsv")
         write_responsibilities_tsv(resp, names, path)
     if args.command == "clean-lexicon":
@@ -320,7 +327,9 @@ def _cmd_evaluate(args) -> int:
     Q = load_matrix(args.matrix)  # before the larger embedding files
     src, tgt = _load_spaces(args)
     test_lex, _ = nio.load_lexicon(args.test_lexicon, src, tgt)
-    report = EvalReport(**_test_metrics(Q, test_lex, src, tgt))
+    queries, test_lex = nio._source_subset(test_lex, src)
+    del src
+    report = EvalReport(**_test_metrics(Q, test_lex, queries, tgt))
     print(_write_json(args, "report.json", asdict(report)))
     return 0
 

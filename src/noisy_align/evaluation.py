@@ -212,7 +212,7 @@ def rank_semantic_shift(Q: np.ndarray, tokens: list[str], X: np.ndarray, Y: np.n
     it in either table (or missing from one) are dropped before scoring; a
     threshold without both tables is a ValueError.
     All kept pairs are mapped by one GEMM (`_mapped`); X and Y are copied
-    only when a token is dropped.
+    only when a token is dropped, and Y also when it has a column to rescale.
 
     Returns:
         (ranking, n_dropped) where ranking is a list of
@@ -230,8 +230,14 @@ def rank_semantic_shift(Q: np.ndarray, tokens: list[str], X: np.ndarray, Y: np.n
         kept = np.array([i for i, t in enumerate(tokens) if t in fs and t in ft
                          and fs[t] >= threshold and ft[t] >= threshold], dtype=np.intp)
     cols = kept if len(kept) < len(tokens) else slice(None)
-    x, nx = _column_norms(_mapped(Q, X[:, cols]))
-    y, ny = _column_norms(Y[:, cols])
+    x = _mapped(Q, X[:, cols])
+    nx, odd, scaled = _column_norms(x)
+    x[:, odd] = scaled  # x is the ranking's own
+    y = Y[:, cols]
+    ny, odd, scaled = _column_norms(y)
+    if odd.size:  # y may be the caller's Y
+        y = y.copy()
+        y[:, odd] = scaled
     zero = (nx == 0) | (ny == 0)
     cos = np.einsum("ij,ij->j", x, y) / np.where(zero, 1.0, nx * ny)
     dists = np.where(zero, 1.0, 1.0 - cos).tolist()

@@ -127,7 +127,7 @@ def _is_header(fields: list[str]) -> bool:
     return True
 
 
-def _column_norms(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _column_norms(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Euclidean norms of the columns of M, without underflow or overflow.
 
     They are taken one block of `_NORM_BLOCK_COLS` columns at a time, with
@@ -137,12 +137,12 @@ def _column_norms(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     `_NORM_FLOOR` squares can fall into the subnormal range, so the norm
     loses precision (a non-zero column below about 1e-162 gets norm 0), and
     above about 1e154 it overflows to inf. Such non-zero columns are divided
-    by their largest magnitude, in a copy of M; every other column keeps
-    its exact bits.
+    by their largest magnitude, in a copy of those columns alone.
 
     Returns:
-        (M, norms): M itself when no column was rescaled, and the norms
-        of the returned columns. An all-zero column has norm 0.
+        (norms, odd, scaled): the norms, and the indices and rescaled values
+        of those columns, which norms[odd] measure. An all-zero column has
+        norm 0.
     """
     n = M.shape[1]
     norms = np.empty(n)
@@ -155,19 +155,20 @@ def _column_norms(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     odd = np.flatnonzero((norms < _NORM_FLOOR) | np.isinf(norms))
     peak = np.abs(M[:, odd]).max(axis=0, initial=0.0)
     odd, peak = odd[peak > 0], peak[peak > 0]
+    scaled = M[:, odd] / peak
     if odd.size:
-        M = M.copy()
-        M[:, odd] /= peak
         # a largest magnitude of 1 leaves no rescaled column odd
-        norms[odd] = _column_norms(M[:, odd])[1]
-    return M, norms
+        norms[odd] = _column_norms(scaled)[0]
+    return norms, odd, scaled
 
 
 def _unit_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(unit, norms): the columns of M divided by their `_column_norms`
     norms, and those norms; a zero column stays zero."""
-    M, norms = _column_norms(M)
-    return M / np.where(norms == 0, 1.0, norms), norms
+    norms, odd, scaled = _column_norms(M)
+    unit = M / np.where(norms == 0, 1.0, norms)
+    unit[:, odd] = scaled / norms[odd]
+    return unit, norms
 
 
 def _parse_values(tails: list[str], dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -378,6 +379,16 @@ def _pair_columns(lex: Lexicon, side: int, emb: EmbeddingSet) -> np.ndarray:
     # `take` gives a C-order result in one allocation; `vectors[:, idx]`
     # is F-order and takes a second copy to become C-order
     return np.take(emb.vectors, idx, axis=1)
+
+
+def _source_subset(lex: Lexicon, src: EmbeddingSet) -> tuple[EmbeddingSet, Lexicon]:
+    """The source columns that `lex` names, in order of first use, as a new
+    set, and `lex` re-indexed to it: all that the test metrics read of src."""
+    first = {s: i for i, s in enumerate(dict.fromkeys(s for s, _ in lex.pairs))}
+    idx = np.fromiter(first, dtype=np.intp, count=len(first))
+    sub = EmbeddingSet(tokens=[src.tokens[s] for s in first],
+                       vectors=np.take(src.vectors, idx, axis=1))
+    return sub, Lexicon(pairs=[(first[s], t) for s, t in lex.pairs])
 
 
 def gather_pairs(lex: Lexicon, src: EmbeddingSet, tgt: EmbeddingSet):

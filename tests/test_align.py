@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -345,6 +346,30 @@ class TestAlignmentError:
         mask_a[:5] = True
         total = alignment_error(Q, X, Y, mask_a) + alignment_error(Q, X, Y, ~mask_a)
         assert total == pytest.approx(alignment_error(Q, X, Y), rel=1e-12)
+
+    @staticmethod
+    def large_pairs():
+        rng = np.random.default_rng(11)
+        return (random_orthogonal(100, 12), rng.standard_normal((100, 3000)),
+                rng.standard_normal((100, 3000)), rng.random(3000) < 0.5)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_the_square_has_the_bits_of_the_product(self, masked):
+        Q, X, Y, mask = self.large_pairs()
+        resid = (Q @ X - Y)[:, mask if masked else slice(None)]
+        err = alignment_error(Q, X, Y, mask if masked else None)
+        assert err == float(np.sum(resid * resid))
+
+    def test_holds_one_residual_matrix(self):
+        # Q X - Y is formed and squared in place: its square would add X.nbytes
+        Q, X, Y, _ = self.large_pairs()
+        tracemalloc.start()
+        try:
+            alignment_error(Q, X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * X.nbytes
 
     def test_empty_mask(self):
         with pytest.raises(ValueError, match="empty"):

@@ -19,9 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 import noisy_align
 from noisy_align import align, cli, experiments, io as nio, mixture
-from noisy_align.align import random_orthogonal, save_matrix
+from noisy_align.align import alignment_error, random_orthogonal, save_matrix
 from noisy_align.cli import build_parser, main
-from noisy_align.evaluation import rank_semantic_shift, write_shift_ranking_tsv
+from noisy_align.evaluation import (precision_at_1, rank_semantic_shift,
+                                    write_shift_ranking_tsv)
 from noisy_align.io import EmbeddingSet, save_embeddings
 from noisy_align.mixture import load_model, write_responsibilities_tsv
 from test_io import declare_shape
@@ -553,6 +554,108 @@ def test_evaluate_overflowing_test_error_is_one_line_data_error(bilingual, tmp_p
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "overflows" in err
     assert not (tmp_path / "eval" / "report.json").exists()
+
+
+class TestSourceSubset:
+    """`align` and `evaluate` keep of the source set only what the lexicons
+    name, and report what the full sets give."""
+
+    @pytest.fixture
+    def mixed_test(self, bilingual):
+        """A test lexicon with sources out of index order, one with two gold
+        targets, one shared with training, one whose gold is wrong, and an
+        unresolvable line."""
+        path = bilingual["dir"] / "test-mixed.tsv"
+        path.write_text("s57\tt57\ns3\tt3\ns50\tt50\ns50\tt7\nnowhere\tt0\n"
+                        "s59\tt59\ns58\tt0\ns51\tt51\n")
+        return {**bilingual, "test": path}
+
+    @pytest.mark.parametrize("method", ["op", "em-hard"])
+    def test_test_metrics_equal_the_library_on_the_full_sets(self, mixed_test, tmp_path,
+                                                             method):
+        out = tmp_path / "fit"
+        assert run_align(mixed_test, out, ["--method", method]) == 0
+        assert run_evaluate(mixed_test, out / "matrix.txt", tmp_path / "eval") == 0
+        Q = align.load_matrix(out / "matrix.txt")
+        src, tgt = (nio.load_embeddings(mixed_test[k]) for k in ("src", "tgt"))
+        test_lex, skipped = nio.load_lexicon(mixed_test["test"], src, tgt)
+        p_at_1, n_queries = precision_at_1(Q, test_lex, src, tgt)
+        want = {"p_at_1": p_at_1, "n_queries": n_queries,
+                "test_error": alignment_error(Q, *nio.gather_pairs(test_lex, src, tgt))}
+        assert (skipped, n_queries, p_at_1) == (1, 6, 5 / 6)
+        for report in (out / "report.json", tmp_path / "eval" / "report.json"):
+            got = json.loads(report.read_text())
+            assert {k: got[k] for k in want} == want
+
+    @pytest.mark.parametrize("command,step", [("align", "fit_translation"),
+                                              ("evaluate", "alignment_error")])
+    def test_the_loaded_source_matrix_is_freed_first(self, bilingual, tmp_path,
+                                                     monkeypatch, command, step):
+        loaded, alive = [], []
+        real_load, real_step = nio.load_embeddings, getattr(cli, step)
+
+        def load(*args, **kwargs):
+            emb = real_load(*args, **kwargs)
+            loaded.append(weakref.ref(emb.vectors))
+            return emb
+
+        def recorded(*args, **kwargs):
+            alive.extend(ref() is not None for ref in loaded)
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(nio, "load_embeddings", load)
+        monkeypatch.setattr(cli, step, recorded)
+        save_matrix(np.eye(10), tmp_path / "m.txt")
+        run = run_align if command == "align" else \
+            lambda b, out: run_evaluate(b, tmp_path / "m.txt", out)
+        assert run(bilingual, tmp_path / "out") == 0
+        assert alive == [False, True]
+
+    @pytest.fixture(scope="class")
+    def large_bilingual(self, tmp_path_factory):
+        """d=100, V=3000 source and target sets, 1500 training pairs, 1000
+        test pairs and a map; every file is older than the cache's 2 s
+        racy window."""
+        root = tmp_path_factory.mktemp("large-bilingual")
+        rng = np.random.default_rng(33)
+        d, V = 100, 3000
+        Q = random_orthogonal(d, seed=34)
+        src = rng.standard_normal((d, V))
+        tgt = Q @ src + 0.3 * rng.standard_normal((d, V))
+        save_embeddings(make_set([f"s{i}" for i in range(V)], src), root / "src.txt")
+        save_embeddings(make_set([f"t{i}" for i in range(V)], tgt), root / "tgt.txt")
+        for name, pairs in (("train.tsv", range(1500)), ("test.tsv", range(1500, 2500))):
+            (root / name).write_text("".join(f"s{i}\tt{i}\n" for i in pairs))
+        save_matrix(Q, root / "matrix.txt")
+        for path in root.iterdir():
+            os.utime(path, (time.time() - 60,) * 2)
+        return root, d, V
+
+    @pytest.mark.parametrize("command", ["align", "evaluate"])
+    def test_peak_holds_one_full_set(self, large_bilingual, tmp_path, command):
+        # both loaded sets until X and the test queries are gathered; then
+        # the target set, the queries and X, Y and a temporary of the fit, or
+        # the index and one 64-row score block (0.64 of 8*d*V bytes here) of
+        # the retrieval, which peaks at about 3.5 of 8*d*V (4.17 and 4.15
+        # with the source set held throughout, 3.75 with Y gathered before
+        # it is freed)
+        root, d, V = large_bilingual
+        out = tmp_path / "out"
+        argv = [command, "--src-emb", str(root / "src.txt"),
+                "--tgt-emb", str(root / "tgt.txt"),
+                "--test-lexicon", str(root / "test.tsv"), "--output-dir", str(out)]
+        argv += (["--lexicon", str(root / "train.tsv")] if command == "align"
+                 else ["--matrix", str(root / "matrix.txt")])
+        assert main(argv) == 0  # the cache misses; the traced run reads it back
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        report = json.loads((out / "report.json").read_text())
+        assert report["n_queries"] == 1000 and report["p_at_1"] > 0.9
+        assert peak <= 3.6 * 8 * d * V
 
 
 class TestSynthetic2d:

@@ -19,9 +19,9 @@ from noisy_align.evaluation import (
     precision_at_1,
     rank_semantic_shift,
 )
-from noisy_align.io import (EmbeddingSet, Lexicon, _column_norms, build_identity_lexicon,
-                             gather_pairs)
+from noisy_align.io import EmbeddingSet, Lexicon, build_identity_lexicon, gather_pairs
 from noisy_align.mixture import Responsibilities
+from test_io import full_square_norms
 
 
 def make_set(tokens, vectors):
@@ -484,14 +484,15 @@ def test_shift_ranking_matches_per_token_oracle(seed, d, n, n_zero_src, n_zero_t
 def fancy_index_ranking(Q, tokens, X, Y, src_freqs=None, tgt_freqs=None,
                         threshold=None, resp=None):
     """`rank_semantic_shift` with the kept columns of X and Y always copied
-    by index (F-order copies), also when every token is kept."""
+    by index (F-order copies), also when every token is kept, and a whole
+    copy of the mapped or target matrix where a column of it is rescaled."""
     kept = np.arange(len(tokens))
     if threshold is not None:
         kept = np.array([i for i, t in enumerate(tokens) if t in src_freqs
                          and t in tgt_freqs and src_freqs[t] >= threshold
                          and tgt_freqs[t] >= threshold], dtype=np.intp)
-    x, nx = _column_norms(evaluation._mapped(Q, X[:, kept]))
-    y, ny = _column_norms(Y[:, kept])
+    x, nx = full_square_norms(evaluation._mapped(Q, X[:, kept]))
+    y, ny = full_square_norms(Y[:, kept])
     zero = (nx == 0) | (ny == 0)
     cos = np.einsum("ij,ij->j", x, y) / np.where(zero, 1.0, nx * ny)
     dists = np.where(zero, 1.0, 1.0 - cos).tolist()
@@ -545,6 +546,41 @@ class TestShiftRankingCopies:
             tracemalloc.stop()
         assert peak < 1.5 * X.nbytes
 
+
+    @pytest.fixture
+    def odd_pairs(self, pairs):
+        """`pairs` with a source column near 1e-170 and a target column near
+        1e200, both kept at threshold 0.5: `_column_norms` rescales both."""
+        Q, tokens, X, Y, freqs, resp = pairs
+        first, second = [i for i, t in enumerate(tokens) if freqs[t] >= 0.5][:2]
+        X, Y = X.copy(), Y.copy()
+        X[:, first] *= 1e-170
+        Y[:, second] *= 1e200
+        return Q, tokens, X, Y, freqs, resp
+
+    @pytest.mark.parametrize("threshold", [None, 0.5])
+    def test_odd_columns_rank_as_rescaled_copies(self, odd_pairs, threshold):
+        Q, tokens, X, Y, freqs, resp = odd_pairs
+        got = rank_semantic_shift(Q, tokens, X, Y, freqs, freqs, threshold, resp)
+        want = fancy_index_ranking(Q, tokens, X, Y, freqs, freqs, threshold, resp)
+        assert [(t, label) for t, _, label in got[0]] == \
+            [(t, label) for t, _, label in want[0]]
+        if threshold is None:  # in place against F-order copies, as above
+            assert max(abs(g[1] - w[1]) for g, w in zip(got[0], want[0])) <= 1e-15
+        else:
+            assert got == want
+
+    def test_an_odd_mapped_column_is_rescaled_in_place(self, odd_pairs, pairs):
+        # a copy of the mapped Q X would add X.nbytes
+        Q, tokens, X, _, freqs, resp = odd_pairs
+        Y = pairs[3]
+        tracemalloc.start()
+        try:
+            rank_semantic_shift(Q, tokens, X, Y, freqs, freqs, None, resp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * X.nbytes
 
 def test_eval_report_json_keys(tmp_path):
     report = EvalReport(p_at_1=0.5, n_queries=10, test_error=1.25,

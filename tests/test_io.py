@@ -714,9 +714,10 @@ class TestGatherPairs:
 
 
 def full_square_norms(M):
-    """`_column_norms` from one d x n array of squares, `np.linalg.norm`'s,
-    also for the rescaled columns (copied by index): the bits its blocks of
-    columns must keep."""
+    """(M with its odd columns rescaled, in a copy of all of M, and the
+    norms), from one d x n array of squares, `np.linalg.norm`'s, also for
+    the rescaled columns (copied by index): the bits that `_column_norms`'s
+    blocks of columns and its copy of the odd columns alone must keep."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(M, axis=0)
     odd = np.flatnonzero((norms < nio._NORM_FLOOR) | np.isinf(norms))
@@ -727,6 +728,22 @@ def full_square_norms(M):
         M[:, odd] /= peak
         norms[odd] = np.linalg.norm(M[:, odd], axis=0)
     return M, norms
+
+
+def unit_of(M, norms):
+    """`_unit_columns` from a matrix whose odd columns are rescaled, and
+    their norms."""
+    return M / np.where(norms == 0, 1.0, norms)
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak of the numpy memory it allocated)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestColumnNorms:
@@ -742,28 +759,43 @@ class TestColumnNorms:
             # as numpy sums a lone column: a last block of one column differs
             M[:, -1] = [1.0] + [2.0**-27] * 39
         M = np.asarray(M, order=order)
-        unit, norms = nio._column_norms(M)
-        assert unit is M and np.array_equal(norms, np.linalg.norm(M, axis=0))
+        norms, odd, scaled = nio._column_norms(M)
+        assert odd.size == 0 and scaled.shape == (40, 0)
+        assert np.array_equal(norms, np.linalg.norm(M, axis=0))
         # columns near 1e-200 and 1e200 take the rescale path
         tiny, huge = rng.choice(n, size=(2, min(n // 2, 5)), replace=False)
         M[:, tiny] *= 1e-200
         M[:, huge] *= 1e200
-        got, want = nio._column_norms(M), full_square_norms(M)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        norms, odd, scaled = nio._column_norms(M)
+        want, want_norms = full_square_norms(M)
+        assert np.array_equal(norms, want_norms)
+        assert odd.tolist() == sorted([*tiny, *huge])
+        assert np.array_equal(scaled, want[:, odd])
+        assert np.array_equal(nio._unit_columns(M)[0], unit_of(want, want_norms))
         if n > 1:
-            assert got[0] is not M and np.isfinite(got[1]).all() and (got[1] > 0).all()
+            assert np.isfinite(norms).all() and (norms > 0).all()
 
     def test_holds_the_squares_of_one_block(self):
         # one block's squares are an eighth of M here; all of them are M.nbytes
         M = np.random.default_rng(3).standard_normal((50, 8 * self.BLOCK))
-        tracemalloc.start()
-        try:
-            unit, norms = nio._column_norms(M)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert unit is M and norms.shape == (M.shape[1],)
+        (norms, odd, _), peak = traced_peak(nio._column_norms, M)
+        assert odd.size == 0 and norms.shape == (M.shape[1],)
         assert peak < M.nbytes / 4
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e200])
+    def test_an_odd_column_costs_no_copy_of_the_rest(self, scale):
+        # the rescaled column alone is copied: a copy of M would add M.nbytes
+        # to the norms and to the unit columns, which are M.nbytes themselves
+        M = np.random.default_rng(4).standard_normal((50, 8 * self.BLOCK))
+        M[:, 5] *= scale
+        want, want_norms = full_square_norms(M)
+        (norms, odd, scaled), peak = traced_peak(nio._column_norms, M)
+        assert odd.tolist() == [5] and np.array_equal(norms, want_norms)
+        assert np.array_equal(scaled, want[:, odd])
+        assert peak < M.nbytes / 4
+        (unit, norms), peak = traced_peak(nio._unit_columns, M)
+        assert np.array_equal(unit, unit_of(want, want_norms))
+        assert peak < 1.25 * M.nbytes
 
 
 def test_load_stoplist(tmp_path):
