@@ -18,7 +18,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .io import DataError, _read_lines
+from .io import DataError, _column_blocks, _read_lines
 
 
 @dataclass
@@ -73,6 +73,19 @@ def _check_product(M: np.ndarray | None, what: str) -> None:
         raise DataError(f"{what} overflows float64: the vectors are too large")
 
 
+def _misfit(Q: np.ndarray, X: np.ndarray, Y: np.ndarray, cols) -> np.ndarray:
+    """Q @ X[:, cols] - Y[:, cols] for a block `cols` of columns (a slice or
+    indices), in the product's own array."""
+    diff = Q @ X[:, cols]
+    diff -= Y[:, cols]
+    return diff
+
+
+def _square_sums(diff: np.ndarray) -> np.ndarray:
+    """The column sums of squares of `diff`, which is squared in place."""
+    return np.sum(np.square(diff, out=diff), axis=0)
+
+
 def _svd(M: np.ndarray, what: str):
     """`np.linalg.svd(M)` of a d x d product of the input vectors.
 
@@ -121,8 +134,17 @@ def weighted_procrustes(X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> np.ndarr
         raise ValueError("weights must lie in [0, 1]")
     if w.sum() <= 0:
         raise ValueError("weights sum to zero")
+    return _weighted_map(X, Y, w)
+
+
+def _weighted_map(X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`weighted_procrustes` of pairs and weights that the caller has
+    checked. Y diag(w) X^T is summed one block of columns at a time
+    (`io._column_blocks`), so no weighted copy of Y is held."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _svd
-        M = (Y * w) @ X.T
+        for s in _column_blocks(X.shape[1]):
+            P = (Y[:, s] * w[s]) @ X[:, s].T
+            M = M + P if s.start else P
     U, _, Vt = _svd(M, "Y diag(w) X^T")
     return U @ Vt
 
@@ -205,7 +227,9 @@ def alignment_error(Q: np.ndarray, X: np.ndarray, Y: np.ndarray,
     """Squared Frobenius alignment error sum_t ||Q x_t - y_t||^2.
 
     With `mask` (boolean per column or index list), restricted to the
-    selected columns.
+    selected columns. The sum is of the per-column `_square_sums`, taken
+    one block of columns at a time (`io._column_blocks`), as
+    `mixture.initialize` sums them into sigma2.
 
     Raises:
         DataError: the error does not fit in a float64 (for example a
@@ -213,16 +237,15 @@ def alignment_error(Q: np.ndarray, X: np.ndarray, Y: np.ndarray,
             overflow).
     """
     X, Y = _pairs(X, Y)
+    cols = None if mask is None else np.arange(X.shape[1])[np.asarray(mask)]
+    if cols is not None and cols.size == 0:
+        raise ValueError("empty column mask")
+    r = np.empty(X.shape[1] if cols is None else cols.size)
     # overflow is reported below rather than warned
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = Q @ X
-        resid -= Y  # in place, as the square below: one d x n array
-        if mask is not None:
-            mask = np.asarray(mask)
-            resid = resid[:, mask]
-            if resid.shape[1] == 0:
-                raise ValueError("empty column mask")
-        err = float(np.sum(np.square(resid, out=resid)))
+        for s in _column_blocks(r.size):
+            r[s] = _square_sums(_misfit(Q, X, Y, s if cols is None else cols[s]))
+        err = float(np.sum(r))
     if not np.isfinite(err):
         raise DataError("alignment error overflows float64: the map or the "
                         "vectors are too large")

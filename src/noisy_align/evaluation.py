@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .io import EmbeddingSet, Lexicon, _column_norms, _unit_columns
+from .io import EmbeddingSet, Lexicon, _column_blocks, _column_norms, _unit_columns
 from .mixture import Responsibilities
 
 logger = logging.getLogger(__name__)
@@ -211,8 +211,10 @@ def rank_semantic_shift(Q: np.ndarray, tokens: list[str], X: np.ndarray, Y: np.n
     where either vector is zero. With a frequency threshold, tokens below
     it in either table (or missing from one) are dropped before scoring; a
     threshold without both tables is a ValueError.
-    All kept pairs are mapped by one GEMM (`_mapped`); X and Y are copied
-    only when a token is dropped, and Y also when it has a column to rescale.
+    The kept pairs are mapped (`_mapped`) and scored one block of columns
+    at a time (`io._column_blocks`): besides X and Y, one block of mapped
+    columns is held, and one of kept columns of Y when a token is dropped
+    or a column of the block is rescaled.
 
     Returns:
         (ranking, n_dropped) where ranking is a list of
@@ -229,20 +231,23 @@ def rank_semantic_shift(Q: np.ndarray, tokens: list[str], X: np.ndarray, Y: np.n
             raise ValueError("a threshold needs both frequency tables")
         kept = np.array([i for i, t in enumerate(tokens) if t in fs and t in ft
                          and fs[t] >= threshold and ft[t] >= threshold], dtype=np.intp)
-    cols = kept if len(kept) < len(tokens) else slice(None)
-    x = _mapped(Q, X[:, cols])
-    nx, odd, scaled = _column_norms(x)
-    x[:, odd] = scaled  # x is the ranking's own
-    y = Y[:, cols]
-    ny, odd, scaled = _column_norms(y)
-    if odd.size:  # y may be the caller's Y
-        y = y.copy()
-        y[:, odd] = scaled
-    zero = (nx == 0) | (ny == 0)
-    cos = np.einsum("ij,ij->j", x, y) / np.where(zero, 1.0, nx * ny)
-    dists = np.where(zero, 1.0, 1.0 - cos).tolist()
+    dists = np.empty(len(kept))
+    for s in _column_blocks(len(kept)):
+        cols = kept[s] if len(kept) < len(tokens) else s
+        x = _mapped(Q, X[:, cols])
+        nx, odd, scaled = _column_norms(x)
+        x[:, odd] = scaled  # x is the ranking's own
+        y = Y[:, cols]
+        ny, odd, scaled = _column_norms(y)
+        if odd.size:  # y may be a view of the caller's Y
+            y = y.copy()
+            y[:, odd] = scaled
+        zero = (nx == 0) | (ny == 0)
+        cos = np.einsum("ij,ij->j", x, y) / np.where(zero, 1.0, nx * ny)
+        dists[s] = np.where(zero, 1.0, 1.0 - cos)
+        del x, y  # so that the next block's columns never coexist with these
     rows = [(tokens[t], dist, "" if h is None else "Aligned" if h[t] else "Noise")
-            for t, dist in zip(kept.tolist(), dists)]
+            for t, dist in zip(kept.tolist(), dists.tolist())]
     rows.sort(key=lambda r: (-r[1], r[0]))
     return rows, len(tokens) - len(kept)
 

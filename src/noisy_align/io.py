@@ -32,7 +32,11 @@ PARSE_CHUNK_ROWS = 1024
 # can cost `np.linalg.norm` precision.
 _NORM_FLOOR = np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps
 
-# Columns whose squares `_column_norms` holds at once (0.6 MB at d=300).
+# Columns per block of a pass over a d x n matrix (`_column_blocks`): the
+# EM fit and the shift ranking hold one block of temporaries (2.4 MB at
+# d=300; blocks of 256 or 512 made the fit slower), `_column_norms` the
+# squares of a quarter of it.
+_BLOCK_COLS = 1024
 _NORM_BLOCK_COLS = 256
 
 # Characters `np.loadtxt` strips from around a number but `float()` refuses
@@ -127,30 +131,40 @@ def _is_header(fields: list[str]) -> bool:
     return True
 
 
+def _column_blocks(n: int, width: int = _BLOCK_COLS):
+    """The slices of one block of `width` columns each that cover n columns.
+
+    A last block of one column joins the block before it: numpy sums a lone
+    column pairwise and a wider block row by row, so this way a column sum
+    has the same bits in every block. n = 0 gives one empty block.
+    """
+    start = 0
+    for stop in [*range(width, n - 1, width), n]:
+        yield slice(start, stop)
+        start = stop
+
+
 def _column_norms(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Euclidean norms of the columns of M, without underflow or overflow.
 
-    They are taken one block of `_NORM_BLOCK_COLS` columns at a time, with
-    `np.linalg.norm`'s arithmetic: a block keeps M's layout, so its columns
-    are summed as in M (a lone column is summed pairwise, so a last one
-    joins the block before). That squares before the square root: below
-    `_NORM_FLOOR` squares can fall into the subnormal range, so the norm
-    loses precision (a non-zero column below about 1e-162 gets norm 0), and
-    above about 1e154 it overflows to inf. Such non-zero columns are divided
-    by their largest magnitude, in a copy of those columns alone.
+    They are taken one block of `_NORM_BLOCK_COLS` columns at a time
+    (`_column_blocks`), with `np.linalg.norm`'s arithmetic: a block keeps
+    M's layout, so its columns are summed as in M. That squares before the
+    square root: below `_NORM_FLOOR` squares can fall into the subnormal
+    range, so the norm loses precision (a non-zero column below about
+    1e-162 gets norm 0), and above about 1e154 it overflows to inf. Such
+    non-zero columns are divided by their largest magnitude, in a copy of
+    those columns alone.
 
     Returns:
         (norms, odd, scaled): the norms, and the indices and rescaled values
         of those columns, which norms[odd] measure. An all-zero column has
         norm 0.
     """
-    n = M.shape[1]
-    norms = np.empty(n)
-    start = 0
+    norms = np.empty(M.shape[1])
     with np.errstate(over="ignore"):
-        for stop in [*range(_NORM_BLOCK_COLS, n - 1, _NORM_BLOCK_COLS), n]:
-            np.add.reduce(np.square(M[:, start:stop]), axis=0, out=norms[start:stop])
-            start = stop
+        for s in _column_blocks(M.shape[1], _NORM_BLOCK_COLS):
+            np.add.reduce(np.square(M[:, s]), axis=0, out=norms[s])
     np.sqrt(norms, out=norms)
     odd = np.flatnonzero((norms < _NORM_FLOOR) | np.isinf(norms))
     peak = np.abs(M[:, odd]).max(axis=0, initial=0.0)

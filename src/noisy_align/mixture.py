@@ -7,10 +7,11 @@ orthogonal map Q, the component parameters, and per-pair responsibilities.
 All densities are evaluated in log space; at d=300 the linear-space
 Gaussian underflows. The two components differ only in their mean, so one
 function, `_residuals`, gives each pair's squared residual under either,
-and one, `_e_step`, turns those residuals into each pair's joint log
-density under both components; the posteriors, soft EM's marginal
-log-likelihood and hard EM's complete-data log-likelihood all come from
-these two numbers. `save_model` is the one
+and `_column_residuals` applies it one block of columns at a time, so that
+the fit holds no d x n temporary. One function, `_e_step`, turns those
+residuals into each pair's joint log density under both components; the
+posteriors, soft EM's marginal log-likelihood and hard EM's complete-data
+log-likelihood all come from these two numbers. `save_model` is the one
 model writer, formatting Q once also for an optional matrix file; the
 responsibilities writer takes each pair's tokens, not the sets.
 """
@@ -24,9 +25,9 @@ from numbers import Integral
 
 import numpy as np
 
-from .align import (_MODEL_KEYS, _check_product, _parse_map, _write_matrix,
-                    procrustes, weighted_procrustes)
-from .io import DataError
+from .align import (_MODEL_KEYS, _check_product, _misfit, _parse_map, _square_sums,
+                    _weighted_map, _write_matrix, procrustes)
+from .io import DataError, _column_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -116,13 +117,26 @@ class EmTrace:
 
 
 def _residuals(diff: np.ndarray, what: str) -> np.ndarray:
-    """Per-column squared residuals `what` of the d x n difference `diff`,
+    """Per-column squared residuals `what` of the d x b difference `diff`,
     Q @ X - Y for the aligned component or Y - mu_y[:, None] for the noise
     one; DataError on overflow. `diff` is squared in place, so that no
-    second d x n array is held; callers pass a temporary and ignore
-    overflow and invalid warnings."""
-    r = np.sum(np.square(diff, out=diff), axis=0)
+    second array is held; callers pass a temporary and ignore overflow and
+    invalid warnings."""
+    r = _square_sums(diff)
     _check_product(r, what)
+    return r
+
+
+def _column_residuals(X: np.ndarray, Y: np.ndarray, Q=None, mu_y=None) -> np.ndarray:
+    """The `_residuals` of Q @ X - Y, or of Y - mu_y[:, None] when `mu_y` is
+    given, one block of columns at a time (`io._column_blocks`): no d x n
+    difference is held."""
+    what = "||Qx - y||^2" if mu_y is None else "||y - mu_y||^2"
+    r = np.empty(Y.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # `_residuals` reports it
+        for s in _column_blocks(Y.shape[1]):
+            r[s] = _residuals(_misfit(Q, X, Y, s) if mu_y is None
+                              else Y[:, s] - mu_y[:, None], what)
     return r
 
 
@@ -155,18 +169,18 @@ def _e_step(model: AlignmentModel, r_aligned: np.ndarray, r_noise: np.ndarray):
 
 def log_likelihood(model: AlignmentModel, X: np.ndarray, Y: np.ndarray) -> float:
     """Marginal log-likelihood sum_t log f(y_t | x_t) of the mixture."""
-    with np.errstate(over="ignore", invalid="ignore"):  # `_residuals` reports it
-        r = _residuals(model.Q @ X - Y, "||Qx - y||^2")
-        r0 = _residuals(Y - model.mu_y[:, None], "||y - mu_y||^2")
-    return _e_step(model, r, r0)[1]
+    return _e_step(model, _column_residuals(X, Y, model.Q),
+                   _column_residuals(X, Y, mu_y=model.mu_y))[1]
 
 
 def initialize(X: np.ndarray, Y: np.ndarray):
     """Initial model: Procrustes on the full lexicon, dataset moments, alpha=0.5.
 
-    sigma2 is the mean squared residual per coordinate of the initial Q;
-    the noise component takes the mean and (isotropic) variance of Y.
-    Variances are floored at VAR_FLOOR so perfect-fit data stays defined.
+    sigma2 is the mean squared residual per coordinate of the initial Q,
+    the sum of its column residuals as `alignment_error` takes it; the
+    noise component takes the mean and (isotropic) variance of Y. Variances
+    are floored at VAR_FLOOR so perfect-fit data stays defined. The
+    finiteness of X and Y is checked here, once for the whole fit.
 
     Returns:
         (model, r_aligned, r_noise): the model, and its aligned and noise
@@ -182,17 +196,13 @@ def initialize(X: np.ndarray, Y: np.ndarray):
     if n < 2:
         raise ValueError("need at least 2 pairs to initialize the mixture")
     Q = procrustes(X, Y)
-    # flat sums as in `alignment_error`, column sums as in `_residuals`;
-    # `_variance` reports an overflow, also one of a column sum
+    # `_column_residuals` or `_variance` reports an overflow
     with np.errstate(over="ignore", invalid="ignore"):
         mu_y = Y.mean(axis=1)
-        sq = (Y - mu_y[:, None]) ** 2
-        sigma_y2 = _variance(np.sum(sq), n * d, "||y - mu_y||^2")
-        r_noise = np.sum(sq, axis=0)
-        del sq  # one d x n array of squares at a time
-        sq = (Q @ X - Y) ** 2
-        sigma2 = _variance(np.sum(sq), n * d, "||Qx - y||^2")
-        r_aligned = np.sum(sq, axis=0)
+        r_noise = _column_residuals(X, Y, mu_y=mu_y)
+        sigma_y2 = _variance(np.sum(r_noise), n * d, "||y - mu_y||^2")
+        r_aligned = _column_residuals(X, Y, Q)
+        sigma2 = _variance(np.sum(r_aligned), n * d, "||Qx - y||^2")
     model = AlignmentModel(Q=Q, sigma2=sigma2, mu_y=mu_y, sigma_y2=sigma_y2, alpha=0.5)
     return model, r_aligned, r_noise
 
@@ -214,15 +224,15 @@ def _m_step(model: AlignmentModel, X: np.ndarray, Y: np.ndarray, w: np.ndarray,
     s1, s0 = float(w.sum()), float((1.0 - w).sum())
     Q, sigma2, r = model.Q, model.sigma2, r_aligned
     mu_y, sigma_y2, r0 = model.mu_y, model.sigma_y2, r_noise
-    # an overflow is reported by `_residuals` or `_variance`
+    # an overflow is reported by `_column_residuals` or `_variance`
     with np.errstate(over="ignore", invalid="ignore"):
         if s1 > VAR_FLOOR:
-            Q = weighted_procrustes(X, Y, w)
-            r = _residuals(Q @ X - Y, "||Qx - y||^2")
+            Q = _weighted_map(X, Y, w)  # X and Y were checked by `initialize`
+            r = _column_residuals(X, Y, Q)
             sigma2 = _variance(np.dot(w, r), d * s1, "||Qx - y||^2")
         if s0 > VAR_FLOOR:
             mu_y = (Y @ (1.0 - w)) / s0
-            r0 = _residuals(Y - mu_y[:, None], "||y - mu_y||^2")
+            r0 = _column_residuals(X, Y, mu_y=mu_y)
             sigma_y2 = _variance(np.dot(1.0 - w, r0), d * s0, "||y - mu_y||^2")
     fitted = AlignmentModel(Q=Q, sigma2=sigma2, mu_y=mu_y,
                             sigma_y2=sigma_y2, alpha=s1 / n)

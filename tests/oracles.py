@@ -1,6 +1,6 @@
 """Reference implementations of the mixture model that the tests check
-`noisy_align.mixture` against: one pair's log density, and draws from the
-generative model."""
+`noisy_align.mixture` against: one pair's log density, draws from the
+generative model, and the column blocks that a pass over the pairs takes."""
 
 import numpy as np
 
@@ -39,3 +39,12 @@ def sample_generative(model: AlignmentModel, X: np.ndarray, seed: int):
     Y[:, z] = mapped[:, z] + sig_a * noise[:, z]
     Y[:, ~z] = model.mu_y[:, None] + sig_n * noise[:, ~z]
     return Y, z
+
+
+def column_blocks(n: int, width: int) -> list[slice]:
+    """Blocks of `width` columns covering n >= 1 columns, with a last block
+    of one column folded into the one before it (`io._column_blocks`)."""
+    bounds = [*range(0, n, width), n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]

@@ -16,7 +16,10 @@ from noisy_align.align import (
     sgd_objective_grad,
     weighted_procrustes,
 )
+from noisy_align import io as nio
 from noisy_align.io import DataError
+from oracles import column_blocks
+from test_io import traced_peak
 
 
 def objective(Q, X, Y):
@@ -355,10 +358,20 @@ class TestAlignmentError:
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_the_square_has_the_bits_of_the_product(self, masked):
+        # the squares of each block of the product, summed per column, then
+        # over all columns: the sum `initialize` takes for sigma2
         Q, X, Y, mask = self.large_pairs()
-        resid = (Q @ X - Y)[:, mask if masked else slice(None)]
+        cols = np.flatnonzero(mask) if masked else np.arange(X.shape[1])
+        blocks = column_blocks(cols.size, nio._BLOCK_COLS)
+        assert len(blocks) > 1
+        r = []
+        for s in blocks:
+            # a slice of X and Y unmasked, so that they keep their layout
+            c = cols[s] if masked else s
+            resid = Q @ X[:, c] - Y[:, c]
+            r.append(np.sum(resid * resid, axis=0))
         err = alignment_error(Q, X, Y, mask if masked else None)
-        assert err == float(np.sum(resid * resid))
+        assert err == float(np.sum(np.concatenate(r)))
 
     def test_holds_one_residual_matrix(self):
         # Q X - Y is formed and squared in place: its square would add X.nbytes
@@ -370,6 +383,15 @@ class TestAlignmentError:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * X.nbytes
+
+    @pytest.mark.parametrize("masked, bound", [(False, 0.6), (True, 1.0)])
+    def test_holds_one_block_of_residuals(self, masked, bound):
+        # a block is 1024 of 3000 columns, or of the 1518 masked ones, which
+        # are copied one block at a time; the whole d x n residual adds
+        # X.nbytes, and masked copies of X and Y add as much again
+        Q, X, Y, mask = self.large_pairs()
+        peak = traced_peak(alignment_error, Q, X, Y, mask if masked else None)[1]
+        assert peak < bound * X.nbytes
 
     def test_empty_mask(self):
         with pytest.raises(ValueError, match="empty"):

@@ -914,6 +914,38 @@ class TestDiachronic:
         assert (summary["dropped_below_threshold"] > 0) == (threshold == "0.005")
         assert peak <= 4.0 * 8 * d * V
 
+    @pytest.mark.parametrize("threshold", ["0.005", None], ids=["drops-tokens", "no-threshold"])
+    def test_fit_and_ranking_add_one_block_to_the_pairs(self, large_decades, tmp_path,
+                                                        monkeypatch, threshold):
+        # each holds X, Y and one block of columns (1024 of V=3000), and one
+        # of kept columns when the ranking drops tokens: a d x V temporary
+        # would add 8*d*V bytes to what is held when it starts
+        root, d, V = large_decades
+        argv = self.base_args(root / "old.txt", root / "new.txt", tmp_path / "out")
+        if threshold is not None:
+            argv += ["--src-freqs", str(root / "f.tsv"), "--tgt-freqs", str(root / "f.tsv"),
+                     "--threshold", threshold]
+        added = {}
+
+        def traced(fn):
+            def run(*args, **kwargs):
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    added[fn.__name__] = tracemalloc.get_traced_memory()[1] - held
+            return run
+        for name in ("fit_translation", "rank_semantic_shift"):
+            monkeypatch.setattr(cli, name, traced(getattr(cli, name)))
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+        finally:
+            tracemalloc.stop()
+        assert set(added) == {"fit_translation", "rank_semantic_shift"}
+        assert max(added.values()) < 8 * d * V
+
     def test_dimension_mismatch_is_data_error_before_any_output(self, tmp_path, capsys):
         rng = np.random.default_rng(32)
         tokens = [f"w{i}" for i in range(10)]

@@ -21,7 +21,7 @@ from noisy_align.evaluation import (
 )
 from noisy_align.io import EmbeddingSet, Lexicon, build_identity_lexicon, gather_pairs
 from noisy_align.mixture import Responsibilities
-from test_io import full_square_norms
+from test_io import full_square_norms, traced_peak
 
 
 def make_set(tokens, vectors):
@@ -546,6 +546,26 @@ class TestShiftRankingCopies:
             tracemalloc.stop()
         assert peak < 1.5 * X.nbytes
 
+    @pytest.mark.parametrize("threshold", [None, 0.5])
+    def test_holds_one_block_besides_the_pairs(self, pairs, threshold):
+        # one block of mapped columns (1024 of 3000), and one of kept columns
+        # when a token is dropped; all pairs mapped at once add X.nbytes
+        Q, tokens, X, Y, freqs, resp = pairs
+        peak = traced_peak(rank_semantic_shift, Q, tokens, X, Y, freqs, freqs,
+                           threshold, resp)[1]
+        assert peak < X.nbytes
+
+    def test_a_rescaled_target_column_copies_one_block_of_y(self):
+        # only the block of Y that holds the column is copied, not all of Y
+        rng = np.random.default_rng(43)
+        d, n = 300, 4000
+        X, Y = rng.standard_normal((d, n)), rng.standard_normal((d, n))
+        Y[:, 7] *= 1e200
+        tokens = [f"w{i}" for i in range(n)]
+        (ranking, _), peak = traced_peak(rank_semantic_shift, random_orthogonal(d, 44),
+                                         tokens, X, Y)
+        assert len(ranking) == n and 0.0 < dict((t, x) for t, x, _ in ranking)["w7"] < 2.0
+        assert peak < 0.75 * X.nbytes
 
     @pytest.fixture
     def odd_pairs(self, pairs):

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from noisy_align import mixture
+from noisy_align import align, io as nio, mixture
 from noisy_align.align import (alignment_error, load_matrix, random_orthogonal, save_matrix,
                                weighted_procrustes)
 from noisy_align.experiments import fit_translation
@@ -31,7 +31,8 @@ from noisy_align.mixture import (
     write_responsibilities_tsv,
 )
 from noisy_align.synthetic import make_noisy_problem
-from oracles import log_gaussian_iso, sample_generative
+from oracles import column_blocks, log_gaussian_iso, sample_generative
+from test_io import traced_peak
 
 
 def mp_log_gaussian(y, mean, var):
@@ -329,22 +330,24 @@ class TestInitialize:
         # the initial model's residuals reach the first E-step, and each
         # M-step's residuals the next one: no E-step recomputes Q @ X or
         # the noise residual. Hard EM's last iteration repeats the labels
-        # of the one before and runs no M-step.
+        # of the one before and runs no M-step. Each count holds one call
+        # of `initialize`, and the pairs fit in one block of columns.
         calls = count_residual_calls(monkeypatch)
         X, Y, _ = jittered_instance(12)
         _, _, trace = em_fit(X, Y, soft=mode == "soft")
         assert trace.iterations >= 2 and not trace.degenerate_iters
         m_steps = trace.iterations - (mode == "hard")
-        assert calls == {ALIGNED: m_steps, NOISE: m_steps}
+        assert calls == {ALIGNED: 1 + m_steps, NOISE: 1 + m_steps}
 
     def test_kept_component_passes_its_residual_on(self, monkeypatch):
-        # an all-noise fit keeps Q in its one M-step, so no Q @ X is redone;
-        # the second iteration repeats the all-noise labels and runs none
+        # an all-noise fit keeps Q in its one M-step, so no Q @ X is redone
+        # after `initialize`'s; the second iteration repeats the all-noise
+        # labels and runs none
         calls = count_residual_calls(monkeypatch)
         X, Y = all_noise_instance()
         _, _, trace = em_fit(X, Y)
         assert trace.degenerate_iters == [0, 1]
-        assert calls == {NOISE: 1}
+        assert calls == {ALIGNED: 1, NOISE: 2}
 
     def test_a_residual_holds_one_d_by_n_array(self):
         # `_residuals` squares the difference in place: a second d x n array
@@ -359,6 +362,76 @@ class TestInitialize:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * X.nbytes
+
+
+class TestColumnBlocks:
+    """The fit takes each d x n intermediate one block of columns at a time."""
+
+    BLOCK = nio._BLOCK_COLS
+
+    @staticmethod
+    def pairs(d, n, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((d, n))
+        Q = random_orthogonal(d, seed)
+        return X, Q @ X + rng.standard_normal((d, n)), Q, rng.standard_normal(d)
+
+    @pytest.mark.parametrize("n", [2, BLOCK, BLOCK + 1])
+    def test_one_block_has_the_bits_of_the_whole_matrix(self, n):
+        # a last lone column joins the block before it
+        X, Y, Q, mu = self.pairs(6, n, n)
+        assert np.array_equal(mixture._column_residuals(X, Y, Q),
+                              _residuals(Q @ X - Y, ALIGNED))
+        assert np.array_equal(mixture._column_residuals(X, Y, mu_y=mu),
+                              _residuals(Y - mu[:, None], NOISE))
+        w = np.random.default_rng(n).random(n)
+        U, _, Vt = np.linalg.svd((Y * w) @ X.T)
+        assert np.array_equal(align._weighted_map(X, Y, w), U @ Vt)
+
+    @pytest.mark.parametrize("n", [BLOCK + 2, 2 * BLOCK + 1, 3 * BLOCK + 5])
+    def test_more_blocks_have_the_bits_of_each_block(self, n):
+        X, Y, Q, mu = self.pairs(6, n, n)
+        blocks = column_blocks(n, self.BLOCK)
+        want = np.concatenate([_residuals(Q @ X[:, s] - Y[:, s], ALIGNED) for s in blocks])
+        assert np.array_equal(mixture._column_residuals(X, Y, Q), want)
+        want = np.concatenate([_residuals(Y[:, s] - mu[:, None], NOISE) for s in blocks])
+        assert np.array_equal(mixture._column_residuals(X, Y, mu_y=mu), want)
+        w = np.random.default_rng(n).random(n)
+        M = (Y[:, blocks[0]] * w[blocks[0]]) @ X[:, blocks[0]].T
+        for s in blocks[1:]:
+            M = M + (Y[:, s] * w[s]) @ X[:, s].T
+        U, _, Vt = np.linalg.svd(M)
+        assert np.array_equal(align._weighted_map(X, Y, w), U @ Vt)
+
+    @pytest.mark.parametrize("fit", [
+        pytest.param(lambda X, Y: em_fit(X, Y), id="hard"),
+        pytest.param(lambda X, Y: em_fit(X, Y, soft=True), id="soft"),
+        pytest.param(lambda X, Y: log_likelihood(initialize(X, Y)[0], X, Y),
+                     id="log_likelihood"),
+    ])
+    def test_holds_one_block_besides_the_pairs(self, fit):
+        # a block is 1024 of 3000 columns; a d x n residual, product or
+        # weighted copy of Y would add X.nbytes
+        X, Y, _, _ = self.pairs(100, 3000, 7)
+        peak = traced_peak(fit, X, Y)[1]
+        assert peak < 0.75 * X.nbytes
+
+    @pytest.mark.parametrize("side", ["X", "Y"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_em_fit_checks_finiteness_once(self, side, value, monkeypatch):
+        # through `initialize`'s Procrustes; no M-step checks again
+        calls = []
+
+        def spy(X, Y, _fn=align._pairs):
+            calls.append(X.shape)
+            return _fn(X, Y)
+        monkeypatch.setattr(align, "_pairs", spy)
+        X, Y, _ = jittered_instance(14)
+        _, _, trace = em_fit(X, Y, soft=True)
+        assert trace.iterations > 1 and calls == [X.shape]
+        (X if side == "X" else Y)[1, 2] = value
+        with pytest.raises(ValueError, match="^non-finite entries in input matrices$"):
+            em_fit(X, Y)
 
 
 @pytest.mark.filterwarnings("error")
@@ -645,12 +718,13 @@ class TestEmFit:
     def test_weighted_procrustes_runs_once_per_m_step(self, mode, monkeypatch):
         # soft EM fits Q in every iteration; hard EM's last iteration
         # repeats the labels of the one before and refits nothing
+        # the M-step's weighted Procrustes is the unchecked kernel
         calls = []
 
-        def spy(X, Y, w, _fn=mixture.weighted_procrustes):
+        def spy(X, Y, w, _fn=mixture._weighted_map):
             calls.append(w)
             return _fn(X, Y, w)
-        monkeypatch.setattr(mixture, "weighted_procrustes", spy)
+        monkeypatch.setattr(mixture, "_weighted_map", spy)
         X, Y, _ = jittered_instance(77)
         _, resp, trace = em_fit(X, Y, soft=mode == "soft")
         assert trace.iterations == 4 and trace.converged
