@@ -101,7 +101,8 @@ for run in miss hit; do
   touch "$RUNNER_TEMP/$run.done"
 done
 test "$(find "$XDG_CACHE_HOME/noisy-align" -type f -newer "$RUNNER_TEMP/miss.done" | wc -l)" -eq 2
-grep -q "skipped 1 malformed/duplicate rows" "$RUNNER_TEMP/miss.err"
+grep -qxF "noisy-align: warning: skipped 1 malformed/duplicate rows in $bli/src.vec" \
+  "$RUNNER_TEMP/miss.err"
 cmp "$RUNNER_TEMP/miss.out" "$RUNNER_TEMP/hit.out"
 cmp "$RUNNER_TEMP/miss.err" "$RUNNER_TEMP/hit.err"
 test "$(ls "$RUNNER_TEMP/miss" | wc -l)" -eq 4
@@ -118,6 +119,26 @@ cmp "$RUNNER_TEMP/miss.err" "$RUNNER_TEMP/cut.err"
 for f in "$RUNNER_TEMP"/miss/*; do cmp "$f" "$RUNNER_TEMP/cut/${f##*/}"; done
 test "$(ls "$XDG_CACHE_HOME/noisy-align" | wc -l)" -eq 2
 test "$(find "$XDG_CACHE_HOME/noisy-align" -type f -newer "$RUNNER_TEMP/hit.done" | wc -l)" -eq 2
+# so is an entry whose last value, the matrix's, is overwritten with NaN,
+# which the loader would refuse: the run parses both files again and
+# writes both entries back as they were
+mkdir "$RUNNER_TEMP/entries"
+cp "$XDG_CACHE_HOME"/noisy-align/* "$RUNNER_TEMP/entries"
+python3 - "$XDG_CACHE_HOME"/noisy-align/* <<'PY'
+import struct, sys
+
+for path in sys.argv[1:]:
+    with open(path, "r+b") as fh:
+        fh.seek(-8, 2)
+        fh.write(struct.pack("<d", float("nan")))
+PY
+noisy-align align --src-emb "$bli/src.vec" --tgt-emb "$bli/tgt.vec" \
+  --lexicon "$bli/train.tsv" --test-lexicon "$bli/test.tsv" \
+  --output-dir "$RUNNER_TEMP/nan" > "$RUNNER_TEMP/nan.out" 2> "$RUNNER_TEMP/nan.err"
+cmp "$RUNNER_TEMP/miss.out" "$RUNNER_TEMP/nan.out"
+cmp "$RUNNER_TEMP/miss.err" "$RUNNER_TEMP/nan.err"
+for f in "$RUNNER_TEMP"/miss/*; do cmp "$f" "$RUNNER_TEMP/nan/${f##*/}"; done
+for e in "$RUNNER_TEMP"/entries/*; do cmp "$e" "$XDG_CACHE_HOME/noisy-align/${e##*/}"; done
 # the d=300 map is formatted once: model.txt begins with matrix.txt's bytes
 head -n 301 "$RUNNER_TEMP/hit/model.txt" | cmp - "$RUNNER_TEMP/hit/matrix.txt"
 # evaluate reads that matrix.txt back and reports align's test metrics

@@ -17,7 +17,8 @@ entry file instead of parsing the text again.
   rewrite changes its mtime.
 - Nothing here is an error: an OSError, or a home directory that cannot be
   found, falls back to the parse, and an unreadable, truncated, torn or
-  otherwise damaged entry is a miss and is replaced.
+  otherwise damaged entry is a miss and is replaced; so is one that the
+  parse could not have written: a non-finite value or a repeated token.
 - An entry is written under a temporary name and renamed into place. After
   a write, entries whose file no longer matches their stamp are deleted,
   then the least recently used (a hit marks an entry used) beyond
@@ -83,8 +84,9 @@ def _read_head(fh) -> tuple[tuple, int]:
 
 
 def _read(entry: Path, stamp: tuple):
-    """The parse result in `entry`, or None when its stamp is not `stamp`
-    or its matrix does not fit the tokens it records.
+    """The parse result in `entry`, or None when its stamp is not `stamp`,
+    its matrix does not fit the tokens it records, or `EmbeddingSet` would
+    refuse it: a non-finite value or a repeated token.
 
     Raises OSError or ValueError for a missing or damaged entry, and
     MemoryError for a record that declares a shape too large to hold.
@@ -95,7 +97,8 @@ def _read(entry: Path, stamp: tuple):
             return None
         tokens = read_array(fh).tobytes().decode("utf-8").split("\n")
         vectors = read_array(fh)
-    if vectors.dtype != np.float64 or vectors.ndim != 2 or vectors.shape[1] != len(tokens):
+    if (vectors.dtype != np.float64 or vectors.ndim != 2 or vectors.shape[1] != len(tokens)
+            or len(set(tokens)) != len(tokens) or not np.isfinite(vectors).all()):
         return None
     return tokens, vectors, skipped
 

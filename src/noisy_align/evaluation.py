@@ -12,15 +12,13 @@ ranking reads only the gathered pairs: their tokens, X and Y.
 
 from __future__ import annotations
 
-import logging
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .io import EmbeddingSet, Lexicon, _column_blocks, _column_norms, _unit_columns
 from .mixture import Responsibilities
-
-logger = logging.getLogger(__name__)
 
 # Queries per score block: each block reads all of `index.unit`, so blocks
 # of a few rows make the GEMM memory-bound (1500 queries at V=50k, d=300 on
@@ -179,7 +177,8 @@ def precision_at_1(Q: np.ndarray, test_lex: Lexicon, src: EmbeddingSet,
     Queries are the unique source indices of the test lexicon; a query is
     correct iff its retrieved top-1 token is any of its gold targets.
     A query whose mapped vector is zero (see `_mapped`) has no neighbour:
-    it counts as a miss, and the number of such queries is logged.
+    it counts as a miss, and the number of such queries is warned of
+    (`UserWarning`).
 
     Returns:
         (p_at_1, n_queries)
@@ -191,8 +190,8 @@ def precision_at_1(Q: np.ndarray, test_lex: Lexicon, src: EmbeddingSet,
         gold.setdefault(s, set()).add(tgt.tokens[t])
     top, _, zero = _search(build_index(tgt), Q, src.vectors, list(gold), 1)
     if zero.any():
-        logger.warning("%d of %d queries have a zero mapped vector; "
-                       "counted as misses", int(zero.sum()), len(gold))
+        warnings.warn(f"{int(zero.sum())} of {len(gold)} queries have a zero mapped vector; "
+                      "counted as misses", stacklevel=2)
     correct = sum(t >= 0 and tgt.tokens[t] in targets
                   for t, targets in zip(top[:, 0], gold.values()))
     return correct / len(gold), len(gold)

@@ -16,14 +16,12 @@ two fields is skipped in a lexicon and a DataError in a frequency table.
 
 from __future__ import annotations
 
-import logging
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _cache
-
-logger = logging.getLogger(__name__)
 
 # Embedding rows whose values one `np.loadtxt` call converts.
 PARSE_CHUNK_ROWS = 1024
@@ -213,22 +211,19 @@ def _parse_values(tails: list[str], dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _keep_new_rows(chunk_tokens: list[str], chunk_tails: list[str], dim: int,
-                   tokens: list[str], index: dict[str, int],
-                   blocks: list[np.ndarray]) -> int:
+                   tokens: list[str], seen: set[str], blocks: list[np.ndarray]) -> None:
     """Append the chunk's valid rows with a new token, in row order.
 
-    A token keeps its first valid row, common GloVe practice. Returns the
-    number of rows skipped.
+    A token keeps its first valid row, common GloVe practice.
     """
     values, valid = _parse_values(chunk_tails, dim)
     kept = []
     for row, (token, ok) in enumerate(zip(chunk_tokens, valid.tolist())):
-        if ok and token not in index:
-            index[token] = len(tokens)
+        if ok and token not in seen:
+            seen.add(token)
             tokens.append(token)
             kept.append(row)
     blocks.append(values if len(kept) == len(chunk_tokens) else values[kept])
-    return len(chunk_tokens) - len(kept)
 
 
 def load_embeddings(path, limit: int | None = None, normalize: bool = False) -> EmbeddingSet:
@@ -261,24 +256,27 @@ def load_embeddings(path, limit: int | None = None, normalize: bool = False) -> 
         raise ValueError(f"limit must be at least 1, got {limit}")
     tokens, vectors, skipped = _cache.parsed(path, limit, _parse_embeddings)
     if skipped:
-        logger.warning("skipped %d malformed/duplicate rows in %s", skipped, path)
+        warnings.warn(f"skipped {skipped} malformed/duplicate rows in {path}", stacklevel=2)
     if normalize:
         vectors = _unit_columns(vectors)[0]
     return EmbeddingSet(tokens=tokens, vectors=vectors, skipped=skipped)
 
 
 def _parse_embeddings(path, limit: int | None) -> tuple[list[str], np.ndarray, int]:
-    """`load_embeddings`'s text parse: (tokens, d x n vectors, skipped)."""
+    """`load_embeddings`'s text parse: (tokens, d x n vectors, skipped).
+
+    Every row read is kept or skipped, so the rows skipped are the rows
+    read (`total`) minus the rows kept.
+    """
     dim = None
     tokens: list[str] = []
-    index: dict[str, int] = {}
+    seen: set[str] = set()
     blocks: list[np.ndarray] = []
     chunk_tokens: list[str] = []
     chunk_tails: list[str] = []
     # with a limit, a chunk holds at most the rows still needed, so reading
     # stops right after the row that reaches the limit
     want = PARSE_CHUNK_ROWS if limit is None else min(PARSE_CHUNK_ROWS, limit)
-    skipped = 0
     bad_dim = 0
     total = 0
     for lineno, line in enumerate(_read_lines(path, "embedding file")):
@@ -292,20 +290,19 @@ def _parse_embeddings(path, limit: int | None) -> tuple[list[str], np.ndarray, i
         if dim is None:
             dim = width
         if width != dim:
-            skipped += 1
             bad_dim += 1
             continue
         chunk_tokens.append(token)
         chunk_tails.append(tail)
         if len(chunk_tails) == want:
-            skipped += _keep_new_rows(chunk_tokens, chunk_tails, dim, tokens, index, blocks)
+            _keep_new_rows(chunk_tokens, chunk_tails, dim, tokens, seen, blocks)
             chunk_tokens, chunk_tails = [], []
             if limit is not None:
                 if len(tokens) == limit:
                     break
                 want = min(PARSE_CHUNK_ROWS, limit - len(tokens))
     if chunk_tails:
-        skipped += _keep_new_rows(chunk_tokens, chunk_tails, dim, tokens, index, blocks)
+        _keep_new_rows(chunk_tokens, chunk_tails, dim, tokens, seen, blocks)
 
     if not tokens:
         raise DataError(f"no valid embedding rows in {path}")
@@ -316,7 +313,7 @@ def _parse_embeddings(path, limit: int | None) -> tuple[list[str], np.ndarray, i
 
     vectors = np.empty((dim, len(tokens)))
     np.concatenate(blocks, out=vectors.T)  # the blocks' rows are its columns
-    return tokens, vectors, skipped
+    return tokens, vectors, total - len(tokens)
 
 
 def save_embeddings(emb: EmbeddingSet, path) -> None:
@@ -334,32 +331,19 @@ def load_lexicon(path, src: EmbeddingSet, tgt: EmbeddingSet) -> tuple[Lexicon, i
     embedding set, or that duplicate an earlier pair exactly, are skipped.
 
     Returns:
-        (Lexicon, skipped_count); file order is preserved.
+        (Lexicon, skipped_count): the pairs in order of first occurrence,
+        and the non-blank lines read minus the pairs kept.
 
     Raises:
         DataError: unreadable file or zero resolvable pairs.
     """
-    pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    skipped = 0
-    for _, fields in _field_lines(path, "lexicon file"):
-        if len(fields) != 2:
-            skipped += 1
-            continue
-        s, t = fields
-        if s not in src.token_index or t not in tgt.token_index:
-            skipped += 1
-            continue
-        pair = (src.token_index[s], tgt.token_index[t])
-        if pair in seen:
-            skipped += 1
-            continue
-        seen.add(pair)
-        pairs.append(pair)
-
+    pairs: dict[tuple[int, int], None] = {}  # a repeated pair keeps its first place
+    for read, (_, fields) in enumerate(_field_lines(path, "lexicon file"), 1):
+        if len(fields) == 2 and fields[0] in src.token_index and fields[1] in tgt.token_index:
+            pairs[src.token_index[fields[0]], tgt.token_index[fields[1]]] = None
     if not pairs:
         raise DataError(f"zero resolvable pairs in {path}")
-    return Lexicon(pairs=pairs), skipped
+    return Lexicon(pairs=list(pairs)), read - len(pairs)
 
 
 def build_identity_lexicon(src: EmbeddingSet, tgt: EmbeddingSet,

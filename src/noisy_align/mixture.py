@@ -18,7 +18,7 @@ responsibilities writer takes each pair's tokens, not the sets.
 
 from __future__ import annotations
 
-import logging
+import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -28,8 +28,6 @@ import numpy as np
 from .align import (_MODEL_KEYS, _check_product, _misfit, _parse_map, _square_sums,
                     _weighted_map, _write_matrix, procrustes)
 from .io import DataError, _column_blocks
-
-logger = logging.getLogger(__name__)
 
 VAR_FLOOR = 1e-12
 # largest ||Q^T Q - I||_F an AlignmentModel accepts
@@ -258,7 +256,7 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
     When an iteration leaves a component without weight (n1=0 or n1=n in
     hard EM), that component's parameters are frozen at their previous
     values and the iteration is recorded in trace.degenerate_iters. A fit
-    that stops at max_iters without converging logs a warning.
+    that stops at max_iters without converging warns (`UserWarning`).
 
     Returns:
         (AlignmentModel, Responsibilities, EmTrace); the responsibilities
@@ -295,9 +293,9 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
         resp = Responsibilities(w)
     trace.converged = abs(model.alpha - alpha_prev) <= eps
     if not trace.converged:
-        logger.warning("EM stopped at max_iters=%d without converging: "
-                       "|alpha change| %.3g > epsilon %.3g",
-                       cfg.max_iters, abs(model.alpha - alpha_prev), eps)
+        warnings.warn(f"EM stopped at max_iters={cfg.max_iters} without converging: "
+                      f"|alpha change| {abs(model.alpha - alpha_prev):.3g} > epsilon {eps:.3g}",
+                      stacklevel=2)
 
     return model, resp, trace
 

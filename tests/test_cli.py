@@ -2,7 +2,6 @@ import argparse
 import contextlib
 import io
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import noisy_align
-from noisy_align import align, cli, experiments, io as nio, mixture
+from noisy_align import _cache, align, cli, experiments, io as nio, mixture
 from noisy_align.align import alignment_error, random_orthogonal, save_matrix
 from noisy_align.cli import build_parser, main
 from noisy_align.evaluation import (precision_at_1, rank_semantic_shift,
@@ -62,6 +61,17 @@ def bilingual(tmp_path):
     test.write_text("".join(f"s{i}\tt{i}\n" for i in range(50, 60)))
     return {"src": src_path, "tgt": tgt_path, "train": train, "test": test,
             "noisy": noisy, "dir": tmp_path}
+
+
+def run_cli(argv, cwd=None, options=()):
+    """`noisy-align argv` in a separate process, which is stopped if it
+    hangs, on the package the tests import; `options` go to the
+    interpreter."""
+    src = str(Path(noisy_align.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *options, "-m", "noisy_align.cli", *map(str, argv)],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
 
 
 def exit_code(run):
@@ -193,7 +203,7 @@ class TestAlign:
         assert not out.exists()
 
     def test_cached_inputs_give_identical_outputs(self, bilingual, tmp_path, capsys,
-                                                  caplog, cache_home):
+                                                  cache_home):
         with bilingual["src"].open("a") as fh:
             fh.write("s0" + " 0" * 10 + "\n")  # a duplicate row: skipped, with a warning
         old = time.time_ns() - 60 * 10**9
@@ -201,20 +211,20 @@ class TestAlign:
             os.utime(bilingual[name], ns=(old, old))
         runs = []
         for out in ("miss", "hit"):
-            caplog.clear()
             assert run_align(bilingual, tmp_path / out, ["--method", "em-soft"]) == 0
-            runs.append((capsys.readouterr(), caplog.messages,
-                         sorted(os.listdir(cache_home / "noisy-align"))))
-        assert runs[0] == runs[1] and len(runs[0][2]) == 2
-        assert "skipped 1 malformed/duplicate rows" in runs[0][1][0]
+            runs.append((capsys.readouterr(), sorted(os.listdir(cache_home / "noisy-align"))))
+        assert runs[0] == runs[1] and len(runs[0][1]) == 2
+        assert runs[0][0].err == ("noisy-align: warning: skipped 1 malformed/duplicate rows "
+                                  f"in {bilingual['src']}\n")
         for name in os.listdir(tmp_path / "miss"):
             assert (tmp_path / "miss" / name).read_bytes() == \
                 (tmp_path / "hit" / name).read_bytes(), name
 
-    def test_entries_declaring_exabyte_matrices_are_misses(self, bilingual, tmp_path, capsys,
-                                                           cache_home):
-        # a matrix record whose header claims more than any address space
-        # holds fails its allocation, and the load parses the text again
+    @staticmethod
+    def assert_damaged_entries_are_misses(bilingual, tmp_path, capsys, cache_home, damage):
+        """`damage(entry)` applied to both cache entries leaves a second run's
+        stdout, stderr and outputs the first's, and the run writes both
+        entries back as they were."""
         old = time.time_ns() - 60 * 10**9
         for name in ("src", "tgt"):
             os.utime(bilingual[name], ns=(old, old))
@@ -223,13 +233,37 @@ class TestAlign:
         entries = sorted((cache_home / "noisy-align").iterdir())
         written = [entry.read_bytes() for entry in entries]
         for entry in entries:
-            declare_shape(entry, 3, (10, 2**55))
+            damage(entry)
         assert run_align(bilingual, tmp_path / "damaged") == 0
         assert capsys.readouterr() == clean
         for name in os.listdir(tmp_path / "clean"):
             assert (tmp_path / "clean" / name).read_bytes() == \
                 (tmp_path / "damaged" / name).read_bytes(), name
         assert [entry.read_bytes() for entry in entries] == written  # rewritten
+
+    def test_entries_declaring_exabyte_matrices_are_misses(self, bilingual, tmp_path, capsys,
+                                                           cache_home):
+        # a matrix record whose header claims more than any address space
+        # holds fails its allocation, and the load parses the text again
+        self.assert_damaged_entries_are_misses(
+            bilingual, tmp_path, capsys, cache_home,
+            lambda entry: declare_shape(entry, 3, (10, 2**55)))
+
+    @pytest.mark.parametrize("damage", ["nan-value", "repeated-token"])
+    def test_entries_that_no_parse_writes_are_misses(self, bilingual, tmp_path, capsys,
+                                                     cache_home, damage):
+        # `EmbeddingSet` refuses a non-finite value or a repeated token; an
+        # entry holding one is parsed again, not a data error
+        def damaged(entry):
+            if damage == "nan-value":  # the matrix is the last record
+                entry.write_bytes(entry.read_bytes()[:-8] + np.float64(np.nan).tobytes())
+            else:
+                with open(entry, "rb") as fh:
+                    stamp = _cache._read_head(fh)[0]
+                tokens, vectors, skipped = _cache._read(entry, stamp)
+                _cache._write(entry, stamp, (tokens[:-1] + tokens[:1], vectors, skipped))
+
+        self.assert_damaged_entries_are_misses(bilingual, tmp_path, capsys, cache_home, damaged)
 
     @pytest.mark.parametrize("method", ["op", "sgd", "em-hard"])
     def test_only_a_mixture_fit_prints_a_discarded_fraction(self, bilingual, tmp_path, capsys,
@@ -273,14 +307,8 @@ class TestAlign:
         lex = tmp_path / "lex.tsv"
         words = [line.split()[0] for line in src_text.splitlines()]
         lex.write_text("".join(f"{w}\t{w}\n" for w in words))
-        src = str(Path(noisy_align.__file__).parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        return subprocess.run(
-            [sys.executable, "-m", "noisy_align.cli", "align", "--src-emb", str(src_emb),
-             "--tgt-emb", str(tgt_emb), "--lexicon", str(lex), "--method", method,
-             "--output-dir", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=60)
+        return run_cli(["align", "--src-emb", src_emb, "--tgt-emb", tgt_emb, "--lexicon", lex,
+                        "--method", method, "--output-dir", tmp_path / "out"])
 
     @classmethod
     def align_huge(cls, method, value, tmp_path):
@@ -341,17 +369,16 @@ class TestAlign:
         assert "Traceback" not in err
         assert err.count("\n") == 1 and "learning_rate=10.0" in err
 
-    def test_stopping_at_max_iters_logs_a_warning(self, bilingual, tmp_path, caplog):
+    def test_stopping_at_max_iters_logs_a_warning(self, bilingual, tmp_path, capsys):
         # the fit converges in 2 iterations, so a cap of 1 stops it early
-        with caplog.at_level(logging.WARNING, logger="noisy_align.mixture"):
-            assert run_align(bilingual, tmp_path / "o", ["--max-iters", "1"]) == 0
-        messages = [r.getMessage() for r in caplog.records if r.name == "noisy_align.mixture"]
-        assert len(messages) == 1 and "max_iters=1 without converging" in messages[0]
+        assert run_align(bilingual, tmp_path / "o", ["--max-iters", "1"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            "noisy-align: warning: EM stopped at max_iters=1 without converging")
 
-    def test_converged_fit_logs_no_warning(self, bilingual, tmp_path, caplog):
-        with caplog.at_level(logging.WARNING, logger="noisy_align.mixture"):
-            assert run_align(bilingual, tmp_path / "o") == 0
-        assert not [r for r in caplog.records if r.name == "noisy_align.mixture"]
+    def test_converged_fit_logs_no_warning(self, bilingual, tmp_path, capsys):
+        assert run_align(bilingual, tmp_path / "o") == 0
+        assert capsys.readouterr().err == ""
 
     def test_computed_values_pass_the_report_range_check(self, bilingual, tmp_path,
                                                           monkeypatch, capsys):
@@ -449,6 +476,52 @@ def test_zero_vector_test_word_is_scored_as_a_miss(bilingual, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["n_queries"] == 11
     assert report["p_at_1"] == pytest.approx(10 / 11)
+
+
+class TestLibraryWarnings:
+    """Each warning the library issues prints as one `noisy-align: warning:`
+    line in a separate process, under Python's default warning filter, and
+    a warning filter silences it."""
+
+    # (flags beside the bilingual instance's files, the warning's text)
+    CASES = {
+        "skipped-row": ({"--src-emb": "bad.txt", "--method": "op"},
+                        "skipped 1 malformed/duplicate rows in bad.txt"),
+        "max-iters": ({"--max-iters": "1"}, "EM stopped at max_iters=1 without converging: "),
+        "zero-query": ({"--src-emb": "zero.txt", "--test-lexicon": "zero.tsv", "--method": "op"},
+                       "1 of 2 queries have a zero mapped vector; counted as misses"),
+        "rank-deficient": ({"--lexicon": "two.tsv", "--method": "op"},
+                           "Y X^T is numerically rank-deficient"),
+    }
+
+    @pytest.fixture
+    def spaces(self, bilingual):
+        root = bilingual["dir"]
+        (root / "bad.txt").write_text(bilingual["src"].read_text() + "bad 1 2\n")
+        (root / "zero.txt").write_text(bilingual["src"].read_text() + "z" + " 0" * 10 + "\n")
+        (root / "zero.tsv").write_text("z\tt0\ns50\tt50\n")
+        (root / "two.tsv").write_text("s0\tt0\ns1\tt1\n")
+        return root
+
+    def run(self, spaces, case, options=()):
+        flags = {"--src-emb": "src.txt", "--tgt-emb": "tgt.txt", "--lexicon": "train.tsv",
+                 "--output-dir": "out", **self.CASES[case][0]}
+        return run_cli(["align", *(token for pair in flags.items() for token in pair)],
+                       cwd=spaces, options=options)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_each_warning_is_one_prefixed_line(self, spaces, case):
+        done = self.run(spaces, case)
+        assert done.returncode == 0, done.stderr
+        # not the bare message, nor Python's `file:line: UserWarning:` form
+        # with its source line
+        assert done.stderr.startswith(f"noisy-align: warning: {self.CASES[case][1]}")
+        assert done.stderr.count("\n") == 1, done.stderr
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_warning_filter_silences_each(self, spaces, case):
+        done = self.run(spaces, case, options=["-W", "ignore"])
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_clean_lexicon_emits_only_tsv(bilingual, tmp_path):

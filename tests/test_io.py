@@ -1,11 +1,11 @@
 import io
-import logging
 import os
 import re
 import tempfile
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -80,22 +80,13 @@ def row_loop_load(path, limit=None):
     if total and bad_dim > total / 2:
         raise DataError(f"inconsistent dimension on {bad_dim}/{total} rows of {path}")
     if skipped:
-        nio.logger.warning("skipped %d malformed/duplicate rows in %s", skipped, path)
+        warnings.warn(f"skipped {skipped} malformed/duplicate rows in {path}", stacklevel=2)
     return EmbeddingSet(tokens=tokens, vectors=np.stack(cols, axis=1), skipped=skipped)
 
 
-class _Records(logging.Handler):
-    def __init__(self):
-        super().__init__(logging.WARNING)
-        self.messages = []
-
-    def emit(self, record):
-        self.messages.append(record.getMessage())
-
-
 def load_outcome(load, path, limit=None):
-    """Everything a loader shows: its result or error, its warnings and
-    the number of lines it read."""
+    """Everything a loader shows: its result or error, its warnings (each
+    as category and message) and the number of lines it read."""
     read = nio._read_lines
     lines = []
 
@@ -104,18 +95,16 @@ def load_outcome(load, path, limit=None):
             lines.append(line)
             yield line
 
-    records = _Records()
-    nio.logger.addHandler(records)
-    try:
-        with mock.patch.object(nio, "_read_lines", counted):
+    with warnings.catch_warnings(record=True) as caught, \
+            mock.patch.object(nio, "_read_lines", counted):
+        warnings.simplefilter("always")
+        try:
             emb = load(path, limit=limit)
-        shown = (emb.dim, emb.tokens, emb.token_index, emb.skipped,
-                 emb.vectors.shape, emb.vectors.tobytes())
-    except (DataError, ValueError) as exc:
-        shown = (type(exc), str(exc))
-    finally:
-        nio.logger.removeHandler(records)
-    return shown, records.messages, len(lines)
+            shown = (emb.dim, emb.tokens, emb.token_index, emb.skipped,
+                     emb.vectors.shape, emb.vectors.tobytes())
+        except (DataError, ValueError) as exc:
+            shown = (type(exc), str(exc))
+    return shown, [(w.category, str(w.message)) for w in caught], len(lines)
 
 
 class TestEmbeddingSet:
@@ -351,7 +340,7 @@ class TestEmbeddingCache:
         assert miss[2] > 0 and hit[2] == 0  # lines read
         assert hit[:2] == miss[:2]
         assert hit[0][1] == ["a\x0cb", "c\u2028d", "e\x85"] and hit[0][3] == 2
-        assert hit[1] == [f"skipped 2 malformed/duplicate rows in {emb}"]
+        assert hit[1] == [(UserWarning, f"skipped 2 malformed/duplicate rows in {emb}")]
 
     def test_same_size_rewrite_in_place_misses(self, emb):
         load_embeddings(emb)
@@ -508,8 +497,8 @@ class TestEmbeddingCache:
         assert entry.read_bytes() == whole
 
     # entries under the file's own stamp that do not hold a parse: bytes
-    # before the first record (None), or a result whose matrix does not fit
-    # its tokens
+    # before the first record (None), a result whose matrix does not fit
+    # its tokens, or one that `EmbeddingSet` refuses
     DAMAGED = {
         "header-of-three-fields": None,
         "extra-token": lambda tokens, vectors, skipped: (tokens + ["x"], vectors, skipped),
@@ -517,6 +506,10 @@ class TestEmbeddingCache:
         "float32-matrix": lambda tokens, vectors, skipped: (
             tokens, vectors.astype(np.float32), skipped),
         "flat-matrix": lambda tokens, vectors, skipped: (tokens, vectors.ravel(), skipped),
+        "last-value-nan": lambda tokens, vectors, skipped: (
+            tokens, np.append(vectors.ravel()[:-1], np.nan).reshape(vectors.shape), skipped),
+        "repeated-token": lambda tokens, vectors, skipped: (
+            tokens[:-1] + tokens[:1], vectors, skipped),
     }
 
     @pytest.mark.parametrize("damage", DAMAGED)

@@ -2,12 +2,13 @@
 """Digests and values of the CLI's outputs and of EM fits, in two tiers.
 
 Runs a fixed set of `noisy-align` commands on `perfbench/gen.py` inputs at
-seeds 5-7, and `align` on a small input with a retrieval tie, and writes,
-for each run, its exit code and the SHA-256 of its stdout, its stderr and
-every file in its output directory. Its `fits` section holds, for each fit
-of a fixed set of `em_fit` calls, the SHA-256 of its trace steps,
-`converged`, `degenerate_iters`, every model parameter, `w` and `h`. Those
-digests are the exact tier. For the tolerant tier, `values` holds each
+seeds 5-7, `align` on a small input with a retrieval tie, and `align` on
+small inputs that make the library issue each of its four warnings once
+(`_warned`), and writes, for each run, its exit code and the SHA-256 of
+its stdout, its stderr and every file in its output directory. Its `fits`
+section holds, for each fit of a fixed set of `em_fit` calls, the SHA-256
+of its trace steps, `converged`, `degenerate_iters`, every model
+parameter, `w` and `h`. Those digests are the exact tier. For the tolerant tier, `values` holds each
 output's numbers and the digest of its text with the numbers taken out,
 under the output's digest; `fit_values` holds each fit's numbers (trace
 alphas and objectives, the model, `w`) and its exact parts (the trace's
@@ -45,7 +46,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import logging
 import os
 import re
 import shutil
@@ -124,13 +124,40 @@ def _ties(inputs: Path) -> dict:
             "--test-lexicon": "test.tsv", "--method": "op"}
 
 
+def _warned(inputs: Path) -> list:
+    """`align` commands on a small noisy d=4 problem, each of which makes
+    the library warn once: a skipped embedding row, a fit stopped at
+    `--max-iters 1`, a zero test query and a rank-deficient lexicon."""
+    inputs.mkdir(parents=True)
+    prob = make_noisy_problem(60, 4, 0.2, 0)
+    src = [f"s{i}" for i in range(60)]
+    gen.write_embeddings(inputs / "src.vec", src, prob.X.T)
+    gen.write_embeddings(inputs / "tgt.vec", [f"t{i}" for i in range(60)], prob.Y.T)
+    gen.write_embeddings(inputs / "zero.vec", [*src, "z"], np.vstack([prob.X.T, np.zeros(4)]))
+    text = (inputs / "src.vec").read_text(encoding="utf-8")
+    (inputs / "bad.vec").write_text(text + "bad 1 2\n", encoding="utf-8")
+    gen._write_pairs(inputs / "train.tsv", [(f"s{i}", f"t{i}") for i in range(60)])
+    gen._write_pairs(inputs / "two.tsv", [("s0", "t0"), ("s1", "t1")])
+    gen._write_pairs(inputs / "zero.tsv", [("z", "t0"), ("s1", "t1")])
+    base = {"--src-emb": "src.vec", "--tgt-emb": "tgt.vec", "--lexicon": "train.tsv",
+            "--method": "op"}
+    cases = {"skipped-row": {"--src-emb": "bad.vec"},
+             "max-iters": {"--method": "em-hard", "--max-iters": "1"},
+             "zero-query": {"--src-emb": "zero.vec", "--test-lexicon": "zero.tsv"},
+             "rank-deficient": {"--lexicon": "two.tsv"}}
+    return [(f"align-{name}", "align", {**base, **flags}, inputs)
+            for name, flags in cases.items()]
+
+
 def _groups(root: Path):
     """(prefix, commands): noise-curve's command line from the benchmark,
-    `_ties`, then each seed's commands; inputs are generated when reached."""
+    `_ties`, `_warned`, then each seed's commands; inputs are generated
+    when reached."""
     nc = _flags(gen.generate("noise-curve", 0, root).argv)
     yield "noise-curve", [("noise-curve", "noise-curve", nc, root)]
     ties = root / "inputs" / "ties"
     yield "ties", [("align-op", "align", _ties(ties), ties)]
+    yield "warnings", _warned(root / "inputs" / "warnings")
     for s in SEEDS:
         yield f"seed{s}", _commands(s, root / "inputs", root / "out" / f"seed{s}")
 
@@ -208,7 +235,7 @@ def _problems():
 
 def fits() -> tuple[dict, dict]:
     """The SHA-256 of each fit of `_problems`, and its tolerant-tier entry."""
-    logging.getLogger("noisy_align").setLevel(logging.ERROR)  # capped fits warn
+    warnings.filterwarnings("ignore", "EM stopped at max_iters", UserWarning)  # capped fits
     warnings.simplefilter("ignore", RuntimeWarning)  # the tied fits' zero X warns
     out, values = {}, {}
     for name, X, Y, cfgs, modes in _problems():
