@@ -44,7 +44,6 @@ from .mixture import (
 )
 from .evaluation import (
     NnIndex,
-    EvalReport,
     build_index,
     nearest_neighbor,
     precision_at_1,

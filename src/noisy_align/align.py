@@ -73,17 +73,27 @@ def _check_product(M: np.ndarray | None, what: str) -> None:
         raise DataError(f"{what} overflows float64: the vectors are too large")
 
 
-def _misfit(Q: np.ndarray, X: np.ndarray, Y: np.ndarray, cols) -> np.ndarray:
-    """Q @ X[:, cols] - Y[:, cols] for a block `cols` of columns (a slice or
-    indices), in the product's own array."""
-    diff = Q @ X[:, cols]
-    diff -= Y[:, cols]
-    return diff
+def _column_residuals(X: np.ndarray, Y: np.ndarray, Q=None, mu_y=None,
+                      cols=None) -> np.ndarray:
+    """||Q x_t - y_t||^2, or ||y_t - mu_y||^2 when `mu_y` is given, for each
+    column t or each of the indices `cols`.
 
-
-def _square_sums(diff: np.ndarray) -> np.ndarray:
-    """The column sums of squares of `diff`, which is squared in place."""
-    return np.sum(np.square(diff, out=diff), axis=0)
+    The difference is formed one block of columns at a time
+    (`io._column_blocks`) and squared in place, so no d x n temporary is
+    held. An overflow gives inf or NaN, which the caller reports.
+    """
+    r = np.empty(Y.shape[1] if cols is None else cols.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in _column_blocks(r.size):
+            c = s if cols is None else cols[s]
+            if mu_y is None:
+                diff = Q @ X[:, c]
+                diff -= Y[:, c]
+            else:
+                diff = Y[:, c] - mu_y[:, None]
+            r[s] = np.sum(np.square(diff, out=diff), axis=0)
+            del diff  # before the next block's difference is formed
+    return r
 
 
 def _svd(M: np.ndarray, what: str):
@@ -227,9 +237,8 @@ def alignment_error(Q: np.ndarray, X: np.ndarray, Y: np.ndarray,
     """Squared Frobenius alignment error sum_t ||Q x_t - y_t||^2.
 
     With `mask` (boolean per column or index list), restricted to the
-    selected columns. The sum is of the per-column `_square_sums`, taken
-    one block of columns at a time (`io._column_blocks`), as
-    `mixture.initialize` sums them into sigma2.
+    selected columns. It is the sum of `_column_residuals`, the residuals
+    `mixture.initialize` sums into sigma2.
 
     Raises:
         DataError: the error does not fit in a float64 (for example a
@@ -240,12 +249,8 @@ def alignment_error(Q: np.ndarray, X: np.ndarray, Y: np.ndarray,
     cols = None if mask is None else np.arange(X.shape[1])[np.asarray(mask)]
     if cols is not None and cols.size == 0:
         raise ValueError("empty column mask")
-    r = np.empty(X.shape[1] if cols is None else cols.size)
-    # overflow is reported below rather than warned
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in _column_blocks(r.size):
-            r[s] = _square_sums(_misfit(Q, X, Y, s if cols is None else cols[s]))
-        err = float(np.sum(r))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        err = float(np.sum(_column_residuals(X, Y, Q, cols=cols)))
     if not np.isfinite(err):
         raise DataError("alignment error overflows float64: the map or the "
                         "vectors are too large")

@@ -24,19 +24,13 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import io as nio
 from .align import SgdConfig, alignment_error, load_matrix, save_matrix
-from .evaluation import (
-    EvalReport,
-    precision_at_1,
-    rank_semantic_shift,
-    write_shift_ranking_tsv,
-)
+from .evaluation import precision_at_1, rank_semantic_shift, write_shift_ranking_tsv
 from .experiments import (
     EM_METHODS,
     METHODS,
@@ -266,10 +260,16 @@ def _load_spaces(args):
     return src, tgt
 
 
-def _test_metrics(Q, test_lex: nio.Lexicon, src, tgt) -> dict:
-    """EvalReport's p_at_1, n_queries and test_error of Q on a test lexicon.
+# report.json's keys and their values without a test lexicon or a mixture
+_REPORT = {"p_at_1": None, "n_queries": None, "test_error": None,
+           "iterations": 0, "noise_rate": 0.0}
 
-    The sizes of Q and of both embedding sets are checked before retrieval.
+
+def _test_metrics(Q, test_lex: nio.Lexicon, src, tgt) -> dict:
+    """report.json's p_at_1, n_queries and test_error of Q on a test lexicon.
+
+    The sizes of Q and of both embedding sets are checked before retrieval,
+    and p_at_1 is checked to lie in [0, 1] before any output is written.
     """
     if Q.shape[0] != src.dim:
         raise nio.DataError(
@@ -277,6 +277,8 @@ def _test_metrics(Q, test_lex: nio.Lexicon, src, tgt) -> dict:
     # gather_pairs compares the two embedding sets
     test_error = alignment_error(Q, *nio.gather_pairs(test_lex, src, tgt))
     p_at_1, n_queries = precision_at_1(Q, test_lex, src, tgt)
+    if not 0.0 <= p_at_1 <= 1.0:  # also rejects NaN
+        raise ValueError("p_at_1 must lie in [0, 1]")
     return {"p_at_1": p_at_1, "n_queries": n_queries, "test_error": test_error}
 
 
@@ -314,10 +316,9 @@ def _cmd_align(args) -> int:
     else:
         save_model(model, _output(args, "model.txt"), _output(args, "matrix.txt"))
         fit = {"noise_rate": 1.0 - model.alpha, "iterations": trace.iterations}
-    report = EvalReport(**test, **fit)
-    text = _write_json(args, "report.json", asdict(report))
+    text = _write_json(args, "report.json", {**_REPORT, **test, **fit})
     # op and sgd fit no mixture, so they discard nothing
-    discarded = f" discarded_fraction={report.noise_rate:.4f}" if fit else ""
+    discarded = f" discarded_fraction={fit['noise_rate']:.4f}" if fit else ""
     print(f"method={args.method} pairs={len(lex)} skipped_lines={skipped}{discarded}")
     print(text)
     return 0
@@ -329,8 +330,8 @@ def _cmd_evaluate(args) -> int:
     test_lex, _ = nio.load_lexicon(args.test_lexicon, src, tgt)
     queries, test_lex = nio._source_subset(test_lex, src)
     del src
-    report = EvalReport(**_test_metrics(Q, test_lex, queries, tgt))
-    print(_write_json(args, "report.json", asdict(report)))
+    print(_write_json(args, "report.json",
+                      {**_REPORT, **_test_metrics(Q, test_lex, queries, tgt)}))
     return 0
 
 

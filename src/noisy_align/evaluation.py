@@ -42,23 +42,6 @@ class NnIndex:
     first_copies: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
 
 
-@dataclass
-class EvalReport:
-    """Summary metrics for one alignment run. The test metrics are None
-    when there was no test lexicon; `iterations` and `noise_rate` are 0
-    when no mixture was fitted."""
-
-    p_at_1: float | None = None
-    n_queries: int | None = None
-    test_error: float | None = None
-    iterations: int = 0
-    noise_rate: float = 0.0
-
-    def __post_init__(self):
-        if self.p_at_1 is not None and not 0.0 <= self.p_at_1 <= 1.0:
-            raise ValueError("p_at_1 must lie in [0, 1]")
-
-
 def _repeats(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Columns identical to a lower-index column, and the lowest such index.
 

@@ -6,14 +6,15 @@ with prior 1-alpha. EM (hard or soft assignments) jointly fits the
 orthogonal map Q, the component parameters, and per-pair responsibilities.
 All densities are evaluated in log space; at d=300 the linear-space
 Gaussian underflows. The two components differ only in their mean, so one
-function, `_residuals`, gives each pair's squared residual under either,
-and `_column_residuals` applies it one block of columns at a time, so that
-the fit holds no d x n temporary. One function, `_e_step`, turns those
-residuals into each pair's joint log density under both components; the
-posteriors, soft EM's marginal log-likelihood and hard EM's complete-data
-log-likelihood all come from these two numbers. `save_model` is the one
-model writer, formatting Q once also for an optional matrix file; the
-responsibilities writer takes each pair's tokens, not the sets.
+function, `align._column_residuals`, gives each pair's squared residual
+under either, one block of columns at a time, so that the fit holds no
+d x n temporary; `alignment_error` sums the same residuals. One function,
+`_e_step`, turns those residuals into each pair's joint log density under
+both components; the posteriors, soft EM's marginal log-likelihood and
+hard EM's complete-data log-likelihood all come from these two numbers.
+`save_model` is the one model writer, formatting Q once also for an
+optional matrix file; the responsibilities writer takes each pair's
+tokens, not the sets.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from numbers import Integral
 
 import numpy as np
 
-from .align import (_MODEL_KEYS, _check_product, _misfit, _parse_map, _square_sums,
+from .align import (_MODEL_KEYS, _check_product, _column_residuals, _parse_map,
                     _weighted_map, _write_matrix, procrustes)
-from .io import DataError, _column_blocks
+from .io import DataError
 
 VAR_FLOOR = 1e-12
 # largest ||Q^T Q - I||_F an AlignmentModel accepts
@@ -114,33 +115,11 @@ class EmTrace:
         return len(self.steps)
 
 
-def _residuals(diff: np.ndarray, what: str) -> np.ndarray:
-    """Per-column squared residuals `what` of the d x b difference `diff`,
-    Q @ X - Y for the aligned component or Y - mu_y[:, None] for the noise
-    one; DataError on overflow. `diff` is squared in place, so that no
-    second array is held; callers pass a temporary and ignore overflow and
-    invalid warnings."""
-    r = _square_sums(diff)
-    _check_product(r, what)
-    return r
-
-
-def _column_residuals(X: np.ndarray, Y: np.ndarray, Q=None, mu_y=None) -> np.ndarray:
-    """The `_residuals` of Q @ X - Y, or of Y - mu_y[:, None] when `mu_y` is
-    given, one block of columns at a time (`io._column_blocks`): no d x n
-    difference is held."""
-    what = "||Qx - y||^2" if mu_y is None else "||y - mu_y||^2"
-    r = np.empty(Y.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):  # `_residuals` reports it
-        for s in _column_blocks(Y.shape[1]):
-            r[s] = _residuals(_misfit(Q, X, Y, s) if mu_y is None
-                              else Y[:, s] - mu_y[:, None], what)
-    return r
-
-
 def _variance(total: float, count: float, what: str) -> float:
-    """`total`, a sum of squared residuals `what`, over `count`, floored at
-    VAR_FLOOR so a perfect fit stays defined; DataError if the sum overflowed."""
+    """`total`, a (weighted) sum of squared residuals `what`, over `count`,
+    floored at VAR_FLOOR so a perfect fit stays defined; DataError if the
+    sum is not finite: a residual or the sum overflowed (a weight of 0 on
+    an infinite residual gives NaN)."""
     _check_product(total, what)
     return max(float(total) / count, VAR_FLOOR)
 
@@ -152,8 +131,8 @@ def _e_step(model: AlignmentModel, r_aligned: np.ndarray, r_noise: np.ndarray):
     log(1 - alpha) + log f0(y). At alpha = 0 or 1 one joint is -inf, so
     w is exactly 0 or 1 and loglik sums the other component's densities.
 
-    `r_aligned` and `r_noise` are the `_residuals` of `model.Q @ X - Y`
-    and of `Y - model.mu_y[:, None]`.
+    `r_aligned` and `r_noise` are the `_column_residuals` of `model`'s Q
+    and of its mu_y.
     """
     d = model.dim
     la = -0.5 * d * (LOG_2PI + np.log(model.sigma2)) - r_aligned / (2.0 * model.sigma2)
@@ -166,23 +145,27 @@ def _e_step(model: AlignmentModel, r_aligned: np.ndarray, r_noise: np.ndarray):
 
 
 def log_likelihood(model: AlignmentModel, X: np.ndarray, Y: np.ndarray) -> float:
-    """Marginal log-likelihood sum_t log f(y_t | x_t) of the mixture."""
-    return _e_step(model, _column_residuals(X, Y, model.Q),
-                   _column_residuals(X, Y, mu_y=model.mu_y))[1]
+    """Marginal log-likelihood sum_t log f(y_t | x_t) of the mixture;
+    DataError if a squared residual overflows."""
+    r_aligned = _column_residuals(X, Y, model.Q)
+    _check_product(r_aligned, "||Qx - y||^2")
+    r_noise = _column_residuals(X, Y, mu_y=model.mu_y)
+    _check_product(r_noise, "||y - mu_y||^2")
+    return _e_step(model, r_aligned, r_noise)[1]
 
 
 def initialize(X: np.ndarray, Y: np.ndarray):
     """Initial model: Procrustes on the full lexicon, dataset moments, alpha=0.5.
 
     sigma2 is the mean squared residual per coordinate of the initial Q,
-    the sum of its column residuals as `alignment_error` takes it; the
-    noise component takes the mean and (isotropic) variance of Y. Variances
-    are floored at VAR_FLOOR so perfect-fit data stays defined. The
-    finiteness of X and Y is checked here, once for the whole fit.
+    `alignment_error` / (n d) by construction; the noise component takes
+    the mean and (isotropic) variance of Y. Variances are floored at
+    VAR_FLOOR so perfect-fit data stays defined. The finiteness of X and Y
+    is checked here, once for the whole fit.
 
     Returns:
         (model, r_aligned, r_noise): the model, and its aligned and noise
-        residuals for the first E-step, bit for bit its `_residuals`.
+        `_column_residuals` for the first E-step.
 
     Raises:
         DataError: the vectors are so large that ||y - mu_y||^2 or
@@ -194,7 +177,7 @@ def initialize(X: np.ndarray, Y: np.ndarray):
     if n < 2:
         raise ValueError("need at least 2 pairs to initialize the mixture")
     Q = procrustes(X, Y)
-    # `_column_residuals` or `_variance` reports an overflow
+    # `_variance` reports an overflow
     with np.errstate(over="ignore", invalid="ignore"):
         mu_y = Y.mean(axis=1)
         r_noise = _column_residuals(X, Y, mu_y=mu_y)
@@ -209,12 +192,12 @@ def _m_step(model: AlignmentModel, X: np.ndarray, Y: np.ndarray, w: np.ndarray,
             r_aligned: np.ndarray, r_noise: np.ndarray):
     """Weighted Procrustes and weighted moments: the EM M-step for weights w.
 
-    `r_aligned` and `r_noise` are the aligned and noise `_residuals` of
-    `model`.
+    `r_aligned` and `r_noise` are the aligned and noise `_column_residuals`
+    of `model`.
 
     Returns (model, degenerate, r, r0): a component whose total weight is
     at most VAR_FLOOR keeps its parameters from `model` and is degenerate;
-    r and r0 are the `_residuals` of the returned Q and mu_y (a kept
+    r and r0 are the `_column_residuals` of the returned Q and mu_y (a kept
     component's are the ones given). An overflowing residual or weighted
     sum is a DataError.
     """
@@ -222,7 +205,7 @@ def _m_step(model: AlignmentModel, X: np.ndarray, Y: np.ndarray, w: np.ndarray,
     s1, s0 = float(w.sum()), float((1.0 - w).sum())
     Q, sigma2, r = model.Q, model.sigma2, r_aligned
     mu_y, sigma_y2, r0 = model.mu_y, model.sigma_y2, r_noise
-    # an overflow is reported by `_column_residuals` or `_variance`
+    # an overflow is reported by `_variance`
     with np.errstate(over="ignore", invalid="ignore"):
         if s1 > VAR_FLOOR:
             Q = _weighted_map(X, Y, w)  # X and Y were checked by `initialize`

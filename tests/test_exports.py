@@ -19,6 +19,13 @@ def test_removed_mixture_name_is_not_exported(name):
     assert not hasattr(noisy_align.mixture, name)
 
 
+def test_removed_evaluation_name_is_not_exported():
+    # `report.json` is written from a plain dict
+    assert "EvalReport" not in noisy_align.__all__
+    assert not hasattr(noisy_align, "EvalReport")
+    assert not hasattr(noisy_align.evaluation, "EvalReport")
+
+
 def test_every_public_attribute_is_exported_once():
     # `__all__` keeps the names defined in the package's own modules, so a
     # public name of another kind (a module constant, say) would be left out

@@ -153,12 +153,14 @@ class TestLoadEmbeddings:
 
     def test_bad_rows_skipped_and_counted(self, tmp_path):
         text = "a 1 0\nbadrow 1\nnan_row nan 0\nb 0 1\n"
-        emb = load_embeddings(write(tmp_path, "e.txt", text))
+        with pytest.warns(UserWarning, match="^skipped 2 malformed/duplicate rows in "):
+            emb = load_embeddings(write(tmp_path, "e.txt", text))
         assert emb.tokens == ["a", "b"]
         assert emb.skipped == 2
 
     def test_duplicate_token_keeps_first(self, tmp_path):
-        emb = load_embeddings(write(tmp_path, "e.txt", "a 1 0\na 5 5\nb 0 1\n"))
+        with pytest.warns(UserWarning, match="^skipped 1 malformed/duplicate rows in "):
+            emb = load_embeddings(write(tmp_path, "e.txt", "a 1 0\na 5 5\nb 0 1\n"))
         assert emb.tokens == ["a", "b"]
         assert np.array_equal(emb.vectors[:, emb.token_index["a"]], [1, 0])
         assert emb.skipped == 1
@@ -181,8 +183,9 @@ class TestLoadEmbeddings:
         assert np.linalg.norm(emb.vectors[:, emb.token_index["a"]]) == pytest.approx(1.0)
 
     def test_header_skipped_only_on_first_line(self, tmp_path):
-        emb = load_embeddings(write(tmp_path, "e.txt", "2 2\na 1 0\n2 2\nb 0 1\n"),
-                              limit=2)
+        with pytest.warns(UserWarning, match="^skipped 1 malformed/duplicate rows in "):
+            emb = load_embeddings(write(tmp_path, "e.txt", "2 2\na 1 0\n2 2\nb 0 1\n"),
+                                  limit=2)
         assert emb.tokens == ["a", "b"]
         assert emb.skipped == 1  # the second `2 2` is a row of the wrong width
 
@@ -223,7 +226,8 @@ class TestLoadEmbeddings:
         assert bulk[0][1] == ["a", "b"] and bulk[2] == 3
 
     def test_duplicate_of_an_invalid_row_is_kept(self, tmp_path):
-        emb = load_embeddings(write(tmp_path, "e.txt", "a nan 0\na 1 0\nb 0 1\n"))
+        with pytest.warns(UserWarning, match="^skipped 1 malformed/duplicate rows in "):
+            emb = load_embeddings(write(tmp_path, "e.txt", "a nan 0\na 1 0\nb 0 1\n"))
         assert emb.tokens == ["a", "b"] and emb.skipped == 1
         assert np.array_equal(emb.vectors[:, emb.token_index["a"]], [1, 0])
 
@@ -231,7 +235,8 @@ class TestLoadEmbeddings:
         # float() takes underscores and non-ASCII digits, which np.loadtxt
         # refuses; np.loadtxt strips \x1c-\x1f, which float() refuses
         text = "a 1_0 \u0661\nb 1\x1c 2\nc \x1f3 4\nd 5 6\x85\n"
-        emb = load_embeddings(write(tmp_path, "e.txt", text))
+        with pytest.warns(UserWarning, match="^skipped 2 malformed/duplicate rows in "):
+            emb = load_embeddings(write(tmp_path, "e.txt", text))
         assert emb.tokens == ["a", "d"] and emb.skipped == 2
         assert np.array_equal(emb.vectors, [[10.0, 5.0], [1.0, 6.0]])
 
@@ -342,6 +347,7 @@ class TestEmbeddingCache:
         assert hit[0][1] == ["a\x0cb", "c\u2028d", "e\x85"] and hit[0][3] == 2
         assert hit[1] == [(UserWarning, f"skipped 2 malformed/duplicate rows in {emb}")]
 
+    @pytest.mark.filterwarnings("ignore:skipped 2 malformed/duplicate rows in ")
     def test_same_size_rewrite_in_place_misses(self, emb):
         load_embeddings(emb)
         st = os.stat(emb)
@@ -442,6 +448,7 @@ class TestEmbeddingCache:
         assert again[2] > 0 and again[:2] == miss[:2]
         assert entry.read_bytes() == whole
 
+    @pytest.mark.filterwarnings("ignore:skipped 2 malformed/duplicate rows in ")
     @pytest.mark.parametrize("old", ["format-2", "huge-path-record"])
     def test_unreadable_entry_of_a_deleted_file_is_pruned(self, tmp_path, cache_home, old):
         paths = [write(tmp_path, f"{name}.txt", self.TEXT) for name in "ab"]
@@ -535,6 +542,7 @@ class TestEmbeddingCache:
             assert load_outcome(load_embeddings, emb)[2] > 0
         assert not (cache_home / "noisy-align").exists()  # nothing was written
 
+    @pytest.mark.filterwarnings("ignore:skipped 2 malformed/duplicate rows in ")
     def test_prune_removes_a_stale_temporary_file(self, emb, cache_home):
         root = cache_home / "noisy-align"
         root.mkdir()
@@ -547,12 +555,14 @@ class TestEmbeddingCache:
         assert not stale.exists() and fresh.exists()
         assert len(self.entries(cache_home)) == 2
 
+    @pytest.mark.filterwarnings("ignore:skipped 2 malformed/duplicate rows in ")
     def test_each_limit_has_its_own_entry(self, emb, cache_home):
         for limit in (None, 1, 2, None, 1, 2):
             assert load_embeddings(emb, limit=limit).n == (limit or 3)
         assert len(self.entries(cache_home)) == 3
         assert load_outcome(load_embeddings, emb, limit=1)[0][1] == ["a\x0cb"]
 
+    @pytest.mark.filterwarnings("ignore:skipped 2 malformed/duplicate rows in ")
     def test_normalize_is_applied_after_a_hit(self, emb):
         parsed = load_embeddings(emb, normalize=True)
         raw = load_outcome(load_embeddings, emb)
@@ -560,6 +570,7 @@ class TestEmbeddingCache:
             hit = load_embeddings(emb, normalize=True)
         assert raw[0][5] != hit.vectors.tobytes() == parsed.vectors.tobytes()
 
+    @pytest.mark.filterwarnings("ignore:skipped 2 malformed/duplicate rows in ")
     def test_fifo_is_never_cached(self, tmp_path, cache_home):
         fifo = tmp_path / "e.fifo"
         os.mkfifo(fifo)
@@ -572,6 +583,7 @@ class TestEmbeddingCache:
             assert not writer.is_alive()
         assert self.entries(cache_home) == []
 
+    @pytest.mark.filterwarnings("ignore:skipped 2 malformed/duplicate rows in ")
     def test_prune_removes_orphans_then_the_least_recently_used(self, tmp_path, cache_home,
                                                                  monkeypatch):
         paths = []

@@ -21,7 +21,6 @@ from noisy_align.mixture import (
     Responsibilities,
     _e_step,
     _m_step,
-    _residuals,
     em_fit,
     initialize,
     load_model,
@@ -53,10 +52,14 @@ def toy_model(d=2, alpha=0.5, sigma2=1.0, sigma_y2=1.0, seed=0):
 ALIGNED, NOISE = "||Qx - y||^2", "||y - mu_y||^2"
 
 
+def square_sums(diff):
+    """The per-column sums of squares of `diff`: each residual's formula."""
+    return np.sum(diff * diff, axis=0)
+
+
 def residuals(model, X, Y):
-    """The aligned and noise residuals of `model` on (X, Y), through the one
-    residual kernel that em_fit runs."""
-    return _residuals(model.Q @ X - Y, ALIGNED), _residuals(Y - model.mu_y[:, None], NOISE)
+    """The aligned and noise residuals of `model` on (X, Y), by their formula."""
+    return square_sums(model.Q @ X - Y), square_sums(Y - model.mu_y[:, None])
 
 
 def pair_weight(model, x, y):
@@ -330,7 +333,7 @@ class TestInitialize:
         # M-step's residuals the next one: no E-step recomputes Q @ X or
         # the noise residual. Hard EM's last iteration repeats the labels
         # of the one before and runs no M-step. Each count holds one call
-        # of `initialize`, and the pairs fit in one block of columns.
+        # of `initialize`.
         calls = count_residual_calls(monkeypatch)
         X, Y, _ = jittered_instance(12)
         _, _, trace = em_fit(X, Y, soft=mode == "soft")
@@ -349,7 +352,7 @@ class TestInitialize:
         assert calls == {ALIGNED: 1, NOISE: 2}
 
     def test_a_residual_holds_one_d_by_n_array(self):
-        # `_residuals` squares the difference in place: a second d x n array
+        # `_column_residuals` squares the difference in place: a second d x n array
         # would add its megabytes to every M-step at the benchmark's sizes
         rng = np.random.default_rng(10)
         X, Y = rng.standard_normal((300, 1000)), rng.standard_normal((300, 1000))
@@ -379,10 +382,9 @@ class TestColumnBlocks:
     def test_one_block_has_the_bits_of_the_whole_matrix(self, n):
         # a last lone column joins the block before it
         X, Y, Q, mu = self.pairs(6, n, n)
-        assert np.array_equal(mixture._column_residuals(X, Y, Q),
-                              _residuals(Q @ X - Y, ALIGNED))
-        assert np.array_equal(mixture._column_residuals(X, Y, mu_y=mu),
-                              _residuals(Y - mu[:, None], NOISE))
+        assert np.array_equal(align._column_residuals(X, Y, Q), square_sums(Q @ X - Y))
+        assert np.array_equal(align._column_residuals(X, Y, mu_y=mu),
+                              square_sums(Y - mu[:, None]))
         w = np.random.default_rng(n).random(n)
         U, _, Vt = np.linalg.svd((Y * w) @ X.T)
         assert np.array_equal(align._weighted_map(X, Y, w), U @ Vt)
@@ -391,10 +393,10 @@ class TestColumnBlocks:
     def test_more_blocks_have_the_bits_of_each_block(self, n):
         X, Y, Q, mu = self.pairs(6, n, n)
         blocks = column_blocks(n, self.BLOCK)
-        want = np.concatenate([_residuals(Q @ X[:, s] - Y[:, s], ALIGNED) for s in blocks])
-        assert np.array_equal(mixture._column_residuals(X, Y, Q), want)
-        want = np.concatenate([_residuals(Y[:, s] - mu[:, None], NOISE) for s in blocks])
-        assert np.array_equal(mixture._column_residuals(X, Y, mu_y=mu), want)
+        want = np.concatenate([square_sums(Q @ X[:, s] - Y[:, s]) for s in blocks])
+        assert np.array_equal(align._column_residuals(X, Y, Q), want)
+        want = np.concatenate([square_sums(Y[:, s] - mu[:, None]) for s in blocks])
+        assert np.array_equal(align._column_residuals(X, Y, mu_y=mu), want)
         w = np.random.default_rng(n).random(n)
         M = (Y[:, blocks[0]] * w[blocks[0]]) @ X[:, blocks[0]].T
         for s in blocks[1:]:
@@ -443,20 +445,46 @@ def test_m_step_overflowing_variance_is_a_data_error(aligned, what):
     Y = np.array([[1.2e154, -1.2e154, 1.2e154, -1.2e154], [0.0, 0.0, 0.0, 0.0]])
     model = AlignmentModel(Q=np.eye(2), sigma2=1.0, mu_y=np.zeros(2), sigma_y2=1.0, alpha=0.5)
     Q = weighted_procrustes(X, Y, np.ones(4))
-    assert np.isfinite(_residuals(Q @ X - Y, ALIGNED)).all()
-    assert np.isfinite(_residuals(Y.copy(), NOISE)).all()  # mu_y = 0
+    assert np.isfinite(square_sums(Q @ X - Y)).all()
+    assert np.isfinite(square_sums(Y)).all()  # mu_y = 0
     with pytest.raises(DataError, match=f"^{re.escape(what)} overflows float64"):
         _m_step(model, X, Y, np.full(4, float(aligned)), np.ones(4), np.ones(4))
 
 
+@pytest.mark.filterwarnings("error")
+def test_m_step_infinite_residual_of_a_weightless_pair_is_a_data_error():
+    # the last pair's ||Qx - y||^2 overflows to inf; its weight of 0 makes
+    # the weighted sum NaN, not a finite sigma2
+    X = np.random.default_rng(5).standard_normal((2, 4))
+    Y = X.copy()
+    Y[:, 3] = [1e200, -1e200]
+    model = AlignmentModel(Q=np.eye(2), sigma2=1.0, mu_y=np.zeros(2), sigma_y2=1.0, alpha=0.5)
+    with pytest.raises(DataError, match=r"^\|\|Qx - y\|\|\^2 overflows float64"):
+        _m_step(model, X, Y, np.array([1.0, 1.0, 1.0, 0.0]), np.ones(4), np.ones(4))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("aligned, what", [(True, ALIGNED), (False, NOISE)],
+                         ids=["aligned", "noise"])
+def test_log_likelihood_overflowing_residual_is_a_data_error(aligned, what):
+    # the first pair's residual overflows to inf under both components, or,
+    # where X = Y, under the noise one alone
+    Y = np.array([[1e200, 0.0], [0.0, 0.0]])
+    X = np.eye(2) if aligned else Y
+    model = AlignmentModel(Q=np.eye(2), sigma2=1.0, mu_y=np.zeros(2), sigma_y2=1.0, alpha=0.5)
+    with pytest.raises(DataError, match=f"^{re.escape(what)} overflows float64"):
+        log_likelihood(model, X, Y)
+
+
 def count_residual_calls(monkeypatch) -> Counter:
-    """Count the calls of `mixture._residuals`, by the residual they name."""
+    """Count the calls of `mixture._column_residuals`, by the residual they
+    give: the noise one when `mu_y` is given, else the aligned one."""
     calls = Counter()
 
-    def spy(diff, what, _fn=mixture._residuals):
-        calls[what] += 1
-        return _fn(diff, what)
-    monkeypatch.setattr(mixture, "_residuals", spy)
+    def spy(X, Y, Q=None, mu_y=None, _fn=mixture._column_residuals):
+        calls[ALIGNED if mu_y is None else NOISE] += 1
+        return _fn(X, Y, Q, mu_y)
+    monkeypatch.setattr(mixture, "_column_residuals", spy)
     return calls
 
 
@@ -597,6 +625,7 @@ class TestEmFit:
             objs = [obj for _, obj, _ in trace.steps]
             assert all(b >= a - 1e-9 for a, b in zip(objs, objs[1:]))
 
+    @pytest.mark.filterwarnings("ignore:EM stopped at max_iters=")
     @pytest.mark.parametrize("instance", EM_INSTANCES)
     def test_hard_objective_matches_a_per_pair_oracle(self, instance):
         X, Y = instance()
@@ -628,6 +657,7 @@ class TestEmFit:
         assert resp.n1 == int(resp.h.sum())
         assert np.array_equal(resp.h, resp.w > 0.5)
 
+    @pytest.mark.filterwarnings("ignore:EM stopped at max_iters=")
     @pytest.mark.parametrize("mode", ["hard", "soft"])
     @pytest.mark.parametrize("max_iters", [1, 2, 100])
     def test_responsibilities_are_the_returned_models_e_step(self, mode, max_iters):
@@ -697,6 +727,7 @@ class TestEmFit:
         soft = mode == "soft"
         assert_same_fit(em_fit(X, Y, soft=soft), reference_em_fit(X, Y, soft=soft))
 
+    @pytest.mark.filterwarnings("ignore:EM stopped at max_iters=")
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("instance", EM_INSTANCES)
     def test_capped_at_the_repeat_matches_a_loop_that_runs_every_m_step(
@@ -709,6 +740,7 @@ class TestEmFit:
         cfg = EmConfig(max_iters=len(steps) + offset)
         assert_same_fit(em_fit(X, Y, cfg), reference_em_fit(X, Y, cfg))
 
+    @pytest.mark.filterwarnings("ignore:EM stopped at max_iters=")
     def test_relabelled_instance_keeps_the_count_not_the_labels(self):
         # what makes it the case a check of n1 alone would call a repeat
         X, Y = relabelled_instance()
@@ -738,6 +770,7 @@ class TestEmFit:
             assert np.array_equal(calls[-1], resp.h)  # the fixed point's labels
 
 
+@pytest.mark.filterwarnings("ignore:EM stopped at max_iters=")
 def test_method_string_selects_soft_and_keeps_other_settings():
     X, Y, _ = jittered_instance(44)
     cfg = EmConfig(max_iters=2, epsilon=1e-300)
@@ -847,13 +880,24 @@ def test_model_and_matrix_are_written_one_row_at_a_time(tmp_path):
     assert load_model(tmp_path / "model.txt").Q.shape == (300, 300)
 
 
-@pytest.mark.parametrize("text", ["", "2\n1 0\n", "2\n1 0\n0 1\nsigma2 x\n",
-                                  "2\n1 0\n0 1\nsigma2 1\nmu_y 0\n"
-                                  "sigma_y2 1\nalpha 0.5\n"])
+# each malformed model file, and the start of its DataError message
+BAD_MODEL_FILES = {
+    "": "model file {} is malformed: ",
+    "2\n1 0\n": "matrix in {} is not a finite 2 x 2 block",
+    "2\n1 0\n0 1\nsigma2 x\n": "model file {} is malformed: only the lines ",
+    "2\n1 0\n0 1\nsigma2 1\nmu_y 0\nsigma_y2 1\nalpha 0.5\n":
+        "model file {} is malformed: mu_y takes 2 values",
+    # read as a model, where AlignmentModel checks it
+    "2\n1 0\n0 1\nsigma2 1\nmu_y nan 0\nsigma_y2 1\nalpha 0.5\n":
+        "model file {} is malformed: mu_y must be a finite vector of length 2",
+}
+
+
+@pytest.mark.parametrize("text", BAD_MODEL_FILES)
 def test_load_model_rejects_bad_file(tmp_path, text):
     path = tmp_path / "model.txt"
     path.write_text(text)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="^" + re.escape(BAD_MODEL_FILES[text].format(path))):
         load_model(path)
 
 
