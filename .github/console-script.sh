@@ -93,13 +93,22 @@ bli="$RUNNER_TEMP/bli"
 python3 perfbench/gen.py --workload bli-align --seed 1 --out "$bli" > /dev/null
 echo "bad 1 2" >> "$bli/src.vec"  # a skipped row: stderr holds a warning
 touch -d '1 minute ago' "$bli"/*
+# retrieval and --normalize scale the loaded matrices in place; that must
+# never reach an entry: later runs leave the miss run's two entries as
+# they were
+mkdir "$RUNNER_TEMP/miss-entries"
+same_entries() {
+  for e in "$RUNNER_TEMP"/miss-entries/*; do cmp "$e" "$XDG_CACHE_HOME/noisy-align/${e##*/}"; done
+}
 for run in miss hit; do
   noisy-align align --src-emb "$bli/src.vec" --tgt-emb "$bli/tgt.vec" \
     --lexicon "$bli/train.tsv" --test-lexicon "$bli/test.tsv" \
     --output-dir "$RUNNER_TEMP/$run" > "$RUNNER_TEMP/$run.out" 2> "$RUNNER_TEMP/$run.err"
   test "$(ls "$XDG_CACHE_HOME/noisy-align" | wc -l)" -eq 2
   touch "$RUNNER_TEMP/$run.done"
+  test "$run" = hit || cp "$XDG_CACHE_HOME"/noisy-align/* "$RUNNER_TEMP/miss-entries"
 done
+same_entries
 test "$(find "$XDG_CACHE_HOME/noisy-align" -type f -newer "$RUNNER_TEMP/miss.done" | wc -l)" -eq 2
 grep -qxF "noisy-align: warning: skipped 1 malformed/duplicate rows in $bli/src.vec" \
   "$RUNNER_TEMP/miss.err"
@@ -147,6 +156,21 @@ noisy-align evaluate --src-emb "$bli/src.vec" --tgt-emb "$bli/tgt.vec" \
   --output-dir "$RUNNER_TEMP/eval" > /dev/null
 python3 -c 'import json, sys; fit, ev = (json.load(open(p)) for p in sys.argv[1:]); keys = ("p_at_1", "n_queries", "test_error"); sys.exit([fit[k] for k in keys] != [ev[k] for k in keys])' \
   "$RUNNER_TEMP/hit/report.json" "$RUNNER_TEMP/eval/report.json"
+same_entries
+# an `align --normalize` hit, then a plain hit: the plain run reads the raw
+# entries back and prints and writes what the hit run did
+noisy-align align --src-emb "$bli/src.vec" --tgt-emb "$bli/tgt.vec" --normalize \
+  --lexicon "$bli/train.tsv" --test-lexicon "$bli/test.tsv" \
+  --output-dir "$RUNNER_TEMP/norm" > /dev/null 2>&1
+test "$(ls "$RUNNER_TEMP/norm" | wc -l)" -eq 4
+same_entries
+noisy-align align --src-emb "$bli/src.vec" --tgt-emb "$bli/tgt.vec" \
+  --lexicon "$bli/train.tsv" --test-lexicon "$bli/test.tsv" \
+  --output-dir "$RUNNER_TEMP/plain" > "$RUNNER_TEMP/plain.out" 2> "$RUNNER_TEMP/plain.err"
+same_entries
+cmp "$RUNNER_TEMP/hit.out" "$RUNNER_TEMP/plain.out"
+cmp "$RUNNER_TEMP/hit.err" "$RUNNER_TEMP/plain.err"
+for f in "$RUNNER_TEMP"/hit/*; do cmp "$f" "$RUNNER_TEMP/plain/${f##*/}"; done
 # clean-lexicon runs align's em-hard fit on the same pairs from the
 # same two cache entries, so it labels every pair as align did
 noisy-align clean-lexicon --src-emb "$bli/src.vec" --tgt-emb "$bli/tgt.vec" \

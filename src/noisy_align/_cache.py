@@ -1,9 +1,10 @@
 """Per-user cache of parsed embedding files.
 
-`parsed(path, limit, parse)` returns `parse(path, limit)`: the tokens, the
-d x n float64 matrix as parsed and the skipped-row count. A later call for
-the same unchanged regular file and `limit` reads that result back from one
-entry file instead of parsing the text again.
+`parsed(path, limit, parse)` returns the `EmbeddingSet` of
+`parse(path, limit)`: the tokens, the d x n float64 matrix as parsed and
+the skipped-row count. A later call for the same unchanged regular file
+and `limit` reads that result back from one entry file instead of parsing
+the text again.
 
 - Entries live in `$XDG_CACHE_HOME/noisy-align`, or `~/.cache/noisy-align`
   when that variable is unset (or, as the XDG spec asks, not absolute).
@@ -18,7 +19,8 @@ entry file instead of parsing the text again.
 - Nothing here is an error: an OSError, or a home directory that cannot be
   found, falls back to the parse, and an unreadable, truncated, torn or
   otherwise damaged entry is a miss and is replaced; so is one that the
-  parse could not have written: a non-finite value or a repeated token.
+  parse could not have written, which `EmbeddingSet` refuses: a non-finite
+  value or a repeated token.
 - An entry is written under a temporary name and renamed into place. After
   a write, entries whose file no longer matches their stamp are deleted,
   then the least recently used (a hit marks an entry used) beyond
@@ -84,23 +86,28 @@ def _read_head(fh) -> tuple[tuple, int]:
 
 
 def _read(entry: Path, stamp: tuple):
-    """The parse result in `entry`, or None when its stamp is not `stamp`,
-    its matrix does not fit the tokens it records, or `EmbeddingSet` would
-    refuse it: a non-finite value or a repeated token.
+    """The `EmbeddingSet` of the parse result in `entry`, or None when its
+    stamp is not `stamp`, its matrix is not float64, or `EmbeddingSet`
+    refuses the result. Its checks are the one pass over the values: the
+    matrix it gets is this read's own.
 
     Raises OSError or ValueError for a missing or damaged entry, and
     MemoryError for a record that declares a shape too large to hold.
     """
+    from .io import EmbeddingSet  # io imports this module
+
     with open(entry, "rb") as fh:
         recorded, skipped = _read_head(fh)
         if recorded != stamp:
             return None
         tokens = read_array(fh).tobytes().decode("utf-8").split("\n")
         vectors = read_array(fh)
-    if (vectors.dtype != np.float64 or vectors.ndim != 2 or vectors.shape[1] != len(tokens)
-            or len(set(tokens)) != len(tokens) or not np.isfinite(vectors).all()):
+    if vectors.dtype != np.float64:
         return None
-    return tokens, vectors, skipped
+    try:
+        return EmbeddingSet(tokens, vectors, skipped)
+    except ValueError:
+        return None
 
 
 def _write(entry: Path, stamp: tuple, result) -> None:
@@ -158,8 +165,11 @@ def _prune(root: Path) -> None:
 
 
 def parsed(path, limit: int | None, parse):
-    """`parse(path, limit)`, read back from the cache when `path` is a
-    regular file whose entry's stamp matches (module docstring)."""
+    """The `EmbeddingSet` of `parse(path, limit)`, read back from the cache
+    when `path` is a regular file whose entry's stamp matches (module
+    docstring)."""
+    from .io import EmbeddingSet  # io imports this module
+
     now = time.time_ns()
     entry = stamp = result = None
     with contextlib.suppress(OSError, RuntimeError, ValueError, MemoryError):
@@ -180,4 +190,4 @@ def parsed(path, limit: int | None, parse):
             if _stamp(path, os.stat(path), limit) == stamp:
                 _write(entry, stamp, result)
                 _prune(entry.parent)
-    return result
+    return EmbeddingSet(*result)

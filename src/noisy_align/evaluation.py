@@ -3,9 +3,12 @@
 Nearest-neighbor retrieval is exact and brute-force over the target
 vocabulary under cosine similarity. Every caller goes through one kernel
 that maps and scores the queries one block at a time, with a single GEMM
-per block against the whole target matrix. Besides `index.unit` (one
-float64 copy of the targets), memory is bounded by one score block of
-`BLOCK_ROWS`·8·V bytes for V targets: a block holds 64 queries.
+per block against the whole target matrix. Besides `index.unit`, memory
+is bounded by one score block of `BLOCK_ROWS`·8·V bytes for V targets: a
+block holds 64 queries. `build_index` makes `index.unit` a float64 copy of
+the targets; the CLI, which reads nothing more of its target set once the
+test pairs are gathered, turns that set's own matrix into the index
+(`_index`), so it holds one copy.
 Ties break deterministically toward the lower token index. Shift
 ranking reads only the gathered pairs: their tokens, X and Y.
 """
@@ -66,10 +69,18 @@ def _repeats(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_index(emb: EmbeddingSet) -> NnIndex:
-    """Precompute unit-normalized target columns for cosine retrieval."""
-    unit, norms = _unit_columns(emb.vectors)
+    """Precompute unit-normalized target columns for cosine retrieval;
+    `emb` is left as it is."""
+    return _index(emb, emb.vectors.copy(order="K"))
+
+
+def _index(emb: EmbeddingSet, unit: np.ndarray) -> NnIndex:
+    """The index over `emb` whose unit columns are `unit`, which holds the
+    values of `emb.vectors` (a copy, or that array itself) and is
+    normalized in place once the repeated columns are found."""
+    repeats, first_copies = _repeats(unit)
+    norms = _unit_columns(unit)
     excluded = [int(i) for i in np.flatnonzero(norms == 0)]
-    repeats, first_copies = _repeats(emb.vectors)
     return NnIndex(emb=emb, unit=unit, excluded=excluded,
                    repeats=repeats, first_copies=first_copies)
 
@@ -118,8 +129,8 @@ def _search(index: NnIndex, Qm: np.ndarray, X: np.ndarray, cols,
     zero = np.zeros(n, dtype=bool)
     for start in range(0, n, BLOCK_ROWS):
         block = slice(start, start + BLOCK_ROWS)
-        M, norms = _unit_columns(_mapped(Qm, X[:, cols[block]]))
-        zero[block] = norms == 0
+        M = _mapped(Qm, X[:, cols[block]])
+        zero[block] = _unit_columns(M) == 0
         S = M.T @ index.unit
         S[:, index.excluded] = -np.inf
         # BLAS may round the scores of identical columns differently
@@ -154,24 +165,30 @@ def nearest_neighbor(index: NnIndex, q: np.ndarray, k: int) -> list[tuple[str, f
 
 
 def precision_at_1(Q: np.ndarray, test_lex: Lexicon, src: EmbeddingSet,
-                   tgt: EmbeddingSet) -> tuple[float, int]:
+                   tgt: EmbeddingSet, index: NnIndex | None = None) -> tuple[float, int]:
     """Precision@1 of mapped source words against their gold translations.
 
     Queries are the unique source indices of the test lexicon; a query is
     correct iff its retrieved top-1 token is any of its gold targets.
     A query whose mapped vector is zero (see `_mapped`) has no neighbour:
     it counts as a miss, and the number of such queries is warned of
-    (`UserWarning`).
+    (`UserWarning`). The search runs on `index`, an index over `tgt` built
+    before, or on `build_index(tgt)` when it is None; an index over
+    another set is a ValueError.
 
     Returns:
         (p_at_1, n_queries)
     """
     if not test_lex.pairs:
         raise ValueError("empty test lexicon")
+    if index is None:
+        index = build_index(tgt)
+    elif index.emb is not tgt:
+        raise ValueError("index is not over the target set")
     gold: dict[int, set[str]] = {}
     for s, t in test_lex.pairs:
         gold.setdefault(s, set()).add(tgt.tokens[t])
-    top, _, zero = _search(build_index(tgt), Q, src.vectors, list(gold), 1)
+    top, _, zero = _search(index, Q, src.vectors, list(gold), 1)
     if zero.any():
         warnings.warn(f"{int(zero.sum())} of {len(gold)} queries have a zero mapped vector; "
                       "counted as misses", stacklevel=2)

@@ -174,13 +174,14 @@ def _column_norms(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return norms, odd, scaled
 
 
-def _unit_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(unit, norms): the columns of M divided by their `_column_norms`
-    norms, and those norms; a zero column stays zero."""
+def _unit_columns(M: np.ndarray) -> np.ndarray:
+    """Divide the columns of M, in place, by their `_column_norms` norms,
+    and return those norms; a zero column stays zero. M is overwritten, so
+    a caller that must keep its values passes a copy."""
     norms, odd, scaled = _column_norms(M)
-    unit = M / np.where(norms == 0, 1.0, norms)
-    unit[:, odd] = scaled / norms[odd]
-    return unit, norms
+    M /= np.where(norms == 0, 1.0, norms)
+    M[:, odd] = scaled / norms[odd]
+    return norms
 
 
 def _parse_values(tails: list[str], dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -254,12 +255,13 @@ def load_embeddings(path, limit: int | None = None, normalize: bool = False) -> 
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
-    tokens, vectors, skipped = _cache.parsed(path, limit, _parse_embeddings)
-    if skipped:
-        warnings.warn(f"skipped {skipped} malformed/duplicate rows in {path}", stacklevel=2)
-    if normalize:
-        vectors = _unit_columns(vectors)[0]
-    return EmbeddingSet(tokens=tokens, vectors=vectors, skipped=skipped)
+    emb = _cache.parsed(path, limit, _parse_embeddings)
+    if emb.skipped:
+        warnings.warn(f"skipped {emb.skipped} malformed/duplicate rows in {path}",
+                      stacklevel=2)
+    if normalize:  # the matrix is this load's own; a cache entry is written by now
+        _unit_columns(emb.vectors)
+    return emb
 
 
 def _parse_embeddings(path, limit: int | None) -> tuple[list[str], np.ndarray, int]:

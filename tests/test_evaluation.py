@@ -218,6 +218,60 @@ class TestSearchKernel:
                                       for i in range(500)]
 
 
+def odd_target_set():
+    """A target set with a zero column, columns below 1e-162 and above
+    1e154 (their squares leave the normal range), a pair of identical
+    columns at each of those scales and a column repeated three times."""
+    emb = random_set(300, 20, seed=41, prefix="t")
+    V = emb.vectors
+    V[:, 3] = 0.0
+    V[:, [10, 11]] *= 1e-170
+    V[:, [20, 21]] *= 1e200
+    V[:, 12], V[:, 22] = V[:, 10], V[:, 20]
+    V[:, [5, 150, 299]] = V[:, [40, 40, 40]]
+    return emb
+
+
+class TestIndexInPlace:
+    """The CLI's index (`_index(emb, emb.vectors)`) is `build_index`'s, and
+    the public functions leave the caller's set as it is."""
+
+    def test_equals_build_index_bit_for_bit(self):
+        emb = odd_target_set()
+        want = build_index(emb)
+        raw = emb.vectors.copy()
+        got = evaluation._index(emb, emb.vectors)
+        assert got.unit is emb.vectors and not np.array_equal(emb.vectors, raw)
+        assert got.unit.tobytes() == want.unit.tobytes()
+        assert got.excluded == want.excluded == [3]
+        assert got.repeats.tolist() == want.repeats.tolist()
+        assert got.first_copies.tolist() == want.first_copies.tolist()
+        assert dict(zip(got.repeats.tolist(), got.first_copies.tolist())) == {
+            12: 10, 22: 20, 40: 5, 150: 5, 299: 5}
+
+    def test_public_functions_leave_the_vectors_unchanged(self):
+        src = random_set(300, 20, seed=42)
+        tgt = odd_target_set()
+        src.vectors[:, 7] *= 1e200
+        before = src.vectors.copy(), tgt.vectors.copy()
+        lex = build_identity_lexicon(src, make_set([f"w{i}" for i in range(300)],
+                                                  tgt.vectors))
+        index = build_index(tgt)
+        nearest_neighbor(index, src.vectors[:, 7], k=3)
+        precision_at_1(random_orthogonal(20, 43), lex, src, tgt)
+        assert src.vectors.tobytes() == before[0].tobytes()
+        assert tgt.vectors.tobytes() == before[1].tobytes()
+
+    def test_precision_at_1_searches_the_index_it_is_given(self):
+        src, tgt = random_set(300, 20, seed=44), odd_target_set()
+        Q = random_orthogonal(20, 45)
+        lex = Lexicon(pairs=[(i, (7 * i) % 300) for i in range(300)])
+        want = precision_at_1(Q, lex, src, tgt)
+        assert precision_at_1(Q, lex, src, tgt, evaluation._index(tgt, tgt.vectors)) == want
+        with pytest.raises(ValueError, match="not over the target set"):
+            precision_at_1(Q, lex, src, tgt, build_index(src))
+
+
 def test_mapped_keeps_the_bits_of_finite_products():
     rng = np.random.default_rng(16)
     Q, X = rng.standard_normal((4, 4)), rng.standard_normal((4, 30))

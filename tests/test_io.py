@@ -311,10 +311,10 @@ def declare_shape(entry, index, shape):
     entry.write_bytes(whole[:start] + head.getvalue() + whole[data:])
 
 
-def format_2_entry(stamp, result) -> bytes:
+def format_2_entry(stamp, emb) -> bytes:
     """An entry as the cache wrote it before its records were `.npy`: one
     header line of decimal fields, the realpath, the tokens, the matrix."""
-    tokens, vectors, skipped = result
+    tokens, vectors, skipped = emb.tokens, emb.vectors, emb.skipped
     real, blob = stamp[-1], "\n".join(tokens).encode("utf-8")
     out = io.BytesIO()
     out.write(b"%d %d %d %d %d %d %d %d %d %d\n"
@@ -415,8 +415,8 @@ class TestEmbeddingCache:
         result = (["a\x00b", "c"], np.arange(6.0).reshape(3, 2), 4)
         entry = tmp_path / "entry"
         _cache._write(entry, stamp, result)
-        tokens, vectors, skipped = _cache._read(entry, stamp)
-        assert (tokens, vectors.tobytes(), skipped) == (
+        read = _cache._read(entry, stamp)
+        assert (read.tokens, read.vectors.tobytes(), read.skipped) == (
             result[0], result[1].tobytes(), result[2])
         for i, field in enumerate(stamp):
             changed = field + b"x" if isinstance(field, bytes) else field + 1
@@ -530,7 +530,9 @@ class TestEmbeddingCache:
             with pytest.raises(ValueError, match="magic string"):
                 _cache._read(entry, stamp)
         else:
-            _cache._write(entry, stamp, self.DAMAGED[damage](*_cache._read(entry, stamp)))
+            read = _cache._read(entry, stamp)
+            _cache._write(entry, stamp, self.DAMAGED[damage](read.tokens, read.vectors,
+                                                             read.skipped))
             assert _cache._read(entry, stamp) is None
         again = load_outcome(load_embeddings, emb)
         assert again[2] > 0 and again[:2] == miss[:2]
@@ -569,6 +571,41 @@ class TestEmbeddingCache:
         with mock.patch.object(nio, "_read_lines", side_effect=AssertionError):
             hit = load_embeddings(emb, normalize=True)
         assert raw[0][5] != hit.vectors.tobytes() == parsed.vectors.tobytes()
+
+    def test_normalize_on_a_hit_works_in_place(self, tmp_path):
+        # the read matrix, then its finiteness mask (an eighth of it) or
+        # one block of squares (a sixteenth): a normalized copy would add
+        # a whole matrix, 2.04 times its bytes in all
+        rng = np.random.default_rng(46)
+        rows = rng.integers(-9, 10, size=(4000, 300))
+        rows[7] = 0
+        path = write(tmp_path, "e.txt", "".join(
+            f"w{i} {' '.join(map(str, row))}\n" for i, row in enumerate(rows.tolist())))
+        backdate(path)
+        raw = load_embeddings(path)  # a miss: the entry holds the raw parse
+        with mock.patch.object(nio, "_read_lines", side_effect=AssertionError):
+            hit, peak = traced_peak(load_embeddings, path, None, True)
+            again = load_embeddings(path)
+        assert peak < 1.3 * raw.vectors.nbytes
+        unit = raw.vectors.copy()
+        nio._unit_columns(unit)
+        assert hit.vectors.tobytes() == unit.tobytes()
+        assert again.vectors.tobytes() == raw.vectors.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:skipped 2 malformed/duplicate rows in ")
+    def test_a_hit_checks_the_values_once(self, emb, monkeypatch):
+        # `EmbeddingSet` is the one check: the cache read makes no pass of its own
+        shape = load_embeddings(emb).vectors.shape
+        real, passes = np.isfinite, []
+
+        def isfinite(x, *args, **kwargs):
+            passes.append(np.shape(x) == shape)
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", isfinite)
+        with mock.patch.object(nio, "_read_lines", side_effect=AssertionError):
+            load_embeddings(emb)
+        assert passes.count(True) == 1
 
     @pytest.mark.filterwarnings("ignore:skipped 2 malformed/duplicate rows in ")
     def test_fifo_is_never_cached(self, tmp_path, cache_home):
@@ -776,7 +813,9 @@ class TestColumnNorms:
         assert np.array_equal(norms, want_norms)
         assert odd.tolist() == sorted([*tiny, *huge])
         assert np.array_equal(scaled, want[:, odd])
-        assert np.array_equal(nio._unit_columns(M)[0], unit_of(want, want_norms))
+        unit = M.copy(order="K")
+        assert np.array_equal(nio._unit_columns(unit), want_norms)
+        assert np.array_equal(unit, unit_of(want, want_norms))
         if n > 1:
             assert np.isfinite(norms).all() and (norms > 0).all()
 
@@ -790,7 +829,7 @@ class TestColumnNorms:
     @pytest.mark.parametrize("scale", [1e-170, 1e200])
     def test_an_odd_column_costs_no_copy_of_the_rest(self, scale):
         # the rescaled column alone is copied: a copy of M would add M.nbytes
-        # to the norms and to the unit columns, which are M.nbytes themselves
+        # to the norms, and to the unit columns, which overwrite M
         M = np.random.default_rng(4).standard_normal((50, 8 * self.BLOCK))
         M[:, 5] *= scale
         want, want_norms = full_square_norms(M)
@@ -798,9 +837,11 @@ class TestColumnNorms:
         assert odd.tolist() == [5] and np.array_equal(norms, want_norms)
         assert np.array_equal(scaled, want[:, odd])
         assert peak < M.nbytes / 4
-        (unit, norms), peak = traced_peak(nio._unit_columns, M)
+        unit = M.copy(order="K")
+        norms, peak = traced_peak(nio._unit_columns, unit)
+        assert np.array_equal(norms, want_norms)
         assert np.array_equal(unit, unit_of(want, want_norms))
-        assert peak < 1.25 * M.nbytes
+        assert peak < M.nbytes / 4
 
 
 def test_load_stoplist(tmp_path):
