@@ -12,80 +12,13 @@ set -e
 export XDG_CACHE_HOME="$RUNNER_TEMP/cache"
 noisy-align synthetic-2d --output-dir "$RUNNER_TEMP/s2d"
 test -s "$RUNNER_TEMP/s2d/synthetic_2d.json"
+# the installed entry point reaches argparse: a usage error exits 1 with the
+# subcommand's usage line (tests/test_cli.py checks every other usage and
+# --config error in-process)
 code=0
 noisy-align align 2> "$RUNNER_TEMP/usage.txt" || code=$?
 test "$code" -eq 1
 grep -q "usage: noisy-align align" "$RUNNER_TEMP/usage.txt"
-noisy-align noise-curve --n 20 --d 3 --test-n 5 --seeds 1 --levels 0,0.2 \
-  --methods op,em-hard --output-dir "$RUNNER_TEMP/nc"
-test "$(wc -l < "$RUNNER_TEMP/nc/noise_curve.csv")" -eq 5
-code=0
-noisy-align noise-curve --levels , 2> "$RUNNER_TEMP/usage.txt" || code=$?
-test "$code" -eq 1
-grep -q "usage: noisy-align noise-curve" "$RUNNER_TEMP/usage.txt"
-# a level that leaves no clean training pair: round(0.9 * 2) == 2
-code=0
-noisy-align noise-curve --n 2 --levels 0.9 --output-dir "$RUNNER_TEMP/nc2" \
-  2> "$RUNNER_TEMP/usage.txt" || code=$?
-test "$code" -eq 1
-grep -q "usage: noisy-align noise-curve" "$RUNNER_TEMP/usage.txt"
-# flags that are invalid together print the subcommand's usage line too
-emb="$RUNNER_TEMP/emb.txt"
-printf 'a 1 0\nb 0 1\n' > "$emb"
-printf 'a\ta\nb\tb\n' > "$RUNNER_TEMP/lex.tsv"
-code=0
-noisy-align align --src-emb "$emb" --tgt-emb "$emb" --lexicon "$RUNNER_TEMP/lex.tsv" \
-  --method op --max-iters 3 --output-dir "$RUNNER_TEMP/op" \
-  2> "$RUNNER_TEMP/usage.txt" || code=$?
-test "$code" -eq 1
-grep -q "usage: noisy-align align" "$RUNNER_TEMP/usage.txt"
-code=0
-noisy-align diachronic --src-emb "$emb" --tgt-emb "$emb" --threshold 0.5 \
-  --output-dir "$RUNNER_TEMP/dia" 2> "$RUNNER_TEMP/usage.txt" || code=$?
-test "$code" -eq 1
-grep -q "usage: noisy-align diachronic" "$RUNNER_TEMP/usage.txt"
-# a flag the subcommand does not take: its own usage line, not the top-level one
-code=0
-noisy-align synthetic-2d --bogus 1 --output-dir "$RUNNER_TEMP/bogus" \
-  2> "$RUNNER_TEMP/usage.txt" || code=$?
-test "$code" -eq 1
-grep -q "usage: noisy-align synthetic-2d" "$RUNNER_TEMP/usage.txt"
-test ! -e "$RUNNER_TEMP/bogus"
-# a config file that is not UTF-8 is a data error that names the file
-printf 'seed = \377\n' > "$RUNNER_TEMP/bad.cfg"
-code=0
-noisy-align synthetic-2d --config "$RUNNER_TEMP/bad.cfg" --output-dir "$RUNNER_TEMP/bad" \
-  2> "$RUNNER_TEMP/data.txt" || code=$?
-test "$code" -eq 2
-grep -qF "config file $RUNNER_TEMP/bad.cfg is not valid UTF-8" "$RUNNER_TEMP/data.txt"
-test ! -e "$RUNNER_TEMP/bad"
-# --config given twice is a usage error, before any fit: neither
-# file silently replaces the other
-printf 'method = op\n' > "$RUNNER_TEMP/a.cfg"
-printf 'max-iters = 1\n' > "$RUNNER_TEMP/c.cfg"
-code=0
-noisy-align align --src-emb "$emb" --tgt-emb "$emb" --lexicon "$RUNNER_TEMP/lex.tsv" \
-  --config "$RUNNER_TEMP/a.cfg" --config "$RUNNER_TEMP/c.cfg" \
-  --output-dir "$RUNNER_TEMP/cfg2" 2> "$RUNNER_TEMP/usage.txt" || code=$?
-test "$code" -eq 1
-grep -q "usage: noisy-align align" "$RUNNER_TEMP/usage.txt"
-test ! -e "$RUNNER_TEMP/cfg2"
-# --config goes after the subcommand; before it, the usage error says so
-code=0
-noisy-align --config "$RUNNER_TEMP/a.cfg" synthetic-2d --output-dir "$RUNNER_TEMP/cfg0" \
-  2> "$RUNNER_TEMP/usage.txt" || code=$?
-test "$code" -eq 1
-grep -q -- "--config: goes after the subcommand" "$RUNNER_TEMP/usage.txt"
-test ! -e "$RUNNER_TEMP/cfg0"
-# a config file is read only after a subcommand: these name a missing
-# one, which a read would report as a data error (exit 2)
-noisy-align -h --config "$RUNNER_TEMP/missing.cfg" > "$RUNNER_TEMP/help.txt"
-grep -q "usage: noisy-align" "$RUNNER_TEMP/help.txt"
-code=0
-noisy-align bogus --config "$RUNNER_TEMP/missing.cfg" \
-  2> "$RUNNER_TEMP/usage.txt" || code=$?
-test "$code" -eq 1
-grep -q "invalid choice" "$RUNNER_TEMP/usage.txt"
 # the embedding cache: inputs older than its 2 s racy window get an
 # entry, the second run reads both parses back (a hit marks the
 # entry used), and its outputs, stdout and stderr are the first's

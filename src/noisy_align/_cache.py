@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.format import read_array  # unlike np.load, never a pickle or a zip
 
 # part of every stamp: bump it when the entry layout or the parse changes
-FORMAT = 3
+FORMAT = 4
 
 # no entry for a file modified this recently: 2 s is FAT's timestamp tick
 RACY_S = 2.0

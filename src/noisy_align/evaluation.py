@@ -1,16 +1,20 @@
 """Retrieval evaluation and semantic-shift ranking.
 
-Nearest-neighbor retrieval is exact and brute-force over the target
-vocabulary under cosine similarity. Every caller goes through one kernel
-that maps and scores the queries one block at a time, with a single GEMM
-per block against the whole target matrix. Besides `index.unit`, memory
-is bounded by one score block of `BLOCK_ROWS`·8·V bytes for V targets: a
-block holds 64 queries. `build_index` makes `index.unit` a float64 copy of
-the targets; the CLI, which reads nothing more of its target set once the
-test pairs are gathered, turns that set's own matrix into the index
-(`_index`), so it holds one copy.
+Every cosine here is a dot product of columns normalized by
+`io._unit_columns`. Nearest-neighbor retrieval is exact and brute-force
+over the target vocabulary under cosine similarity. Every caller goes
+through one kernel that maps and scores the queries one block at a time
+(`io._column_blocks`), with a single GEMM per block against the whole
+target matrix. Besides `index.unit`, memory is bounded by one score
+block: a block holds `BLOCK_ROWS` (64) queries, or 65 when one query
+would otherwise be left over, so it takes at most 65·8·V bytes for V
+targets. `build_index` makes `index.unit` a float64 copy of the targets;
+the CLI, which reads nothing more of its target set once the test pairs
+are gathered, turns that set's own matrix into the index (`_index`), so
+it holds one copy.
 Ties break deterministically toward the lower token index. Shift
-ranking reads only the gathered pairs: their tokens, X and Y.
+ranking reads only the gathered pairs: their tokens, X and Y, of which
+it copies one block of Y at a time, also when it drops no token.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .io import EmbeddingSet, Lexicon, _column_blocks, _column_norms, _unit_columns
+from .io import EmbeddingSet, Lexicon, _column_blocks, _unit_columns
 from .mixture import Responsibilities
 
 # Queries per score block: each block reads all of `index.unit`, so blocks
@@ -107,8 +111,10 @@ def _search(index: NnIndex, Qm: np.ndarray, X: np.ndarray, cols,
             k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact top-k cosine targets of the mapped queries Qm @ X[:, cols].
 
-    Queries are mapped by `_mapped`, scored and ranked one block at a time,
-    so neither all mapped queries nor all scores are ever held at once.
+    Queries are mapped by `_mapped`, scored and ranked one block of
+    `BLOCK_ROWS` at a time (`io._column_blocks`: a last lone query joins
+    the block before it), so neither all mapped queries nor all scores are
+    ever held at once.
     Excluded (zero) targets are never returned, and identical targets
     always tie. Ties break toward the lowest index, also across the k-th
     place.
@@ -127,8 +133,7 @@ def _search(index: NnIndex, Qm: np.ndarray, X: np.ndarray, cols,
     top = np.empty((n, k), dtype=np.intp)
     scores = np.empty((n, k))
     zero = np.zeros(n, dtype=bool)
-    for start in range(0, n, BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
+    for block in _column_blocks(n, BLOCK_ROWS):
         M = _mapped(Qm, X[:, cols[block]])
         zero[block] = _unit_columns(M) == 0
         S = M.T @ index.unit
@@ -211,9 +216,10 @@ def rank_semantic_shift(Q: np.ndarray, tokens: list[str], X: np.ndarray, Y: np.n
     it in either table (or missing from one) are dropped before scoring; a
     threshold without both tables is a ValueError.
     The kept pairs are mapped (`_mapped`) and scored one block of columns
-    at a time (`io._column_blocks`): besides X and Y, one block of mapped
-    columns is held, and one of kept columns of Y when a token is dropped
-    or a column of the block is rescaled.
+    at a time (`io._column_blocks`): besides X and Y, the ranking holds one
+    block of mapped columns, a copy of that block of Y, and one of kept
+    columns of X when a token is dropped. `io._unit_columns` normalizes
+    both copies, so a distance is 1 minus their columns' dot product.
 
     Returns:
         (ranking, n_dropped) where ranking is a list of
@@ -232,18 +238,12 @@ def rank_semantic_shift(Q: np.ndarray, tokens: list[str], X: np.ndarray, Y: np.n
                          and fs[t] >= threshold and ft[t] >= threshold], dtype=np.intp)
     dists = np.empty(len(kept))
     for s in _column_blocks(len(kept)):
-        cols = kept[s] if len(kept) < len(tokens) else s
-        x = _mapped(Q, X[:, cols])
-        nx, odd, scaled = _column_norms(x)
-        x[:, odd] = scaled  # x is the ranking's own
-        y = Y[:, cols]
-        ny, odd, scaled = _column_norms(y)
-        if odd.size:  # y may be a view of the caller's Y
-            y = y.copy()
-            y[:, odd] = scaled
-        zero = (nx == 0) | (ny == 0)
-        cos = np.einsum("ij,ij->j", x, y) / np.where(zero, 1.0, nx * ny)
-        dists[s] = np.where(zero, 1.0, 1.0 - cos)
+        x = _mapped(Q, X[:, kept[s] if len(kept) < len(tokens) else s])
+        y = np.take(Y, kept[s], axis=1)
+        _unit_columns(x)
+        _unit_columns(y)
+        # a zero column stays zero, so its cosine is 0 and its distance 1
+        dists[s] = 1.0 - np.einsum("ij,ij->j", x, y)
         del x, y  # so that the next block's columns never coexist with these
     rows = [(tokens[t], dist, "" if h is None else "Aligned" if h[t] else "Noise")
             for t, dist in zip(kept.tolist(), dists.tolist())]

@@ -4,14 +4,19 @@ Embedding files are `token v1 v2 ... vd`, one per line, with an optional
 word2vec-style `n d` header line that is auto-detected. Values are parsed
 in chunks of `PARSE_CHUNK_ROWS` rows, one C-level conversion per chunk,
 and the accepted number syntax is exactly Python `float()`'s. A row is
-skipped, and counted, when it has the wrong number of values, a value
-that is not a number or not finite, or a token already kept. Lexicons are
-`source<TAB>target` (single space accepted as fallback). Stop-lists are one
-token per line; frequency tables are `token<TAB>float`, one line per token.
+skipped, and counted, when its token holds a tab, it has the wrong number
+of values, a value that is not a number or not finite, or a token already
+kept. Lexicons are `source<TAB>target` (single space accepted as
+fallback). Stop-lists are one token per line; frequency tables are
+`token<TAB>float`, one line per token.
 Both two-column files follow one rule (`_field_lines`): a stripped line
 is split at its tabs, or at single spaces when it holds no tab, and empty
 fields are dropped. Blank lines are ignored; a line left with other than
 two fields is skipped in a lexicon and a DataError in a frequency table.
+
+`_unit_columns` is the one column normalization: `--normalize`, the
+retrieval index, each block of retrieval queries and each block of the
+shift ranking's pairs, so every cosine is a dot product of its columns.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ _NORM_FLOOR = np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps
 
 # Columns per block of a pass over a d x n matrix (`_column_blocks`): the
 # EM fit and the shift ranking hold one block of temporaries (2.4 MB at
-# d=300; blocks of 256 or 512 made the fit slower), `_column_norms` the
+# d=300; blocks of 256 or 512 made the fit slower), `_unit_columns` the
 # squares of a quarter of it.
 _BLOCK_COLS = 1024
 _NORM_BLOCK_COLS = 256
@@ -133,8 +138,9 @@ def _column_blocks(n: int, width: int = _BLOCK_COLS):
     """The slices of one block of `width` columns each that cover n columns.
 
     A last block of one column joins the block before it: numpy sums a lone
-    column pairwise and a wider block row by row, so this way a column sum
-    has the same bits in every block. n = 0 gives one empty block.
+    column pairwise and a wider block row by row, and BLAS may round a
+    one-column product otherwise than a wider one, so this way a column has
+    the same bits in every block. n = 0 gives one empty block.
     """
     start = 0
     for stop in [*range(width, n - 1, width), n]:
@@ -142,22 +148,20 @@ def _column_blocks(n: int, width: int = _BLOCK_COLS):
         start = stop
 
 
-def _column_norms(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Euclidean norms of the columns of M, without underflow or overflow.
+def _unit_columns(M: np.ndarray) -> np.ndarray:
+    """Divide the columns of M, in place, by their Euclidean norms, and
+    return those norms; a zero column stays zero and has norm 0. M is
+    overwritten, so a caller that must keep its values passes a copy.
 
-    They are taken one block of `_NORM_BLOCK_COLS` columns at a time
+    The norms are taken one block of `_NORM_BLOCK_COLS` columns at a time
     (`_column_blocks`), with `np.linalg.norm`'s arithmetic: a block keeps
     M's layout, so its columns are summed as in M. That squares before the
     square root: below `_NORM_FLOOR` squares can fall into the subnormal
     range, so the norm loses precision (a non-zero column below about
     1e-162 gets norm 0), and above about 1e154 it overflows to inf. Such
     non-zero columns are divided by their largest magnitude, in a copy of
-    those columns alone.
-
-    Returns:
-        (norms, odd, scaled): the norms, and the indices and rescaled values
-        of those columns, which norms[odd] measure. An all-zero column has
-        norm 0.
+    those columns alone, which is normalized in their place; their
+    returned norms are the copy's.
     """
     norms = np.empty(M.shape[1])
     with np.errstate(over="ignore"):
@@ -170,17 +174,9 @@ def _column_norms(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     scaled = M[:, odd] / peak
     if odd.size:
         # a largest magnitude of 1 leaves no rescaled column odd
-        norms[odd] = _column_norms(scaled)[0]
-    return norms, odd, scaled
-
-
-def _unit_columns(M: np.ndarray) -> np.ndarray:
-    """Divide the columns of M, in place, by their `_column_norms` norms,
-    and return those norms; a zero column stays zero. M is overwritten, so
-    a caller that must keep its values passes a copy."""
-    norms, odd, scaled = _column_norms(M)
+        norms[odd] = _unit_columns(scaled)
     M /= np.where(norms == 0, 1.0, norms)
-    M[:, odd] = scaled / norms[odd]
+    M[:, odd] = scaled
     return norms
 
 
@@ -243,8 +239,9 @@ def load_embeddings(path, limit: int | None = None, normalize: bool = False) -> 
 
     Returns:
         EmbeddingSet; a row is skipped and counted in ``skipped`` when its
-        number of values differs from the first row's, a value is not a
-        number or not finite, or its token was kept before. A line that,
+        token holds a tab (no lexicon or frequency table could name it),
+        its number of values differs from the first row's, a value is not
+        a number or not finite, or its token was kept before. A line that,
         without its trailing whitespace, holds no space or starts with
         one is ignored.
 
@@ -288,6 +285,8 @@ def _parse_embeddings(path, limit: int | None) -> tuple[list[str], np.ndarray, i
         if not sep or not token:
             continue
         total += 1
+        if "\t" in token:
+            continue
         width = tail.count(" ") + 1
         if dim is None:
             dim = width

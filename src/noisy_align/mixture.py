@@ -90,7 +90,10 @@ class Responsibilities:
 
 @dataclass
 class EmConfig:
-    """EM driver settings; epsilon=None selects max(1/(2n), 1e-4)."""
+    """EM driver settings. An iteration converges when it moves alpha by at
+    most epsilon and, in soft EM, the mean log-likelihood per pair too (hard
+    EM's labels must repeat instead); epsilon=None selects
+    max(1/(2n), 1e-4)."""
 
     epsilon: float | None = None
     max_iters: int = 100
@@ -230,11 +233,15 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
     labels and traces the complete-data log-likelihood, each pair's joint
     log density under its label; soft EM weights them by their posteriors
     and traces the marginal log-likelihood.
-    Iterates until |alpha_curr - alpha_prev| <= epsilon or max_iters.
-    When hard EM's E-step repeats the labels of its last M-step, refitting
-    to them would return the same model: that iteration runs no M-step or
-    E-step and records the same step again (trace.iterations counts it),
-    and the next one sees alpha unchanged and stops.
+    Iterates until an iteration converges (trace.converged) or max_iters.
+    An iteration converges when it moves alpha by at most epsilon and the
+    fit has settled. Soft EM has settled when its mean log-likelihood per
+    pair moved by at most epsilon too, a change that rescaling both spaces
+    leaves as it is. Hard EM has settled when its E-step returned the
+    labels of its last M-step, to which a refit would return the same
+    model; when alpha moved by more in that iteration, the next one runs
+    no M-step or E-step, records the same step again (trace.iterations
+    counts it) and converges.
 
     When an iteration leaves a component without weight (n1=0 or n1=n in
     hard EM), that component's parameters are frozen at their previous
@@ -252,14 +259,12 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
     n = X.shape[1]
     eps = cfg.epsilon if cfg.epsilon is not None else max(1.0 / (2 * n), 1e-4)
 
-    resp = Responsibilities(_e_step(model, r_aligned, r_noise)[0])
+    w, objective = _e_step(model, r_aligned, r_noise)[:2]
+    resp = Responsibilities(w)
     trace = EmTrace()
-    alpha_prev = np.inf
     fitted_h = None  # the labels of hard EM's last M-step
     for it in range(cfg.max_iters):
-        if abs(model.alpha - alpha_prev) <= eps:
-            break
-        alpha_prev = model.alpha
+        alpha_prev, objective_prev = model.alpha, objective
         # at hard EM's fixed point the labels, so the step, would repeat
         if soft or not np.array_equal(resp.h, fitted_h):
             fitted_h = resp.h
@@ -274,10 +279,16 @@ def em_fit(X: np.ndarray, Y: np.ndarray, cfg: EmConfig | None = None,
             trace.degenerate_iters.append(it)
         trace.steps.append((model.alpha, objective, resp.n1))
         resp = Responsibilities(w)
-    trace.converged = abs(model.alpha - alpha_prev) <= eps
+        settled = (abs(objective - objective_prev) / n <= eps if soft
+                   else np.array_equal(resp.h, fitted_h))
+        trace.converged = abs(model.alpha - alpha_prev) <= eps and settled
+        if trace.converged:
+            break
     if not trace.converged:
-        warnings.warn(f"EM stopped at max_iters={cfg.max_iters} without converging: "
-                      f"|alpha change| {abs(model.alpha - alpha_prev):.3g} > epsilon {eps:.3g}",
+        moved = abs(model.alpha - alpha_prev)
+        why = (f"|alpha change| {moved:.3g} > epsilon {eps:.3g}" if moved > eps
+               else "the log-likelihood changed" if soft else "the labels changed")
+        warnings.warn(f"EM stopped at max_iters={cfg.max_iters} without converging: {why}",
                       stacklevel=2)
 
     return model, resp, trace

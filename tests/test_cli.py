@@ -833,6 +833,26 @@ class TestDiachronic:
         assert {r.split("\t")[0] for r in top} == {f"w{i}" for i in shifted}
         assert all(r.split("\t")[2] == "Noise" for r in top)
 
+    # printed by the CLI, not raised: the test reads the lines
+    @pytest.mark.filterwarnings("default:skipped 1 malformed/duplicate rows")
+    def test_a_token_holding_a_tab_is_a_skipped_row(self, tmp_path, capsys):
+        # lexicons and frequency tables split at tabs, so none could name the
+        # token `a<TAB>b`; written to a TSV, it would add a field to its row
+        rng = np.random.default_rng(14)
+        tokens = ["a\tb", *(f"w{i}" for i in range(30))]
+        paths = [tmp_path / "old.txt", tmp_path / "new.txt"]
+        for path in paths:
+            save_embeddings(make_set(tokens, rng.standard_normal((4, 31))), path)
+        out = tmp_path / "out"
+        assert main(self.base_args(*paths, out)) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"noisy-align: warning: skipped 1 malformed/duplicate rows in {path}"
+            for path in paths]
+        for name in ("responsibilities.tsv", "shift_ranking.tsv"):
+            header, *rows = (out / name).read_text(encoding="utf-8").splitlines()
+            assert len(rows) == 30
+            assert all(row.count("\t") == header.count("\t") for row in rows)
+
     def test_fit_and_ranking_come_before_the_writes(self, tmp_path, monkeypatch):
         # so a data error in the ranking exits 2 before any file is written
         emb = make_set([f"w{i}" for i in range(30)],
@@ -1124,11 +1144,13 @@ class TestFlagSurface:
 
     @pytest.mark.parametrize("command,flag", REMOVED)
     def test_removed_flag_is_usage_error(self, command, flag, tmp_path, capsys):
-        argv = [command, *self.REQUIRED[command], flag, "1", "--output-dir", str(tmp_path)]
+        out = tmp_path / "out"
+        argv = [command, *self.REQUIRED[command], flag, "1", "--output-dir", str(out)]
         assert exit_code(lambda: main(argv)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"usage: noisy-align {command} ")
         assert f"unrecognized arguments: {flag} 1" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", list(REQUIRED))
     def test_unknown_config_key_prints_the_subcommand_usage(self, command, tmp_path,
@@ -1174,7 +1196,7 @@ class TestFlagSurface:
         (tmp_path / "nested.cfg").write_text("config = other.cfg\n")
         if command:
             argv = [command, *self.REQUIRED[command], flag, *value.split(),
-                    "--output-dir", str(tmp_path)]
+                    "--output-dir", "out"]
         else:
             argv = [flag, *value.split()]
         assert exit_code(lambda: main(argv)) == 1
@@ -1182,6 +1204,8 @@ class TestFlagSurface:
         assert err.startswith(f"usage: noisy-align {command or '[-h]'}")
         assert f"argument {flag}:" in err
         assert command or "goes after the subcommand" in err
+        # no output directory, named or the default (the working directory)
+        assert [p.name for p in tmp_path.iterdir()] == ["nested.cfg"]
 
     # every config path here is missing, so a read shows as exit 2
     CONFIG_READS = [

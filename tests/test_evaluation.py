@@ -530,19 +530,19 @@ def test_shift_ranking_matches_per_token_oracle(seed, d, n, n_zero_src, n_zero_t
 
 def fancy_index_ranking(Q, tokens, X, Y, src_freqs=None, tgt_freqs=None,
                         threshold=None, resp=None):
-    """`rank_semantic_shift` with the kept columns of X and Y always copied
-    by index (F-order copies), also when every token is kept, and a whole
-    copy of the mapped or target matrix where a column of it is rescaled."""
+    """`rank_semantic_shift` from whole copies of the kept pairs, also when
+    every token is kept: the kept columns of X copied by index (an F-order
+    copy) and mapped, and those of Y taken (a C-order copy), each
+    normalized in a copy of all of it."""
     kept = np.arange(len(tokens))
     if threshold is not None:
         kept = np.array([i for i, t in enumerate(tokens) if t in src_freqs
                          and t in tgt_freqs and src_freqs[t] >= threshold
                          and tgt_freqs[t] >= threshold], dtype=np.intp)
     x, nx = full_square_norms(evaluation._mapped(Q, X[:, kept]))
-    y, ny = full_square_norms(Y[:, kept])
+    y, ny = full_square_norms(np.take(Y, kept, axis=1))
     zero = (nx == 0) | (ny == 0)
-    cos = np.einsum("ij,ij->j", x, y) / np.where(zero, 1.0, nx * ny)
-    dists = np.where(zero, 1.0, 1.0 - cos).tolist()
+    dists = np.where(zero, 1.0, 1.0 - np.einsum("ij,ij->j", x, y)).tolist()
     rows = [(tokens[t], dist, "" if resp is None else "Aligned" if resp.h[t] else "Noise")
             for t, dist in zip(kept.tolist(), dists)]
     rows.sort(key=lambda r: (-r[1], r[0]))
@@ -550,7 +550,7 @@ def fancy_index_ranking(Q, tokens, X, Y, src_freqs=None, tgt_freqs=None,
 
 
 class TestShiftRankingCopies:
-    """Only a dropped token costs a copy of the pairs."""
+    """The ranking copies one block of the pairs at a time."""
 
     @pytest.fixture
     def pairs(self):
@@ -569,10 +569,9 @@ class TestShiftRankingCopies:
         got, dropped = rank_semantic_shift(Q, tokens, X, Y, freqs, freqs, threshold, resp)
         want, _ = fancy_index_ranking(Q, tokens, X, Y, freqs, freqs, threshold, resp)
         assert dropped == 0
-        assert [(t, label) for t, _, label in got] == [(t, label) for t, _, label in want]
-        # the pairs are read in C order, not as F-order copies: only the
-        # last bits of a distance may move
-        assert max(abs(g[1] - w[1]) for g, w in zip(got, want)) <= 1e-15
+        # X is read in place, not as an F-order copy, and Y through one
+        # block of it at a time: neither moves a bit
+        assert got == want
 
     def test_filtered_ranking_equals_the_copies_bit_for_bit(self, pairs):
         Q, tokens, X, Y, freqs, resp = pairs
@@ -595,8 +594,9 @@ class TestShiftRankingCopies:
 
     @pytest.mark.parametrize("threshold", [None, 0.5])
     def test_holds_one_block_besides_the_pairs(self, pairs, threshold):
-        # one block of mapped columns (1024 of 3000), and one of kept columns
-        # when a token is dropped; all pairs mapped at once add X.nbytes
+        # one block of mapped columns and one of Y's (1024 of 3000 each), and
+        # one of kept columns of X when a token is dropped; all pairs mapped
+        # at once add X.nbytes
         Q, tokens, X, Y, freqs, resp = pairs
         peak = traced_peak(rank_semantic_shift, Q, tokens, X, Y, freqs, freqs,
                            threshold, resp)[1]
@@ -617,7 +617,7 @@ class TestShiftRankingCopies:
     @pytest.fixture
     def odd_pairs(self, pairs):
         """`pairs` with a source column near 1e-170 and a target column near
-        1e200, both kept at threshold 0.5: `_column_norms` rescales both."""
+        1e200, both kept at threshold 0.5: `_unit_columns` rescales both."""
         Q, tokens, X, Y, freqs, resp = pairs
         first, second = [i for i, t in enumerate(tokens) if freqs[t] >= 0.5][:2]
         X, Y = X.copy(), Y.copy()
@@ -629,13 +629,7 @@ class TestShiftRankingCopies:
     def test_odd_columns_rank_as_rescaled_copies(self, odd_pairs, threshold):
         Q, tokens, X, Y, freqs, resp = odd_pairs
         got = rank_semantic_shift(Q, tokens, X, Y, freqs, freqs, threshold, resp)
-        want = fancy_index_ranking(Q, tokens, X, Y, freqs, freqs, threshold, resp)
-        assert [(t, label) for t, _, label in got[0]] == \
-            [(t, label) for t, _, label in want[0]]
-        if threshold is None:  # in place against F-order copies, as above
-            assert max(abs(g[1] - w[1]) for g, w in zip(got[0], want[0])) <= 1e-15
-        else:
-            assert got == want
+        assert got == fancy_index_ranking(Q, tokens, X, Y, freqs, freqs, threshold, resp)
 
     def test_an_odd_mapped_column_is_rescaled_in_place(self, odd_pairs, pairs):
         # a copy of the mapped Q X would add X.nbytes

@@ -56,6 +56,9 @@ def row_loop_load(path, limit=None):
             continue
         total += 1
         token, values = fields[0], fields[1:]
+        if "\t" in token:
+            skipped += 1
+            continue
         if dim is None:
             dim = len(values)
         if len(values) != dim:
@@ -253,7 +256,7 @@ class TestLoadEmbeddings:
 FIELDS = ["0", "1", "-2.5", "3e-2", ".5", "1e-320", "nan", "-inf", "1e400", "1_0",
           "\u0661", "\u0663.\u0665", "1\x85", "\t1", "1\x1c", "\x1f2", "1\x0c",
           "\u20281", "", "x", "0x1", "1\x00", "1e", "1,5", '"1"', "#1"]
-TOKENS = ["a", "b", "c", "d", "e\u0301", "a\x0cb", "7"]
+TOKENS = ["a", "b", "c", "d", "e\u0301", "a\x0cb", "7", "a\tb"]
 
 
 @st.composite
@@ -756,26 +759,27 @@ class TestGatherPairs:
 
 
 def full_square_norms(M):
-    """(M with its odd columns rescaled, in a copy of all of M, and the
-    norms), from one d x n array of squares, `np.linalg.norm`'s, also for
-    the rescaled columns (copied by index): the bits that `_column_norms`'s
-    blocks of columns and its copy of the odd columns alone must keep."""
+    """(the unit columns of M, in a copy of all of M, and their norms), from
+    one d x n array of squares, `np.linalg.norm`'s, also for the rescaled
+    columns (copied by index): the bits that `_unit_columns`'s blocks of
+    columns and its copy of the odd columns alone must keep. An odd
+    column's norm is its rescaled copy's."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(M, axis=0)
     odd = np.flatnonzero((norms < nio._NORM_FLOOR) | np.isinf(norms))
     peak = np.abs(M[:, odd]).max(axis=0, initial=0.0)
     odd, peak = odd[peak > 0], peak[peak > 0]
-    if odd.size:
-        M = M.copy()
-        M[:, odd] /= peak
-        norms[odd] = np.linalg.norm(M[:, odd], axis=0)
-    return M, norms
+    M = M.copy()
+    M[:, odd] /= peak
+    norms[odd] = np.linalg.norm(M[:, odd], axis=0)
+    return M / np.where(norms == 0, 1.0, norms), norms
 
 
-def unit_of(M, norms):
-    """`_unit_columns` from a matrix whose odd columns are rescaled, and
-    their norms."""
-    return M / np.where(norms == 0, 1.0, norms)
+def rescaled_columns(M, norms):
+    """The columns whose `_unit_columns` norms are not `np.linalg.norm`'s of
+    M: those it rescaled."""
+    with np.errstate(over="ignore"):
+        return np.flatnonzero(norms != np.linalg.norm(M, axis=0)).tolist()
 
 
 def traced_peak(fn, *args):
@@ -801,46 +805,42 @@ class TestColumnNorms:
             # as numpy sums a lone column: a last block of one column differs
             M[:, -1] = [1.0] + [2.0**-27] * 39
         M = np.asarray(M, order=order)
-        norms, odd, scaled = nio._column_norms(M)
-        assert odd.size == 0 and scaled.shape == (40, 0)
+        unit = M.copy(order="K")
+        norms = nio._unit_columns(unit)
         assert np.array_equal(norms, np.linalg.norm(M, axis=0))
+        assert np.array_equal(unit, M / np.where(norms == 0, 1.0, norms))
         # columns near 1e-200 and 1e200 take the rescale path
         tiny, huge = rng.choice(n, size=(2, min(n // 2, 5)), replace=False)
         M[:, tiny] *= 1e-200
         M[:, huge] *= 1e200
-        norms, odd, scaled = nio._column_norms(M)
         want, want_norms = full_square_norms(M)
-        assert np.array_equal(norms, want_norms)
-        assert odd.tolist() == sorted([*tiny, *huge])
-        assert np.array_equal(scaled, want[:, odd])
         unit = M.copy(order="K")
-        assert np.array_equal(nio._unit_columns(unit), want_norms)
-        assert np.array_equal(unit, unit_of(want, want_norms))
+        norms = nio._unit_columns(unit)
+        assert np.array_equal(norms, want_norms)
+        assert rescaled_columns(M, norms) == sorted([*tiny, *huge])
+        assert np.array_equal(unit, want)
         if n > 1:
             assert np.isfinite(norms).all() and (norms > 0).all()
 
     def test_holds_the_squares_of_one_block(self):
         # one block's squares are an eighth of M here; all of them are M.nbytes
         M = np.random.default_rng(3).standard_normal((50, 8 * self.BLOCK))
-        (norms, odd, _), peak = traced_peak(nio._column_norms, M)
-        assert odd.size == 0 and norms.shape == (M.shape[1],)
+        unit = M.copy()
+        norms, peak = traced_peak(nio._unit_columns, unit)
+        assert norms.shape == (M.shape[1],) and rescaled_columns(M, norms) == []
         assert peak < M.nbytes / 4
 
     @pytest.mark.parametrize("scale", [1e-170, 1e200])
     def test_an_odd_column_costs_no_copy_of_the_rest(self, scale):
         # the rescaled column alone is copied: a copy of M would add M.nbytes
-        # to the norms, and to the unit columns, which overwrite M
+        # to the unit columns, which overwrite M
         M = np.random.default_rng(4).standard_normal((50, 8 * self.BLOCK))
         M[:, 5] *= scale
         want, want_norms = full_square_norms(M)
-        (norms, odd, scaled), peak = traced_peak(nio._column_norms, M)
-        assert odd.tolist() == [5] and np.array_equal(norms, want_norms)
-        assert np.array_equal(scaled, want[:, odd])
-        assert peak < M.nbytes / 4
         unit = M.copy(order="K")
         norms, peak = traced_peak(nio._unit_columns, unit)
-        assert np.array_equal(norms, want_norms)
-        assert np.array_equal(unit, unit_of(want, want_norms))
+        assert rescaled_columns(M, norms) == [5] and np.array_equal(norms, want_norms)
+        assert np.array_equal(unit, want)
         assert peak < M.nbytes / 4
 
 

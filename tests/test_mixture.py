@@ -12,7 +12,7 @@ import pytest
 from noisy_align import align, io as nio, mixture
 from noisy_align.align import (alignment_error, load_matrix, random_orthogonal, save_matrix,
                                weighted_procrustes)
-from noisy_align.experiments import fit_translation
+from noisy_align.experiments import fit_translation, run_noise_curve
 from noisy_align.io import DataError
 from noisy_align.mixture import (
     VAR_FLOOR,
@@ -489,20 +489,20 @@ def count_residual_calls(monkeypatch) -> Counter:
 
 
 def reference_em_fit(X, Y, cfg=None, soft=False):
-    """`em_fit` with an M-step and an E-step in every iteration: hard EM
-    refits to labels that repeat its last M-step's and stops one iteration
-    later, when alpha has not moved."""
+    """`em_fit` with an M-step and an E-step in every iteration: it stops
+    once alpha moves by at most epsilon and, in hard EM, the labels repeat
+    those of the iteration's M-step, or, in soft EM, the mean log-likelihood
+    per pair moves by at most epsilon. So hard EM refits to labels that
+    repeat its last M-step's and stops there."""
     cfg = cfg or EmConfig()
     model, r_aligned, r_noise = initialize(X, Y)
     n = X.shape[1]
     eps = cfg.epsilon if cfg.epsilon is not None else max(1.0 / (2 * n), 1e-4)
-    resp = Responsibilities(_e_step(model, r_aligned, r_noise)[0])
+    w, loglik = _e_step(model, r_aligned, r_noise)[:2]
+    resp = Responsibilities(w)
     trace = mixture.EmTrace()
-    alpha_prev = np.inf
     for it in range(cfg.max_iters):
-        if abs(model.alpha - alpha_prev) <= eps:
-            break
-        alpha_prev = model.alpha
+        alpha_prev, loglik_prev, fitted = model.alpha, loglik, resp.h
         weights = resp.w if soft else resp.h.astype(np.float64)
         model, degenerate, r_aligned, r_noise = _m_step(model, X, Y, weights,
                                                         r_aligned, r_noise)
@@ -512,7 +512,11 @@ def reference_em_fit(X, Y, cfg=None, soft=False):
             trace.degenerate_iters.append(it)
         trace.steps.append((model.alpha, objective, resp.n1))
         resp = Responsibilities(w)
-    trace.converged = abs(model.alpha - alpha_prev) <= eps
+        settled = (abs(loglik - loglik_prev) / n <= eps if soft
+                   else np.array_equal(resp.h, fitted))
+        trace.converged = abs(model.alpha - alpha_prev) <= eps and settled
+        if trace.converged:
+            break
     return model, resp, trace
 
 
@@ -748,6 +752,16 @@ class TestEmFit:
         h1 = em_fit(X, Y, EmConfig(max_iters=1))[1].h
         assert h0.sum() == h1.sum() == 33 and (h0 != h1).sum() == 2
 
+    def test_hard_em_runs_to_its_fixed_point_whatever_epsilon(self):
+        # an epsilon that any change of alpha meets: the labels still decide,
+        # and the fit stops without the repeated step
+        X, Y = jittered_instance(77)[:2]
+        model, resp, trace = em_fit(X, Y, EmConfig(epsilon=1.0))
+        fixed_model, fixed_resp, fixed_trace = em_fit(X, Y)
+        assert trace.converged and trace.iterations == fixed_trace.iterations - 1 > 1
+        assert np.array_equal(model.Q, fixed_model.Q)
+        assert np.array_equal(resp.h, fixed_resp.h)
+
     @pytest.mark.parametrize("mode", ["hard", "soft"])
     def test_weighted_procrustes_runs_once_per_m_step(self, mode, monkeypatch):
         # soft EM fits Q in every iteration; hard EM's last iteration
@@ -768,6 +782,65 @@ class TestEmFit:
             assert len(calls) == trace.iterations - 1
             assert trace.steps[-1] == trace.steps[-2]
             assert np.array_equal(calls[-1], resp.h)  # the fixed point's labels
+
+
+def test_soft_em_reaches_its_fixed_point_on_a_half_noisy_lexicon():
+    # alpha starts at 0.5, so on a half-noisy lexicon the first M-step moves
+    # it by less than epsilon; the fit must not stop there
+    rows = run_noise_curve(levels=(0.5,), seeds=range(10), methods=("em-soft",))
+    assert len(rows) == 10 and max(test_error for *_, test_error in rows) <= 1e-10
+
+
+@pytest.mark.parametrize("mode, why", [("hard", "the labels changed"),
+                                       ("soft", "the log-likelihood changed")])
+def test_a_capped_fit_whose_alpha_settled_says_what_did_not(mode, why):
+    # an epsilon that any change of alpha meets; one M-step from the start
+    prob = make_noisy_problem(n=400, d=20, p=0.5, seed=2)
+    with pytest.warns(UserWarning, match=f"^EM stopped at max_iters=1 without converging: {why}$"):
+        trace = em_fit(prob.X, prob.Y, EmConfig(epsilon=1.0, max_iters=1),
+                       soft=mode == "soft")[2]
+    assert not trace.converged
+
+
+class TestEmMetamorphic:
+    """Transforming the pairs transforms the fit: Q to 1e-8, the labels
+    exactly. Rotating Y by S gives S Q, rotating X by R gives Q R^T,
+    permuting the pairs permutes w and h, and scaling both spaces by 2
+    changes neither Q nor h (the log-likelihood moves by a constant, so
+    soft EM's stop does not)."""
+
+    D, N = 20, 400
+
+    @staticmethod
+    def transformed(kind, X, Y, seed):
+        """(X', Y') and the (Q, w, h) that a fit of them should give from the
+        fit (Q, w, h) of (X, Y)."""
+        if kind == "rotate-y":
+            S = random_orthogonal(X.shape[0], seed + 100)
+            return X, S @ Y, lambda Q, w, h: (S @ Q, w, h)
+        if kind == "rotate-x":
+            R = random_orthogonal(X.shape[0], seed + 200)
+            return R @ X, Y, lambda Q, w, h: (Q @ R.T, w, h)
+        if kind == "permute":
+            perm = np.random.default_rng(seed).permutation(X.shape[1])
+            return X[:, perm], Y[:, perm], lambda Q, w, h: (Q, w[perm], h[perm])
+        return 2.0 * X, 2.0 * Y, lambda Q, w, h: (Q, w, h)
+
+    @pytest.mark.parametrize("kind", ["rotate-y", "rotate-x", "permute", "scale"])
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.7])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fit_follows_the_transform(self, kind, mode, p, seed):
+        prob = make_noisy_problem(n=self.N, d=self.D, p=p, seed=seed)
+        soft = mode == "soft"
+        model, resp, trace = em_fit(prob.X, prob.Y, soft=soft)
+        X, Y, expect = self.transformed(kind, prob.X, prob.Y, seed)
+        got_model, got_resp, got_trace = em_fit(X, Y, soft=soft)
+        Q, w, h = expect(model.Q, resp.w, resp.h)
+        assert trace.converged and got_trace.converged
+        assert np.abs(got_model.Q - Q).max() <= 1e-8
+        assert np.array_equal(got_resp.h, h)
+        assert np.abs(got_resp.w - w).max() <= 1e-8
 
 
 @pytest.mark.filterwarnings("ignore:EM stopped at max_iters=")
