@@ -150,11 +150,20 @@ def weighted_procrustes(X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> np.ndarr
 def _weighted_map(X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """`weighted_procrustes` of pairs and weights that the caller has
     checked. Y diag(w) X^T is summed one block of columns at a time
-    (`io._column_blocks`), so no weighted copy of Y is held."""
+    (`io._column_blocks`), so no weighted copy of Y is held.
+
+    M is the one d x d sum: each block's product P is added into it in
+    place and dropped before the next block is weighted, so the SVD runs
+    with M as the only d x d array of this function's own.
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _svd
         for s in _column_blocks(X.shape[1]):
             P = (Y[:, s] * w[s]) @ X[:, s].T
-            M = M + P if s.start else P
+            if s.start:
+                M += P
+            else:
+                M = P
+            del P
     U, _, Vt = _svd(M, "Y diag(w) X^T")
     return U @ Vt
 
@@ -196,7 +205,8 @@ def sgd_align(X: np.ndarray, Y: np.ndarray, cfg: SgdConfig | None = None) -> np.
     lr = cfg.learning_rate
     if lr is None:
         lr = 0.4 / max(float(np.linalg.norm(C, ord=2)), 1e-12)
-    rng = np.random.default_rng(cfg.seed)
+    # a full-batch fit reads no RNG, so it does not import numpy.random
+    rng = None if full_batch else np.random.default_rng(cfg.seed)
     Q = np.eye(d)
     # overflow is divergence, reported below rather than warned
     with np.errstate(over="ignore", invalid="ignore"):

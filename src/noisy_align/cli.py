@@ -30,7 +30,8 @@ import numpy as np
 
 from . import io as nio
 from .align import SgdConfig, alignment_error, load_matrix, save_matrix
-from .evaluation import _index, precision_at_1, rank_semantic_shift, write_shift_ranking_tsv
+from .evaluation import (build_index, precision_at_1, rank_semantic_shift,
+                         write_shift_ranking_tsv)
 from .experiments import (
     EM_METHODS,
     METHODS,
@@ -278,7 +279,7 @@ def _test_metrics(Q, test_lex: nio.Lexicon, src, tgt) -> dict:
             f"matrix dimension mismatch: matrix d={Q.shape[0]}, embedding d={src.dim}")
     # gather_pairs compares the two embedding sets
     test_error = alignment_error(Q, *nio.gather_pairs(test_lex, src, tgt))
-    index = _index(tgt, tgt.vectors)
+    index = build_index(tgt, tgt.vectors)
     p_at_1, n_queries = precision_at_1(Q, test_lex, src, tgt, index)
     if not 0.0 <= p_at_1 <= 1.0:  # also rejects NaN
         raise ValueError("p_at_1 must lie in [0, 1]")

@@ -10,8 +10,8 @@ block: a block holds `BLOCK_ROWS` (64) queries, or 65 when one query
 would otherwise be left over, so it takes at most 65·8·V bytes for V
 targets. `build_index` makes `index.unit` a float64 copy of the targets;
 the CLI, which reads nothing more of its target set once the test pairs
-are gathered, turns that set's own matrix into the index (`_index`), so
-it holds one copy.
+are gathered, turns that set's own matrix into the index
+(`build_index(tgt, tgt.vectors)`), so it holds one copy.
 Ties break deterministically toward the lower token index. Shift
 ranking reads only the gathered pairs: their tokens, X and Y, of which
 it copies one block of Y at a time, also when it drops no token.
@@ -72,16 +72,17 @@ def _repeats(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cand[~starts], first[~starts]
 
 
-def build_index(emb: EmbeddingSet) -> NnIndex:
-    """Precompute unit-normalized target columns for cosine retrieval;
-    `emb` is left as it is."""
-    return _index(emb, emb.vectors.copy(order="K"))
+def build_index(emb: EmbeddingSet, unit: np.ndarray | None = None) -> NnIndex:
+    """Precompute unit-normalized target columns for cosine retrieval.
 
-
-def _index(emb: EmbeddingSet, unit: np.ndarray) -> NnIndex:
-    """The index over `emb` whose unit columns are `unit`, which holds the
-    values of `emb.vectors` (a copy, or that array itself) and is
-    normalized in place once the repeated columns are found."""
+    `unit` holds the values of `emb.vectors` (that array itself, or a
+    copy) and is normalized in place once the repeated columns are found;
+    by default it is a copy, so `emb` is left as it is. Passing
+    `emb.vectors` turns the set's own matrix into the index, after which
+    the set must not be read again.
+    """
+    if unit is None:
+        unit = emb.vectors.copy(order="K")
     repeats, first_copies = _repeats(unit)
     norms = _unit_columns(unit)
     excluded = [int(i) for i in np.flatnonzero(norms == 0)]

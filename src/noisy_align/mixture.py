@@ -42,6 +42,8 @@ class AlignmentModel:
 
     Q is a plain float64 d x d array. Building a model is where its
     orthogonality is checked: ||Q^T Q - I||_F must be at most ORTHO_TOL.
+    The check forms one d x d array, the Gram matrix Q^T Q, and subtracts
+    I from its diagonal in place; the model holds Q, mu_y and three floats.
     """
 
     Q: np.ndarray
@@ -59,7 +61,9 @@ class AlignmentModel:
             raise ValueError("alpha must lie in [0, 1]")
         if self.Q.ndim != 2 or self.Q.shape[0] != self.Q.shape[1]:
             raise ValueError(f"Q must be square, got shape {self.Q.shape}")
-        resid = np.linalg.norm(self.Q.T @ self.Q - np.eye(self.dim))
+        G = self.Q.T @ self.Q
+        G.flat[::self.dim + 1] -= 1.0
+        resid = np.linalg.norm(G)
         if not resid <= ORTHO_TOL:  # also rejects NaN
             raise ValueError(f"Q must be orthogonal, but ||Q^T Q - I||_F = {resid:.3g}")
         if self.mu_y.shape != (self.dim,) or not np.isfinite(self.mu_y).all():

@@ -16,7 +16,7 @@ from noisy_align.align import (
     sgd_objective_grad,
     weighted_procrustes,
 )
-from noisy_align import io as nio
+from noisy_align import align, io as nio
 from noisy_align.io import DataError
 from oracles import column_blocks
 from test_io import traced_peak
@@ -196,6 +196,26 @@ class TestWeightedProcrustes:
     def test_all_zero_weights(self):
         with pytest.raises(ValueError, match="zero"):
             weighted_procrustes(np.ones((2, 3)), np.ones((2, 3)), np.zeros(3))
+
+    @pytest.mark.parametrize("n", [nio._BLOCK_COLS + 2, 3 * nio._BLOCK_COLS])
+    def test_the_svd_runs_with_one_d_by_d_sum(self, n, monkeypatch):
+        # each block's product is added into the sum in place and dropped,
+        # so the SVD's factors and workspace do not sit beside a second d x d
+        d = 300
+        rng = np.random.default_rng(7)
+        X, Y, w = rng.standard_normal((d, n)), rng.standard_normal((d, n)), rng.random(n)
+        held = []
+
+        def spy(M, what, _fn=align._svd):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return _fn(M, what)
+        monkeypatch.setattr(align, "_svd", spy)
+        tracemalloc.start()
+        try:
+            align._weighted_map(X, Y, w)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1 and held[0] < 1.1 * d * d * 8
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_product_is_a_data_error(self):

@@ -74,3 +74,48 @@ def test_records_of_different_machines_are_refused(tmp_path, capsys, key):
                       str(record(tmp_path / "b.json", values, machine=other))]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("machines differ")
+
+
+def test_paired_runs_alternate_and_write_both_records(tmp_path, monkeypatch, capsys):
+    # each parent run sits next to the same change run, and the side that
+    # runs first alternates from seed to seed
+    tool = load_tool()
+    calls = []
+
+    def run(root, workload, seed, seconds):
+        calls.append((root.name, workload, seed))
+        value = 10.0 if root.name == "parent" else 9.0
+        return MACHINE, {"correct": True, "attempted": 10, "failed": 0,
+                         "metrics": {m: {"value": value, "unit": "s"}
+                                     for m in ("setup_s", "run_s", "cpu_s", "peak_rss_mb")}}
+
+    def git(root, *args):
+        return f"{root.name}-commit\n" if args[0] == "rev-parse" else ""
+    monkeypatch.setattr(tool, "_run", run)
+    monkeypatch.setattr(tool, "_git", git)
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    assert tool.main(["--out", str(after), "--paired", str(parent), str(before)]) == 0
+    assert len(calls) == 2 * len(tool.SEEDS) * len(WORKLOADS) and len(tool.SEEDS) >= 10
+    for k, seed in enumerate(tool.SEEDS):
+        first = "parent" if k % 2 == 0 else tool.ROOT.name
+        for j, workload in enumerate(WORKLOADS):
+            pair = calls[(k * len(WORKLOADS) + j) * 2:][:2]
+            assert [c[1:] for c in pair] == [(workload, seed)] * 2
+            assert pair[0][0] == first and {c[0] for c in pair} == {"parent", tool.ROOT.name}
+    docs = [json.loads(p.read_text()) for p in (before, after)]
+    assert [d["commit"] for d in docs] == ["parent-commit", f"{tool.ROOT.name}-commit"]
+    assert all(d["diff"] is None and d["machine"] == MACHINE for d in docs)
+    assert all(len(d["runs"]) == len(tool.SEEDS) * len(WORKLOADS) for d in docs)
+    capsys.readouterr()
+    assert tool.main(["--compare", str(before), str(after)]) == 0
+    rows = {tuple(line.split()[:2]): line.split() for line in
+            capsys.readouterr().out.splitlines()[2:]}
+    assert rows["bli-align", "peak_rss_mb"][8] == f"{len(tool.SEEDS)}/{len(tool.SEEDS)}"
+
+
+def test_paired_needs_out(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        load_tool().main(["--compare", "a", "b", "--paired", str(tmp_path), "p.json"])
+    assert exc.value.code == 2 and "--paired needs --out" in capsys.readouterr().err

@@ -63,15 +63,20 @@ def bilingual(tmp_path):
             "noisy": noisy, "dir": tmp_path}
 
 
+def child_env():
+    """The environment in which a child process imports the package the
+    tests import."""
+    src = str(Path(noisy_align.__file__).parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(argv, cwd=None, options=()):
     """`noisy-align argv` in a separate process, which is stopped if it
     hangs, on the package the tests import; `options` go to the
     interpreter."""
-    src = str(Path(noisy_align.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *options, "-m", "noisy_align.cli", *map(str, argv)],
-                          cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+                          cwd=cwd, env=child_env(), capture_output=True, text=True, timeout=60)
 
 
 def exit_code(run):
@@ -298,6 +303,27 @@ class TestAlign:
             assert run_align(bilingual, tmp_path / seed, flags) == 0
         assert (tmp_path / "1" / "matrix.txt").read_bytes() != \
             (tmp_path / "2" / "matrix.txt").read_bytes()
+
+    @pytest.mark.parametrize("batch, imported", [([], False), (["--batch-size", "32"], True)])
+    def test_only_minibatch_sgd_imports_numpy_random(self, bilingual, tmp_path, batch,
+                                                     imported):
+        # a full-batch fit reads no RNG; importing numpy.random alone adds
+        # about 6 MB of resident memory to the run
+        probe = ("import sys, numpy\n"
+                 "if 'numpy.random' in sys.modules:\n"
+                 "    sys.exit('numpy imports numpy.random itself')\n"
+                 "from noisy_align.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 "print(code, 'numpy.random' in sys.modules)\n")
+        argv = ["align", "--src-emb", bilingual["src"], "--tgt-emb", bilingual["tgt"],
+                "--lexicon", bilingual["train"], "--output-dir", tmp_path,
+                "--method", "sgd", *batch]
+        done = subprocess.run([sys.executable, "-c", probe, *map(str, argv)], env=child_env(),
+                              capture_output=True, text=True, timeout=60)
+        if "numpy imports numpy.random itself" in done.stderr:
+            pytest.skip("this numpy imports numpy.random with numpy")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == f"0 {imported}"
 
     @staticmethod
     def align_texts(method, src_text, tgt_text, tmp_path):

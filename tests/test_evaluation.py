@@ -233,14 +233,14 @@ def odd_target_set():
 
 
 class TestIndexInPlace:
-    """The CLI's index (`_index(emb, emb.vectors)`) is `build_index`'s, and
-    the public functions leave the caller's set as it is."""
+    """The CLI's index (`build_index(emb, emb.vectors)`) is `build_index(emb)`'s,
+    and the public functions leave the caller's set as it is."""
 
     def test_equals_build_index_bit_for_bit(self):
         emb = odd_target_set()
         want = build_index(emb)
         raw = emb.vectors.copy()
-        got = evaluation._index(emb, emb.vectors)
+        got = build_index(emb, emb.vectors)
         assert got.unit is emb.vectors and not np.array_equal(emb.vectors, raw)
         assert got.unit.tobytes() == want.unit.tobytes()
         assert got.excluded == want.excluded == [3]
@@ -267,7 +267,7 @@ class TestIndexInPlace:
         Q = random_orthogonal(20, 45)
         lex = Lexicon(pairs=[(i, (7 * i) % 300) for i in range(300)])
         want = precision_at_1(Q, lex, src, tgt)
-        assert precision_at_1(Q, lex, src, tgt, evaluation._index(tgt, tgt.vectors)) == want
+        assert precision_at_1(Q, lex, src, tgt, build_index(tgt, tgt.vectors)) == want
         with pytest.raises(ValueError, match="not over the target set"):
             precision_at_1(Q, lex, src, tgt, build_index(src))
 

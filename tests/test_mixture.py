@@ -93,6 +93,16 @@ class TestAlignmentModel:
             AlignmentModel(**{**params, field: value})
         assert str(exc.value) == message
 
+    def test_orthogonality_check_forms_one_gram_matrix(self):
+        # Q^T Q minus I in place: a separate identity and difference would
+        # each add another d x d array to every M-step's model
+        d = 300
+        Q = random_orthogonal(d, 5)
+        mu_y = np.zeros(d)
+        peak = traced_peak(lambda: AlignmentModel(Q=Q, sigma2=1.0, mu_y=mu_y,
+                                                  sigma_y2=1.0, alpha=0.5))[1]
+        assert peak <= 1.1 * d * d * 8
+
     def test_q_is_a_float64_array(self):
         model = AlignmentModel(Q=[[0, 1], [1, 0]], sigma2=1.0, mu_y=np.zeros(2),
                                sigma_y2=1.0, alpha=0.5)
@@ -761,6 +771,31 @@ class TestEmFit:
         assert trace.converged and trace.iterations == fixed_trace.iterations - 1 > 1
         assert np.array_equal(model.Q, fixed_model.Q)
         assert np.array_equal(resp.h, fixed_resp.h)
+
+    def test_hard_em_at_the_default_epsilon_waits_for_the_labels(self, monkeypatch):
+        # n > 5000 makes the default epsilon 1e-4, less than one label in n:
+        # an iteration that swaps labels without changing their count moves
+        # alpha by 0, and the fit must not stop there
+        fitted = []
+
+        def spy(model, X, Y, w, *rest, _fn=mixture._m_step):
+            fitted.append(w.astype(bool))
+            return _fn(model, X, Y, w, *rest)
+        monkeypatch.setattr(mixture, "_m_step", spy)
+        X, Y, _ = jittered_instance(8, d=5, n=6000, p=0.4, jitter=1.0)
+        model, resp, trace = em_fit(X, Y)
+        alphas = [0.5] + [step[0] for step in trace.steps]
+        # iteration i fits the labels fitted[i], and its E-step gives fitted[i + 1]
+        swaps = [i for i in range(len(fitted) - 1) if abs(alphas[i + 1] - alphas[i]) <= 1e-4
+                 and not np.array_equal(fitted[i + 1], fitted[i])]
+        assert swaps == [5, 10, 15]
+        # the fit stopped in the iteration after its last M-step, whose labels repeated
+        assert trace.converged and trace.iterations == len(fitted) + 1
+        assert np.array_equal(resp.h, fitted[-1])
+        # one more E-step of the returned model gives the returned labels
+        w = _e_step(model, align._column_residuals(X, Y, model.Q),
+                    align._column_residuals(X, Y, mu_y=model.mu_y))[0]
+        assert np.array_equal(w > 0.5, resp.h)
 
     @pytest.mark.parametrize("mode", ["hard", "soft"])
     def test_weighted_procrustes_runs_once_per_m_step(self, mode, monkeypatch):
