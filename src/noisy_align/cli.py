@@ -240,6 +240,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_output_dir(path: str) -> None:
+    """DataError unless `--output-dir` is, or can be made, a directory: its
+    nearest existing ancestor, a dangling symlink included, must be one.
+    Nothing is created."""
+    ancestor = next(a for a in (Path(path), *Path(path).parents) if a.is_symlink() or a.exists())
+    if not ancestor.is_dir():
+        raise nio.DataError(f"--output-dir {path}: {ancestor} is not a directory")
+
+
 def _output(args, name: str) -> Path:
     """The path of output file `name` in `--output-dir`, which is created."""
     out = Path(args.output_dir)
@@ -253,12 +262,6 @@ def _write_json(args, name: str, obj) -> str:
     text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     _output(args, name).write_text(text + "\n", encoding="utf-8")
     return text
-
-
-def _load_spaces(args):
-    src = nio.load_embeddings(args.src_emb, limit=args.limit, normalize=args.normalize)
-    tgt = nio.load_embeddings(args.tgt_emb, limit=args.limit, normalize=args.normalize)
-    return src, tgt
 
 
 # report.json's keys and their values without a test lexicon or a mixture
@@ -287,29 +290,19 @@ def _test_metrics(Q, test_lex: nio.Lexicon, src, tgt) -> dict:
 
 
 def _cmd_align(args) -> int:
-    src, tgt = _load_spaces(args)
-    lex, skipped = nio.load_lexicon(args.lexicon, src, tgt)
     # clean-lexicon takes no --test-lexicon
-    test_path = getattr(args, "test_lexicon", None)
-    test_lex = nio.load_lexicon(test_path, src, tgt)[0] if test_path else None
-    nio._check_dims(src, tgt)
-    # of the source set only X, the test queries and the pairs' names are
-    # kept: it is freed before Y is gathered (README, "Outputs")
-    X = nio._pair_columns(lex, 0, src)
-    if test_lex is not None:
-        queries, test_lex = nio._source_subset(test_lex, src)
-    names = [(src.tokens[s], tgt.tokens[g]) for s, g in lex.pairs]
-    del src
-    Y = nio._pair_columns(lex, 1, tgt)
+    X, Y, (sources, targets), skipped, test = nio.load_pairs(
+        args.src_emb, args.tgt_emb, lambda src, tgt: nio.load_lexicon(args.lexicon, src, tgt),
+        getattr(args, "test_lexicon", None), limit=args.limit, normalize=args.normalize)
     Q, model, resp, trace = fit_translation(
         args.method, X, Y, sgd_cfg=SgdConfig(**_given(args, _SGD_FLAGS)),
         em_cfg=EmConfig(**_given(args, _EM_FLAGS)))
     del X, Y
-    test = _test_metrics(Q, test_lex, queries, tgt) if test_lex is not None else {}
+    test = _test_metrics(Q, *test) if test else {}
 
     if resp is not None:
         path = _output(args, "responsibilities.tsv")
-        write_responsibilities_tsv(resp, names, path)
+        write_responsibilities_tsv(resp, list(zip(sources, targets)), path)
     if args.command == "clean-lexicon":
         print(f"wrote {path} ({skipped} unresolvable lexicon lines skipped)")
         return 0
@@ -323,19 +316,16 @@ def _cmd_align(args) -> int:
     text = _write_json(args, "report.json", {**_REPORT, **test, **fit})
     # op and sgd fit no mixture, so they discard nothing
     discarded = f" discarded_fraction={fit['noise_rate']:.4f}" if fit else ""
-    print(f"method={args.method} pairs={len(lex)} skipped_lines={skipped}{discarded}")
+    print(f"method={args.method} pairs={len(sources)} skipped_lines={skipped}{discarded}")
     print(text)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     Q = load_matrix(args.matrix)  # before the larger embedding files
-    src, tgt = _load_spaces(args)
-    test_lex, _ = nio.load_lexicon(args.test_lexicon, src, tgt)
-    queries, test_lex = nio._source_subset(test_lex, src)
-    del src
-    print(_write_json(args, "report.json",
-                      {**_REPORT, **_test_metrics(Q, test_lex, queries, tgt)}))
+    *_, test = nio.load_pairs(args.src_emb, args.tgt_emb, None, args.test_lexicon,
+                              limit=args.limit, normalize=args.normalize)
+    print(_write_json(args, "report.json", {**_REPORT, **_test_metrics(Q, *test)}))
     return 0
 
 
@@ -364,16 +354,10 @@ def _cmd_diachronic(args) -> int:
     stoplist = nio.load_stoplist(args.stoplist) if args.stoplist else None
     src_freqs = nio.load_frequency_table(args.src_freqs) if args.src_freqs else None
     tgt_freqs = nio.load_frequency_table(args.tgt_freqs) if args.tgt_freqs else None
-    src, tgt = _load_spaces(args)
-    lex = nio.build_identity_lexicon(src, tgt, stoplist=stoplist)
-    nio._check_dims(src, tgt)
-    tokens = [src.tokens[s] for s, _ in lex.pairs]
-    # only the pairs' tokens and columns are read below; each loaded set is
-    # freed once its side is gathered (README, "Outputs")
-    X = nio._pair_columns(lex, 0, src)
-    del src
-    Y = nio._pair_columns(lex, 1, tgt)
-    del tgt, lex
+    X, Y, (tokens, _), _, _ = nio.load_pairs(
+        args.src_emb, args.tgt_emb,
+        lambda src, tgt: (nio.build_identity_lexicon(src, tgt, stoplist), 0),
+        limit=args.limit, normalize=args.normalize)
     Q, model, resp, trace = fit_translation(
         "em-hard", X, Y, em_cfg=EmConfig(**_given(args, _EM_FLAGS)))
     ranking, dropped = rank_semantic_shift(
@@ -381,12 +365,10 @@ def _cmd_diachronic(args) -> int:
         threshold=args.threshold, responsibilities=resp)
     write_shift_ranking_tsv(ranking, _output(args, "shift_ranking.tsv"))
     _write_json(args, "shift_ranking.json", ranking)
-    noise_frac = float(np.mean(~resp.h))
-    n_noise_ranked = sum(1 for _, _, label in ranking if label == "Noise")
     summary = {
         "pairs": len(tokens),
-        "noise_fraction": noise_frac,
-        "noisy_after_filter": n_noise_ranked,
+        "noise_fraction": float(np.mean(~resp.h)),
+        "noisy_after_filter": sum(1 for _, _, label in ranking if label == "Noise"),
         "dropped_below_threshold": dropped,
         "iterations": trace.iterations,
     }
@@ -428,6 +410,7 @@ def main(argv: list[str] | None = None) -> int:
             args.parser.error(problem)
         if extras:
             args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        _check_output_dir(args.output_dir)  # before the command reads its inputs
         # the filters stay as set: `-W error` still raises
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning

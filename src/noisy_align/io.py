@@ -17,6 +17,10 @@ two fields is skipped in a lexicon and a DataError in a frequency table.
 `_unit_columns` is the one column normalization: `--normalize`, the
 retrieval index, each block of retrieval queries and each block of the
 shift ranking's pairs, so every cosine is a dot product of its columns.
+
+`load_pairs` is the one path from files to a command's pairs: `align`,
+`clean-lexicon`, `evaluate` and `diachronic` read both embedding sets
+through it, and it decides how long each set lives.
 """
 
 from __future__ import annotations
@@ -380,14 +384,47 @@ def _pair_columns(lex: Lexicon, side: int, emb: EmbeddingSet) -> np.ndarray:
     return np.take(emb.vectors, idx, axis=1)
 
 
-def _source_subset(lex: Lexicon, src: EmbeddingSet) -> tuple[EmbeddingSet, Lexicon]:
-    """The source columns that `lex` names, in order of first use, as a new
-    set, and `lex` re-indexed to it: all that the test metrics read of src."""
-    first = {s: i for i, s in enumerate(dict.fromkeys(s for s, _ in lex.pairs))}
-    idx = np.fromiter(first, dtype=np.intp, count=len(first))
-    sub = EmbeddingSet(tokens=[src.tokens[s] for s in first],
-                       vectors=np.take(src.vectors, idx, axis=1))
-    return sub, Lexicon(pairs=[(first[s], t) for s, t in lex.pairs])
+def load_pairs(src_path, tgt_path, lexicon, test_lexicon=None, *,
+               limit: int | None = None, normalize: bool = False):
+    """Load both embedding sets and keep of them only what a command reads.
+
+    `lexicon(src, tgt)` resolves the training pairs as (Lexicon, skipped),
+    for instance `load_lexicon` of a file or an identity lexicon; None
+    gathers no pairs. `test_lexicon` names a lexicon file for the test
+    metrics. Both sets are loaded (`limit` and `normalize` as in
+    `load_embeddings`), both lexicons resolved and the dimensions checked
+    before any column is gathered. Of the source set only X, the pairs'
+    source tokens and the test queries are kept: each test-lexicon source
+    once, in order of first use. It is freed before Y is gathered, and the
+    target set is kept only when a test lexicon needs it for retrieval.
+
+    Returns:
+        (X, Y, names, skipped, test): X and Y hold one column per training
+        pair; names is (sources, targets), the tokens of each pair's two
+        sides, one list when they are alike (an identity lexicon); skipped
+        is the lexicon's. X, Y and names are None without `lexicon`. test
+        is (the test lexicon re-indexed to the queries, the queries, the
+        target set), or None without `test_lexicon`.
+    """
+    src = load_embeddings(src_path, limit, normalize)
+    tgt = load_embeddings(tgt_path, limit, normalize)
+    lex, skipped = lexicon(src, tgt) if lexicon else (None, 0)
+    test = load_lexicon(test_lexicon, src, tgt)[0] if test_lexicon else None
+    _check_dims(src, tgt)
+    if test is not None:
+        first = {s: i for i, s in enumerate(dict.fromkeys(s for s, _ in test.pairs))}
+        queries = EmbeddingSet(tokens=[src.tokens[s] for s in first],
+                               vectors=np.take(src.vectors, list(first), axis=1))
+        test = Lexicon(pairs=[(first[s], t) for s, t in test.pairs]), queries, tgt
+    X = Y = names = None
+    if lex is not None:
+        X = _pair_columns(lex, 0, src)
+        sources = [src.tokens[s] for s, _ in lex.pairs]
+        targets = [tgt.tokens[t] for _, t in lex.pairs]
+        names = sources, sources if targets == sources else targets
+        del src
+        Y = _pair_columns(lex, 1, tgt)
+    return X, Y, names, skipped, test
 
 
 def gather_pairs(lex: Lexicon, src: EmbeddingSet, tgt: EmbeddingSet):

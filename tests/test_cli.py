@@ -584,6 +584,32 @@ def test_clean_lexicon_rejects_non_em_method(bilingual, tmp_path, capsys):
     assert "--method" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("command", ["align", "noise-curve"])
+@pytest.mark.parametrize("case", ["file", "below-a-file", "dangling-link"])
+def test_output_dir_in_a_file_fails_before_any_load_or_fit(bilingual, tmp_path, monkeypatch,
+                                                           capsys, cache_home, command, case):
+    # a one-line data error that names the flag, not the mkdir's
+    # `[Errno 17] File exists` after the whole fit
+    blocker = bilingual["train"]
+    if case == "dangling-link":
+        blocker = tmp_path / "link"
+        blocker.symlink_to(tmp_path / "nowhere")
+    out = blocker / "sub" if case == "below-a-file" else blocker
+    before = sorted(tmp_path.iterdir()), bilingual["train"].read_text()
+    forbid_embedding_loads(monkeypatch, bilingual["src"], bilingual["tgt"])
+    events = record_calls(monkeypatch, "fit_translation", "run_noise_curve")
+    if command == "align":
+        code = run_align(bilingual, out)
+    else:
+        code = main(["noise-curve", "--n", "20", "--d", "3", "--test-n", "5",
+                     "--seeds", "1", "--output-dir", str(out)])
+    assert code == 2 and events == []
+    assert capsys.readouterr().err == \
+        f"noisy-align: data error: --output-dir {out}: {blocker} is not a directory\n"
+    assert (sorted(tmp_path.iterdir()), bilingual["train"].read_text()) == before
+    assert list(cache_home.iterdir()) == []
+
 def test_evaluate_saved_matrix(bilingual, tmp_path):
     out = tmp_path / "fit"
     assert run_align(bilingual, out) == 0
@@ -655,6 +681,16 @@ def test_evaluate_target_set_of_another_size_is_one_line_data_error(bilingual, t
     assert err.count("\n") == 1
     assert "embedding dimension mismatch: src d=10, tgt d=4" in err
 
+
+def test_evaluate_compares_the_embedding_sets_before_the_matrix(bilingual, tmp_path, capsys):
+    # a matrix that fits the target set but not the source set: the two
+    # sets disagree first
+    tgt = tmp_path / "tgt4.txt"
+    save_embeddings(make_set([f"t{i}" for i in range(60)], np.ones((4, 60))), tgt)
+    save_matrix(np.eye(4), tmp_path / "m4.txt")
+    assert run_evaluate(bilingual, tmp_path / "m4.txt", tmp_path / "eval", tgt=tgt) == 2
+    assert capsys.readouterr().err == \
+        "noisy-align: data error: embedding dimension mismatch: src d=10, tgt d=4\n"
 
 @pytest.mark.filterwarnings("error")
 def test_evaluate_overflowing_test_error_is_one_line_data_error(bilingual, tmp_path, capsys):

@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from noisy_align import _cache, cli, io as nio
-from noisy_align.align import load_matrix
+from noisy_align.align import load_matrix, random_orthogonal
+from noisy_align.evaluation import precision_at_1
 from noisy_align.io import (
     DataError,
     EmbeddingSet,
@@ -756,6 +758,118 @@ class TestGatherPairs:
         tgt = make_set(["a"], [[1.0], [2.0], [3.0]])
         with pytest.raises(DataError, match="dimension mismatch"):
             gather_pairs(Lexicon(pairs=[(0, 0)]), src, tgt)
+
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestLoadPairs:
+    """`load_pairs` gives what `gather_pairs` and `precision_at_1` read of
+    the full sets, in each of the commands' three call shapes."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        """Two sets over one vocabulary in different orders, each with a
+        token the other lacks; a training lexicon with an unresolvable
+        line, a test lexicon with sources out of order, a repeated source
+        and an unresolvable line, and a stop-list."""
+        rng = np.random.default_rng(41)
+        d, n = 6, 40
+        tokens = [f"w{i}" for i in range(n)]
+        order = rng.permutation(n)
+        save_embeddings(make_set(tokens + ["only_src"], rng.standard_normal((d, n + 1))),
+                        tmp_path / "src.txt")
+        save_embeddings(make_set([tokens[i] for i in order] + ["only_tgt"],
+                                 rng.standard_normal((d, n + 1))), tmp_path / "tgt.txt")
+        write(tmp_path, "train.tsv",
+              "".join(f"w{i}\tw{i * 7 % n}\n" for i in range(25)) + "nowhere\tw0\n")
+        write(tmp_path, "test.tsv", "w33\tw33\nw3\tw3\nw30\tw30\nw30\tw7\n"
+                                    "nowhere\tw0\nw39\tw39\nw3\tw1\n")
+        write(tmp_path, "stop.txt", "w0\nw5\n")
+        return tmp_path
+
+    def shape(self, files, name):
+        """(lexicon, test lexicon, load options) of one call shape: align,
+        diachronic or evaluate."""
+        stoplist = load_stoplist(files / "stop.txt")
+        return {"file-and-test": (lambda s, t: load_lexicon(files / "train.tsv", s, t),
+                                  files / "test.tsv", {"normalize": True}),
+                "identity": (lambda s, t: (build_identity_lexicon(s, t, stoplist), 0),
+                             None, {"limit": 36}),
+                "test-only": (None, files / "test.tsv", {})}[name]
+
+    @pytest.mark.parametrize("name", ["file-and-test", "identity", "test-only"])
+    def test_equals_the_library_on_the_full_sets(self, files, name):
+        lexicon, test_path, options = self.shape(files, name)
+        X, Y, names, skipped, test = nio.load_pairs(files / "src.txt", files / "tgt.txt",
+                                                    lexicon, test_path, **options)
+        src, tgt = (load_embeddings(files / f, **options) for f in ("src.txt", "tgt.txt"))
+        if lexicon is None:
+            assert (X, Y, names, skipped) == (None, None, None, 0)
+        else:
+            lex, want_skipped = lexicon(src, tgt)
+            want_X, want_Y = gather_pairs(lex, src, tgt)
+            assert same_bits(X, want_X) and same_bits(Y, want_Y)
+            assert list(zip(*names)) == [(src.tokens[s], tgt.tokens[t]) for s, t in lex.pairs]
+            assert skipped == want_skipped == (1 if name == "file-and-test" else 0)
+            # an identity lexicon names both sides with one list
+            assert (names[1] is names[0]) == (name == "identity")
+        if test_path is None:
+            assert test is None  # no target set is kept without a test lexicon
+            return
+        test_lex, queries, test_tgt = test
+        want_lex = load_lexicon(test_path, src, tgt)[0]
+        assert [(queries.tokens[s], t) for s, t in test_lex.pairs] == \
+            [(src.tokens[s], t) for s, t in want_lex.pairs]
+        assert queries.tokens == ["w33", "w3", "w30", "w39"]  # once each, in first use
+        assert same_bits(queries.vectors[:, [s for s, _ in test_lex.pairs]],
+                         src.vectors[:, [s for s, _ in want_lex.pairs]])
+        assert test_tgt.tokens == tgt.tokens and same_bits(test_tgt.vectors, tgt.vectors)
+        Q = random_orthogonal(6, seed=42)
+        assert precision_at_1(Q, test_lex, queries, test_tgt) == \
+            precision_at_1(Q, want_lex, src, tgt)
+
+    @pytest.mark.parametrize("name", ["file-and-test", "identity"])
+    def test_the_source_matrix_is_dead_when_y_is_gathered(self, files, monkeypatch, name):
+        lexicon, test_path, options = self.shape(files, name)
+        loaded, seen = [], []
+        real_load, real_columns = nio.load_embeddings, nio._pair_columns
+
+        def load(*args, **kwargs):
+            emb = real_load(*args, **kwargs)
+            loaded.append(weakref.ref(emb.vectors))
+            return emb
+
+        def columns(lex, side, emb):
+            seen.append((side, [ref() is not None for ref in loaded]))
+            return real_columns(lex, side, emb)
+
+        monkeypatch.setattr(nio, "load_embeddings", load)
+        monkeypatch.setattr(nio, "_pair_columns", columns)
+        nio.load_pairs(files / "src.txt", files / "tgt.txt", lexicon, test_path, **options)
+        assert seen == [(0, [True, True]), (1, [False, True])]
+
+    @pytest.mark.parametrize("name,bad", [
+        ("file-and-test", "test"), ("test-only", "test"),
+        ("file-and-test", "dim"), ("identity", "dim"), ("test-only", "dim")])
+    def test_bad_input_raises_before_any_column_is_gathered(self, files, monkeypatch,
+                                                            name, bad):
+        lexicon, test_path, options = self.shape(files, name)
+        tgt_path = files / "tgt.txt"
+        if bad == "test":
+            write(files, "test.tsv", "w1\tnowhere\nnowhere\tw1\n")
+            message = f"zero resolvable pairs in {test_path}"
+        else:
+            tgt_path = files / "tgt5.txt"
+            save_embeddings(make_set([f"w{i}" for i in range(40)], np.ones((5, 40))), tgt_path)
+            message = "embedding dimension mismatch: src d=6, tgt d=5"
+        taken, real_take = [], np.take
+        monkeypatch.setattr(np, "take", lambda *a, **k: taken.append(a) or real_take(*a, **k))
+        with pytest.raises(DataError, match=re.escape(message)):
+            nio.load_pairs(files / "src.txt", tgt_path, lexicon, test_path, **options)
+        assert taken == []
 
 
 def full_square_norms(M):
